@@ -67,11 +67,14 @@ def _element(suite: PairingSuite, group: Group, doc: dict, key: str) -> GroupEle
     return suite.element_from_bytes(group, raw)
 
 
-def _scalar(doc: dict, key: str) -> Scalar:
+def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
     try:
-        return Scalar.from_bytes(bytes.fromhex(doc[key]))
+        scalar = Scalar.from_bytes(bytes.fromhex(doc[key]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError(f"missing or malformed field {key!r}") from exc
+    if scalar.value >= suite.order:
+        raise DecodeError(f"field {key!r} is not below the group order")
+    return scalar
 
 
 # --- keys -----------------------------------------------------------------
@@ -94,7 +97,7 @@ def save_admin_keypair(pair: AdminKeyPair, suite: PairingSuite, sk_path: Path, p
 
 
 def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
-    return _scalar(_load(path, "admin-secret-key", suite), "sk")
+    return _scalar(suite, _load(path, "admin-secret-key", suite), "sk")
 
 
 def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
@@ -104,7 +107,7 @@ def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
         pk_b=_element(suite, Group.B, doc, "pk_b"),
     )
     # dual-representation consistency: both components must share alpha
-    if suite.pair(pub.pk_a, suite.gen_b) != suite.pair(suite.gen_a, pub.pk_b):
+    if not suite.pairs_equal(pub.pk_a, suite.gen_b, suite.gen_a, pub.pk_b):
         raise DecodeError(f"{path}: pk_a and pk_b do not share an exponent")
     return pub
 
@@ -126,7 +129,7 @@ def save_user_keypair(pair: UserKeyPair, suite: PairingSuite, sk_path: Path, pk_
 
 
 def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
-    return _scalar(_load(path, "user-secret-key", suite), "sk")
+    return _scalar(suite, _load(path, "user-secret-key", suite), "sk")
 
 
 def load_user_public(path: Path, suite: PairingSuite) -> UserPublicKey:

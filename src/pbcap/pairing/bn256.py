@@ -8,6 +8,13 @@ family (BN parameter v = 1868033).
 
 Field elements are plain Python ints reduced mod P; extension fields are
 thin classes over them.  Nothing here is constant-time.
+
+``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
+cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
+hard part of ``final_exponentiation`` runs.  They must never touch a
+decoded or otherwise unchecked element: the Miller loop, GT
+exponentiation and the GT subgroup check in ``gt_from_bytes`` use the
+generic ``square`` and ``exp``.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ def _naf(x: int) -> list[int]:
     return z
 
 
-# 6u+2 in NAF, most significant digit first, leading digit dropped
+# 6u+2 and u in NAF, most significant digit first, leading digit dropped
 NAF_6UP2 = list(reversed(_naf(6 * U + 2)))[1:]
+NAF_U = list(reversed(_naf(U)))[1:]
 
 
 class Fp2:
@@ -287,11 +295,11 @@ class Fp12:
         return Fp12(e1, e2)
 
     def __mul__(self, other):
+        # Karatsuba: three Fp6 products
         axbx = self.x * other.x
-        axby = self.x * other.y
-        aybx = self.y * other.x
         ayby = self.y * other.y
-        return Fp12(axby + aybx, ayby + axbx.mul_tau())
+        tx = (self.x + self.y) * (other.x + other.y) - axbx - ayby
+        return Fp12(tx, ayby + axbx.mul_tau())
 
     def mul_scalar(self, k: Fp6) -> "Fp12":
         return Fp12(self.x * k, self.y * k)
@@ -302,12 +310,45 @@ class Fp12:
         ty = (self.x + self.y) * t - v0 - v0.mul_tau()
         return Fp12(v0.double(), ty)
 
+    def cyclotomic_square(self) -> "Fp12":
+        """Square of an element of the cyclotomic subgroup (Granger-Scott, PKC 2010).
+
+        Over F_p4 = F_p2[s]/(s^2 - xi) with s = w^3, the element is
+        a + b*w + c*w^2 and its square is
+        (3a^2 - 2a', 3s*c^2 + 2b', 3b^2 - 2c') with ' the F_p4 conjugate.
+        Wrong for any element outside that subgroup.
+        """
+        a2, a3 = _fp4_square(self.y.z, self.x.y)
+        b2, b3 = _fp4_square(self.x.z, self.y.x)
+        c2, c3 = _fp4_square(self.y.y, self.x.x)
+        # coefficients of w^0 .. w^5: y.z, x.z, y.y, x.y, y.x, x.x
+        y_z = _triple_minus_double(a2, self.y.z)
+        x_y = _triple_plus_double(a3, self.x.y)
+        x_z = _triple_plus_double(c3.mul_xi(), self.x.z)
+        y_x = _triple_minus_double(c2, self.y.x)
+        y_y = _triple_minus_double(b2, self.y.y)
+        x_x = _triple_plus_double(b3, self.x.x)
+        return Fp12(Fp6(x_x, x_y, x_z), Fp6(y_x, y_y, y_z))
+
     def exp(self, k: int) -> "Fp12":
         r = FP12_ONE
         for bit in bin(k)[2:]:
             r = r.square()
             if bit == "1":
                 r = r * self
+        return r
+
+    def exp_u(self) -> "Fp12":
+        """self^U for a cyclotomic-subgroup element: signed digits of U,
+        where the inverse is the conjugate."""
+        inv = self.conjugate()
+        r = self
+        for digit in NAF_U:
+            r = r.cyclotomic_square()
+            if digit == 1:
+                r = r * self
+            elif digit == -1:
+                r = r * inv
         return r
 
     def inverse(self) -> "Fp12":
@@ -317,6 +358,23 @@ class Fp12:
 
 
 FP12_ONE = Fp12(FP6_ZERO, FP6_ONE)
+
+
+def _fp4_square(a: Fp2, b: Fp2) -> tuple[Fp2, Fp2]:
+    """(a + b*s)^2 in F_p2[s]/(s^2 - xi), as its two coefficients."""
+    a2 = a.square()
+    b2 = b.square()
+    return b2.mul_xi() + a2, (a + b).square() - a2 - b2
+
+
+def _triple_minus_double(t: Fp2, z: Fp2) -> Fp2:
+    """3t - 2z, built as one Fp2 object."""
+    return Fp2((3 * t.x - 2 * z.x) % P, (3 * t.y - 2 * z.y) % P)
+
+
+def _triple_plus_double(t: Fp2, z: Fp2) -> Fp2:
+    """3t + 2z, built as one Fp2 object."""
+    return Fp2((3 * t.x + 2 * z.x) % P, (3 * t.y + 2 * z.y) % P)
 
 
 class PointG1:
@@ -501,6 +559,22 @@ G2_GEN = PointG2(
 )
 
 
+def psi(q: PointG2) -> PointG2:
+    """Untwist-Frobenius-twist endomorphism of the twist; [p] on G2."""
+    return PointG2(q.x.conjugate() * XI1[1], q.y.conjugate() * XI1[2], q.z.conjugate())
+
+
+def in_g2(q: PointG2) -> bool:
+    """Membership of a twist point in the order-n subgroup.
+
+    [u+1]Q + psi([u]Q) + psi^2([u]Q) == psi^3([2u]Q) (Scott, eprint
+    2021/1130): one 63-bit scalar multiplication instead of [n]Q.
+    """
+    uq = q.scalar_mul(U)
+    lhs = uq.add(q).add(psi(uq)).add(psi(psi(uq)))
+    return lhs == psi(psi(psi(uq.double())))
+
+
 # --- optimal ate pairing -------------------------------------------------
 
 def _line_double(r: PointG2, qx: int, qy: int):
@@ -578,7 +652,7 @@ def miller_loop(q: PointG2, p: PointG1) -> Fp12:
             la, lb, lc, t = _line_add(t, mq, px, py, mqy2)
             f = _mul_line(f, la, lb, lc)
 
-    q1 = PointG2(qa.x.conjugate() * XI1[1], qa.y.conjugate() * XI1[2], FP2_ONE)
+    q1 = psi(qa)
     q2 = PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE)
 
     la, lb, lc, t = _line_add(t, q1, px, py, q1.y.square())
@@ -597,9 +671,10 @@ def final_exponentiation(f: Fp12) -> Fp12:
     fp2 = t1.frobenius_p2()
     fp3 = fp2.frobenius()
 
-    fu1 = t1.exp(U)
-    fu2 = fu1.exp(U)
-    fu3 = fu2.exp(U)
+    # t1 now lies in the cyclotomic subgroup, and so does everything below
+    fu1 = t1.exp_u()
+    fu2 = fu1.exp_u()
+    fu3 = fu2.exp_u()
 
     y3 = fu1.frobenius().conjugate()
     fu2p = fu2.frobenius()
@@ -612,13 +687,13 @@ def final_exponentiation(f: Fp12) -> Fp12:
     y4 = (fu1 * fu2p).conjugate()
     y6 = (fu3 * fu3p).conjugate()
 
-    t0 = y6.square() * y4 * y5
+    t0 = y6.cyclotomic_square() * y4 * y5
     t1 = y3 * y5 * t0
     t0 = t0 * y2
-    t1 = (t1.square() * t0).square()
+    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square()
     t0 = t1 * y1
     t1 = t1 * y0
-    t0 = t0.square() * t1
+    t0 = t0.cyclotomic_square() * t1
     return t0
 
 
@@ -626,6 +701,20 @@ def pairing(p: PointG1, q: PointG2) -> Fp12:
     if p.is_infinity() or q.is_infinity():
         return FP12_ONE
     return final_exponentiation(miller_loop(q, p))
+
+
+def pairing_product_is_one(pairs) -> bool:
+    """Whether the product of e(p, q) over (p, q) pairs is 1.
+
+    The Miller loops are multiplied and share one final exponentiation
+    (Scott, "On the efficient implementation of pairing-based
+    protocols", IMA 2011).
+    """
+    f = FP12_ONE
+    for p, q in pairs:
+        if not (p.is_infinity() or q.is_infinity()):
+            f = f * miller_loop(q, p)
+    return final_exponentiation(f).is_one()
 
 
 # --- hash to G1 ----------------------------------------------------------
@@ -759,7 +848,7 @@ def g2_from_bytes(data: bytes) -> PointG2:
     if sign != (data[0] & 1):
         y = y.neg()
     pt = PointG2(x, y)
-    if not pt.scalar_mul(ORDER).is_infinity():
+    if not in_g2(pt):
         raise ValueError("decoded G2 point not in the prime-order subgroup")
     return pt
 

@@ -144,6 +144,11 @@ class PairingSuite(ABC):
     @abstractmethod
     def _is_identity(self, e: GroupElement) -> bool: ...
 
+    def pairs_equal(self, a1: GroupElement, b1: GroupElement,
+                    a2: GroupElement, b2: GroupElement) -> bool:
+        """Whether e(a1, b1) == e(a2, b2)."""
+        return self.pair(a1, b1) == self.pair(a2, b2)
+
     def hash_to_bits(self, t: GroupElement) -> bytes:
         """H2: digest a target-group element to a fixed 32 bytes."""
         self._require(t, Group.T)
@@ -183,6 +188,14 @@ class Bn256Suite(PairingSuite):
         self._require(x, Group.A)
         self._require(y, Group.B)
         return GroupElement(self, Group.T, bn256.pairing(x.value, y.value))
+
+    def pairs_equal(self, a1: GroupElement, b1: GroupElement,
+                    a2: GroupElement, b2: GroupElement) -> bool:
+        """e(a1, b1) * e(a2, -b2) == 1, with one shared final exponentiation."""
+        for a, b in ((a1, b1), (a2, b2)):
+            self._require(a, Group.A)
+            self._require(b, Group.B)
+        return bn256.pairing_product_is_one([(a1.value, b1.value), (a2.value, b2.value.neg())])
 
     def hash_to_group_a(self, message: bytes) -> GroupElement:
         return GroupElement(self, Group.A, bn256.hash_to_g1(message, H1_DST))

@@ -129,7 +129,7 @@ def verify_authenticity(
 ) -> bool:
     """Equation (1): e(g_a, X) == e(admin_pk_a, user_pk_b)."""
     suite._require(x, Group.B)
-    return suite.pair(suite.gen_a, x) == suite.pair(admin_pub.pk_a, user_pub.pk_b)
+    return suite.pairs_equal(suite.gen_a, x, admin_pub.pk_a, user_pub.pk_b)
 
 
 def matches_trapdoor(

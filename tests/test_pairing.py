@@ -6,13 +6,64 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Group, H2_BYTES, Scalar
+from pbcap.pairing import Group, H2_BYTES, Scalar, bn256
 
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
 
 
 def _draws(suite):
     return BILINEARITY_DRAWS[suite.name]
+
+
+def _mul_unreduced(pt, k):
+    """[k]pt by double-and-add; unlike scalar_mul, k is not reduced mod the order."""
+    r = bn256.G1_INF if isinstance(pt, bn256.PointG1) else bn256.G2_INF
+    for bit in bin(k)[2:]:
+        r = r.double()
+        if bit == "1":
+            r = r.add(pt)
+    return r
+
+
+def _unreduced_multiple_is_identity(e, k):
+    if e.group is Group.T:
+        return e.value.exp(k).is_one()
+    return _mul_unreduced(e.value, k).is_infinity()
+
+
+def _twist_point(rng):
+    """A point on the twist with a random x; almost surely outside G2."""
+    while True:
+        x = bn256.Fp2(rng.randrange(bn256.P), rng.randrange(bn256.P))
+        y = (x.square() * x + bn256.TWIST_B).sqrt()
+        if y is not None:
+            return bn256.PointG2(x, y)
+
+
+def _cyclotomic_elements(rng, n):
+    """Miller-loop outputs raised to (p^6 - 1)(p^2 + 1): the easy part."""
+    out = []
+    for _ in range(n):
+        f = bn256.miller_loop(bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)),
+                              bn256.G1_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)))
+        t = f.conjugate() * f.inverse()
+        out.append(t * t.frobenius_p2())
+    return out
+
+
+def _random_fp12(rng):
+    def fp2():
+        return bn256.Fp2(rng.randrange(bn256.P), rng.randrange(bn256.P))
+
+    def fp6():
+        return bn256.Fp6(fp2(), fp2(), fp2())
+
+    return bn256.Fp12(fp6(), fp6())
+
+
+def _schoolbook_fp12_mul(a, b):
+    """Four Fp6 products: (ax*w + ay)(bx*w + by) with w^2 = tau."""
+    return bn256.Fp12(a.x * b.y + a.y * b.x, a.y * b.y + (a.x * b.x).mul_tau())
 
 
 class TestBilinearity:
@@ -43,6 +94,49 @@ class TestBilinearity:
             s.pair(s.gen_b, s.gen_b)
         with pytest.raises(GroupMismatchError):
             s.pair(s.gen_a, s.gen_a)
+
+
+class TestPairsEqual:
+    def test_agrees_with_two_pairings(self, any_suite, rng):
+        s = any_suite
+        a, b = rng.randrange(2, s.order), rng.randrange(2, s.order)
+        inf_a, inf_b = s.identity(Group.A), s.identity(Group.B)
+        cases = [
+            (s.gen_a ** a, s.gen_b ** b, s.gen_a ** b, s.gen_b ** a),      # equal
+            (s.gen_a ** a, s.gen_b ** b, s.gen_a ** b, s.gen_b ** (a + 1)),  # unequal
+            (inf_a, s.gen_b ** b, s.gen_a ** a, inf_b),                     # both sides 1
+            (inf_a, s.gen_b ** b, s.gen_a ** a, s.gen_b),                   # 1 vs not 1
+            (s.gen_a ** a, s.gen_b, inf_a, inf_b),                          # not 1 vs 1
+        ]
+        for a1, b1, a2, b2 in cases:
+            expected = s.pair(a1, b1) == s.pair(a2, b2)
+            assert s.pairs_equal(a1, b1, a2, b2) is expected
+        assert [s.pairs_equal(*c) for c in cases] == [True, False, True, False, False]
+
+    def test_group_mismatch_rejected(self, any_suite):
+        s = any_suite
+        with pytest.raises(GroupMismatchError):
+            s.pairs_equal(s.gen_a, s.gen_b, s.gen_b, s.gen_b)
+        with pytest.raises(GroupMismatchError):
+            s.pairs_equal(s.gen_a, s.gen_a, s.gen_a, s.gen_b)
+
+
+class TestBn256Kernels:
+    """Each fast kernel against the generic arithmetic it replaces."""
+
+    def test_cyclotomic_square_matches_square(self):
+        for t in _cyclotomic_elements(random.Random(21), 20):
+            assert t.cyclotomic_square() == t.square()
+
+    def test_karatsuba_mul_matches_schoolbook(self):
+        rng = random.Random(22)
+        for _ in range(50):
+            a, b = _random_fp12(rng), _random_fp12(rng)
+            assert a * b == _schoolbook_fp12_mul(a, b)
+
+    def test_exp_u_matches_exp(self):
+        for t in _cyclotomic_elements(random.Random(23), 3):
+            assert t.exp_u() == t.exp(bn256.U)
 
 
 class TestHashToGroupA:
@@ -148,11 +242,35 @@ class TestSerialization:
         for group, size in sizes.items():
             for _ in range(30):
                 blob = bytes(rng.getrandbits(8) for _ in range(size))
+                if group is not Group.T:  # a valid prefix, so decoding reaches the curve checks
+                    blob = bytes([2 + (blob[0] & 1)]) + blob[1:]
                 try:
                     e = prod_suite.element_from_bytes(group, blob)
                 except DecodeError:
                     continue
-                assert (e ** prod_suite.order).is_identity()
+                assert _unreduced_multiple_is_identity(e, prod_suite.order)
+
+    def test_twist_point_outside_g2_rejected(self, prod_suite):
+        pt = _twist_point(random.Random(14))
+        assert pt.is_on_curve()
+        with pytest.raises(DecodeError, match="subgroup"):
+            prod_suite.element_from_bytes(Group.B, bn256.g2_to_bytes(pt))
+
+    def test_g2_membership_agrees_with_unreduced_multiple(self):
+        rng = random.Random(15)
+        cofactor = 2 * bn256.P - bn256.ORDER  # the twist has n * (2p - n) points
+        inside = [bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)) for _ in range(2)]
+        inside.append(_mul_unreduced(_twist_point(rng), cofactor))
+        outside = [_twist_point(rng) for _ in range(2)]
+        # a G2 point plus a point of order 13, a small factor of the cofactor
+        small = bn256.G2_INF
+        while small.is_infinity():
+            small = _mul_unreduced(_twist_point(rng), bn256.ORDER * cofactor // 13)
+        outside.append(inside[0].add(small))
+        for pt in inside + outside:
+            assert bn256.in_g2(pt) is _mul_unreduced(pt, bn256.ORDER).is_infinity()
+        assert all(bn256.in_g2(pt) for pt in inside)
+        assert not any(bn256.in_g2(pt) for pt in outside)
 
     def test_wrong_length_rejected(self, any_suite):
         with pytest.raises(DecodeError):

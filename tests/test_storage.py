@@ -81,6 +81,27 @@ class TestDecodePath:
         with pytest.raises(DecodeError, match="exponent"):
             load_admin_public(tmp_path / "a.pk", mock)
 
+    @pytest.mark.parametrize("role", ["admin", "user"])
+    def test_secret_key_must_be_below_group_order(self, tmp_path, any_suite, role):
+        from pbcap import formats
+        from pbcap.scheme import keygen_admin, keygen_user
+        import random
+
+        keygen = keygen_admin if role == "admin" else keygen_user
+        save = getattr(formats, f"save_{role}_keypair")
+        load = getattr(formats, f"load_{role}_secret")
+        save(keygen(any_suite, random.Random(1)), any_suite, tmp_path / "k.sk", tmp_path / "k.pk")
+        doc = json.loads((tmp_path / "k.sk").read_text())
+        for value, ok in ((any_suite.order - 1, True), (any_suite.order, False),
+                          (any_suite.order + 1, False), (2 ** 256 - 1, False)):
+            doc["sk"] = value.to_bytes(32, "big").hex()
+            (tmp_path / "k.sk").write_text(json.dumps(doc))
+            if ok:
+                assert load(tmp_path / "k.sk", any_suite).value == value
+            else:
+                with pytest.raises(DecodeError, match="order"):
+                    load(tmp_path / "k.sk", any_suite)
+
     def test_truncated_json_is_decode_error(self, tmp_path):
         from pbcap.formats import load_submission
 
