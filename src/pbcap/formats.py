@@ -259,13 +259,3 @@ def decision_to_json(decision: Decision) -> str:
         "authenticated": decision.authenticated,
     }, sort_keys=True)
 
-
-def decision_from_json(line: str) -> Decision:
-    doc = json.loads(line)
-    return Decision(
-        file_id=doc["file_id"],
-        matched_policy=doc["matched_policy"],
-        category=doc["category"],
-        storage_unit=doc["storage_unit"],
-        authenticated=doc["authenticated"],
-    )

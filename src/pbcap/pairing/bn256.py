@@ -632,33 +632,44 @@ def _mul_line(f: Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12:
     return Fp12(fx, fy)
 
 
-def miller_loop(q: PointG2, p: PointG1) -> Fp12:
-    qa = PointG2(*q.affine())
-    px, py = p.affine()
-    mq = qa.neg()
+def miller_loop(pairs) -> Fp12:
+    """Product of the optimal ate Miller loops of (G1, G2) pairs.
+
+    One accumulator serves every pair: it is squared once per NAF digit
+    and each pair's line values are multiplied into it.  Because
+    (f1*f2)^2 * l1 * l2 = (f1^2 * l1) * (f2^2 * l2), the result equals
+    the product of the single-pair loops exactly, with one Fp12
+    squaring per digit instead of one per digit and pair.  No point may
+    be at infinity.
+    """
+    prepared = []
+    for p, q in pairs:
+        qa = PointG2(*q.affine())
+        mq = qa.neg()
+        prepared.append((qa, mq, *p.affine(), qa.y.square(), mq.y.square()))
+    ts = [qa for qa, *_ in prepared]
     f = FP12_ONE
-    t = qa
-    qy2 = qa.y.square()
-    mqy2 = mq.y.square()
 
     for naf_i in NAF_6UP2:
         f = f.square()
-        la, lb, lc, t = _line_double(t, px, py)
+        for i, (qa, mq, px, py, qy2, mqy2) in enumerate(prepared):
+            la, lb, lc, t = _line_double(ts[i], px, py)
+            f = _mul_line(f, la, lb, lc)
+            if naf_i == 1:
+                la, lb, lc, t = _line_add(t, qa, px, py, qy2)
+                f = _mul_line(f, la, lb, lc)
+            elif naf_i == -1:
+                la, lb, lc, t = _line_add(t, mq, px, py, mqy2)
+                f = _mul_line(f, la, lb, lc)
+            ts[i] = t
+
+    for (qa, _, px, py, _, _), t in zip(prepared, ts):
+        q1 = psi(qa)
+        q2 = PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE)
+        la, lb, lc, t = _line_add(t, q1, px, py, q1.y.square())
         f = _mul_line(f, la, lb, lc)
-        if naf_i == 1:
-            la, lb, lc, t = _line_add(t, qa, px, py, qy2)
-            f = _mul_line(f, la, lb, lc)
-        elif naf_i == -1:
-            la, lb, lc, t = _line_add(t, mq, px, py, mqy2)
-            f = _mul_line(f, la, lb, lc)
-
-    q1 = psi(qa)
-    q2 = PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE)
-
-    la, lb, lc, t = _line_add(t, q1, px, py, q1.y.square())
-    f = _mul_line(f, la, lb, lc)
-    la, lb, lc, t = _line_add(t, q2, px, py, q2.y.square())
-    f = _mul_line(f, la, lb, lc)
+        la, lb, lc, t = _line_add(t, q2, px, py, q2.y.square())
+        f = _mul_line(f, la, lb, lc)
     return f
 
 
@@ -700,21 +711,19 @@ def final_exponentiation(f: Fp12) -> Fp12:
 def pairing(p: PointG1, q: PointG2) -> Fp12:
     if p.is_infinity() or q.is_infinity():
         return FP12_ONE
-    return final_exponentiation(miller_loop(q, p))
+    return final_exponentiation(miller_loop([(p, q)]))
 
 
 def pairing_product_is_one(pairs) -> bool:
     """Whether the product of e(p, q) over (p, q) pairs is 1.
 
-    The Miller loops are multiplied and share one final exponentiation
+    One Miller loop runs over every pair with a factor at infinity
+    dropped (its pairing is 1), and one final exponentiation follows
     (Scott, "On the efficient implementation of pairing-based
     protocols", IMA 2011).
     """
-    f = FP12_ONE
-    for p, q in pairs:
-        if not (p.is_infinity() or q.is_infinity()):
-            f = f * miller_loop(q, p)
-    return final_exponentiation(f).is_one()
+    live = [(p, q) for p, q in pairs if not (p.is_infinity() or q.is_infinity())]
+    return final_exponentiation(miller_loop(live)).is_one()
 
 
 # --- hash to G1 ----------------------------------------------------------

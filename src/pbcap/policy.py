@@ -1,12 +1,12 @@
 """Classification policies: compilation to trapdoors and decision making.
 
 The PAP side turns each policy keyword into a trapdoor token (plaintext
-keywords are dropped at compile time).  The PDP side tests a
-submission's tags against the compiled trapdoors and resolves conflicts
-by priority: larger integer wins, ties broken by lexicographically
-smallest policy id.  A submission that matches nothing is routed to the
-"default" unit with category "unclassified" -- a storage pipeline has to
-put every file somewhere.
+keywords are dropped at compile time).  The PDP side tries the compiled
+policies in priority order -- larger integer first, ties broken by
+lexicographically smallest policy id -- and routes the submission to the
+first one whose trapdoors one of its tags passes.  A submission that
+matches nothing is routed to the "default" unit with category
+"unclassified" -- a storage pipeline has to put every file somewhere.
 """
 
 from __future__ import annotations
@@ -120,35 +120,33 @@ def classify(
 ) -> Decision:
     """Route one submission.
 
-    Authenticity is checked once on the shared X component; an
-    unauthenticated submission is never keyword-tested.  A policy
-    matches iff any tag passes against any of its trapdoors.
+    Authenticity is checked once on the shared X component; a submission
+    with no X to check, or whose X fails, is never keyword-tested.
+    Policies are then tried from the highest priority down (ties by
+    smallest id), and testing stops at the first policy for which any
+    tag passes against any of its trapdoors: the winner is the same as
+    when every policy is tested, and no lower-priority match is learned.
     """
     if x is None and tags:
         x = tags[0].x
-    if x is not None:
-        if any(tag.x != x for tag in tags):
-            raise ValidationError("tags in one submission must share the X component")
-        if not verify_authenticity(suite, admin_pub, user_pub, x):
-            return Decision.unclassified(file_id, authenticated=False)
+    if x is None:
+        return Decision.unclassified(file_id, authenticated=False)
+    if any(tag.x != x for tag in tags):
+        raise ValidationError("tags in one submission must share the X component")
+    if not verify_authenticity(suite, admin_pub, user_pub, x):
+        return Decision.unclassified(file_id, authenticated=False)
 
-    matched = [
-        policy
-        for policy in compiled
+    for policy in sorted(compiled, key=lambda p: (-p.priority, p.id)):
         if any(
             matches_trapdoor(suite, trapdoor, tag)
             for trapdoor in policy.trapdoors
             for tag in tags
-        )
-    ]
-    if not matched:
-        return Decision.unclassified(file_id)
-    # highest priority wins; equal priorities fall back to smallest id
-    winner = min(matched, key=lambda p: (-p.priority, p.id))
-    return Decision(
-        file_id=file_id,
-        matched_policy=winner.id,
-        category=winner.category,
-        storage_unit=winner.storage_unit,
-        authenticated=True,
-    )
+        ):
+            return Decision(
+                file_id=file_id,
+                matched_policy=policy.id,
+                category=policy.category,
+                storage_unit=policy.storage_unit,
+                authenticated=True,
+            )
+    return Decision.unclassified(file_id)

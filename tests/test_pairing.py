@@ -40,12 +40,17 @@ def _twist_point(rng):
             return bn256.PointG2(x, y)
 
 
+def _random_pair(rng):
+    """A (G1, G2) pair of random non-identity points; the G2 scalar is drawn first."""
+    q = bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER))
+    return bn256.G1_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)), q
+
+
 def _cyclotomic_elements(rng, n):
     """Miller-loop outputs raised to (p^6 - 1)(p^2 + 1): the easy part."""
     out = []
     for _ in range(n):
-        f = bn256.miller_loop(bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)),
-                              bn256.G1_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)))
+        f = bn256.miller_loop([_random_pair(rng)])
         t = f.conjugate() * f.inverse()
         out.append(t * t.frobenius_p2())
     return out
@@ -137,6 +142,21 @@ class TestBn256Kernels:
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):
             assert t.exp_u() == t.exp(bn256.U)
+
+    def test_shared_miller_loop_is_product_of_single_loops(self):
+        rng = random.Random(24)
+        for _ in range(3):
+            a, b = _random_pair(rng), _random_pair(rng)
+            assert bn256.miller_loop([a, b]) == bn256.miller_loop([a]) * bn256.miller_loop([b])
+
+    def test_pairing_product_skips_infinity_pairs(self):
+        p, q = _random_pair(random.Random(25))
+        inverse = (p, q.neg())
+        for pairs in ([(bn256.G1_INF, q), (p, q), inverse],
+                      [(p, bn256.G2_INF), (p, q), inverse],
+                      [(bn256.G1_INF, bn256.G2_INF)]):
+            assert bn256.pairing_product_is_one(pairs)
+        assert not bn256.pairing_product_is_one([(bn256.G1_INF, q), (p, q)])
 
 
 class TestHashToGroupA:

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from pbcap import formats
+from pbcap import formats, policy
 from pbcap.cli import cli
 from pbcap.pairing import bn256
 from pbcap.scheme import (
@@ -52,14 +52,14 @@ def test_load_admin_public(prod_suite, keys, tmp_path, counts):
     admin, _, _ = keys
     formats.save_admin_keypair(admin, prod_suite, tmp_path / "a.sk", tmp_path / "a.pk")
     formats.load_admin_public(tmp_path / "a.pk", prod_suite)
-    _expect(counts, 2, 1)
+    _expect(counts, 1, 1)
 
 
 def test_verify_authenticity(prod_suite, keys, counts):
     admin, user, _ = keys
     x = admin.pk_b ** user.sk
     assert verify_authenticity(prod_suite, admin.public, user.public, x)
-    _expect(counts, 2, 1)
+    _expect(counts, 1, 1)
 
 
 def test_matches_trapdoor(prod_suite, keys, counts):
@@ -71,23 +71,20 @@ def test_matches_trapdoor(prod_suite, keys, counts):
     _expect(counts, 1, 1)
 
 
-def test_no_match_pdp_classify(tmp_path, counts):
-    """T tags x K trapdoors, nothing matches: every tag/trapdoor pairing runs."""
-    policies = {
-        "format": "pbcap/1",
-        "kind": "policy-set",
-        "policies": [
-            {"id": "1", "keywords": ["ReviewedBy(Draft,Editor)", "SignedBy(Form,Clerk)"],
-             "priority": 5, "category": "Editorial", "storage_unit": "Press"},
-            {"id": "2", "keywords": ["ApprovedBy(Plan,Board)"],
-             "priority": 9, "category": "Board", "storage_unit": "Archive"},
-        ],
-    }
-    graph = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \
-            "edge RecordedBy t n\nedge ProducedFrom r t\n"
-    tags, trapdoors = 2, 3
-    (tmp_path / "policies.json").write_text(json.dumps(policies))
-    (tmp_path / "graph.txt").write_text(graph)
+GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \
+        "edge RecordedBy t n\nedge ProducedFrom r t\n"
+
+
+def _pdp_classify(tmp_path, counts, policies):
+    """Seeded keygen, compile and a 2-tag ``user tag`` of GRAPH; the counts
+    cover only the ``pdp classify`` run, whose decision is returned.
+
+    The tags are sorted by canonical form: ProducedFrom(Report,Test),
+    then RecordedBy(Test,Nurse).
+    """
+    doc = {"format": "pbcap/1", "kind": "policy-set", "policies": policies}
+    (tmp_path / "policies.json").write_text(json.dumps(doc))
+    (tmp_path / "graph.txt").write_text(GRAPH)
     (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
     (tmp_path / "store").mkdir()
     runner = CliRunner()
@@ -108,5 +105,41 @@ def test_no_match_pdp_classify(tmp_path, counts):
     result = run("pdp", "classify", tmp_path / "sub.json", "--policies", tmp_path / "compiled.json",
                  "--admin-pk", tmp_path / "pap/admin.pk", "--user-pk", tmp_path / "usr/user.pk",
                  "--storage-root", tmp_path / "store")
-    assert json.loads(result.output)["matched_policy"] is None
-    _expect(counts, 2 + 2 + tags * trapdoors, 2 + tags * trapdoors)
+    return json.loads(result.output)
+
+
+def _policy(pid, keywords, priority):
+    return {"id": pid, "keywords": keywords, "priority": priority,
+            "category": f"cat-{pid}", "storage_unit": f"unit-{pid}"}
+
+
+def test_no_match_pdp_classify(tmp_path, counts):
+    """T tags x K trapdoors, nothing matches: every tag/trapdoor pairing runs."""
+    policies = [
+        _policy("1", ["ReviewedBy(Draft,Editor)", "SignedBy(Form,Clerk)"], 5),
+        _policy("2", ["ApprovedBy(Plan,Board)"], 9),
+    ]
+    tags, trapdoors = 2, 3
+    assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] is None
+    # admin dual-key check and authenticity: one shared Miller loop and one FE each
+    _expect(counts, 1 + 1 + tags * trapdoors, 2 + tags * trapdoors)
+
+
+def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
+    """The top policy, last in the file, matches the first tag and a lower
+    policy matches the second: only the top policy's trapdoor is tested."""
+    tested = []
+
+    def recorded(suite, trapdoor, tag, _inner=policy.matches_trapdoor):
+        tested.append(trapdoor.keyword_slot)
+        return _inner(suite, trapdoor, tag)
+
+    monkeypatch.setattr(policy, "matches_trapdoor", recorded)
+    policies = [
+        _policy("low", ["RecordedBy(Test,Nurse)"], 5),
+        _policy("mid", ["SignedBy(Form,Clerk)"], 7),
+        _policy("top", ["ProducedFrom(Report,Test)", "ApprovedBy(Plan,Board)"], 9),
+    ]
+    assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] == "top"
+    assert tested == ["top/k0"]
+    _expect(counts, 3, 3)

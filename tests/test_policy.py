@@ -111,6 +111,20 @@ class TestClassify:
         assert decision.storage_unit == DEFAULT_STORAGE_UNIT
         assert decision.matched_policy is None
 
+    def test_authenticated_only_with_a_checked_x(self, mock_env):
+        suite, rng, admin, user = mock_env
+        stranger = keygen_user(suite, rng)
+        compiled = compile_policies([MEDICAL], admin.sk, suite)
+        genuine = admin.pk_b ** user.sk
+        forged = admin.pk_b ** stranger.sk
+        for user_pub, x, authenticated in (
+            (stranger.public, None, False),
+            (user.public, genuine, True),
+            (user.public, forged, False),
+        ):
+            decision = classify([], user_pub, admin.public, compiled, suite, file_id="f", x=x)
+            assert decision == Decision.unclassified("f", authenticated=authenticated)
+
     def test_no_match_unclassified(self, mock_env):
         suite, _, admin, user = mock_env
         compiled = compile_policies([MEDICAL], admin.sk, suite)

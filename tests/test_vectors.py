@@ -55,7 +55,7 @@ def compute_kat() -> dict:
         for a, b in PAIRING_SCALARS
     ]
     a, b = FE_SCALARS
-    f = bn256.miller_loop(bn256.G2_GEN.scalar_mul(b), bn256.G1_GEN.scalar_mul(a))
+    f = bn256.miller_loop([(bn256.G1_GEN.scalar_mul(a), bn256.G2_GEN.scalar_mul(b))])
     fe = {
         "a": a, "b": b,
         "miller_loop": bn256.gt_to_bytes(f).hex(),
@@ -96,7 +96,7 @@ def test_pairing_vectors():
 
 def test_final_exponentiation_vector():
     vec = _kat()["final_exponentiation"]
-    f = bn256.miller_loop(bn256.G2_GEN.scalar_mul(vec["b"]), bn256.G1_GEN.scalar_mul(vec["a"]))
+    f = bn256.miller_loop([(bn256.G1_GEN.scalar_mul(vec["a"]), bn256.G2_GEN.scalar_mul(vec["b"]))])
     assert bn256.gt_to_bytes(f).hex() == vec["miller_loop"]
     f = _fp12_from_bytes(bytes.fromhex(vec["miller_loop"]))
     assert bn256.gt_to_bytes(bn256.final_exponentiation(f)).hex() == vec["final_exponentiation"]
