@@ -2,15 +2,18 @@
 
 ``tests/vectors/kat.json`` and ``tests/vectors/user_tag_submission.json``
 were written by the functions below before the final exponentiation was
-rewritten (cyclotomic squaring, signed exp(u), Karatsuba Fp12).  Every
-later change to the arithmetic must reproduce them byte for byte; a
-mismatch is a bug in the change, never a reason to rewrite the files.
+rewritten (cyclotomic squaring, signed exp(u), Karatsuba Fp12).  The
+``harness_*.json`` transcripts and the ``mock_classify_*`` outputs were
+written before the X component left ``ClassificationTag``.  Every later
+change must reproduce them byte for byte; a mismatch is a bug in the
+change, never a reason to rewrite the files.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from pbcap.cli import cli
@@ -37,6 +40,26 @@ edge RecordedBy t n
 edge ProducedFrom r t
 """
 TAG_PAYLOAD = b"opaque ciphertext"
+
+HARNESS_ATTACKERS = ["random-guess", "cheating", "rule-breaker"]
+
+CLASSIFY_POLICIES = {
+    "format": "pbcap/1",
+    "kind": "policy-set",
+    "policies": [
+        {"id": "med", "keywords": ["RecordedBy(Test,Nurse)", "DiagnosedBy(Report,Doctor)"],
+         "priority": 5, "category": "Medical Documents", "storage_unit": "Hospital"},
+        {"id": "edit", "keywords": ["ReviewedBy(Draft,Editor)"],
+         "priority": 9, "category": "Editorial", "storage_unit": "Press"},
+    ],
+}
+# file id -> (graph, tagged by the registered user); the imposter's submission fails authentication
+CLASSIFY_SUBMISSIONS = {
+    "both.bin": (TAG_GRAPH + "node d Artifact Draft\nnode e Agent Editor\nedge ReviewedBy d e\n", True),
+    "medical.bin": (TAG_GRAPH, True),
+    "none.bin": ("node a Artifact Memo\nnode b Agent Clerk\nedge SignedBy a b\n", True),
+    "forged.bin": (TAG_GRAPH, False),
+}
 
 
 def _fp12_from_bytes(data: bytes) -> bn256.Fp12:
@@ -83,6 +106,46 @@ def compute_user_tag_submission(root: Path) -> bytes:
     return (root / "sub.json").read_bytes()
 
 
+def compute_harness_transcript(attacker: str) -> bytes:
+    """Seeded mock ``harness run`` with 200 trials: the printed JSON."""
+    args = ["harness", "run", "--suite", "mock", "--seed", "7", "--trials", "200", "--attacker", attacker]
+    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return result.stdout.encode()
+
+
+def compute_mock_classify(root: Path) -> tuple[bytes, bytes]:
+    """One seeded mock ``pdp classify`` over four submissions: a top-policy
+    hit, a lower-policy hit, no match and an imposter.  Returns its stdout
+    and the decision log."""
+    runner = CliRunner()
+
+    def run(args, exit_code=0):
+        result = runner.invoke(cli, [str(a) for a in args] + ["--suite", "mock"], catch_exceptions=False)
+        assert result.exit_code == exit_code, result.output
+        return result
+
+    (root / "policies.json").write_text(json.dumps(CLASSIFY_POLICIES))
+    (root / "payload.bin").write_bytes(TAG_PAYLOAD)
+    (root / "store").mkdir()
+    run(["pap", "keygen", "--out-dir", root / "pap", "--seed", 1])
+    run(["user", "keygen", "--out-dir", root / "usr", "--seed", 2])
+    run(["user", "keygen", "--out-dir", root / "imp", "--seed", 3])
+    run(["pap", "compile", "--policies", root / "policies.json",
+         "--admin-sk", root / "pap/admin.sk", "--out", root / "compiled.json"])
+    subs = []
+    for seed, (file_id, (graph, registered)) in enumerate(CLASSIFY_SUBMISSIONS.items(), start=10):
+        (root / f"{file_id}.graph").write_text(graph)
+        subs.append(root / f"{file_id}.json")
+        run(["user", "tag", "--graph", root / f"{file_id}.graph", "--admin-pk", root / "pap/admin.pk",
+             "--user-sk", root / ("usr" if registered else "imp") / "user.sk",
+             "--payload", root / "payload.bin", "--out", subs[-1], "--file-id", file_id, "--seed", seed])
+    result = run(["pdp", "classify", *subs, "--policies", root / "compiled.json",
+                  "--admin-pk", root / "pap/admin.pk", "--user-pk", root / "usr/user.pk",
+                  "--storage-root", root / "store"], exit_code=2)
+    return result.stdout.encode(), (root / "store/decisions.log").read_bytes()
+
+
 def _kat() -> dict:
     return json.loads((VECTORS / "kat.json").read_text(encoding="utf-8"))
 
@@ -111,3 +174,15 @@ def test_hash_to_g1_vectors():
 def test_seeded_user_tag_submission_bytes(tmp_path):
     expected = (VECTORS / "user_tag_submission.json").read_bytes()
     assert compute_user_tag_submission(tmp_path) == expected
+
+
+@pytest.mark.parametrize("attacker", HARNESS_ATTACKERS)
+def test_seeded_harness_transcripts(attacker):
+    expected = (VECTORS / f"harness_{attacker}.json").read_bytes()
+    assert compute_harness_transcript(attacker) == expected
+
+
+def test_seeded_mock_classify_outputs(tmp_path):
+    stdout, log = compute_mock_classify(tmp_path)
+    assert stdout == (VECTORS / "mock_classify_stdout.txt").read_bytes()
+    assert log == (VECTORS / "mock_classify_decisions.log").read_bytes()
