@@ -13,7 +13,6 @@ from .provenance import (
     ProvenanceFragment,
     ProvenanceGraph,
     ProvenanceNode,
-    canonicalize,
     extract_fragments,
     parse_fragment,
     parse_graph,
@@ -29,6 +28,7 @@ from .scheme import (
     keygen_user,
     make_tag,
     make_trapdoor,
+    make_x,
     matches_trapdoor,
     test,
     verify_authenticity,

@@ -18,7 +18,6 @@ import json
 import random
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -156,7 +155,6 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
         raise click.ClickException(str(exc))
     fragments = extract_fragments(graph)
     payload = payload_path.read_bytes()
-    x = admin_pub.pk_b ** user_sk
     tags = tuple(
         scheme.make_tag(suite, admin_pub, user_sk, frag.canonical_bytes(), rng)
         for frag in fragments
@@ -164,7 +162,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
     sub = formats.Submission(
         file_id=file_id or payload_path.name,
         payload=payload,
-        x=x,
+        x=scheme.make_x(admin_pub, user_sk),
         tags=tags,
     )
     formats.save_submission(sub, suite, out_path)
@@ -179,7 +177,7 @@ def pdp():
 
 
 def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
-    """Returns (decision | None, exit_code)."""
+    """Classify, store and log one submission; returns its exit code."""
     try:
         sub = formats.load_submission(sub_path, suite)
         decision = policy.classify(
@@ -188,11 +186,11 @@ def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
         )
     except PbcapError as exc:
         click.echo(f"{sub_path}: decode error: {exc}", err=True)
-        return None, EXIT_DECODE_ERROR
+        return EXIT_DECODE_ERROR
     if not decision.authenticated:
         layout.log(decision)
         click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
-        return decision, EXIT_AUTH_FAILURE
+        return EXIT_AUTH_FAILURE
     layout.store(decision, sub.payload)
     click.echo(json.dumps({
         "file_id": decision.file_id,
@@ -200,7 +198,7 @@ def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
         "category": decision.category,
         "storage_unit": decision.storage_unit,
     }, sort_keys=True))
-    return decision, 0
+    return 0
 
 
 @pdp.command("classify")
@@ -211,11 +209,9 @@ def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
 @click.option("--user-pk", "user_pk_path", type=click.Path(path_type=Path, exists=True), required=True)
 @click.option("--storage-root", envvar="PBCAP_STORAGE_ROOT",
               type=click.Path(path_type=Path, exists=True, file_okay=False), required=True)
-@click.option("--parallel", type=int, default=1, show_default=True,
-              help="Classify submissions concurrently.")
 @suite_option
 def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
-                 storage_root, parallel, suite_name):
+                 storage_root, suite_name):
     """Test submissions against compiled policies and route the payloads."""
     suite = get_suite(suite_name)
     try:
@@ -226,18 +222,9 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
     except PbcapError as exc:
         click.echo(f"decode error: {exc}", err=True)
         sys.exit(EXIT_DECODE_ERROR)
-
-    def work(path):
-        return _classify_one(suite, compiled, admin_pub, user_pub, layout, path)
-
-    if parallel > 1 and len(submissions) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(work, submissions))
-    else:
-        results = [work(path) for path in submissions]
-
-    exit_code = max((code for _, code in results), default=0)
-    sys.exit(exit_code)
+    codes = [_classify_one(suite, compiled, admin_pub, user_pub, layout, path)
+             for path in submissions]
+    sys.exit(max(codes))
 
 
 # --- harness ---------------------------------------------------------------

@@ -31,7 +31,7 @@ FORMAT_VERSION = "pbcap/1"
 
 @dataclass(frozen=True)
 class Submission:
-    """What a user hands to the PDP: opaque payload plus tags sharing one X."""
+    """What a user hands to the PDP: opaque payload, its X and one tag per fragment."""
 
     file_id: str
     payload: bytes
@@ -233,7 +233,6 @@ def load_submission(path: Path, suite: PairingSuite) -> Submission:
     try:
         tags = tuple(
             ClassificationTag(
-                x=x,
                 y=suite.element_from_bytes(Group.B, bytes.fromhex(t["y"])),
                 z=bytes.fromhex(t["z"]),
             )

@@ -2,10 +2,11 @@
 
 Per trial: fresh admin and user keys; the attacker may query trapdoors
 for fragments of its choice; it then names two challenge fragments it
-has never queried; the challenger flips a bit b and hands back the real
-tag for fragment b (built with the production ``make_tag``, not a
-reimplementation); the attacker may keep querying anything except the
-two challenge fragments, then guesses b.
+has never queried; the challenger flips a bit b and hands back the
+user's X and the real tag for fragment b (built with the production
+``make_x`` and ``make_tag``, not a reimplementation); the attacker may
+keep querying anything except the two challenge fragments, then
+guesses b.
 
 The harness is bounded from both sides: an attacker with no trapdoor
 for either challenge fragment should win at chance rate, and an
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .pairing import MockSuite, PairingSuite
+from .pairing import GroupElement, MockSuite, PairingSuite
 from .scheme import (
     AdminPublicKey,
     ClassificationTag,
@@ -30,6 +31,7 @@ from .scheme import (
     keygen_user,
     make_tag,
     make_trapdoor,
+    make_x,
     matches_trapdoor,
 )
 
@@ -63,6 +65,7 @@ class ChallengeContext:
     user_pub: UserPublicKey
     oracle: TrapdoorOracle
     pair: tuple[bytes, bytes]
+    x: GroupElement
     challenge: ClassificationTag
     rng: random.Random
 
@@ -97,20 +100,17 @@ class RandomGuessAttacker:
 
 
 class TrapdoorEquippedAttacker:
-    """Test-only bypass: gets the admin secret out of band and builds the
-    trapdoor for fragment 0 itself.  Wins every trial; proves the harness
-    can detect a perfect distinguisher."""
+    """Test-only bypass: reads the admin secret out of the challenger's
+    oracle and builds the trapdoor for fragment 0 itself.  Wins every
+    trial; proves the harness can detect a perfect distinguisher."""
 
     name = "cheating"
-
-    def __init__(self):
-        self._admin_sk = None  # injected by the challenger (test bypass)
 
     def select_pair(self, rng, oracle):
         return _random_fragment(rng, "A"), _random_fragment(rng, "B")
 
     def guess(self, ctx):
-        trapdoor = make_trapdoor(ctx.suite, self._admin_sk, ctx.pair[0])
+        trapdoor = make_trapdoor(ctx.suite, ctx.oracle._admin_sk, ctx.pair[0])
         return 0 if matches_trapdoor(ctx.suite, trapdoor, ctx.challenge) else 1
 
 
@@ -181,8 +181,6 @@ def run_game(
         admin = keygen_admin(suite, trial_rng)
         user = keygen_user(suite, trial_rng)
         oracle = TrapdoorOracle(suite, admin.sk)
-        if isinstance(attacker, TrapdoorEquippedAttacker):
-            attacker._admin_sk = admin.sk  # out-of-band bypass, tests only
 
         try:
             p0, p1 = attacker.select_pair(trial_rng, oracle)
@@ -200,6 +198,7 @@ def run_game(
                 user_pub=user.public,
                 oracle=oracle,
                 pair=(p0, p1),
+                x=make_x(admin.public, user.sk),
                 challenge=challenge,
                 rng=trial_rng,
             )
@@ -251,7 +250,7 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
         tag = make_tag(suite, admin.public, user.sk, frag, _FixedScalarRng(r_value))
 
         # equation (1): dlog(X) must equal alpha*beta
-        if suite.discrete_log(tag.x) != alpha.value * beta.value % q:
+        if suite.discrete_log(make_x(admin.public, user.sk)) != alpha.value * beta.value % q:
             report.failures.append(f"draw {i}: X exponent != alpha*beta")
 
         d = suite.discrete_log(suite.hash_to_group_a(frag))

@@ -12,9 +12,9 @@ thin classes over them.  Nothing here is constant-time.
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
 cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
 hard part of ``final_exponentiation`` runs.  They must never touch a
-decoded or otherwise unchecked element: the Miller loop, GT
-exponentiation and the GT subgroup check in ``gt_from_bytes`` use the
-generic ``square`` and ``exp``.
+decoded or otherwise unchecked element: the Miller loop and GT
+exponentiation use the generic ``square`` and ``exp``.  GT elements are
+encoded (``gt_to_bytes``, the H2 input) but never decoded.
 """
 
 from __future__ import annotations
@@ -868,18 +868,3 @@ def gt_to_bytes(e: Fp12) -> bytes:
         e.y.x.x, e.y.x.y, e.y.y.x, e.y.y.y, e.y.z.x, e.y.z.y,
     )
     return b"".join(c.to_bytes(FP_BYTES, "big") for c in coords)
-
-
-def gt_from_bytes(data: bytes) -> Fp12:
-    if len(data) != 12 * FP_BYTES:
-        raise ValueError("bad GT encoding length")
-    c = [int.from_bytes(data[i * FP_BYTES:(i + 1) * FP_BYTES], "big") for i in range(12)]
-    if any(v >= P for v in c):
-        raise ValueError("GT coordinate out of range")
-    e = Fp12(
-        Fp6(Fp2(c[0], c[1]), Fp2(c[2], c[3]), Fp2(c[4], c[5])),
-        Fp6(Fp2(c[6], c[7]), Fp2(c[8], c[9]), Fp2(c[10], c[11])),
-    )
-    if not e.exp(ORDER).is_one():
-        raise ValueError("decoded GT element not in the order-n subgroup")
-    return e

@@ -112,6 +112,12 @@ class GroupElement:
         return f"GroupElement({self.group.value}, {self.to_bytes()[:9].hex()}...)"
 
 
+def _refuse_target_group(group: Group) -> None:
+    """No file format carries a GT element: GT is encoded only as the H2 input."""
+    if group is Group.T:
+        raise DecodeError("target-group elements are never decoded")
+
+
 class PairingSuite(ABC):
     """Abstract bilinear environment: two source groups, a target, H1, H2."""
 
@@ -201,12 +207,11 @@ class Bn256Suite(PairingSuite):
         return GroupElement(self, Group.A, bn256.hash_to_g1(message, H1_DST))
 
     def element_from_bytes(self, group: Group, data: bytes) -> GroupElement:
+        _refuse_target_group(group)
         try:
             if group is Group.A:
                 return GroupElement(self, Group.A, bn256.g1_from_bytes(data))
-            if group is Group.B:
-                return GroupElement(self, Group.B, bn256.g2_from_bytes(data))
-            return GroupElement(self, Group.T, bn256.gt_from_bytes(data))
+            return GroupElement(self, Group.B, bn256.g2_from_bytes(data))
         except ValueError as exc:
             raise DecodeError(str(exc)) from exc
 
@@ -267,6 +272,7 @@ class MockSuite(PairingSuite):
         return GroupElement(self, Group.A, int.from_bytes(digest, "big") % self.order)
 
     def element_from_bytes(self, group: Group, data: bytes) -> GroupElement:
+        _refuse_target_group(group)
         if len(data) != 8:
             raise DecodeError("bad mock element length")
         value = int.from_bytes(data, "big")

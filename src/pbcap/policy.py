@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .pairing import PairingSuite, Scalar
+from .pairing import GroupElement, PairingSuite, Scalar
 from .provenance import ProvenanceFragment
 from .scheme import (
     AdminPublicKey,
@@ -115,24 +115,18 @@ def classify(
     compiled: list[CompiledPolicy],
     suite: PairingSuite,
     *,
+    x: GroupElement,
     file_id: str = "",
-    x=None,
 ) -> Decision:
     """Route one submission.
 
-    Authenticity is checked once on the shared X component; a submission
-    with no X to check, or whose X fails, is never keyword-tested.
-    Policies are then tried from the highest priority down (ties by
-    smallest id), and testing stops at the first policy for which any
-    tag passes against any of its trapdoors: the winner is the same as
-    when every policy is tested, and no lower-priority match is learned.
+    Authenticity is checked once on the submission's X component; a
+    submission whose X fails is never keyword-tested.  Policies are then
+    tried from the highest priority down (ties by smallest id), and
+    testing stops at the first policy for which any tag passes against
+    any of its trapdoors: the winner is the same as when every policy is
+    tested, and no lower-priority match is learned.
     """
-    if x is None and tags:
-        x = tags[0].x
-    if x is None:
-        return Decision.unclassified(file_id, authenticated=False)
-    if any(tag.x != x for tag in tags):
-        raise ValidationError("tags in one submission must share the X component")
     if not verify_authenticity(suite, admin_pub, user_pub, x):
         return Decision.unclassified(file_id, authenticated=False)
 

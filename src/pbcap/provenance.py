@@ -68,11 +68,6 @@ def parse_fragment(text: str) -> ProvenanceFragment:
     return ProvenanceFragment(relation, tuple(args))
 
 
-def canonicalize(fragment: ProvenanceFragment) -> bytes:
-    """Canonical byte form of a fragment (the H1 input)."""
-    return fragment.canonical_bytes()
-
-
 @dataclass(frozen=True)
 class ProvenanceNode:
     id: str

@@ -1,17 +1,18 @@
 """The four-algorithm tag/trapdoor scheme.
 
 An administrator holds alpha and publishes its public key in both source
-groups; a user holds beta with a public key in group B.  A tag for a
-keyword fragment is the triple [X, Y, Z]:
+groups; a user holds beta with a public key in group B.  A submission
+carries one authenticity component and one tag per keyword fragment:
 
-* ``X  = admin_pk_b ^ beta``        -- authenticity component, fixed per
-  (admin, user) pair; it proves possession of beta, not anything about
-  the payload.
+* ``X  = admin_pk_b ^ beta``        -- fixed per (admin, user) pair; it
+  proves possession of beta, not anything about the payload, so it is
+  computed once per submission (``make_x``).
 * ``Y  = user_pk_b ^ r``            -- fresh blinding per tag.
 * ``Z  = H2(e(H1(P)^beta, admin_pk_b^r))`` -- the searchable digest.
 
-A trapdoor for fragment P is ``H1(P)^alpha``.  The decision point
-accepts iff both
+The paper's tag is the triple [X, Y, Z]; ``ClassificationTag`` holds
+only (Y, Z), and X travels next to the tags.  A trapdoor for fragment P
+is ``H1(P)^alpha``.  The decision point accepts iff both
 
 1. ``e(g_a, X) == e(admin_pk_a, user_pk_b)``   (authenticity), and
 2. ``H2(e(trapdoor, Y)) == Z``                 (keyword match),
@@ -63,9 +64,8 @@ class UserKeyPair:
 
 @dataclass(frozen=True)
 class ClassificationTag:
-    """The [X, Y, Z] triple attached to a submission, one per fragment."""
+    """The (Y, Z) pair attached to a submission, one per fragment."""
 
-    x: GroupElement
     y: GroupElement
     z: bytes
 
@@ -92,6 +92,11 @@ def keygen_user(suite: PairingSuite, rng) -> UserKeyPair:
     return UserKeyPair(sk=beta, pk_b=suite.gen_b ** beta)
 
 
+def make_x(admin_pub: AdminPublicKey, user_sk: Scalar) -> GroupElement:
+    """The authenticity component X = admin_pk_b ^ beta, one per submission."""
+    return admin_pub.pk_b ** user_sk
+
+
 def make_tag(
     suite: PairingSuite,
     admin_pub: AdminPublicKey,
@@ -102,10 +107,9 @@ def make_tag(
     """Build a tag for one canonical fragment.  The blinding r never leaves."""
     suite._require(admin_pub.pk_b, Group.B)
     r = suite.random_scalar(rng)
-    x = admin_pub.pk_b ** user_sk
     y = (suite.gen_b ** user_sk) ** r
     t = suite.pair(suite.hash_to_group_a(fragment) ** user_sk, admin_pub.pk_b ** r)
-    return ClassificationTag(x=x, y=y, z=suite.hash_to_bits(t))
+    return ClassificationTag(y=y, z=suite.hash_to_bits(t))
 
 
 def make_trapdoor(
@@ -148,8 +152,9 @@ def test(
     user_pub: UserPublicKey,
     trapdoor: TrapdoorEntry,
     tag: ClassificationTag,
+    x: GroupElement,
 ) -> bool:
-    """Full test: authenticity gate first, then keyword match."""
-    if not verify_authenticity(suite, admin_pub, user_pub, tag.x):
+    """Full test: authenticity gate on X first, then keyword match."""
+    if not verify_authenticity(suite, admin_pub, user_pub, x):
         return False
     return matches_trapdoor(suite, trapdoor, tag)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import threading
+import uuid
 from pathlib import Path
 
 from .errors import ValidationError
@@ -21,9 +23,11 @@ def _safe_name(name: str, what: str) -> str:
 class StorageLayout:
     """Root directory with one subdirectory per storage unit.
 
-    ``store`` is the only mutating entry point; the decision log is
-    serialized through a single lock so concurrent classification keeps
-    one log line per processed submission.
+    ``store`` is the only mutating entry point.  A payload is written to
+    a temporary file in its unit directory and renamed over the target,
+    so a failed write leaves neither a partial payload nor a log line.
+    The decision log is serialized through a single lock so concurrent
+    callers keep one log line per processed submission.
     """
 
     def __init__(self, root: Path):
@@ -43,7 +47,15 @@ class StorageLayout:
         unit_dir = self.root / unit
         unit_dir.mkdir(exist_ok=True)
         target = unit_dir / file_name
-        target.write_bytes(payload)
+        # not named after file_id, which may already be as long as a name can be
+        tmp = unit_dir / f".{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(payload)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.log(decision)
         return target
 

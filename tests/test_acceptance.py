@@ -29,6 +29,7 @@ from pbcap.scheme import (
     keygen_user,
     make_tag,
     make_trapdoor,
+    make_x,
     matches_trapdoor,
     test as scheme_test,
     verify_authenticity,
@@ -55,11 +56,12 @@ def test_criterion_1_completeness():
     for batch in range(10):
         admin = keygen_admin(SUITE, rng)
         user = keygen_user(SUITE, rng)
+        x = make_x(admin.public, user.sk)
         for i in range(100):
             frag = _fragment(rng, i)
             tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
             trap = make_trapdoor(SUITE, admin.sk, frag)
-            if scheme_test(SUITE, admin.public, user.public, trap, tag) is not True:
+            if scheme_test(SUITE, admin.public, user.public, trap, tag, x) is not True:
                 failures += 1
     _verdict(1, failures == 0,
              f"completeness over 1000 fragments, failures={failures}")
@@ -70,13 +72,14 @@ def test_criterion_2_soundness():
     rng = random.Random(102)
     admin = keygen_admin(SUITE, rng)
     user = keygen_user(SUITE, rng)
+    x = make_x(admin.public, user.sk)
     accepted = 0
     for i in range(10_000):
         frag = _fragment(rng, i)
         other = _fragment(rng, i) + b"'"
         tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
         trap = make_trapdoor(SUITE, admin.sk, other)
-        if scheme_test(SUITE, admin.public, user.public, trap, tag):
+        if scheme_test(SUITE, admin.public, user.public, trap, tag, x):
             accepted += 1
     _verdict(2, accepted == 0,
              f"soundness over 10000 mismatched pairs, false accepts={accepted}")
@@ -97,9 +100,10 @@ def test_criterion_3_authenticity_gate():
         if imposter.sk.value == registered.sk.value:
             continue
         tag = make_tag(SUITE, admin.public, imposter.sk, b"K(a,b)", rng)
-        if verify_authenticity(SUITE, admin.public, registered.public, tag.x):
+        x = make_x(admin.public, imposter.sk)
+        if verify_authenticity(SUITE, admin.public, registered.public, x):
             leaks += 1
-        decision = classify([tag], registered.public, admin.public, compiled, SUITE)
+        decision = classify([tag], registered.public, admin.public, compiled, SUITE, x=x)
         if decision.authenticated or decision.matched_policy is not None:
             leaks += 1
     _verdict(3, leaks == 0,
@@ -117,7 +121,7 @@ def test_criterion_4_mock_oracle_equivalence():
     frag = b"RecordedBy(Test,Nurse)"
     trap = make_trapdoor(SUITE, admin.sk, frag)
     good = make_tag(SUITE, admin.public, user.sk, frag, rng)
-    mutated = type(good)(x=good.x, y=admin.pk_b ** rng.randrange(1, SUITE.order), z=good.z)
+    mutated = type(good)(y=admin.pk_b ** rng.randrange(1, SUITE.order), z=good.z)
     mutation_caught = matches_trapdoor(SUITE, trap, good) and not matches_trapdoor(
         SUITE, trap, mutated
     )
@@ -238,6 +242,7 @@ def test_criterion_8_priority_conflict():
     rng = random.Random(108)
     admin = keygen_admin(SUITE, rng)
     user = keygen_user(SUITE, rng)
+    x = make_x(admin.public, user.sk)
 
     def p(pid, kw, prio):
         return Policy(id=pid, keywords=(parse_fragment(kw),), priority=prio,
@@ -248,7 +253,7 @@ def test_criterion_8_priority_conflict():
     tags = [make_tag(SUITE, admin.public, user.sk, f, rng)
             for f in (b"A(x,y)", b"B(x,y)")]
     nine_wins = classify(tags, user.public, admin.public, five_nine,
-                         SUITE).matched_policy == "high"
+                         SUITE, x=x).matched_policy == "high"
 
     trio = [p("p1", "K1(a,b)", 3), p("p2", "K2(a,b)", 9), p("p3", "K3(a,b)", 9)]
     compiled = compile_policies(trio, admin.sk, SUITE)
@@ -259,7 +264,7 @@ def test_criterion_8_priority_conflict():
             tags = [make_tag(SUITE, admin.public, user.sk, keyword_of[q.id], rng)
                     for q in subset]
             got = classify(tags, user.public, admin.public, compiled,
-                           SUITE).matched_policy
+                           SUITE, x=x).matched_policy
             want = (min(subset, key=lambda q: (-q.priority, q.id)).id
                     if subset else None)
             if got != want:

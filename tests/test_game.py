@@ -14,7 +14,14 @@ from pbcap.game import (
     oracle_check_identities,
     run_game,
 )
-from pbcap.scheme import keygen_admin, keygen_user, make_tag, make_trapdoor, matches_trapdoor
+from pbcap.scheme import (
+    keygen_admin,
+    keygen_user,
+    make_tag,
+    make_trapdoor,
+    matches_trapdoor,
+    verify_authenticity,
+)
 
 
 class TestAttackerBounds:
@@ -87,7 +94,8 @@ class TestRuleEnforcement:
 class TestChallengeConstruction:
     def test_challenge_is_a_real_tag(self, mock_suite):
         """The challenge tag the attacker sees tests true against the
-        matching trapdoor and false against the other fragment's."""
+        matching trapdoor and false against the other fragment's, and
+        the X next to it authenticates the user."""
         seen = []
 
         class Probe(RandomGuessAttacker):
@@ -106,6 +114,7 @@ class TestChallengeConstruction:
                 for frag in ctx.pair
             ]
             assert sorted(hits) == [False, True]
+            assert verify_authenticity(ctx.suite, ctx.admin_pub, ctx.user_pub, ctx.x)
 
     def test_fresh_keys_each_trial(self, mock_suite):
         admins = []
@@ -158,7 +167,7 @@ class TestExactOracle:
 
         r = rng.randrange(1, s.order)
         bad_y = admin.pk_b ** r  # should have been user_pk_b ** r
-        mutated = type(good)(x=good.x, y=bad_y, z=good.z)
+        mutated = type(good)(y=bad_y, z=good.z)
         # exponent arithmetic predicts rejection whenever alpha != beta
         assert admin.sk.value != user.sk.value
         assert not matches_trapdoor(s, trap, mutated)

@@ -25,12 +25,6 @@ def _mul_unreduced(pt, k):
     return r
 
 
-def _unreduced_multiple_is_identity(e, k):
-    if e.group is Group.T:
-        return e.value.exp(k).is_one()
-    return _mul_unreduced(e.value, k).is_infinity()
-
-
 def _twist_point(rng):
     """A point on the twist with a random x; almost surely outside G2."""
     while True:
@@ -236,17 +230,20 @@ class TestRandomScalar:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("group", [Group.A, Group.B, Group.T])
+    @pytest.mark.parametrize("group", [Group.A, Group.B])
     def test_round_trip_random_elements(self, any_suite, rng, group):
         s = any_suite
         n = 100 if s.name == "mock" else 25
-        if group is Group.T:
-            gen = s.pair(s.gen_a, s.gen_b)
-        else:
-            gen = s.gen_a if group is Group.A else s.gen_b
+        gen = s.gen_a if group is Group.A else s.gen_b
         for _ in range(n):
             e = gen ** rng.randrange(1, s.order)
             assert s.element_from_bytes(group, e.to_bytes()) == e
+
+    def test_target_group_is_never_decoded(self, any_suite):
+        """GT is encoded only as the H2 input; no file carries it."""
+        t = any_suite.pair(any_suite.gen_a, any_suite.gen_b)
+        with pytest.raises(DecodeError, match="never decoded"):
+            any_suite.element_from_bytes(Group.T, t.to_bytes())
 
     def test_equality_is_canonical_bytes_equality(self, any_suite, rng):
         k = rng.randrange(1, any_suite.order)
@@ -258,17 +255,17 @@ class TestSerialization:
 
     def test_random_bytes_rejected_or_in_subgroup(self, prod_suite):
         rng = random.Random(13)
-        sizes = {Group.A: 33, Group.B: 65, Group.T: 384}
+        sizes = {Group.A: 33, Group.B: 65}
         for group, size in sizes.items():
             for _ in range(30):
                 blob = bytes(rng.getrandbits(8) for _ in range(size))
-                if group is not Group.T:  # a valid prefix, so decoding reaches the curve checks
-                    blob = bytes([2 + (blob[0] & 1)]) + blob[1:]
+                # a valid prefix, so decoding reaches the curve checks
+                blob = bytes([2 + (blob[0] & 1)]) + blob[1:]
                 try:
                     e = prod_suite.element_from_bytes(group, blob)
                 except DecodeError:
                     continue
-                assert _unreduced_multiple_is_identity(e, prod_suite.order)
+                assert _mul_unreduced(e.value, prod_suite.order).is_infinity()
 
     def test_twist_point_outside_g2_rejected(self, prod_suite):
         pt = _twist_point(random.Random(14))

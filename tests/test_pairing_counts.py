@@ -1,7 +1,9 @@
-"""Exact Miller-loop and final-exponentiation counts per operation.
+"""Exact Miller-loop, final-exponentiation and G2 scalar-multiplication
+counts per operation.
 
-The counts come from wrappers monkeypatched over ``bn256.miller_loop``
-and ``bn256.final_exponentiation``; the program itself keeps no counter.
+The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
+``bn256.final_exponentiation`` and ``bn256.PointG2.scalar_mul``; the
+program itself keeps no counter.
 """
 
 import json
@@ -19,6 +21,7 @@ from pbcap.scheme import (
     keygen_user,
     make_tag,
     make_trapdoor,
+    make_x,
     matches_trapdoor,
     verify_authenticity,
 )
@@ -57,7 +60,7 @@ def test_load_admin_public(prod_suite, keys, tmp_path, counts):
 
 def test_verify_authenticity(prod_suite, keys, counts):
     admin, user, _ = keys
-    x = admin.pk_b ** user.sk
+    x = make_x(admin.public, user.sk)
     assert verify_authenticity(prod_suite, admin.public, user.public, x)
     _expect(counts, 1, 1)
 
@@ -69,6 +72,23 @@ def test_matches_trapdoor(prod_suite, keys, counts):
     counts.clear()
     assert matches_trapdoor(prod_suite, trapdoor, tag)
     _expect(counts, 1, 1)
+
+
+def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
+    """Y = (g_b^beta)^r and admin_pk_b^r: three G2 multiplications per tag.
+    X is made once per submission by ``make_x``, never per tag."""
+    admin, user, rng = keys
+    seen = []
+
+    def counted(point, k, _inner=bn256.PointG2.scalar_mul):
+        seen.append(k)
+        return _inner(point, k)
+
+    monkeypatch.setattr(bn256.PointG2, "scalar_mul", counted)
+    for fragment in (b"RecordedBy(Test,Nurse)", b"ProducedFrom(Report,Test)"):
+        seen.clear()
+        make_tag(prod_suite, admin.public, user.sk, fragment, rng)
+        assert len(seen) == 3
 
 
 GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \

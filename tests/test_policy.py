@@ -15,7 +15,7 @@ from pbcap.policy import (
     compile_policies,
 )
 from pbcap.provenance import ProvenanceFragment, parse_fragment
-from pbcap.scheme import keygen_admin, keygen_user, make_tag
+from pbcap.scheme import keygen_admin, keygen_user, make_tag, make_x
 
 MEDICAL = Policy(
     id="1",
@@ -43,6 +43,13 @@ def _tags(env, *fragment_texts):
         make_tag(suite, admin.public, user.sk, parse_fragment(t).canonical_bytes(), rng)
         for t in fragment_texts
     ]
+
+
+def _classify(env, tags, compiled, **kwargs):
+    """Classify tags from the env's user, who sends their own X."""
+    suite, _, admin, user = env
+    return classify(tags, user.public, admin.public, compiled, suite,
+                    x=make_x(admin.public, user.sk), **kwargs)
 
 
 class TestCompile:
@@ -94,19 +101,19 @@ def _policy(pid, keyword, priority, category=None, unit=None):
 
 class TestClassify:
     def test_medical_fixture_routes_to_hospital(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         compiled = compile_policies([MEDICAL], admin.sk, suite)
         tags = _tags(mock_env, "RecordedBy(Test,Nurse)")
-        decision = classify(tags, user.public, admin.public, compiled, suite, file_id="f1")
+        decision = _classify(mock_env, tags, compiled, file_id="f1")
         assert decision.category == "Medical Documents"
         assert decision.storage_unit == "Hospital"
         assert decision.matched_policy == "1"
         assert decision.authenticated
 
     def test_empty_tags_unclassified(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         compiled = compile_policies([MEDICAL], admin.sk, suite)
-        decision = classify([], user.public, admin.public, compiled, suite, file_id="f")
+        decision = _classify(mock_env, [], compiled, file_id="f")
         assert decision.category == UNCLASSIFIED_CATEGORY
         assert decision.storage_unit == DEFAULT_STORAGE_UNIT
         assert decision.matched_policy is None
@@ -115,38 +122,37 @@ class TestClassify:
         suite, rng, admin, user = mock_env
         stranger = keygen_user(suite, rng)
         compiled = compile_policies([MEDICAL], admin.sk, suite)
-        genuine = admin.pk_b ** user.sk
-        forged = admin.pk_b ** stranger.sk
-        for user_pub, x, authenticated in (
-            (stranger.public, None, False),
-            (user.public, genuine, True),
-            (user.public, forged, False),
+        with pytest.raises(TypeError):
+            classify([], stranger.public, admin.public, compiled, suite, file_id="f")
+        for x, authenticated in (
+            (make_x(admin.public, user.sk), True),
+            (make_x(admin.public, stranger.sk), False),
         ):
-            decision = classify([], user_pub, admin.public, compiled, suite, file_id="f", x=x)
+            decision = classify([], user.public, admin.public, compiled, suite, file_id="f", x=x)
             assert decision == Decision.unclassified("f", authenticated=authenticated)
 
     def test_no_match_unclassified(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         compiled = compile_policies([MEDICAL], admin.sk, suite)
         tags = _tags(mock_env, "ReviewedBy(Draft,Editor)")
-        decision = classify(tags, user.public, admin.public, compiled, suite)
+        decision = _classify(mock_env, tags, compiled)
         assert decision.matched_policy is None
         assert decision.storage_unit == DEFAULT_STORAGE_UNIT
 
     def test_higher_priority_wins(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         policies = [
             _policy("low", "A(x,y)", 5),
             _policy("high", "B(x,y)", 9),
         ]
         compiled = compile_policies(policies, admin.sk, suite)
         tags = _tags(mock_env, "A(x,y)", "B(x,y)")
-        decision = classify(tags, user.public, admin.public, compiled, suite)
+        decision = _classify(mock_env, tags, compiled)
         assert decision.matched_policy == "high"
         assert decision.category == "cat-high"
 
     def test_tie_broken_by_smallest_id(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         policies = [
             _policy("zeta", "A(x,y)", 7),
             _policy("alpha", "B(x,y)", 7),
@@ -154,12 +160,12 @@ class TestClassify:
         ]
         compiled = compile_policies(policies, admin.sk, suite)
         tags = _tags(mock_env, "A(x,y)", "B(x,y)", "C(x,y)")
-        decision = classify(tags, user.public, admin.public, compiled, suite)
+        decision = _classify(mock_env, tags, compiled)
         assert decision.matched_policy == "a"
 
     def test_argmax_rule_over_all_match_subsets(self, mock_env):
         """Brute-force every subset of a 3-policy set against the argmax rule."""
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         policies = [
             _policy("p1", "K1(a,b)", 3),
             _policy("p2", "K2(a,b)", 9),
@@ -170,7 +176,7 @@ class TestClassify:
         for size in range(0, 4):
             for subset in itertools.combinations(policies, size):
                 tags = _tags(mock_env, *(keyword_of[p.id] for p in subset))
-                decision = classify(tags, user.public, admin.public, compiled, suite)
+                decision = _classify(mock_env, tags, compiled)
                 if not subset:
                     assert decision.matched_policy is None
                 else:
@@ -179,28 +185,26 @@ class TestClassify:
 
     @pytest.mark.parametrize("transform", [lambda p: p * 3, lambda p: p + 100])
     def test_priority_argmax_invariance(self, mock_env, transform):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         base = [_policy("p1", "K1(a,b)", 2), _policy("p2", "K2(a,b)", 8)]
         shifted = [
             Policy(p.id, p.keywords, transform(p.priority), p.category, p.storage_unit)
             for p in base
         ]
         tags = _tags(mock_env, "K1(a,b)", "K2(a,b)")
-        d1 = classify(tags, user.public, admin.public,
-                      compile_policies(base, admin.sk, suite), suite)
-        d2 = classify(tags, user.public, admin.public,
-                      compile_policies(shifted, admin.sk, suite), suite)
+        d1 = _classify(mock_env, tags, compile_policies(base, admin.sk, suite))
+        d2 = _classify(mock_env, tags, compile_policies(shifted, admin.sk, suite))
         assert d1.matched_policy == d2.matched_policy
 
     def test_adding_tags_is_monotone(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         policies = [_policy("p1", "K1(a,b)", 3), _policy("p2", "K2(a,b)", 5)]
         compiled = compile_policies(policies, admin.sk, suite)
 
         def match_set(tags):
             return {
                 p.id for p in compiled
-                if classify(tags, user.public, admin.public, [p], suite).matched_policy
+                if _classify(mock_env, tags, [p]).matched_policy
             }
 
         tags = _tags(mock_env, "K1(a,b)")
@@ -208,11 +212,11 @@ class TestClassify:
         assert match_set(tags) <= match_set(more)
 
     def test_classify_is_deterministic(self, mock_env):
-        suite, _, admin, user = mock_env
+        suite, _, admin, _ = mock_env
         compiled = compile_policies([MEDICAL], admin.sk, suite)
         tags = _tags(mock_env, "RecordedBy(Test,Nurse)")
-        d1 = classify(tags, user.public, admin.public, compiled, suite, file_id="f")
-        d2 = classify(tags, user.public, admin.public, compiled, suite, file_id="f")
+        d1 = _classify(mock_env, tags, compiled, file_id="f")
+        d2 = _classify(mock_env, tags, compiled, file_id="f")
         assert d1 == d2
 
     def test_unauthenticated_never_classified(self, mock_suite):
@@ -225,17 +229,10 @@ class TestClassify:
             make_tag(mock_suite, admin.public, imposter.sk,
                      b"RecordedBy(Test,Nurse)", rng)
         ]
-        decision = classify(tags, registered.public, admin.public, compiled, mock_suite)
+        decision = classify(tags, registered.public, admin.public, compiled, mock_suite,
+                            x=make_x(admin.public, imposter.sk))
         assert decision.authenticated is False
         assert decision.matched_policy is None
-
-    def test_mixed_x_components_rejected(self, mock_env):
-        suite, rng, admin, user = mock_env
-        other = keygen_user(suite, rng)
-        t1 = make_tag(suite, admin.public, user.sk, b"A(x,y)", rng)
-        t2 = make_tag(suite, admin.public, other.sk, b"B(x,y)", rng)
-        with pytest.raises(ValidationError, match="share"):
-            classify([t1, t2], user.public, admin.public, [], suite)
 
 
 class TestDecision:

@@ -12,6 +12,7 @@ from pbcap.scheme import (
     keygen_user,
     make_tag,
     make_trapdoor,
+    make_x,
     matches_trapdoor,
     test as scheme_test,
     verify_authenticity,
@@ -57,7 +58,8 @@ class TestTagAndTrapdoor:
         user = keygen_user(s, rng)
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        assert scheme_test(s, admin.public, user.public, trap, tag) is True
+        x = make_x(admin.public, user.sk)
+        assert scheme_test(s, admin.public, user.public, trap, tag, x) is True
 
     def test_mismatched_fragment_rejects(self, any_suite, rng):
         s = any_suite
@@ -65,7 +67,8 @@ class TestTagAndTrapdoor:
         user = keygen_user(s, rng)
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, OTHER)
-        assert scheme_test(s, admin.public, user.public, trap, tag) is False
+        x = make_x(admin.public, user.sk)
+        assert scheme_test(s, admin.public, user.public, trap, tag, x) is False
 
     def test_wrong_user_key_fails_authenticity(self, any_suite, rng):
         s = any_suite
@@ -73,9 +76,10 @@ class TestTagAndTrapdoor:
         registered = keygen_user(s, rng)
         imposter = keygen_user(s, rng)
         tag = make_tag(s, admin.public, imposter.sk, FRAGMENT, rng)
-        assert not verify_authenticity(s, admin.public, registered.public, tag.x)
+        x = make_x(admin.public, imposter.sk)
+        assert not verify_authenticity(s, admin.public, registered.public, x)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        assert scheme_test(s, admin.public, registered.public, trap, tag) is False
+        assert scheme_test(s, admin.public, registered.public, trap, tag, x) is False
 
     def test_trapdoor_deterministic(self, any_suite, rng):
         s = any_suite
@@ -97,7 +101,6 @@ class TestTagAndTrapdoor:
         for _ in range(1000):
             t1 = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
             t2 = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
-            assert t1.x == t2.x
             assert t1.y != t2.y and t1.z != t2.z
 
     def test_tag_digest_length_enforced(self, mock_suite, rng):
@@ -105,7 +108,7 @@ class TestTagAndTrapdoor:
         user = keygen_user(mock_suite, rng)
         tag = make_tag(mock_suite, admin.public, user.sk, FRAGMENT, rng)
         with pytest.raises(ValueError):
-            ClassificationTag(x=tag.x, y=tag.y, z=b"short")
+            ClassificationTag(y=tag.y, z=b"short")
 
     def test_mock_tag_target_exponent(self, mock_suite, rng):
         """t carries exponent alpha*beta*r*dlog(H1(P)) exactly."""
@@ -157,11 +160,12 @@ class TestBulkProperties:
         rng = random.Random(5)
         admin = keygen_admin(prod_suite, rng)
         user = keygen_user(prod_suite, rng)
+        x = make_x(admin.public, user.sk)
         for i in range(10):
             frag = f"EditedBy(Doc{i},Agent{i})".encode()
             tag = make_tag(prod_suite, admin.public, user.sk, frag, rng)
             trap = make_trapdoor(prod_suite, admin.sk, frag)
-            assert scheme_test(prod_suite, admin.public, user.public, trap, tag)
+            assert scheme_test(prod_suite, admin.public, user.public, trap, tag, x)
 
     def test_soundness_production_sample(self, prod_suite):
         rng = random.Random(6)

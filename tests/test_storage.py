@@ -1,9 +1,11 @@
 """Storage layout and the on-disk decode path."""
 
+import errno
 import json
 
 import pytest
 
+from pbcap import storage
 from pbcap.errors import DecodeError, ValidationError
 from pbcap.pairing import get_suite
 from pbcap.policy import Decision
@@ -28,6 +30,11 @@ class TestLayout:
         lines = (tmp_path / "decisions.log").read_text().splitlines()
         assert json.loads(lines[0])["file_id"] == "f.bin"
 
+    def test_longest_file_name_stored(self, layout, tmp_path):
+        name = "f" * 255  # NAME_MAX on common file systems
+        layout.store(_decision(file_id=name), b"payload")
+        assert (tmp_path / "Hospital" / name).read_bytes() == b"payload"
+
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             StorageLayout(tmp_path / "nope")
@@ -44,6 +51,36 @@ class TestLayout:
         layout.store(_decision("b.bin", unit="default"), b"2")
         units = {p.parent.name for p in layout.stored_files()}
         assert units == {"Hospital", "default"}
+
+    @pytest.mark.parametrize("failing_step", ["write", "replace"])
+    def test_failed_write_leaves_no_file_and_no_log_line(self, layout, tmp_path, monkeypatch,
+                                                         failing_step):
+        if failing_step == "write":
+            class FullDisk:
+                """Writes three bytes, then runs out of space."""
+
+                def __init__(self, path, mode, _open=open):
+                    self._fh = _open(path, mode)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self._fh.close()
+
+                def write(self, data):
+                    self._fh.write(data[:3])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(storage, "open", FullDisk, raising=False)
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(storage.os, "replace", refuse)
+        with pytest.raises(OSError):
+            layout.store(_decision(), b"payload")
+        assert list((tmp_path / "Hospital").iterdir()) == []
+        assert not (tmp_path / "decisions.log").exists()
 
     def test_log_only_for_unauthenticated(self, layout, tmp_path):
         d = Decision(file_id="bad.bin", matched_policy=None,
