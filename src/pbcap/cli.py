@@ -9,7 +9,9 @@
 
 Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
-error.
+error or a file id that cannot be stored (unsafe, or already stored in
+its unit).  Each submission of a batch is handled on its own; the exit
+code is the highest of theirs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import formats, game, policy, scheme
-from .errors import DecodeError, PbcapError
+from .errors import DecodeError, PbcapError, ValidationError
 from .pairing import get_suite
 from .provenance import extract_fragments, parse_graph
 from .storage import StorageLayout
@@ -191,7 +193,11 @@ def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
         layout.log(decision)
         click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
         return EXIT_AUTH_FAILURE
-    layout.store(decision, sub.payload)
+    try:
+        layout.store(decision, sub.payload)
+    except ValidationError as exc:
+        click.echo(f"{sub_path}: payload not stored: {exc}", err=True)
+        return EXIT_DECODE_ERROR
     click.echo(json.dumps({
         "file_id": decision.file_id,
         "matched_policy": decision.matched_policy,

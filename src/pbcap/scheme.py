@@ -10,6 +10,11 @@ carries one authenticity component and one tag per keyword fragment:
 * ``Y  = user_pk_b ^ r``            -- fresh blinding per tag.
 * ``Z  = H2(e(H1(P)^beta, admin_pk_b^r))`` -- the searchable digest.
 
+Both Y and Z depend on beta and r only through s = beta*r mod n, so
+``make_tag`` computes ``Y = g_b^s`` and ``Z = H2(e(H1(P)^s, admin_pk_b))``,
+which by bilinearity equal the paper's values, for one G2 and one G1
+scalar multiplication per tag.
+
 The paper's tag is the triple [X, Y, Z]; ``ClassificationTag`` holds
 only (Y, Z), and X travels next to the tags.  A trapdoor for fragment P
 is ``H1(P)^alpha``.  The decision point accepts iff both
@@ -107,9 +112,9 @@ def make_tag(
     """Build a tag for one canonical fragment.  The blinding r never leaves."""
     suite._require(admin_pub.pk_b, Group.B)
     r = suite.random_scalar(rng)
-    y = (suite.gen_b ** user_sk) ** r
-    t = suite.pair(suite.hash_to_group_a(fragment) ** user_sk, admin_pub.pk_b ** r)
-    return ClassificationTag(y=y, z=suite.hash_to_bits(t))
+    s = user_sk.value * r.value % suite.order
+    t = suite.pair(suite.hash_to_group_a(fragment) ** s, admin_pub.pk_b)
+    return ClassificationTag(y=suite.gen_b ** s, z=suite.hash_to_bits(t))
 
 
 def make_trapdoor(

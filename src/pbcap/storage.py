@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import threading
 import uuid
 from pathlib import Path
 
@@ -24,17 +23,18 @@ class StorageLayout:
     """Root directory with one subdirectory per storage unit.
 
     ``store`` is the only mutating entry point.  A payload is written to
-    a temporary file in its unit directory and renamed over the target,
-    so a failed write leaves neither a partial payload nor a log line.
-    The decision log is serialized through a single lock so concurrent
-    callers keep one log line per processed submission.
+    a temporary file ``.<hex>.tmp`` in its unit directory and hard-linked
+    to its target name, which fails if that name exists.  So a failed
+    write leaves neither a partial payload nor a log line, and a repeated
+    ``file_id`` is refused while the earlier payload stays.  Dot names in
+    a unit directory are reserved for those temporary files.  Submissions
+    are stored one at a time, so the decision log takes no lock.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
         if not self.root.is_dir():
             raise ValidationError(f"storage root {self.root} does not exist")
-        self._log_lock = threading.Lock()
 
     @property
     def log_path(self) -> Path:
@@ -44,6 +44,8 @@ class StorageLayout:
         """Place the payload in the winning unit and log the decision."""
         unit = _safe_name(decision.storage_unit, "storage unit")
         file_name = _safe_name(decision.file_id, "file id")
+        if file_name.startswith("."):
+            raise ValidationError(f"file id {file_name!r} starts with '.', which marks temporary files")
         unit_dir = self.root / unit
         unit_dir.mkdir(exist_ok=True)
         target = unit_dir / file_name
@@ -52,19 +54,21 @@ class StorageLayout:
         try:
             with open(tmp, "xb") as fh:
                 fh.write(payload)
-            os.replace(tmp, target)
-        except BaseException:
+            try:
+                os.link(tmp, target)
+            except FileExistsError:
+                raise ValidationError(f"file id {file_name!r} is already stored in {unit!r}") from None
+        finally:
             tmp.unlink(missing_ok=True)
-            raise
         self.log(decision)
         return target
 
     def log(self, decision: Decision) -> None:
         line = decision_to_json(decision) + "\n"
-        with self._log_lock, self.log_path.open("a", encoding="utf-8") as fh:
+        with self.log_path.open("a", encoding="utf-8") as fh:
             fh.write(line)
 
     def stored_files(self) -> list[Path]:
         return sorted(
-            p for p in self.root.glob("*/*") if p.is_file()
+            p for p in self.root.glob("*/*") if p.is_file() and not p.name.startswith(".")
         )

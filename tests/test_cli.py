@@ -254,6 +254,27 @@ class TestClassify:
         assert len(stored) == 4
         assert len((root / "store/decisions.log").read_text().splitlines()) == 4
 
+    def test_unstorable_file_ids_skipped_with_exit_3(self, pipeline, runner):
+        """An unsafe and a repeated file id are reported; the batch goes on."""
+        root, run = pipeline
+        subs = []
+        for i, file_id in enumerate(["good.bin", "../evil", "good.bin", "good2.bin"]):
+            out = root / f"batch{i}.json"
+            run("user", "tag", "--graph", root / "graph.txt",
+                "--admin-pk", root / "pap/admin.pk",
+                "--user-sk", root / "usr/user.sk",
+                "--payload", root / "payload.bin",
+                "--out", out, "--suite", "mock", "--seed", 200 + i,
+                "--file-id", file_id)
+            subs.append(out)
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
+        assert result.exit_code == 3, result.output
+        assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin"]
+        assert len((root / "store/decisions.log").read_text().splitlines()) == 2
+        assert "batch1.json: payload not stored" in result.stderr
+        assert "batch2.json: payload not stored" in result.stderr
+
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):
         root, _ = pipeline
         monkeypatch.setenv("PBCAP_STORAGE_ROOT", str(root / "store"))

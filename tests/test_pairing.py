@@ -25,6 +25,9 @@ def _mul_unreduced(pt, k):
     return r
 
 
+TWIST_COFACTOR = 2 * bn256.P - bn256.ORDER  # the twist has n * (2p - n) points
+
+
 def _twist_point(rng):
     """A point on the twist with a random x; almost surely outside G2."""
     while True:
@@ -32,6 +35,14 @@ def _twist_point(rng):
         y = (x.square() * x + bn256.TWIST_B).sqrt()
         if y is not None:
             return bn256.PointG2(x, y)
+
+
+def _order_13_point(rng):
+    """A twist point of order 13, a small factor of the cofactor."""
+    small = bn256.G2_INF
+    while small.is_infinity():
+        small = _mul_unreduced(_twist_point(rng), bn256.ORDER * TWIST_COFACTOR // 13)
+    return small
 
 
 def _random_pair(rng):
@@ -151,6 +162,29 @@ class TestBn256Kernels:
                       [(bn256.G1_INF, bn256.G2_INF)]):
             assert bn256.pairing_product_is_one(pairs)
         assert not bn256.pairing_product_is_one([(bn256.G1_INF, q), (p, q)])
+
+    def test_gls_scalar_mul_matches_plain_ladder(self):
+        """G2 points, with the split k = a*6u^2 + b at its edges and random k."""
+        rng = random.Random(26)
+        lam = bn256.PSI_EIGENVALUE
+        edges = [0, 1, 2, bn256.ORDER - 1, lam - 1, lam, lam + 1, bn256.U]
+        points = [bn256.G2_GEN] + [_mul_unreduced(_twist_point(rng), TWIST_COFACTOR)
+                                   for _ in range(2)]
+        for q in points:
+            for k in edges + [rng.randrange(bn256.ORDER) for _ in range(7)]:
+                assert q.scalar_mul(k) == _mul_unreduced(q, k)
+
+    def test_gls_scalar_mul_outside_g2_below_psi_eigenvalue(self):
+        """in_g2 multiplies unchecked twist points by u < 6u^2, where psi is
+        never added.  On an order-13 point the ladder's accumulator meets
+        -Q (k = 13) and +Q (k = 15) before the add."""
+        rng = random.Random(27)
+        small = _order_13_point(rng)
+        for q in (_twist_point(rng), _twist_point(rng), small):
+            for k in (bn256.U, 2 * bn256.U, bn256.PSI_EIGENVALUE - 1):
+                assert q.scalar_mul(k) == _mul_unreduced(q, k)
+        assert small.scalar_mul(13).is_infinity()
+        assert small.scalar_mul(15) == small.double()
 
 
 class TestHashToGroupA:
@@ -275,15 +309,10 @@ class TestSerialization:
 
     def test_g2_membership_agrees_with_unreduced_multiple(self):
         rng = random.Random(15)
-        cofactor = 2 * bn256.P - bn256.ORDER  # the twist has n * (2p - n) points
         inside = [bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)) for _ in range(2)]
-        inside.append(_mul_unreduced(_twist_point(rng), cofactor))
+        inside.append(_mul_unreduced(_twist_point(rng), TWIST_COFACTOR))
         outside = [_twist_point(rng) for _ in range(2)]
-        # a G2 point plus a point of order 13, a small factor of the cofactor
-        small = bn256.G2_INF
-        while small.is_infinity():
-            small = _mul_unreduced(_twist_point(rng), bn256.ORDER * cofactor // 13)
-        outside.append(inside[0].add(small))
+        outside.append(inside[0].add(_order_13_point(rng)))
         for pt in inside + outside:
             assert bn256.in_g2(pt) is _mul_unreduced(pt, bn256.ORDER).is_infinity()
         assert all(bn256.in_g2(pt) for pt in inside)

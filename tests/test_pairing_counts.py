@@ -3,7 +3,9 @@ counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``bn256.final_exponentiation`` and ``bn256.PointG2.scalar_mul``; the
-program itself keeps no counter.
+program itself keeps no counter.  ``make_tag`` pays one G2 scalar
+multiplication per tag, because Y and Z depend on beta and r only
+through s = beta*r.
 """
 
 import json
@@ -75,20 +77,21 @@ def test_matches_trapdoor(prod_suite, keys, counts):
 
 
 def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
-    """Y = (g_b^beta)^r and admin_pk_b^r: three G2 multiplications per tag.
-    X is made once per submission by ``make_x``, never per tag."""
+    """Y = g_b^s and Z = H2(e(H1(P)^s, admin_pk_b)) with s = beta*r: one
+    G2 and one G1 multiplication per tag.  X is made once per submission
+    by ``make_x``."""
     admin, user, rng = keys
-    seen = []
+    seen = Counter()
+    for cls in (bn256.PointG1, bn256.PointG2):
+        def counted(point, k, _inner=cls.scalar_mul, _name=cls.__name__):
+            seen[_name] += 1
+            return _inner(point, k)
 
-    def counted(point, k, _inner=bn256.PointG2.scalar_mul):
-        seen.append(k)
-        return _inner(point, k)
-
-    monkeypatch.setattr(bn256.PointG2, "scalar_mul", counted)
+        monkeypatch.setattr(cls, "scalar_mul", counted)
     for fragment in (b"RecordedBy(Test,Nurse)", b"ProducedFrom(Report,Test)"):
         seen.clear()
         make_tag(prod_suite, admin.public, user.sk, fragment, rng)
-        assert len(seen) == 3
+        assert seen == Counter(PointG1=1, PointG2=1)
 
 
 GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \

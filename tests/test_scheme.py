@@ -111,7 +111,7 @@ class TestTagAndTrapdoor:
             ClassificationTag(y=tag.y, z=b"short")
 
     def test_mock_tag_target_exponent(self, mock_suite, rng):
-        """t carries exponent alpha*beta*r*dlog(H1(P)) exactly."""
+        """Y carries beta*r and t carries alpha*beta*r*dlog(H1(P)) exactly."""
         s = mock_suite
         admin = keygen_admin(s, rng)
         user = keygen_user(s, rng)
@@ -130,6 +130,7 @@ class TestTagAndTrapdoor:
         t = s.pair(s.hash_to_group_a(FRAGMENT) ** user.sk, admin.pk_b ** r)
         assert s.discrete_log(t) == expected
         assert tag.z == s.hash_to_bits(t)
+        assert s.discrete_log(tag.y) == user.sk.value * r % s.order
 
     def test_mock_trapdoor_exponent(self, mock_suite, rng):
         s = mock_suite

@@ -52,7 +52,24 @@ class TestLayout:
         units = {p.parent.name for p in layout.stored_files()}
         assert units == {"Hospital", "default"}
 
-    @pytest.mark.parametrize("failing_step", ["write", "replace"])
+    def test_temporary_files_are_not_stored_files(self, layout, tmp_path):
+        """A killed process can leave a ``.<hex>.tmp``; dot names are never payloads."""
+        layout.store(_decision("a.bin"), b"1")
+        (tmp_path / "Hospital/.deadbeef.tmp").write_bytes(b"partial")
+        assert layout.stored_files() == [tmp_path / "Hospital/a.bin"]
+        with pytest.raises(ValidationError, match="temporary"):
+            layout.store(_decision(".deadbeef.tmp"), b"2")
+        assert (tmp_path / "Hospital/.deadbeef.tmp").read_bytes() == b"partial"
+
+    def test_repeated_file_id_refused_and_first_payload_kept(self, layout, tmp_path):
+        layout.store(_decision("a.bin"), b"first")
+        with pytest.raises(ValidationError, match="already stored"):
+            layout.store(_decision("a.bin"), b"second")
+        assert (tmp_path / "Hospital/a.bin").read_bytes() == b"first"
+        assert list((tmp_path / "Hospital").iterdir()) == [tmp_path / "Hospital/a.bin"]
+        assert len((tmp_path / "decisions.log").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("failing_step", ["write", "link"])
     def test_failed_write_leaves_no_file_and_no_log_line(self, layout, tmp_path, monkeypatch,
                                                          failing_step):
         if failing_step == "write":
@@ -75,8 +92,8 @@ class TestLayout:
             monkeypatch.setattr(storage, "open", FullDisk, raising=False)
         else:
             def refuse(src, dst):
-                raise OSError("rename refused")
-            monkeypatch.setattr(storage.os, "replace", refuse)
+                raise OSError("link refused")
+            monkeypatch.setattr(storage.os, "link", refuse)
         with pytest.raises(OSError):
             layout.store(_decision(), b"payload")
         assert list((tmp_path / "Hospital").iterdir()) == []
