@@ -4,7 +4,9 @@
 were written by the functions below before the final exponentiation was
 rewritten (cyclotomic squaring, signed exp(u), Karatsuba Fp12).  The
 ``harness_*.json`` transcripts and the ``mock_classify_*`` outputs were
-written before the X component left ``ClassificationTag``.  Every later
+written before the X component left ``ClassificationTag``.  The key files
+and compiled policy sets under ``key_files/`` were written before the
+file writers in ``pbcap.formats`` shared one envelope.  Every later
 change must reproduce them byte for byte; a mismatch is a bug in the
 change, never a reason to rewrite the files.
 """
@@ -42,6 +44,7 @@ edge ProducedFrom r t
 TAG_PAYLOAD = b"opaque ciphertext"
 
 HARNESS_ATTACKERS = ["random-guess", "cheating", "rule-breaker"]
+KEY_FILES = ["admin.sk", "admin.pk", "user.sk", "user.pk", "compiled.json"]
 
 CLASSIFY_POLICIES = {
     "format": "pbcap/1",
@@ -104,6 +107,21 @@ def compute_user_tag_submission(root: Path) -> bytes:
         result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
         assert result.exit_code == 0, result.output
     return (root / "sub.json").read_bytes()
+
+
+def compute_key_files(root: Path, suite: str) -> dict[str, bytes]:
+    """Seeded ``pap keygen``, ``user keygen`` and ``pap compile`` of CLASSIFY_POLICIES."""
+    runner = CliRunner()
+    (root / "policies.json").write_text(json.dumps(CLASSIFY_POLICIES))
+    for args in (
+        ["pap", "keygen", "--out-dir", root, "--seed", 1],
+        ["user", "keygen", "--out-dir", root, "--seed", 2],
+        ["pap", "compile", "--policies", root / "policies.json", "--admin-sk", root / "admin.sk",
+         "--out", root / "compiled.json"],
+    ):
+        result = runner.invoke(cli, [str(a) for a in args] + ["--suite", suite], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    return {name: (root / name).read_bytes() for name in KEY_FILES}
 
 
 def compute_harness_transcript(attacker: str) -> bytes:
@@ -174,6 +192,12 @@ def test_hash_to_g1_vectors():
 def test_seeded_user_tag_submission_bytes(tmp_path):
     expected = (VECTORS / "user_tag_submission.json").read_bytes()
     assert compute_user_tag_submission(tmp_path) == expected
+
+
+@pytest.mark.parametrize("suite", ["mock", "production"])
+def test_seeded_key_and_policy_files(tmp_path, suite):
+    expected = {name: (VECTORS / "key_files" / suite / name).read_bytes() for name in KEY_FILES}
+    assert compute_key_files(tmp_path, suite) == expected
 
 
 @pytest.mark.parametrize("attacker", HARNESS_ATTACKERS)
