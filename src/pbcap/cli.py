@@ -25,10 +25,10 @@ from pathlib import Path
 import click
 
 from . import formats, game, policy, scheme
-from .errors import DecodeError, PbcapError, ValidationError
+from .errors import PbcapError, ValidationError
 from .pairing import get_suite
 from .provenance import extract_fragments, parse_graph
-from .storage import StorageLayout
+from .storage import StorageLayout, check_file_id
 
 EXIT_AUTH_FAILURE = 2
 EXIT_DECODE_ERROR = 3
@@ -150,6 +150,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
     _guard(out_path, force)
     rng = _make_rng(seed, suite_name)
     try:
+        file_id = check_file_id(file_id or payload_path.name)
         graph = parse_graph(graph_path.read_text(encoding="utf-8"))
         admin_pub = formats.load_admin_public(admin_pk_path, suite)
         user_sk = formats.load_user_secret(user_sk_path, suite)
@@ -162,7 +163,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
         for frag in fragments
     )
     sub = formats.Submission(
-        file_id=file_id or payload_path.name,
+        file_id=file_id,
         payload=payload,
         x=scheme.make_x(admin_pub, user_sk),
         tags=tags,

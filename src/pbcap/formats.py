@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +40,17 @@ class Submission:
     tags: tuple[ClassificationTag, ...]
 
 
-def _dump(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _dump(path: Path, kind: str, suite: PairingSuite, **fields) -> None:
+    """Write the envelope and ``fields`` to a new file at ``path``.
+
+    Any old file is unlinked first, so a ``*-secret-key`` file has mode
+    0600 from its first byte, also when it replaces a wider one.
+    """
+    doc = {"format": FORMAT_VERSION, "kind": kind, "suite": suite.name, **fields}
+    path.unlink(missing_ok=True)
+    mode = 0o600 if kind.endswith("-secret-key") else 0o666
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load(path: Path, expected_kind: str, suite: PairingSuite | None = None) -> dict:
@@ -80,20 +90,8 @@ def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
 # --- keys -----------------------------------------------------------------
 
 def save_admin_keypair(pair: AdminKeyPair, suite: PairingSuite, sk_path: Path, pk_path: Path) -> None:
-    _dump(sk_path, {
-        "format": FORMAT_VERSION,
-        "kind": "admin-secret-key",
-        "suite": suite.name,
-        "sk": pair.sk.to_bytes().hex(),
-    })
-    sk_path.chmod(0o600)
-    _dump(pk_path, {
-        "format": FORMAT_VERSION,
-        "kind": "admin-public-key",
-        "suite": suite.name,
-        "pk_a": pair.pk_a.hex(),
-        "pk_b": pair.pk_b.hex(),
-    })
+    _dump(sk_path, "admin-secret-key", suite, sk=pair.sk.to_bytes().hex())
+    _dump(pk_path, "admin-public-key", suite, pk_a=pair.pk_a.hex(), pk_b=pair.pk_b.hex())
 
 
 def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
@@ -113,19 +111,8 @@ def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
 
 
 def save_user_keypair(pair: UserKeyPair, suite: PairingSuite, sk_path: Path, pk_path: Path) -> None:
-    _dump(sk_path, {
-        "format": FORMAT_VERSION,
-        "kind": "user-secret-key",
-        "suite": suite.name,
-        "sk": pair.sk.to_bytes().hex(),
-    })
-    sk_path.chmod(0o600)
-    _dump(pk_path, {
-        "format": FORMAT_VERSION,
-        "kind": "user-public-key",
-        "suite": suite.name,
-        "pk_b": pair.pk_b.hex(),
-    })
+    _dump(sk_path, "user-secret-key", suite, sk=pair.sk.to_bytes().hex())
+    _dump(pk_path, "user-public-key", suite, pk_b=pair.pk_b.hex())
 
 
 def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
@@ -145,7 +132,6 @@ def load_user_public(path: Path, suite: PairingSuite) -> UserPublicKey:
 def load_policies(path: Path) -> list[Policy]:
     doc = _load(path, "policy-set")
     policies = []
-    seen: set[str] = set()
     for i, entry in enumerate(doc.get("policies", [])):
         where = f"{path}: policy #{i}"
         try:
@@ -161,32 +147,24 @@ def load_policies(path: Path) -> list[Policy]:
             raise ValidationError(f"{where}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise DecodeError(f"{where}: {exc}") from exc
-        if policy.id in seen:
-            raise ValidationError(f"{where}: duplicate policy id {policy.id!r}")
-        seen.add(policy.id)
         policies.append(policy)
     return policies
 
 
 def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, path: Path) -> None:
-    _dump(path, {
-        "format": FORMAT_VERSION,
-        "kind": "compiled-policy-set",
-        "suite": suite.name,
-        "policies": [
-            {
-                "id": p.id,
-                "priority": p.priority,
-                "category": p.category,
-                "storage_unit": p.storage_unit,
-                "trapdoors": [
-                    {"slot": td.keyword_slot, "token": td.token.hex()}
-                    for td in p.trapdoors
-                ],
-            }
-            for p in compiled
-        ],
-    })
+    _dump(path, "compiled-policy-set", suite, policies=[
+        {
+            "id": p.id,
+            "priority": p.priority,
+            "category": p.category,
+            "storage_unit": p.storage_unit,
+            "trapdoors": [
+                {"slot": td.keyword_slot, "token": td.token.hex()}
+                for td in p.trapdoors
+            ],
+        }
+        for p in compiled
+    ])
 
 
 def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPolicy]:
@@ -216,15 +194,13 @@ def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPoli
 # --- submissions --------------------------------------------------------------
 
 def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
-    _dump(path, {
-        "format": FORMAT_VERSION,
-        "kind": "submission",
-        "suite": suite.name,
-        "file_id": sub.file_id,
-        "x": sub.x.hex(),
-        "tags": [{"y": t.y.hex(), "z": t.z.hex()} for t in sub.tags],
-        "payload": base64.b64encode(sub.payload).decode("ascii"),
-    })
+    _dump(
+        path, "submission", suite,
+        file_id=sub.file_id,
+        x=sub.x.hex(),
+        tags=[{"y": t.y.hex(), "z": t.z.hex()} for t in sub.tags],
+        payload=base64.b64encode(sub.payload).decode("ascii"),
+    )
 
 
 def load_submission(path: Path, suite: PairingSuite) -> Submission:

@@ -396,13 +396,11 @@ class PointG1:
     def affine(self) -> tuple[int, int]:
         if self.z == 0:
             raise ZeroDivisionError("point at infinity has no affine form")
-        if self.z != 1:
-            zinv = fp_inv(self.z)
-            zinv2 = zinv * zinv % P
-            self.x = self.x * zinv2 % P
-            self.y = self.y * zinv2 % P * zinv % P
-            self.z = 1
-        return self.x, self.y
+        if self.z == 1:
+            return self.x, self.y
+        zinv = fp_inv(self.z)
+        zinv2 = zinv * zinv % P
+        return self.x * zinv2 % P, self.y * zinv2 % P * zinv % P
 
     def is_on_curve(self) -> bool:
         if self.is_infinity():
@@ -478,13 +476,11 @@ class PointG2:
     def affine(self) -> tuple[Fp2, Fp2]:
         if self.z.is_zero():
             raise ZeroDivisionError("point at infinity has no affine form")
-        if not self.z.is_one():
-            zinv = self.z.inverse()
-            zinv2 = zinv.square()
-            self.x = self.x * zinv2
-            self.y = self.y * zinv2 * zinv
-            self.z = FP2_ONE
-        return self.x, self.y
+        if self.z.is_one():
+            return self.x, self.y
+        zinv = self.z.inverse()
+        zinv2 = zinv.square()
+        return self.x * zinv2, self.y * zinv2 * zinv
 
     def is_on_curve(self) -> bool:
         if self.is_infinity():

@@ -63,18 +63,15 @@ class GroupElement:
     suite-specific and opaque to callers.
     """
 
-    __slots__ = ("suite", "group", "value", "_bytes")
+    __slots__ = ("suite", "group", "value")
 
     def __init__(self, suite: "PairingSuite", group: Group, value: Any):
         self.suite = suite
         self.group = group
         self.value = value
-        self._bytes: bytes | None = None
 
     def to_bytes(self) -> bytes:
-        if self._bytes is None:
-            self._bytes = self.suite._encode(self)
-        return self._bytes
+        return self.suite._encode(self)
 
     def hex(self) -> str:
         return self.to_bytes().hex()

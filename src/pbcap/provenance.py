@@ -186,9 +186,3 @@ def parse_graph(text: str) -> ProvenanceGraph:
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_text(text)
-
-
-def render_graph_text(graph: ProvenanceGraph) -> str:
-    lines = [f"node {n.id} {n.kind} {n.label}" for n in graph.nodes]
-    lines += [f"edge {e.relation} {e.source} {e.target}" for e in graph.edges]
-    return "\n".join(lines) + "\n"

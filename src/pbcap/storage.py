@@ -19,6 +19,18 @@ def _safe_name(name: str, what: str) -> str:
     return name
 
 
+def check_file_id(file_id: str) -> str:
+    """Return ``file_id`` if a unit directory can hold it; raise ValidationError if not.
+
+    A file id is one safe file name that does not start with '.', since
+    dot names in a unit directory are the store's temporary files.
+    """
+    _safe_name(file_id, "file id")
+    if file_id.startswith("."):
+        raise ValidationError(f"file id {file_id!r} starts with '.', which marks temporary files")
+    return file_id
+
+
 class StorageLayout:
     """Root directory with one subdirectory per storage unit.
 
@@ -43,9 +55,7 @@ class StorageLayout:
     def store(self, decision: Decision, payload: bytes) -> Path:
         """Place the payload in the winning unit and log the decision."""
         unit = _safe_name(decision.storage_unit, "storage unit")
-        file_name = _safe_name(decision.file_id, "file id")
-        if file_name.startswith("."):
-            raise ValidationError(f"file id {file_name!r} starts with '.', which marks temporary files")
+        file_name = check_file_id(decision.file_id)
         unit_dir = self.root / unit
         unit_dir.mkdir(exist_ok=True)
         target = unit_dir / file_name

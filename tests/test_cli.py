@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -92,10 +93,26 @@ class TestKeygen:
         assert "exists" in second.output
         assert runner.invoke(cli, args + ["--force"]).exit_code == 0
 
-    def test_secret_key_permissions(self, tmp_path, runner):
-        runner.invoke(cli, ["user", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
-        assert (tmp_path / "user.sk").stat().st_mode & 0o777 == 0o600
+    def test_secret_key_permissions(self, tmp_path, runner, monkeypatch):
+        """Secret keys are created 0600, with no chmod after the write, also
+        when --force replaces a 0644 file."""
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in ("admin.sk", "user.sk"):
+            (old / name).write_text("wider key file\n")
+            (old / name).chmod(0o644)
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        monkeypatch.setattr(Path, "chmod", lambda *args, **kwargs: None)
+        umask = os.umask(0o022)
+        try:
+            for role, name in (("pap", "admin.sk"), ("user", "user.sk")):
+                for out_dir, extra in ((tmp_path / "new", []), (old, ["--force"])):
+                    result = runner.invoke(cli, [role, "keygen", "--out-dir", str(out_dir),
+                                                 "--suite", "mock", "--seed", "1", *extra])
+                    assert result.exit_code == 0, result.output
+                    assert (out_dir / name).stat().st_mode & 0o777 == 0o600
+        finally:
+            os.umask(umask)
 
     def test_public_key_round_trip_and_dual_representation(self, tmp_path, runner):
         from pbcap.formats import load_admin_public
@@ -255,10 +272,13 @@ class TestClassify:
         assert len((root / "store/decisions.log").read_text().splitlines()) == 4
 
     def test_unstorable_file_ids_skipped_with_exit_3(self, pipeline, runner):
-        """An unsafe and a repeated file id are reported; the batch goes on."""
+        """An unsafe and a repeated file id are reported; the batch goes on.
+
+        ``user tag`` refuses ``../evil``, so that submission is a good one
+        with its ``file_id`` rewritten, as a hand-built file would be."""
         root, run = pipeline
         subs = []
-        for i, file_id in enumerate(["good.bin", "../evil", "good.bin", "good2.bin"]):
+        for i, file_id in enumerate(["good.bin", "evil", "good.bin", "good2.bin"]):
             out = root / f"batch{i}.json"
             run("user", "tag", "--graph", root / "graph.txt",
                 "--admin-pk", root / "pap/admin.pk",
@@ -267,6 +287,8 @@ class TestClassify:
                 "--out", out, "--suite", "mock", "--seed", 200 + i,
                 "--file-id", file_id)
             subs.append(out)
+        doc = json.loads(subs[1].read_text())
+        subs[1].write_text(json.dumps(dict(doc, file_id="../evil")))
         base = _classify_args(root)
         result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
         assert result.exit_code == 3, result.output

@@ -166,3 +166,30 @@ def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
     assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] == "top"
     assert tested == ["top/k0"]
     _expect(counts, 3, 3)
+
+
+@pytest.mark.parametrize("file_id, payload_name", [
+    ("../evil", "payload.bin"),
+    (".hidden", "payload.bin"),
+    (None, ".hidden"),
+])
+def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, payload_name):
+    """``user tag`` checks the file id before it loads a key, so a file id
+    no store accepts costs no pairing and writes no submission."""
+    (tmp_path / "graph.txt").write_text(GRAPH)
+    (tmp_path / payload_name).write_bytes(b"opaque ciphertext")
+    runner = CliRunner()
+    for role in ("pap", "user"):
+        result = runner.invoke(cli, [role, "keygen", "--out-dir", str(tmp_path), "--seed", "1"])
+        assert result.exit_code == 0, result.output
+    args = ["user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "admin.pk",
+            "--user-sk", tmp_path / "user.sk", "--payload", tmp_path / payload_name,
+            "--out", tmp_path / "sub.json", "--seed", 3]
+    if file_id is not None:
+        args += ["--file-id", file_id]
+    counts.clear()
+    result = runner.invoke(cli, [str(a) for a in args])
+    assert result.exit_code != 0
+    assert "file id" in result.output
+    assert not (tmp_path / "sub.json").exists()
+    assert not counts
