@@ -6,7 +6,9 @@ rewritten (cyclotomic squaring, signed exp(u), Karatsuba Fp12).  The
 ``harness_*.json`` transcripts and the ``mock_classify_*`` outputs were
 written before the X component left ``ClassificationTag``.  The key files
 and compiled policy sets under ``key_files/`` were written before the
-file writers in ``pbcap.formats`` shared one envelope.  Every later
+file writers in ``pbcap.formats`` shared one envelope.  The two-pair
+raw Miller loop in ``miller_loop_pairs.json`` was written before the loop
+took its lines from ``PointG2.double``/``add``.  Every later
 change must reproduce them byte for byte; a mismatch is a bug in the
 change, never a reason to rewrite the files.
 """
@@ -32,6 +34,8 @@ PAIRING_SCALARS = [
     ),
 ]
 FE_SCALARS = (5, 7)
+# the admin key check's loop: e(g1^alpha, g2) * e(g1, -(g2^alpha))
+DUAL_KEY_ALPHA = int.from_bytes(hashlib.sha256(b"pbcap-kat-alpha").digest(), "big") % bn256.ORDER
 H1_MESSAGES = [b"RecordedBy(Test,Nurse)", b""]
 
 TAG_GRAPH = """\
@@ -90,6 +94,16 @@ def compute_kat() -> dict:
     h1 = [{"msg": m.hex(), "g1": bn256.g1_to_bytes(bn256.hash_to_g1(m, H1_DST)).hex()}
           for m in H1_MESSAGES]
     return {"pairing": pairings, "final_exponentiation": fe, "hash_to_g1": h1}
+
+
+def compute_miller_loop_pairs() -> dict:
+    """Raw two-pair Miller loop shaped like the admin key check, second Q negated."""
+    alpha = DUAL_KEY_ALPHA
+    f = bn256.miller_loop([
+        (bn256.G1_GEN.scalar_mul(alpha), bn256.G2_GEN),
+        (bn256.G1_GEN, bn256.G2_GEN.scalar_mul(alpha).neg()),
+    ])
+    return {"alpha": alpha, "miller_loop": bn256.gt_to_bytes(f).hex()}
 
 
 def compute_user_tag_submission(root: Path) -> bytes:
@@ -181,6 +195,14 @@ def test_final_exponentiation_vector():
     assert bn256.gt_to_bytes(f).hex() == vec["miller_loop"]
     f = _fp12_from_bytes(bytes.fromhex(vec["miller_loop"]))
     assert bn256.gt_to_bytes(bn256.final_exponentiation(f)).hex() == vec["final_exponentiation"]
+
+
+def test_two_pair_miller_loop_vector():
+    expected = json.loads((VECTORS / "miller_loop_pairs.json").read_text(encoding="utf-8"))
+    assert expected["alpha"] == DUAL_KEY_ALPHA
+    assert compute_miller_loop_pairs() == expected
+    f = _fp12_from_bytes(bytes.fromhex(expected["miller_loop"]))
+    assert bn256.final_exponentiation(f).is_one()
 
 
 def test_hash_to_g1_vectors():
