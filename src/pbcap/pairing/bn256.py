@@ -6,6 +6,11 @@ optimal ate pairing and the tower arithmetic follow Beuchat et al.
 (eprint 2010/354); curve parameters match the dclxvi / golang bn256
 family (BN parameter v = 1868033).
 
+The Miller loop has no point formulas of its own: T moves by
+``PointG2.double`` and ``add``, and each line is a closed form in T with
+no P in it (``g2_lines``), evaluated at P only in ``miller_loop``.  The
+chords rely on T != +-Q, which holds for Q in G2.
+
 Field elements are plain Python ints reduced mod P; extension fields are
 thin classes over them.  Nothing here is constant-time.
 
@@ -591,49 +596,46 @@ def in_g2(q: PointG2) -> bool:
 
 # --- optimal ate pairing -------------------------------------------------
 
-def _line_double(r: PointG2, qx: int, qy: int):
-    r_t = r.z.square()
-    a = r.x.square()
-    b = r.y.square()
-    c = b.square()
-    d = ((r.x + b).square() - a - c).double()
-    e = a.double() + a
-    f = e.square()
-    c8 = c.double().double().double()
-    r_x = f - d.double()
-    r_y = e * (d - r_x) - c8
-    r_z = (r.y + r.z).square() - b - r_t
-    r_out = PointG2(r_x, r_y, r_z)
-
-    la = (r.x + e).square() - (a + f + b.double().double())
-    lb = (e * r_t).double().neg().mul_int(qx)
-    lc = (r_z * r_t).double().mul_int(qy)
-    return la, lb, lc, r_out
+def _tangent(t: PointG2):
+    """2T and the tangent at T: (6x^3 - 4y^2, -6x^2 z^2, 4y z^3)."""
+    zz = t.z.square()
+    xx = t.x.square()
+    t2 = t.double()
+    return t2, ((xx * t.x).mul_int(6) - t.y.square().double().double(),
+                (xx * zz).mul_int(6).neg(), (t2.z * zz).double())
 
 
-def _line_add(r: PointG2, p: PointG2, qx: int, qy: int, p_y2: Fp2):
-    r_t = r.z.square()
-    b = p.x * r_t
-    d = (((p.y + r.z).square() - p_y2 - r_t) * r_t)
+def _chord(t: PointG2, q: PointG2):
+    """T + Q and the chord through T and an affine Q: (2(r x_Q - y_Q z3),
+    -2r, 2 z3) with r = 2(y_Q z^3 - y) and z3 the z of T + Q."""
+    r = (q.y * t.z * t.z.square() - t.y).double()
+    t = t.add(q)
+    return t, ((r * q.x - q.y * t.z).double(), r.double().neg(), t.z.double())
 
-    h = b - r.x
-    i = h.square()
-    e = i.double().double()
-    j = h * e
-    l1 = d - r.y - r.y
-    v = r.x * e
 
-    r_x = l1.square() - j - v.double()
-    r_z = (r.z + h).square() - r_t - i
-    r_y = (v - r_x) * l1 - (r.y * j).double()
-    r_out = PointG2(r_x, r_y, r_z)
+def g2_lines(q: PointG2) -> list[list[tuple[Fp2, Fp2, Fp2]]]:
+    """P-free line coefficients (a, b, c) of the optimal ate Miller loop on Q.
 
-    t = (p.y + r_z).square() - p_y2 - r_z.square()
-    t2 = (l1 * p.x).double()
-    la = t2 - t
-    lb = l1.neg().mul_int(qx).double()
-    lc = r_z.mul_int(qy).double()
-    return la, lb, lc, r_out
+    T starts at Q and moves only by ``PointG2.double`` and ``add``; the
+    generic addition relies on T != +-Q, which holds for Q in G2.  There
+    is one group per NAF_6UP2 digit (the tangent, then the chord with Q
+    or -Q for a non-zero digit) and a last group for psi(Q) and
+    -psi^2(Q).  A line is evaluated at P = (px, py) as (a, b*px, c*py).
+    """
+    qa = PointG2(*q.affine())
+    t = qa
+    lines = []
+    for digit in NAF_6UP2:
+        t, tangent = _tangent(t)
+        group = [tangent]
+        if digit:
+            t, chord = _chord(t, qa if digit == 1 else qa.neg())
+            group.append(chord)
+        lines.append(group)
+    t, first = _chord(t, psi(qa))
+    _, second = _chord(t, PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE))
+    lines.append([first, second])
+    return lines
 
 
 def _mul_line(f: Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12:
@@ -649,41 +651,22 @@ def _mul_line(f: Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12:
 def miller_loop(pairs) -> Fp12:
     """Product of the optimal ate Miller loops of (G1, G2) pairs.
 
-    One accumulator serves every pair: it is squared once per NAF digit
-    and each pair's line values are multiplied into it.  Because
-    (f1*f2)^2 * l1 * l2 = (f1^2 * l1) * (f2^2 * l2), the result equals
-    the product of the single-pair loops exactly, with one Fp12
+    Each Q gives its P-free ``g2_lines`` table, and one accumulator
+    serves every pair: it is squared once per NAF digit and each pair's
+    lines for that digit, evaluated at its P, are multiplied into it.
+    Because (f1*f2)^2 * l1 * l2 = (f1^2 * l1) * (f2^2 * l2), the result
+    equals the product of the single-pair loops exactly, with one Fp12
     squaring per digit instead of one per digit and pair.  No point may
-    be at infinity.
+    be at infinity, and each Q must lie in G2.
     """
-    prepared = []
-    for p, q in pairs:
-        qa = PointG2(*q.affine())
-        mq = qa.neg()
-        prepared.append((qa, mq, *p.affine(), qa.y.square(), mq.y.square()))
-    ts = [qa for qa, *_ in prepared]
+    tables = [(g2_lines(q), *p.affine()) for p, q in pairs]
     f = FP12_ONE
-
-    for naf_i in NAF_6UP2:
-        f = f.square()
-        for i, (qa, mq, px, py, qy2, mqy2) in enumerate(prepared):
-            la, lb, lc, t = _line_double(ts[i], px, py)
-            f = _mul_line(f, la, lb, lc)
-            if naf_i == 1:
-                la, lb, lc, t = _line_add(t, qa, px, py, qy2)
-                f = _mul_line(f, la, lb, lc)
-            elif naf_i == -1:
-                la, lb, lc, t = _line_add(t, mq, px, py, mqy2)
-                f = _mul_line(f, la, lb, lc)
-            ts[i] = t
-
-    for (qa, _, px, py, _, _), t in zip(prepared, ts):
-        q1 = psi(qa)
-        q2 = PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE)
-        la, lb, lc, t = _line_add(t, q1, px, py, q1.y.square())
-        f = _mul_line(f, la, lb, lc)
-        la, lb, lc, t = _line_add(t, q2, px, py, q2.y.square())
-        f = _mul_line(f, la, lb, lc)
+    for step in range(len(NAF_6UP2) + 1):
+        if step < len(NAF_6UP2):
+            f = f.square()
+        for lines, px, py in tables:
+            for la, lb, lc in lines[step]:
+                f = _mul_line(f, la, lb.mul_int(px), lc.mul_int(py))
     return f
 
 

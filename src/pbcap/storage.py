@@ -31,6 +31,17 @@ def check_file_id(file_id: str) -> str:
     return file_id
 
 
+def check_storage_unit(unit: str) -> str:
+    """Return ``unit`` if it can name a unit directory; raise ValidationError if not.
+
+    A storage unit is one safe file name other than the decision log's.
+    """
+    _safe_name(unit, "storage unit")
+    if unit == LOG_NAME:
+        raise ValidationError(f"storage unit {unit!r} is the decision log's name")
+    return unit
+
+
 class StorageLayout:
     """Root directory with one subdirectory per storage unit.
 
@@ -54,7 +65,7 @@ class StorageLayout:
 
     def store(self, decision: Decision, payload: bytes) -> Path:
         """Place the payload in the winning unit and log the decision."""
-        unit = _safe_name(decision.storage_unit, "storage unit")
+        unit = check_storage_unit(decision.storage_unit)
         file_name = check_file_id(decision.file_id)
         unit_dir = self.root / unit
         unit_dir.mkdir(exist_ok=True)

@@ -156,6 +156,22 @@ class TestCompile:
         assert "policy #0" in result.output
         assert "malformed fragment" in result.output
 
+    @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
+    def test_unstorable_storage_unit_refused(self, tmp_path, runner, unit):
+        doc = dict(POLICY_DOC)
+        doc["policies"] = [doc["policies"][0], dict(doc["policies"][1], storage_unit=unit)]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
+                            "--suite", "mock", "--seed", "1"])
+        result = runner.invoke(cli, [
+            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
+            "--admin-sk", str(tmp_path / "admin.sk"),
+            "--out", str(tmp_path / "out.json"), "--suite", "mock",
+        ])
+        assert result.exit_code == 1
+        assert f"storage unit {unit!r}" in result.output
+        assert not (tmp_path / "out.json").exists()
+
     def test_trapdoor_count_matches_keywords(self, pipeline):
         root, _ = pipeline
         doc = json.loads((root / "compiled.json").read_text())
@@ -296,6 +312,37 @@ class TestClassify:
         assert len((root / "store/decisions.log").read_text().splitlines()) == 2
         assert "batch1.json: payload not stored" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
+
+    def test_log_name_storage_unit_skipped_with_exit_3(self, pipeline, runner):
+        """A hand-built compiled set that routes to ``decisions.log`` stores
+        nothing there and logs nothing for it; the batch goes on."""
+        root, run = pipeline
+        doc = json.loads((root / "compiled.json").read_text())
+        for p in doc["policies"]:
+            p["storage_unit"] = "decisions.log"
+        (root / "compiled.json").write_text(json.dumps(doc))
+        (root / "other.txt").write_text("node a Artifact Memo\nnode b Agent Clerk\nedge SignedBy a b\n")
+        subs = []
+        for i, (graph, file_id) in enumerate([("graph.txt", "a.bin"), ("graph.txt", "b.bin"),
+                                              ("other.txt", "c.bin")]):
+            subs.append(root / f"unit{i}.json")
+            run("user", "tag", "--graph", root / graph,
+                "--admin-pk", root / "pap/admin.pk",
+                "--user-sk", root / "usr/user.sk",
+                "--payload", root / "payload.bin",
+                "--out", subs[-1], "--suite", "mock", "--seed", 300 + i,
+                "--file-id", file_id)
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (root / "store/decisions.log").is_file()
+        assert [p.relative_to(root / "store").as_posix()
+                for p in (root / "store").glob("*/*")] == ["default/c.bin"]
+        log = (root / "store/decisions.log").read_text().splitlines()
+        assert [json.loads(line)["file_id"] for line in log] == ["c.bin"]
+        assert "unit0.json: payload not stored" in result.stderr
+        assert "unit1.json: payload not stored" in result.stderr
 
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):
         root, _ = pipeline

@@ -46,6 +46,14 @@ class TestLayout:
         with pytest.raises(ValidationError):
             layout.store(_decision(unit=bad), b"p")
 
+    def test_log_name_storage_unit_rejected(self, layout, tmp_path):
+        layout.store(_decision("a.bin"), b"1")
+        with pytest.raises(ValidationError, match="decision log"):
+            layout.store(_decision("b.bin", unit=storage.LOG_NAME), b"2")
+        assert (tmp_path / storage.LOG_NAME).is_file()
+        assert len((tmp_path / storage.LOG_NAME).read_text().splitlines()) == 1
+        assert [p.name for p in layout.stored_files()] == ["a.bin"]
+
     def test_stored_files_listing(self, layout):
         layout.store(_decision("a.bin"), b"1")
         layout.store(_decision("b.bin", unit="default"), b"2")
