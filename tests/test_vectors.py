@@ -8,13 +8,16 @@ written before the X component left ``ClassificationTag``.  The key files
 and compiled policy sets under ``key_files/`` were written before the
 file writers in ``pbcap.formats`` shared one envelope.  The two-pair
 raw Miller loop in ``miller_loop_pairs.json`` was written before the loop
-took its lines from ``PointG2.double``/``add``.  Every later
+took its lines from ``PointG2.double``/``add``.  The point decodings and
+F_p2 square roots in ``decode.json`` were written while the decoders still
+ran a Legendre test before each root.  Every later
 change must reproduce them byte for byte; a mismatch is a bug in the
 change, never a reason to rewrite the files.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,75 @@ CLASSIFY_SUBMISSIONS = {
     "none.bin": ("node a Artifact Memo\nnode b Agent Clerk\nedge SignedBy a b\n", True),
     "forged.bin": (TAG_GRAPH, False),
 }
+
+
+DECODE_SEED = 9
+
+
+def _fp2_hex(a: bn256.Fp2) -> str:
+    return a.x.to_bytes(32, "big").hex() + a.y.to_bytes(32, "big").hex()
+
+
+def _decoded(decode, encode, blob: bytes) -> dict:
+    try:
+        return {"blob": blob.hex(), "point": encode(decode(blob)).hex()}
+    except ValueError as exc:
+        return {"blob": blob.hex(), "error": str(exc)}
+
+
+def _flip(blob: bytes) -> bytes:
+    return bytes([blob[0] ^ 1]) + blob[1:]
+
+
+def compute_decode() -> dict:
+    """Seeded G1 and G2 blobs with their re-encoded point or decode error,
+    and F_p2 square roots (null for a non-square)."""
+    rng = random.Random(DECODE_SEED)
+
+    def fp() -> int:
+        return rng.getrandbits(256) % bn256.P
+
+    def fp2() -> bn256.Fp2:
+        return bn256.Fp2(fp(), fp())
+
+    def prefix() -> bytes:
+        return bytes([2 + rng.getrandbits(1)])
+
+    g1 = [bn256.g1_to_bytes(bn256.G1_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(4)]
+    g1 += [_flip(b) for b in g1]
+    g1 += [prefix() + fp().to_bytes(32, "big") for _ in range(16)]
+    # raw 256-bit x, so some are not below P
+    g1 += [prefix() + rng.getrandbits(256).to_bytes(32, "big") for _ in range(4)]
+    g1 += [bytes(33), b"\x02" + bytes(32), b"\x03" + bytes(32)]
+
+    g2 = [bn256.g2_to_bytes(bn256.G2_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(3)]
+    g2 += [_flip(b) for b in g2]
+    g2 += [prefix() + fp().to_bytes(32, "big") + fp().to_bytes(32, "big") for _ in range(10)]
+    g2 += [prefix() + rng.getrandbits(256).to_bytes(32, "big") + rng.getrandbits(256).to_bytes(32, "big")
+           for _ in range(2)]
+    g2 += [bytes(65), b"\x02" + bytes(64), b"\x03" + bytes(64)]
+    g2 += [prefix() + bytes(32) + fp().to_bytes(32, "big") for _ in range(2)]
+    g2 += [prefix() + fp().to_bytes(32, "big") + bytes(32) for _ in range(2)]
+
+    elements = [bn256.Fp2(0, 0), bn256.Fp2(0, 1), bn256.Fp2(0, bn256.P - 1), bn256.Fp2(1, 0)]
+    elements += [bn256.Fp2(0, fp()) for _ in range(6)]
+    elements += [bn256.Fp2(fp(), 0) for _ in range(6)]
+    elements += [fp2().square() for _ in range(16)]
+    elements += [fp2() for _ in range(32)]
+    sqrt = []
+    for a in elements:
+        root = a.sqrt()
+        sqrt.append({"a": _fp2_hex(a), "root": None if root is None else _fp2_hex(root)})
+    return {
+        "seed": DECODE_SEED,
+        "g1": [_decoded(bn256.g1_from_bytes, bn256.g1_to_bytes, b) for b in g1],
+        "g2": [_decoded(bn256.g2_from_bytes, bn256.g2_to_bytes, b) for b in g2],
+        "fp2_sqrt": sqrt,
+    }
+
+
+def _json_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
 def _fp12_from_bytes(data: bytes) -> bn256.Fp12:
@@ -203,6 +275,10 @@ def test_two_pair_miller_loop_vector():
     assert compute_miller_loop_pairs() == expected
     f = _fp12_from_bytes(bytes.fromhex(expected["miller_loop"]))
     assert bn256.final_exponentiation(f).is_one()
+
+
+def test_decode_vectors():
+    assert _json_bytes(compute_decode()) == (VECTORS / "decode.json").read_bytes()
 
 
 def test_hash_to_g1_vectors():
