@@ -9,9 +9,11 @@
 
 Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
-error, a file id that cannot be stored (unsafe, or already stored in
-its unit) or an unsafe storage unit.  Each submission of a batch is handled on its own; the exit
-code is the highest of theirs.
+error or a file id that cannot be stored (unsafe, or already stored in
+its unit).  A compiled set, key or storage root that cannot be read --
+including a compiled set that names an unsafe storage unit -- exits 3
+before any submission is read.  Otherwise each submission of a batch is
+handled on its own; the exit code is the highest of theirs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import formats, game, policy, scheme
 from .errors import PbcapError, ValidationError
 from .pairing import get_suite
 from .provenance import extract_fragments, parse_graph
-from .storage import StorageLayout, check_file_id, check_storage_unit
+from .storage import StorageLayout, check_file_id
 
 EXIT_AUTH_FAILURE = 2
 EXIT_DECODE_ERROR = 3
@@ -100,8 +102,6 @@ def pap_compile(policy_path: Path, sk_path: Path, out_path: Path, suite_name: st
     _guard(out_path, force)
     try:
         policies = formats.load_policies(policy_path)
-        for p in policies:
-            check_storage_unit(p.storage_unit)
         admin_sk = formats.load_admin_secret(sk_path, suite)
         compiled = policy.compile_policies(policies, admin_sk, suite)
     except PbcapError as exc:

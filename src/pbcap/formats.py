@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import DecodeError, ValidationError
 from .pairing import Group, GroupElement, PairingSuite, Scalar
-from .policy import CompiledPolicy, Decision, Policy
+from .policy import CompiledPolicy, Policy
 from .provenance import parse_fragment
 from .scheme import (
     AdminKeyPair,
@@ -26,6 +26,7 @@ from .scheme import (
     UserKeyPair,
     UserPublicKey,
 )
+from .storage import check_storage_unit
 
 FORMAT_VERSION = "pbcap/1"
 
@@ -129,26 +130,34 @@ def load_user_public(path: Path, suite: PairingSuite) -> UserPublicKey:
 
 # --- policies ---------------------------------------------------------------
 
-def load_policies(path: Path) -> list[Policy]:
-    doc = _load(path, "policy-set")
-    policies = []
+def _policy_fields(entry: dict) -> dict:
+    """The fields a policy keeps when it is compiled, with its storage unit checked."""
+    return {
+        "id": str(entry["id"]),
+        "priority": int(entry["priority"]),
+        "category": str(entry["category"]),
+        "storage_unit": check_storage_unit(str(entry["storage_unit"])),
+    }
+
+
+def _policy_entries(path: Path, doc: dict, build) -> list:
+    """``build(entry)`` for each policy entry, in file order; an error names the entry."""
+    built = []
     for i, entry in enumerate(doc.get("policies", [])):
-        where = f"{path}: policy #{i}"
         try:
-            keywords = tuple(parse_fragment(k) for k in entry["keywords"])
-            policy = Policy(
-                id=str(entry["id"]),
-                keywords=keywords,
-                priority=int(entry["priority"]),
-                category=str(entry["category"]),
-                storage_unit=str(entry["storage_unit"]),
-            )
+            built.append(build(entry))
         except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise ValidationError(f"{path}: policy #{i}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"{where}: {exc}") from exc
-        policies.append(policy)
-    return policies
+            raise DecodeError(f"{path}: policy #{i}: {exc}") from exc
+    return built
+
+
+def load_policies(path: Path) -> list[Policy]:
+    return _policy_entries(path, _load(path, "policy-set"), lambda entry: Policy(
+        keywords=tuple(parse_fragment(k) for k in entry["keywords"]),
+        **_policy_fields(entry),
+    ))
 
 
 def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, path: Path) -> None:
@@ -168,27 +177,16 @@ def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, 
 
 
 def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPolicy]:
-    doc = _load(path, "compiled-policy-set", suite)
-    compiled = []
-    for i, entry in enumerate(doc.get("policies", [])):
-        try:
-            trapdoors = tuple(
-                TrapdoorEntry(
-                    token=suite.element_from_bytes(Group.A, bytes.fromhex(td["token"])),
-                    keyword_slot=str(td["slot"]),
-                )
-                for td in entry["trapdoors"]
+    return _policy_entries(path, _load(path, "compiled-policy-set", suite), lambda entry: CompiledPolicy(
+        **_policy_fields(entry),
+        trapdoors=tuple(
+            TrapdoorEntry(
+                token=suite.element_from_bytes(Group.A, bytes.fromhex(td["token"])),
+                keyword_slot=str(td["slot"]),
             )
-            compiled.append(CompiledPolicy(
-                id=str(entry["id"]),
-                priority=int(entry["priority"]),
-                category=str(entry["category"]),
-                storage_unit=str(entry["storage_unit"]),
-                trapdoors=trapdoors,
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"{path}: policy #{i}: {exc}") from exc
-    return compiled
+            for td in entry["trapdoors"]
+        ),
+    ))
 
 
 # --- submissions --------------------------------------------------------------
@@ -221,16 +219,3 @@ def load_submission(path: Path, suite: PairingSuite) -> Submission:
     if not file_id:
         raise DecodeError(f"{path}: empty file_id")
     return Submission(file_id=file_id, payload=payload, x=x, tags=tags)
-
-
-# --- decision log ---------------------------------------------------------
-
-def decision_to_json(decision: Decision) -> str:
-    return json.dumps({
-        "file_id": decision.file_id,
-        "matched_policy": decision.matched_policy,
-        "category": decision.category,
-        "storage_unit": decision.storage_unit,
-        "authenticated": decision.authenticated,
-    }, sort_keys=True)
-

@@ -44,6 +44,9 @@ def fp_sqrt(a: int) -> int:
     return pow(a, (P + 1) // 4, P)
 
 
+INV_2 = fp_inv(2)
+
+
 def fp_legendre(a: int) -> int:
     x = pow(a, (P - 1) // 2, P)
     return -1 if x == P - 1 else x
@@ -139,30 +142,30 @@ class Fp2:
         return r
 
     def sqrt(self) -> "Fp2 | None":
-        """Square root in F_p2, or None if the element is a non-residue."""
-        if self.is_zero():
-            return Fp2(0, 0)
+        """Square root in F_p2, or None if the element is a non-residue.
+
+        Each F_p root is taken first and its square then checked, which
+        decides residuosity without a Legendre symbol.  With
+        n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
+        (x/(2 sqrt(alpha)))*i + sqrt(alpha); its square is self whenever
+        both F_p roots exist.  The two choices of alpha multiply to
+        -(x/2)^2, a non-residue for x != 0, so exactly one is a square.
+        """
         if self.x == 0:
-            if fp_legendre(self.y) == 1:
-                return Fp2(0, fp_sqrt(self.y))
-            # (t*i)^2 = -t^2 = y  =>  t = sqrt(-y)
+            v = fp_sqrt(self.y)
+            if v * v % P == self.y:
+                return Fp2(0, v)
+            # -1 is a non-residue, so -y is a square and (t*i)^2 = -t^2 = y
             return Fp2(fp_sqrt(-self.y % P), 0)
         n = (self.x * self.x + self.y * self.y) % P
-        if fp_legendre(n) != 1:
-            return None
         lam = fp_sqrt(n)
-        half = fp_inv(2)
-        alpha = (self.y + lam) * half % P
-        if alpha == 0 or fp_legendre(alpha) != 1:
-            alpha = (self.y - lam) * half % P
-        if fp_legendre(alpha) != 1:
+        if lam * lam % P != n:
             return None
+        alpha = (self.y + lam) * INV_2 % P
         v = fp_sqrt(alpha)
-        u = self.x * fp_inv(2 * v % P) % P
-        cand = Fp2(u, v)
-        if cand.square() == self:
-            return cand
-        return None
+        if v * v % P != alpha:
+            v = fp_sqrt((self.y - lam) * INV_2 % P)
+        return Fp2(self.x * fp_inv(2 * v % P) % P, v)
 
 
 FP2_ZERO = Fp2(0, 0)
@@ -226,21 +229,6 @@ class Fp6:
 
     def mul_tau(self) -> "Fp6":
         return Fp6(self.y, self.z, self.x.mul_xi())
-
-    def square(self) -> "Fp6":
-        # Algorithm 16, eprint 2010/354
-        ay2 = self.y.double()
-        c4 = self.z * ay2
-        c5 = self.x.square()
-        c1 = c5.mul_xi() + c4
-        c2 = c4 - c5
-        c3 = self.z.square()
-        c4 = self.x + self.z - self.y
-        c5 = ay2 * self.x
-        c4 = c4.square()
-        c0 = c5.mul_xi() + c3
-        c2 = c2 + c4 + c5 - c3
-        return Fp6(c2, c1, c0)
 
     def inverse(self) -> "Fp6":
         # Algorithm 17, eprint 2010/354 (with the sign fix on C)
@@ -358,7 +346,7 @@ class Fp12:
         return r
 
     def inverse(self) -> "Fp12":
-        t1 = self.y.square() - self.x.square().mul_tau()
+        t1 = self.y * self.y - (self.x * self.x).mul_tau()
         t2 = t1.inverse()
         return Fp12(self.x.neg(), self.y).mul_scalar(t2)
 
@@ -406,12 +394,6 @@ class PointG1:
         zinv = fp_inv(self.z)
         zinv2 = zinv * zinv % P
         return self.x * zinv2 % P, self.y * zinv2 % P * zinv % P
-
-    def is_on_curve(self) -> bool:
-        if self.is_infinity():
-            return True
-        x, y = self.affine()
-        return (y * y - x * x * x - self.B) % P == 0
 
     def __eq__(self, other):
         if self.is_infinity() or other.is_infinity():
@@ -726,7 +708,6 @@ def pairing_product_is_one(pairs) -> bool:
 # --- hash to G1 ----------------------------------------------------------
 
 SQRT_NEG_3 = fp_sqrt(P - 3)
-INV_2 = fp_inv(2)
 
 
 def _map_to_g1(t: int) -> PointG1:
@@ -800,6 +781,9 @@ def g1_to_bytes(pt: PointG1) -> bytes:
 
 
 def g1_from_bytes(data: bytes) -> PointG1:
+    """Decode a compressed G1 point: take the root of x^3 + 3, then check
+    its square, so x is on the curve exactly when the root squares back.
+    G1 is the whole curve, so no subgroup test follows."""
     if len(data) != 1 + FP_BYTES:
         raise ValueError("bad G1 encoding length")
     if data[0] == 0:
@@ -812,15 +796,12 @@ def g1_from_bytes(data: bytes) -> PointG1:
     if x >= P:
         raise ValueError("G1 x coordinate out of range")
     yy = (x * x * x + PointG1.B) % P
-    if fp_legendre(yy) == -1:
-        raise ValueError("G1 x coordinate not on curve")
     y = fp_sqrt(yy)
+    if y * y % P != yy:
+        raise ValueError("G1 x coordinate not on curve")
     if (y & 1) != (data[0] & 1):
         y = P - y
-    pt = PointG1(x, y)
-    if not pt.is_on_curve():
-        raise ValueError("decoded G1 point not on curve")
-    return pt
+    return PointG1(x, y)
 
 
 def g2_to_bytes(pt: PointG2) -> bytes:

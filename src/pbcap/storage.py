@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ValidationError
-from .formats import decision_to_json
 from .policy import Decision
 
 LOG_NAME = "decisions.log"
@@ -85,7 +86,7 @@ class StorageLayout:
         return target
 
     def log(self, decision: Decision) -> None:
-        line = decision_to_json(decision) + "\n"
+        line = json.dumps(asdict(decision), sort_keys=True) + "\n"
         with self.log_path.open("a", encoding="utf-8") as fh:
             fh.write(line)
 

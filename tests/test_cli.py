@@ -313,36 +313,18 @@ class TestClassify:
         assert "batch1.json: payload not stored" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
 
-    def test_log_name_storage_unit_skipped_with_exit_3(self, pipeline, runner):
-        """A hand-built compiled set that routes to ``decisions.log`` stores
-        nothing there and logs nothing for it; the batch goes on."""
-        root, run = pipeline
+    @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
+    def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):
+        """A hand-built compiled set that routes to a unit no store accepts
+        is refused when it is read: nothing is stored and nothing logged."""
+        root, _ = pipeline
         doc = json.loads((root / "compiled.json").read_text())
-        for p in doc["policies"]:
-            p["storage_unit"] = "decisions.log"
+        doc["policies"][1]["storage_unit"] = unit
         (root / "compiled.json").write_text(json.dumps(doc))
-        (root / "other.txt").write_text("node a Artifact Memo\nnode b Agent Clerk\nedge SignedBy a b\n")
-        subs = []
-        for i, (graph, file_id) in enumerate([("graph.txt", "a.bin"), ("graph.txt", "b.bin"),
-                                              ("other.txt", "c.bin")]):
-            subs.append(root / f"unit{i}.json")
-            run("user", "tag", "--graph", root / graph,
-                "--admin-pk", root / "pap/admin.pk",
-                "--user-sk", root / "usr/user.sk",
-                "--payload", root / "payload.bin",
-                "--out", subs[-1], "--suite", "mock", "--seed", 300 + i,
-                "--file-id", file_id)
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
+        result = runner.invoke(cli, _classify_args(root))
         assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert (root / "store/decisions.log").is_file()
-        assert [p.relative_to(root / "store").as_posix()
-                for p in (root / "store").glob("*/*")] == ["default/c.bin"]
-        log = (root / "store/decisions.log").read_text().splitlines()
-        assert [json.loads(line)["file_id"] for line in log] == ["c.bin"]
-        assert "unit0.json: payload not stored" in result.stderr
-        assert "unit1.json: payload not stored" in result.stderr
+        assert f"policy #1: storage unit {unit!r}" in result.stderr
+        assert list((root / "store").iterdir()) == []
 
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):
         root, _ = pipeline

@@ -98,9 +98,9 @@ GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \
         "edge RecordedBy t n\nedge ProducedFrom r t\n"
 
 
-def _pdp_classify(tmp_path, counts, policies):
-    """Seeded keygen, compile and a 2-tag ``user tag`` of GRAPH; the counts
-    cover only the ``pdp classify`` run, whose decision is returned.
+def _prepare_pdp_classify(tmp_path, policies):
+    """Seeded keygen, compile and a 2-tag ``user tag`` of GRAPH; returns
+    the ``pdp classify`` arguments.
 
     The tags are sorted by canonical form: ProducedFrom(Report,Test),
     then RecordedBy(Test,Nurse).
@@ -115,7 +115,6 @@ def _pdp_classify(tmp_path, counts, policies):
     def run(*args):
         result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
         assert result.exit_code == 0, result.output
-        return result
 
     run("pap", "keygen", "--out-dir", tmp_path / "pap", "--seed", 1)
     run("user", "keygen", "--out-dir", tmp_path / "usr", "--seed", 2)
@@ -124,10 +123,18 @@ def _pdp_classify(tmp_path, counts, policies):
     run("user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
         "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
         "--out", tmp_path / "sub.json", "--seed", 3)
+    return [str(a) for a in (
+        "pdp", "classify", tmp_path / "sub.json", "--policies", tmp_path / "compiled.json",
+        "--admin-pk", tmp_path / "pap/admin.pk", "--user-pk", tmp_path / "usr/user.pk",
+        "--storage-root", tmp_path / "store")]
+
+
+def _pdp_classify(tmp_path, counts, policies):
+    """The counts cover only the ``pdp classify`` run, whose decision is returned."""
+    args = _prepare_pdp_classify(tmp_path, policies)
     counts.clear()
-    result = run("pdp", "classify", tmp_path / "sub.json", "--policies", tmp_path / "compiled.json",
-                 "--admin-pk", tmp_path / "pap/admin.pk", "--user-pk", tmp_path / "usr/user.pk",
-                 "--storage-root", tmp_path / "store")
+    result = CliRunner().invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
     return json.loads(result.output)
 
 
@@ -166,6 +173,22 @@ def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
     assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] == "top"
     assert tested == ["top/k0"]
     _expect(counts, 3, 3)
+
+
+def test_log_name_storage_unit_refused_by_pdp_classify(tmp_path, counts):
+    """``pdp classify`` checks each storage unit when it reads the compiled
+    set, so a hand-built set that routes to the decision log costs no
+    pairing and stores nothing."""
+    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    doc = json.loads((tmp_path / "compiled.json").read_text())
+    doc["policies"][0]["storage_unit"] = "decisions.log"
+    (tmp_path / "compiled.json").write_text(json.dumps(doc))
+    counts.clear()
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 3, result.output
+    assert "policy #0: storage unit 'decisions.log'" in result.stderr
+    assert list((tmp_path / "store").iterdir()) == []
+    assert not counts
 
 
 @pytest.mark.parametrize("file_id, payload_name", [
