@@ -26,7 +26,7 @@ from .scheme import (
     UserKeyPair,
     UserPublicKey,
 )
-from .storage import check_storage_unit
+from .storage import check_file_id, check_storage_unit
 
 FORMAT_VERSION = "pbcap/1"
 
@@ -202,7 +202,12 @@ def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
 
 
 def load_submission(path: Path, suite: PairingSuite) -> Submission:
+    """Read a submission; a file id no store accepts is refused before any element is decoded."""
     doc = _load(path, "submission", suite)
+    try:
+        file_id = check_file_id(str(doc["file_id"]))
+    except (KeyError, ValidationError) as exc:
+        raise DecodeError(f"{path}: {exc}") from exc
     x = _element(suite, Group.B, doc, "x")
     try:
         tags = tuple(
@@ -213,9 +218,6 @@ def load_submission(path: Path, suite: PairingSuite) -> Submission:
             for t in doc.get("tags", [])
         )
         payload = base64.b64decode(doc["payload"], validate=True)
-        file_id = str(doc["file_id"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError(f"{path}: {exc}") from exc
-    if not file_id:
-        raise DecodeError(f"{path}: empty file_id")
     return Submission(file_id=file_id, payload=payload, x=x, tags=tags)

@@ -60,15 +60,18 @@ class GroupElement:
     """An element of one of the three pairing groups.
 
     Equality is canonical-bytes equality; the payload representation is
-    suite-specific and opaque to callers.
+    suite-specific and opaque to callers.  ``lines`` is the suite's
+    pairing table for a group-B element: None until ``Bn256Suite.pair``
+    first pairs the element, then kept for as long as the element lives.
     """
 
-    __slots__ = ("suite", "group", "value")
+    __slots__ = ("suite", "group", "value", "lines")
 
     def __init__(self, suite: "PairingSuite", group: Group, value: Any):
         self.suite = suite
         self.group = group
         self.value = value
+        self.lines = None
 
     def to_bytes(self) -> bytes:
         return self.suite._encode(self)
@@ -188,13 +191,35 @@ class Bn256Suite(PairingSuite):
         return GroupElement(self, Group.T, bn256.FP12_ONE)
 
     def pair(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        """e(x, y), from y's ``g2_lines`` table, built the first time y is paired.
+
+        y is a tag's Y in ``matches_trapdoor``, tested against every
+        trapdoor of a submission, or ``admin_pk_b`` in ``make_tag``,
+        paired once per fragment of a ``user tag``.  The table lives on y
+        and dies with it, so it is reused within one command and never
+        across commands.  It is built on first use, not on decoding, so
+        a classify that stops early builds tables only for the tags it
+        tested.
+        """
         self._require(x, Group.A)
         self._require(y, Group.B)
-        return GroupElement(self, Group.T, bn256.pairing(x.value, y.value))
+        if x.value.is_infinity() or y.value.is_infinity():
+            return self.identity(Group.T)
+        if y.lines is None:
+            y.lines = bn256.g2_lines(y.value)
+        f = bn256.miller_loop([(x.value, y.lines)])
+        return GroupElement(self, Group.T, bn256.final_exponentiation(f))
 
     def pairs_equal(self, a1: GroupElement, b1: GroupElement,
                     a2: GroupElement, b2: GroupElement) -> bool:
-        """e(a1, b1) * e(a2, -b2) == 1, with one shared final exponentiation."""
+        """e(a1, b1) * e(a2, -b2) == 1, with one shared final exponentiation.
+
+        Both tables are built for this one check and dropped.  b2 enters
+        negated, as a new point.  b1 is X in the authenticity check, paired
+        once per submission, or ``gen_b`` in the admin key check; the suite
+        holds ``gen_b`` in a reference cycle, so a table kept on it would
+        stay until a full garbage collection.
+        """
         for a, b in ((a1, b1), (a2, b2)):
             self._require(a, Group.A)
             self._require(b, Group.B)

@@ -291,7 +291,9 @@ class TestClassify:
         """An unsafe and a repeated file id are reported; the batch goes on.
 
         ``user tag`` refuses ``../evil``, so that submission is a good one
-        with its ``file_id`` rewritten, as a hand-built file would be."""
+        with its ``file_id`` rewritten, as a hand-built file would be.
+        Reading the submission refuses it; a repeated id is refused only
+        by the store."""
         root, run = pipeline
         subs = []
         for i, file_id in enumerate(["good.bin", "evil", "good.bin", "good2.bin"]):
@@ -310,7 +312,8 @@ class TestClassify:
         assert result.exit_code == 3, result.output
         assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin"]
         assert len((root / "store/decisions.log").read_text().splitlines()) == 2
-        assert "batch1.json: payload not stored" in result.stderr
+        assert "batch1.json: decode error:" in result.stderr
+        assert "file id '../evil' is not a safe file name" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up"])

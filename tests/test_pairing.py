@@ -51,11 +51,17 @@ def _random_pair(rng):
     return bn256.G1_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)), q
 
 
+def _prepared(pair):
+    """A (P, Q) pair as the (P, lines) pair ``bn256.miller_loop`` evaluates."""
+    p, q = pair
+    return p, bn256.g2_lines(q)
+
+
 def _cyclotomic_elements(rng, n):
     """Miller-loop outputs raised to (p^6 - 1)(p^2 + 1): the easy part."""
     out = []
     for _ in range(n):
-        f = bn256.miller_loop([_random_pair(rng)])
+        f = bn256.miller_loop([_prepared(_random_pair(rng))])
         t = f.conjugate() * f.inverse()
         out.append(t * t.frobenius_p2())
     return out
@@ -105,6 +111,18 @@ class TestBilinearity:
         with pytest.raises(GroupMismatchError):
             s.pair(s.gen_a, s.gen_a)
 
+    def test_kept_table_pairs_like_a_fresh_copy(self, prod_suite, rng):
+        """A group-B element keeps its line table after its first pairing;
+        later pairings through that table equal those of a freshly decoded
+        copy, which builds its own."""
+        s = prod_suite
+        y = s.gen_b ** rng.randrange(1, s.order)
+        for _ in range(2):
+            x = s.gen_a ** rng.randrange(1, s.order)
+            copy = s.element_from_bytes(Group.B, y.to_bytes())
+            assert s.pair(x, y).to_bytes() == s.pair(x, copy).to_bytes()
+            assert y.lines is not None and copy.lines is not y.lines
+
 
 class TestPairsEqual:
     def test_agrees_with_two_pairings(self, any_suite, rng):
@@ -144,6 +162,20 @@ class TestBn256Kernels:
             a, b = _random_fp12(rng), _random_fp12(rng)
             assert a * b == _schoolbook_fp12_mul(a, b)
 
+    def test_sparse_line_product_matches_full_product(self):
+        """``_mul_line`` against the full Fp12 product with the line
+        ((a*tau + b)*w + c), on real table entries evaluated at a real P."""
+        rng = random.Random(27)
+        p, q = _random_pair(rng)
+        px, py = p.affine()
+        zero = bn256.FP2_ZERO
+        for group in bn256.g2_lines(q)[::8]:
+            for la, lb, lc in group:
+                a, b, c = la, lb.mul_int(px), lc.mul_int(py)
+                f = _random_fp12(rng)
+                line = bn256.Fp12(bn256.Fp6(zero, a, b), bn256.Fp6(zero, zero, c))
+                assert bn256._mul_line(f, a, b, c) == f * line
+
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):
             assert t.exp_u() == t.exp(bn256.U)
@@ -152,6 +184,7 @@ class TestBn256Kernels:
         rng = random.Random(24)
         for _ in range(3):
             a, b = _random_pair(rng), _random_pair(rng)
+            a, b = _prepared(a), _prepared(b)
             assert bn256.miller_loop([a, b]) == bn256.miller_loop([a]) * bn256.miller_loop([b])
 
     def test_pairing_product_skips_infinity_pairs(self):

@@ -1,11 +1,13 @@
-"""Exact Miller-loop, final-exponentiation and G2 scalar-multiplication
-counts per operation.
+"""Exact Miller-loop, final-exponentiation, G2 line-table and G2
+scalar-multiplication counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
-``bn256.final_exponentiation`` and ``bn256.PointG2.scalar_mul``; the
-program itself keeps no counter.  ``make_tag`` pays one G2 scalar
-multiplication per tag, because Y and Z depend on beta and r only
-through s = beta*r.
+``bn256.final_exponentiation``, ``bn256.g2_lines`` and
+``bn256.PointG2.scalar_mul``; the program itself keeps no counter.
+``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
+depend on beta and r only through s = beta*r.  A group-B element keeps
+its line table once ``pair`` has built it, so a command builds one table
+per distinct tag Y or admin key it pairs.
 """
 
 import json
@@ -41,6 +43,19 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(bn256, name, counted)
     return seen
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Line tables built, keyed by the hex encoding of their Q."""
+    built = Counter()
+
+    def counted(q, _inner=bn256.g2_lines):
+        built[bn256.g2_to_bytes(q).hex()] += 1
+        return _inner(q)
+
+    monkeypatch.setattr(bn256, "g2_lines", counted)
+    return built
 
 
 def _expect(counts, miller_loops, final_exponentiations):
@@ -96,6 +111,8 @@ def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
 
 GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \
         "edge RecordedBy t n\nedge ProducedFrom r t\n"
+# GRAPH plus one fragment, SignedBy(Report,Nurse)
+GRAPH3 = GRAPH + "edge SignedBy r n\n"
 
 
 def _prepare_pdp_classify(tmp_path, policies):
@@ -129,10 +146,11 @@ def _prepare_pdp_classify(tmp_path, policies):
         "--storage-root", tmp_path / "store")]
 
 
-def _pdp_classify(tmp_path, counts, policies):
-    """The counts cover only the ``pdp classify`` run, whose decision is returned."""
+def _pdp_classify(tmp_path, policies, *counters):
+    """The counters cover only the ``pdp classify`` run, whose decision is returned."""
     args = _prepare_pdp_classify(tmp_path, policies)
-    counts.clear()
+    for counter in counters:
+        counter.clear()
     result = CliRunner().invoke(cli, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
@@ -143,16 +161,22 @@ def _policy(pid, keywords, priority):
             "category": f"cat-{pid}", "storage_unit": f"unit-{pid}"}
 
 
-def test_no_match_pdp_classify(tmp_path, counts):
-    """T tags x K trapdoors, nothing matches: every tag/trapdoor pairing runs."""
+def test_no_match_pdp_classify(tmp_path, counts, tables):
+    """T tags x K trapdoors, nothing matches: every tag/trapdoor pairing
+    runs, and each tag's Y builds one line table for all K trapdoors."""
     policies = [
         _policy("1", ["ReviewedBy(Draft,Editor)", "SignedBy(Form,Clerk)"], 5),
         _policy("2", ["ApprovedBy(Plan,Board)"], 9),
     ]
     tags, trapdoors = 2, 3
-    assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] is None
+    assert _pdp_classify(tmp_path, policies, counts, tables)["matched_policy"] is None
     # admin dual-key check and authenticity: one shared Miller loop and one FE each
     _expect(counts, 1 + 1 + tags * trapdoors, 2 + tags * trapdoors)
+    ys = [t["y"] for t in json.loads((tmp_path / "sub.json").read_text())["tags"]]
+    assert len(set(ys)) == tags
+    assert [tables[y] for y in ys] == [1] * tags
+    # the two checks build throwaway tables, two each
+    assert sum(tables.values()) == tags + 2 + 2
 
 
 def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
@@ -170,7 +194,7 @@ def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
         _policy("mid", ["SignedBy(Form,Clerk)"], 7),
         _policy("top", ["ProducedFrom(Report,Test)", "ApprovedBy(Plan,Board)"], 9),
     ]
-    assert _pdp_classify(tmp_path, counts, policies)["matched_policy"] == "top"
+    assert _pdp_classify(tmp_path, policies, counts)["matched_policy"] == "top"
     assert tested == ["top/k0"]
     _expect(counts, 3, 3)
 
@@ -216,3 +240,45 @@ def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, paylo
     assert "file id" in result.output
     assert not (tmp_path / "sub.json").exists()
     assert not counts
+
+
+def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
+    """A hand-built submission whose file id no store accepts is refused
+    when it is read: no pairing runs beyond the command's admin key check."""
+    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    doc = json.loads((tmp_path / "sub.json").read_text())
+    (tmp_path / "sub.json").write_text(json.dumps(dict(doc, file_id="../evil")))
+    counts.clear()
+    tables.clear()
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 3, result.output
+    assert "file id '../evil' is not a safe file name" in result.stderr
+    assert list((tmp_path / "store").iterdir()) == []
+    _expect(counts, 1, 1)
+    assert sum(tables.values()) == 2
+
+
+@pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
+def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fragments):
+    """Every tag pairs with ``admin_pk_b``, which builds its table once
+    per ``user tag`` command, whatever the number of fragments."""
+    (tmp_path / "graph.txt").write_text(graph)
+    (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
+    runner = CliRunner()
+    for role in ("pap", "user"):
+        result = runner.invoke(cli, [role, "keygen", "--out-dir", str(tmp_path), "--seed", "1"])
+        assert result.exit_code == 0, result.output
+    counts.clear()
+    tables.clear()
+    result = runner.invoke(cli, [str(a) for a in (
+        "user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "admin.pk",
+        "--user-sk", tmp_path / "user.sk", "--payload", tmp_path / "payload.bin",
+        "--out", tmp_path / "sub.json", "--seed", 3)])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads((tmp_path / "sub.json").read_text())["tags"]) == fragments
+    # the admin key check: one Miller loop and FE; then one of each per tag
+    _expect(counts, 1 + fragments, 1 + fragments)
+    admin_pk_b = json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
+    assert tables[admin_pk_b] == 1
+    # the admin key check's two throwaway tables
+    assert sum(tables.values()) == 1 + 2
