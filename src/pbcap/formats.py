@@ -142,8 +142,11 @@ def _policy_fields(entry: dict) -> dict:
 
 def _policy_entries(path: Path, doc: dict, build) -> list:
     """``build(entry)`` for each policy entry, in file order; an error names the entry."""
+    entries = doc.get("policies", [])
+    if not isinstance(entries, list):
+        raise DecodeError(f"{path}: field 'policies' is not a list")
     built = []
-    for i, entry in enumerate(doc.get("policies", [])):
+    for i, entry in enumerate(entries):
         try:
             built.append(build(entry))
         except ValidationError as exc:
@@ -204,9 +207,11 @@ def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
 def load_submission(path: Path, suite: PairingSuite) -> Submission:
     """Read a submission; a file id no store accepts is refused before any element is decoded."""
     doc = _load(path, "submission", suite)
+    if not isinstance(doc.get("file_id"), str):
+        raise DecodeError(f"{path}: missing or non-string field 'file_id'")
     try:
-        file_id = check_file_id(str(doc["file_id"]))
-    except (KeyError, ValidationError) as exc:
+        file_id = check_file_id(doc["file_id"])
+    except ValidationError as exc:
         raise DecodeError(f"{path}: {exc}") from exc
     x = _element(suite, Group.B, doc, "x")
     try:

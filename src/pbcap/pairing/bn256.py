@@ -1,10 +1,12 @@
-"""Pairing arithmetic over a 256-bit Barreto-Naehrig curve.
+"""Curves, pairing, hashing and serialization of a 256-bit Barreto-Naehrig curve.
 
 G1 is the curve y^2 = x^3 + 3 over F_p, G2 the order-n subgroup of its
 sextic twist over F_p2, and GT the order-n subgroup of F_p12^*.  The
-optimal ate pairing and the tower arithmetic follow Beuchat et al.
-(eprint 2010/354); curve parameters match the dclxvi / golang bn256
-family (BN parameter v = 1868033).
+optimal ate pairing follows Beuchat et al. (eprint 2010/354); curve
+parameters match the dclxvi / golang bn256 family (BN parameter
+v = 1868033).  The field tower, its constants and the Miller loop's
+sparse line product live in ``tower``; this module holds the curve
+points, ``in_g2``, the pairing, hash-to-G1 and the encodings.
 
 The Miller loop has no point formulas of its own: T moves by
 ``PointG2.double`` and ``add``, and each line is a closed form in T with
@@ -17,364 +19,48 @@ decides how long it lives.  ``Bn256Suite.pair`` keeps the table of each
 group-B element it pairs on that element; ``pairing_product_is_one``
 builds throwaway tables.
 
-Field elements are plain Python ints reduced mod P; extension fields are
-thin classes over them.  Nothing here is constant-time.
+Nearly all of a pairing's time goes to four tower kernels:
+``Fp12.square`` and ``_mul_line`` in the Miller loop,
+``Fp12.cyclotomic_square`` and ``Fp12.__mul__`` in the final
+exponentiation.  Each works on plain ints and reduces each output
+coefficient mod P once.  Nothing here is constant-time.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
 cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
 hard part of ``final_exponentiation`` runs.  They must never touch a
 decoded or otherwise unchecked element: the Miller loop and GT
 exponentiation use the generic ``square`` and ``exp``.  GT elements are
-encoded (``gt_to_bytes``, the H2 input) but never decoded.
+encoded (``gt_to_bytes``, the H2 input) but never decoded; ``gt_to_bytes``
+reads the raw coefficients, so they must be fully reduced.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-V = 1868033
-U = V ** 3
+from .tower import (
+    FP2_ONE,
+    FP2_ZERO,
+    FP12_ONE,
+    INV_2,
+    NAF_6UP2,
+    P,
+    U,
+    XI,
+    XI1,
+    XI2,
+    Fp2,
+    Fp12,
+    _mul_line,
+    fp_inv,
+    fp_legendre,
+    fp_sqrt,
+)
 
-P = (((U + 1) * 6 * U + 4) * U + 1) * 6 * U + 1
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
 
-assert P % 4 == 3  # sqrt below relies on this
-
-
-def fp_inv(a: int) -> int:
-    return pow(a, -1, P)
-
-
-def fp_sqrt(a: int) -> int:
-    return pow(a, (P + 1) // 4, P)
-
-
-INV_2 = fp_inv(2)
-
-
-def fp_legendre(a: int) -> int:
-    x = pow(a, (P - 1) // 2, P)
-    return -1 if x == P - 1 else x
-
-
-def _naf(x: int) -> list[int]:
-    z = []
-    while x > 0:
-        if x % 2 == 0:
-            z.append(0)
-        else:
-            zi = 2 - (x % 4)
-            x -= zi
-            z.append(zi)
-        x //= 2
-    return z
-
-
-# 6u+2 and u in NAF, most significant digit first, leading digit dropped
-NAF_6UP2 = list(reversed(_naf(6 * U + 2)))[1:]
-NAF_U = list(reversed(_naf(U)))[1:]
-
-
-class Fp2:
-    """F_p[i] / (i^2 + 1), represented as x*i + y."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        self.x = x
-        self.y = y
-
-    def __repr__(self):
-        return "Fp2(%d, %d)" % (self.x, self.y)
-
-    def __eq__(self, other):
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def is_one(self) -> bool:
-        return self.x == 0 and self.y == 1
-
-    def conjugate(self) -> "Fp2":
-        return Fp2(-self.x % P, self.y)
-
-    def neg(self) -> "Fp2":
-        return Fp2(-self.x % P, -self.y % P)
-
-    def __add__(self, other):
-        return Fp2((self.x + other.x) % P, (self.y + other.y) % P)
-
-    def __sub__(self, other):
-        return Fp2((self.x - other.x) % P, (self.y - other.y) % P)
-
-    def double(self) -> "Fp2":
-        return Fp2(self.x * 2 % P, self.y * 2 % P)
-
-    def __mul__(self, other):
-        # Karatsuba
-        vy = self.y * other.y
-        vx = self.x * other.x
-        c0 = (vy - vx) % P
-        c1 = ((self.x + self.y) * (other.x + other.y) - vy - vx) % P
-        return Fp2(c1, c0)
-
-    def mul_int(self, k: int) -> "Fp2":
-        return Fp2(self.x * k % P, self.y * k % P)
-
-    def mul_xi(self) -> "Fp2":
-        # multiply by xi = i + 3
-        return Fp2((self.x * 3 + self.y) % P, (self.y * 3 - self.x) % P)
-
-    def square(self) -> "Fp2":
-        ty = (self.y - self.x) * (self.y + self.x) % P
-        tx = 2 * self.x * self.y % P
-        return Fp2(tx, ty)
-
-    def inverse(self) -> "Fp2":
-        t = fp_inv((self.x * self.x + self.y * self.y) % P)
-        return Fp2(-self.x * t % P, self.y * t % P)
-
-    def exp(self, k: int) -> "Fp2":
-        r = FP2_ONE
-        for bit in bin(k)[2:]:
-            r = r.square()
-            if bit == "1":
-                r = r * self
-        return r
-
-    def sqrt(self) -> "Fp2 | None":
-        """Square root in F_p2, or None if the element is a non-residue.
-
-        Each F_p root is taken first and its square then checked, which
-        decides residuosity without a Legendre symbol.  With
-        n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
-        (x/(2 sqrt(alpha)))*i + sqrt(alpha); its square is self whenever
-        both F_p roots exist.  The two choices of alpha multiply to
-        -(x/2)^2, a non-residue for x != 0, so exactly one is a square.
-        """
-        if self.x == 0:
-            v = fp_sqrt(self.y)
-            if v * v % P == self.y:
-                return Fp2(0, v)
-            # -1 is a non-residue, so -y is a square and (t*i)^2 = -t^2 = y
-            return Fp2(fp_sqrt(-self.y % P), 0)
-        n = (self.x * self.x + self.y * self.y) % P
-        lam = fp_sqrt(n)
-        if lam * lam % P != n:
-            return None
-        alpha = (self.y + lam) * INV_2 % P
-        v = fp_sqrt(alpha)
-        if v * v % P != alpha:
-            v = fp_sqrt((self.y - lam) * INV_2 % P)
-        return Fp2(self.x * fp_inv(2 * v % P) % P, v)
-
-
-FP2_ZERO = Fp2(0, 0)
-FP2_ONE = Fp2(0, 1)
-
-XI = Fp2(1, 3)  # i + 3, the sextic non-residue
-
-XI1 = [XI.exp(k * (P - 1) // 6) for k in range(1, 6)]
-XI2 = [x * x.conjugate() for x in XI1]
-
 TWIST_B = XI.inverse().mul_int(3)
-
-
-class Fp6:
-    """Cubic extension of Fp2: x*tau^2 + y*tau + z with tau^3 = xi."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: Fp2, y: Fp2, z: Fp2):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    def __eq__(self, other):
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
-
-    def neg(self) -> "Fp6":
-        return Fp6(self.x.neg(), self.y.neg(), self.z.neg())
-
-    def __add__(self, other):
-        return Fp6(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Fp6(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def double(self) -> "Fp6":
-        return Fp6(self.x.double(), self.y.double(), self.z.double())
-
-    def __mul__(self, other):
-        # Algorithm 13, eprint 2010/354
-        t0 = self.z * other.z
-        t1 = self.y * other.y
-        t2 = self.x * other.x
-
-        tz = (self.x + self.y) * (other.x + other.y)
-        tz = (tz - t1 - t2).mul_xi() + t0
-
-        ty = (self.y + self.z) * (other.y + other.z)
-        ty = ty - t0 - t1 + t2.mul_xi()
-
-        tx = (self.x + self.z) * (other.x + other.z)
-        tx = tx - t0 + t1 - t2
-
-        return Fp6(tx, ty, tz)
-
-    def mul_scalar(self, k: Fp2) -> "Fp6":
-        return Fp6(self.x * k, self.y * k, self.z * k)
-
-    def mul_tau(self) -> "Fp6":
-        return Fp6(self.y, self.z, self.x.mul_xi())
-
-    def inverse(self) -> "Fp6":
-        # Algorithm 17, eprint 2010/354 (with the sign fix on C)
-        xx = self.x.square()
-        yy = self.y.square()
-        zz = self.z.square()
-        xy = self.x * self.y
-        xz = self.x * self.z
-        yz = self.y * self.z
-
-        a = zz - xy.mul_xi()
-        b = xx.mul_xi() - yz
-        c = yy - xz
-
-        f = (c * self.y).mul_xi() + (a * self.z) + (b * self.x).mul_xi()
-        f = f.inverse()
-        return Fp6(c * f, b * f, a * f)
-
-
-FP6_ZERO = Fp6(FP2_ZERO, FP2_ZERO, FP2_ZERO)
-FP6_ONE = Fp6(FP2_ZERO, FP2_ZERO, FP2_ONE)
-
-
-class Fp12:
-    """Quadratic extension of Fp6: x*w + y with w^2 = tau."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Fp6, y: Fp6):
-        self.x = x
-        self.y = y
-
-    def __eq__(self, other):
-        return self.x == other.x and self.y == other.y
-
-    def is_one(self) -> bool:
-        return self.x.is_zero() and self.y == FP6_ONE
-
-    def conjugate(self) -> "Fp12":
-        return Fp12(self.x.neg(), self.y)
-
-    def frobenius(self) -> "Fp12":
-        e1 = Fp6(
-            self.x.x.conjugate() * XI1[4],
-            self.x.y.conjugate() * XI1[2],
-            self.x.z.conjugate() * XI1[0],
-        )
-        e2 = Fp6(
-            self.y.x.conjugate() * XI1[3],
-            self.y.y.conjugate() * XI1[1],
-            self.y.z.conjugate(),
-        )
-        return Fp12(e1, e2)
-
-    def frobenius_p2(self) -> "Fp12":
-        e1 = Fp6(self.x.x * XI2[4], self.x.y * XI2[2], self.x.z * XI2[0])
-        e2 = Fp6(self.y.x * XI2[3], self.y.y * XI2[1], self.y.z)
-        return Fp12(e1, e2)
-
-    def __mul__(self, other):
-        # Karatsuba: three Fp6 products
-        axbx = self.x * other.x
-        ayby = self.y * other.y
-        tx = (self.x + self.y) * (other.x + other.y) - axbx - ayby
-        return Fp12(tx, ayby + axbx.mul_tau())
-
-    def mul_scalar(self, k: Fp6) -> "Fp12":
-        return Fp12(self.x * k, self.y * k)
-
-    def square(self) -> "Fp12":
-        v0 = self.x * self.y
-        t = self.x.mul_tau() + self.y
-        ty = (self.x + self.y) * t - v0 - v0.mul_tau()
-        return Fp12(v0.double(), ty)
-
-    def cyclotomic_square(self) -> "Fp12":
-        """Square of an element of the cyclotomic subgroup (Granger-Scott, PKC 2010).
-
-        Over F_p4 = F_p2[s]/(s^2 - xi) with s = w^3, the element is
-        a + b*w + c*w^2 and its square is
-        (3a^2 - 2a', 3s*c^2 + 2b', 3b^2 - 2c') with ' the F_p4 conjugate.
-        Wrong for any element outside that subgroup.
-        """
-        a2, a3 = _fp4_square(self.y.z, self.x.y)
-        b2, b3 = _fp4_square(self.x.z, self.y.x)
-        c2, c3 = _fp4_square(self.y.y, self.x.x)
-        # coefficients of w^0 .. w^5: y.z, x.z, y.y, x.y, y.x, x.x
-        y_z = _triple_minus_double(a2, self.y.z)
-        x_y = _triple_plus_double(a3, self.x.y)
-        x_z = _triple_plus_double(c3.mul_xi(), self.x.z)
-        y_x = _triple_minus_double(c2, self.y.x)
-        y_y = _triple_minus_double(b2, self.y.y)
-        x_x = _triple_plus_double(b3, self.x.x)
-        return Fp12(Fp6(x_x, x_y, x_z), Fp6(y_x, y_y, y_z))
-
-    def exp(self, k: int) -> "Fp12":
-        r = FP12_ONE
-        for bit in bin(k)[2:]:
-            r = r.square()
-            if bit == "1":
-                r = r * self
-        return r
-
-    def exp_u(self) -> "Fp12":
-        """self^U for a cyclotomic-subgroup element: signed digits of U,
-        where the inverse is the conjugate."""
-        inv = self.conjugate()
-        r = self
-        for digit in NAF_U:
-            r = r.cyclotomic_square()
-            if digit == 1:
-                r = r * self
-            elif digit == -1:
-                r = r * inv
-        return r
-
-    def inverse(self) -> "Fp12":
-        t1 = self.y * self.y - (self.x * self.x).mul_tau()
-        t2 = t1.inverse()
-        return Fp12(self.x.neg(), self.y).mul_scalar(t2)
-
-
-FP12_ONE = Fp12(FP6_ZERO, FP6_ONE)
-
-
-def _fp4_square(a: Fp2, b: Fp2) -> tuple[Fp2, Fp2]:
-    """(a + b*s)^2 in F_p2[s]/(s^2 - xi), as its two coefficients."""
-    a2 = a.square()
-    b2 = b.square()
-    return b2.mul_xi() + a2, (a + b).square() - a2 - b2
-
-
-def _triple_minus_double(t: Fp2, z: Fp2) -> Fp2:
-    """3t - 2z, built as one Fp2 object."""
-    return Fp2((3 * t.x - 2 * z.x) % P, (3 * t.y - 2 * z.y) % P)
-
-
-def _triple_plus_double(t: Fp2, z: Fp2) -> Fp2:
-    """3t + 2z, built as one Fp2 object."""
-    return Fp2((3 * t.x + 2 * z.x) % P, (3 * t.y + 2 * z.y) % P)
 
 
 class PointG1:
@@ -474,12 +160,6 @@ class PointG2:
         zinv = self.z.inverse()
         zinv2 = zinv.square()
         return self.x * zinv2, self.y * zinv2 * zinv
-
-    def is_on_curve(self) -> bool:
-        if self.is_infinity():
-            return True
-        x, y = self.affine()
-        return y.square() == x.square() * x + TWIST_B
 
     def __eq__(self, other):
         if self.is_infinity() or other.is_infinity():
@@ -629,26 +309,6 @@ def g2_lines(q: PointG2) -> list[list[tuple[Fp2, Fp2, Fp2]]]:
     _, second = _chord(t, PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE))
     lines.append([first, second])
     return lines
-
-
-def _mul_linear(g: Fp6, a: Fp2, b: Fp2) -> Fp6:
-    """g * (a*tau + b) in five Fp2 products, where a full Fp6 product takes six."""
-    ya = g.y * a
-    zb = g.z * b
-    return Fp6(g.x * b + ya, (g.y + g.z) * (a + b) - ya - zb, (g.x * a).mul_xi() + zb)
-
-
-def _mul_line(f: Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12:
-    """f * ((a*tau + b)*w + c), the line evaluated at P.
-
-    Karatsuba over w with both Fp6 products sparse (eprint 2010/354 §4):
-    13 Fp2 products instead of 15.
-    """
-    t1 = _mul_linear(f.x, a, b)
-    t3 = f.y.mul_scalar(c)
-    fx = _mul_linear(f.x + f.y, a, b + c) - t1 - t3
-    fy = t3 + t1.mul_tau()
-    return Fp12(fx, fy)
 
 
 def miller_loop(pairs) -> Fp12:

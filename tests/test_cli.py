@@ -172,6 +172,22 @@ class TestCompile:
         assert f"storage unit {unit!r}" in result.output
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("policies", [5, None, True, 3.9])
+    def test_non_list_policies_refused(self, tmp_path, runner, policies):
+        """A decode error with exit 1, not a TypeError traceback."""
+        (tmp_path / "bad.json").write_text(json.dumps(dict(POLICY_DOC, policies=policies)))
+        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
+                            "--suite", "mock", "--seed", "1"])
+        result = runner.invoke(cli, [
+            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
+            "--admin-sk", str(tmp_path / "admin.sk"),
+            "--out", str(tmp_path / "out.json"), "--suite", "mock",
+        ], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert "field 'policies' is not a list" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out.json").exists()
+
     def test_trapdoor_count_matches_keywords(self, pipeline):
         root, _ = pipeline
         doc = json.loads((root / "compiled.json").read_text())
@@ -292,11 +308,12 @@ class TestClassify:
 
         ``user tag`` refuses ``../evil``, so that submission is a good one
         with its ``file_id`` rewritten, as a hand-built file would be.
-        Reading the submission refuses it; a repeated id is refused only
-        by the store."""
+        Reading the submission refuses it, and so it refuses a file id
+        that is not a string (``null`` would otherwise be stored as
+        ``None``); a repeated id is refused only by the store."""
         root, run = pipeline
         subs = []
-        for i, file_id in enumerate(["good.bin", "evil", "good.bin", "good2.bin"]):
+        for i, file_id in enumerate(["good.bin", "evil", "good.bin", "good2.bin", "null", "five"]):
             out = root / f"batch{i}.json"
             run("user", "tag", "--graph", root / "graph.txt",
                 "--admin-pk", root / "pap/admin.pk",
@@ -305,8 +322,9 @@ class TestClassify:
                 "--out", out, "--suite", "mock", "--seed", 200 + i,
                 "--file-id", file_id)
             subs.append(out)
-        doc = json.loads(subs[1].read_text())
-        subs[1].write_text(json.dumps(dict(doc, file_id="../evil")))
+        for i, file_id in ((1, "../evil"), (4, None), (5, 5)):
+            doc = json.loads(subs[i].read_text())
+            subs[i].write_text(json.dumps(dict(doc, file_id=file_id)))
         base = _classify_args(root)
         result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
         assert result.exit_code == 3, result.output
@@ -315,6 +333,9 @@ class TestClassify:
         assert "batch1.json: decode error:" in result.stderr
         assert "file id '../evil' is not a safe file name" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
+        for i in (4, 5):
+            assert f"batch{i}.json: decode error: " in result.stderr
+        assert result.stderr.count("non-string field 'file_id'") == 2
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
     def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):
@@ -327,6 +348,19 @@ class TestClassify:
         result = runner.invoke(cli, _classify_args(root))
         assert result.exit_code == 3, result.output
         assert f"policy #1: storage unit {unit!r}" in result.stderr
+        assert list((root / "store").iterdir()) == []
+
+    @pytest.mark.parametrize("policies", [5, None, True, 3.9])
+    def test_non_list_compiled_policies_exits_3(self, pipeline, runner, policies):
+        """Refused when the compiled set is read, before any pairing:
+        no traceback, nothing stored and nothing logged."""
+        root, _ = pipeline
+        doc = json.loads((root / "compiled.json").read_text())
+        (root / "compiled.json").write_text(json.dumps(dict(doc, policies=policies)))
+        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert "field 'policies' is not a list" in result.stderr
+        assert "Traceback" not in result.output
         assert list((root / "store").iterdir()) == []
 
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):

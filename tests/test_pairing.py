@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Group, H2_BYTES, Scalar, bn256
+from pbcap.pairing import Group, H2_BYTES, Scalar, bn256, tower
 
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
 
@@ -25,13 +25,13 @@ def _mul_unreduced(pt, k):
     return r
 
 
-TWIST_COFACTOR = 2 * bn256.P - bn256.ORDER  # the twist has n * (2p - n) points
+TWIST_COFACTOR = 2 * tower.P - bn256.ORDER  # the twist has n * (2p - n) points
 
 
 def _twist_point(rng):
     """A point on the twist with a random x; almost surely outside G2."""
     while True:
-        x = bn256.Fp2(rng.randrange(bn256.P), rng.randrange(bn256.P))
+        x = tower.Fp2(rng.randrange(tower.P), rng.randrange(tower.P))
         y = (x.square() * x + bn256.TWIST_B).sqrt()
         if y is not None:
             return bn256.PointG2(x, y)
@@ -67,19 +67,97 @@ def _cyclotomic_elements(rng, n):
     return out
 
 
+def _fp12_from_ints(c):
+    """The element with coefficients c, in ``gt_to_bytes`` order."""
+    fp2s = [tower.Fp2(c[i], c[i + 1]) for i in range(0, 12, 2)]
+    return tower.Fp12(tower.Fp6(*fp2s[:3]), tower.Fp6(*fp2s[3:]))
+
+
 def _random_fp12(rng):
-    def fp2():
-        return bn256.Fp2(rng.randrange(bn256.P), rng.randrange(bn256.P))
+    return _fp12_from_ints([rng.randrange(tower.P) for _ in range(12)])
 
-    def fp6():
-        return bn256.Fp6(fp2(), fp2(), fp2())
 
-    return bn256.Fp12(fp6(), fp6())
+def _edge_fp12s():
+    """Every coefficient 0, every one p - 1, and mixes of 0, 1 and p - 1:
+    where an unreduced sum is largest, or cancels to exactly 0 or P."""
+    top = tower.P - 1
+    patterns = [[0] * 12, [top] * 12, [0, top] * 6, [top, 0] * 6, [top, 1] * 6,
+                [top] * 6 + [0] * 6, [0] * 6 + [top] * 6, [1] + [0] * 11]
+    return [_fp12_from_ints(c) for c in patterns]
+
+
+def _edge_fp2s():
+    top = tower.P - 1
+    return [tower.Fp2(x, y) for x in (0, 1, top) for y in (0, 1, top)]
 
 
 def _schoolbook_fp12_mul(a, b):
     """Four Fp6 products: (ax*w + ay)(bx*w + by) with w^2 = tau."""
-    return bn256.Fp12(a.x * b.y + a.y * b.x, a.y * b.y + (a.x * b.x).mul_tau())
+    return tower.Fp12(a.x * b.y + a.y * b.x, a.y * b.y + (a.x * b.x).mul_tau())
+
+
+# The class formulas the fused kernels of ``tower`` replaced, kept as their
+# references: same algorithms, an Fp2/Fp6 object and a reduction per step.
+
+def _reference_fp12_mul(a, b):
+    """Karatsuba over w: three Fp6 products."""
+    axbx = a.x * b.x
+    ayby = a.y * b.y
+    tx = (a.x + a.y) * (b.x + b.y) - axbx - ayby
+    return tower.Fp12(tx, ayby + axbx.mul_tau())
+
+
+def _reference_square(a):
+    v0 = a.x * a.y
+    t = a.x.mul_tau() + a.y
+    ty = (a.x + a.y) * t - v0 - v0.mul_tau()
+    return tower.Fp12(v0 + v0, ty)
+
+
+def _fp4_square(a, b):
+    """(a + b*s)^2 in F_p2[s]/(s^2 - xi), as its two coefficients."""
+    a2 = a.square()
+    b2 = b.square()
+    return b2.mul_xi() + a2, (a + b).square() - a2 - b2
+
+
+def _reference_cyclotomic_square(f):
+    """Granger-Scott: (3a^2 - 2a', 3s*c^2 + 2b', 3b^2 - 2c') over F_p4."""
+    a2, a3 = _fp4_square(f.y.z, f.x.y)
+    b2, b3 = _fp4_square(f.x.z, f.y.x)
+    c2, c3 = _fp4_square(f.y.y, f.x.x)
+    c3 = c3.mul_xi()
+    # coefficients of w^0 .. w^5: y.z, x.z, y.y, x.y, y.x, x.x
+    y_z = a2.double() + a2 - f.y.z.double()
+    x_y = a3.double() + a3 + f.x.y.double()
+    x_z = c3.double() + c3 + f.x.z.double()
+    y_x = c2.double() + c2 - f.y.x.double()
+    y_y = b2.double() + b2 - f.y.y.double()
+    x_x = b3.double() + b3 + f.x.x.double()
+    return tower.Fp12(tower.Fp6(x_x, x_y, x_z), tower.Fp6(y_x, y_y, y_z))
+
+
+def _mul_linear(g, a, b):
+    """g * (a*tau + b) in five Fp2 products, where a full Fp6 product takes six."""
+    ya = g.y * a
+    zb = g.z * b
+    return tower.Fp6(g.x * b + ya, (g.y + g.z) * (a + b) - ya - zb, (g.x * a).mul_xi() + zb)
+
+
+def _reference_mul_line(f, a, b, c):
+    """f * ((a*tau + b)*w + c): Karatsuba over w with both Fp6 products sparse."""
+    t1 = _mul_linear(f.x, a, b)
+    t3 = tower.Fp6(f.y.x * c, f.y.y * c, f.y.z * c)
+    fx = _mul_linear(f.x + f.y, a, b + c) - t1 - t3
+    return tower.Fp12(fx, t3 + t1.mul_tau())
+
+
+def _on_twist(pt):
+    """Whether a point satisfies the twist equation y^2 = x^3 + b'."""
+    if pt.is_infinity():
+        return True
+    x, y = pt.affine()
+    return y.square() == x.square() * x + bn256.TWIST_B
 
 
 class TestBilinearity:
@@ -168,17 +246,51 @@ class TestBn256Kernels:
         rng = random.Random(27)
         p, q = _random_pair(rng)
         px, py = p.affine()
-        zero = bn256.FP2_ZERO
+        zero = tower.FP2_ZERO
         for group in bn256.g2_lines(q)[::8]:
             for la, lb, lc in group:
                 a, b, c = la, lb.mul_int(px), lc.mul_int(py)
                 f = _random_fp12(rng)
-                line = bn256.Fp12(bn256.Fp6(zero, a, b), bn256.Fp6(zero, zero, c))
-                assert bn256._mul_line(f, a, b, c) == f * line
+                line = tower.Fp12(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
+                assert tower._mul_line(f, a, b, c) == f * line
+
+    # Each fused kernel against its class reference.  Equality reads raw
+    # ints, so it also checks that every output coefficient is in [0, p).
+
+    def test_fused_mul_matches_reference(self):
+        rng = random.Random(28)
+        elements = _edge_fp12s() + [_random_fp12(rng) for _ in range(12)]
+        for a in elements:
+            for b in elements:
+                assert a * b == _reference_fp12_mul(a, b)
+
+    def test_fused_square_matches_reference_and_product(self):
+        rng = random.Random(29)
+        for a in _edge_fp12s() + [_random_fp12(rng) for _ in range(30)]:
+            assert a.square() == _reference_square(a)
+            assert a.square() == a * a
+
+    def test_fused_cyclotomic_square_matches_reference(self):
+        """On post-easy-part elements, where the kernel squares, and on the
+        edge elements, where it is only a formula but must still agree."""
+        for t in _cyclotomic_elements(random.Random(30), 5) + _edge_fp12s():
+            assert t.cyclotomic_square() == _reference_cyclotomic_square(t)
+
+    def test_fused_mul_line_matches_reference(self):
+        """Real table entries evaluated at a real P, and edge coefficients."""
+        rng = random.Random(31)
+        p, q = _random_pair(rng)
+        px, py = p.affine()
+        lines = [(a, b.mul_int(px), c.mul_int(py)) for group in bn256.g2_lines(q)[::16] for a, b, c in group]
+        edges = _edge_fp2s()
+        lines += list(zip(edges, edges[::-1], edges[3:] + edges[:3])) + [(e, e, e) for e in edges]
+        for f in _edge_fp12s() + [_random_fp12(rng) for _ in range(4)]:
+            for a, b, c in lines:
+                assert tower._mul_line(f, a, b, c) == _reference_mul_line(f, a, b, c)
 
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):
-            assert t.exp_u() == t.exp(bn256.U)
+            assert t.exp_u() == t.exp(tower.U)
 
     def test_shared_miller_loop_is_product_of_single_loops(self):
         rng = random.Random(24)
@@ -200,7 +312,7 @@ class TestBn256Kernels:
         """G2 points, with the split k = a*6u^2 + b at its edges and random k."""
         rng = random.Random(26)
         lam = bn256.PSI_EIGENVALUE
-        edges = [0, 1, 2, bn256.ORDER - 1, lam - 1, lam, lam + 1, bn256.U]
+        edges = [0, 1, 2, bn256.ORDER - 1, lam - 1, lam, lam + 1, tower.U]
         points = [bn256.G2_GEN] + [_mul_unreduced(_twist_point(rng), TWIST_COFACTOR)
                                    for _ in range(2)]
         for q in points:
@@ -214,7 +326,7 @@ class TestBn256Kernels:
         rng = random.Random(27)
         small = _order_13_point(rng)
         for q in (_twist_point(rng), _twist_point(rng), small):
-            for k in (bn256.U, 2 * bn256.U, bn256.PSI_EIGENVALUE - 1):
+            for k in (tower.U, 2 * tower.U, bn256.PSI_EIGENVALUE - 1):
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
         assert small.scalar_mul(13).is_infinity()
         assert small.scalar_mul(15) == small.double()
@@ -336,7 +448,7 @@ class TestSerialization:
 
     def test_twist_point_outside_g2_rejected(self, prod_suite):
         pt = _twist_point(random.Random(14))
-        assert pt.is_on_curve()
+        assert _on_twist(pt)
         with pytest.raises(DecodeError, match="subgroup"):
             prod_suite.element_from_bytes(Group.B, bn256.g2_to_bytes(pt))
 

@@ -24,7 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 from pbcap.cli import cli
-from pbcap.pairing import H1_DST, bn256
+from pbcap.pairing import H1_DST, bn256, tower
 
 VECTORS = Path(__file__).parent / "vectors"
 
@@ -75,7 +75,7 @@ CLASSIFY_SUBMISSIONS = {
 DECODE_SEED = 9
 
 
-def _fp2_hex(a: bn256.Fp2) -> str:
+def _fp2_hex(a: tower.Fp2) -> str:
     return a.x.to_bytes(32, "big").hex() + a.y.to_bytes(32, "big").hex()
 
 
@@ -96,10 +96,10 @@ def compute_decode() -> dict:
     rng = random.Random(DECODE_SEED)
 
     def fp() -> int:
-        return rng.getrandbits(256) % bn256.P
+        return rng.getrandbits(256) % tower.P
 
-    def fp2() -> bn256.Fp2:
-        return bn256.Fp2(fp(), fp())
+    def fp2() -> tower.Fp2:
+        return tower.Fp2(fp(), fp())
 
     def prefix() -> bytes:
         return bytes([2 + rng.getrandbits(1)])
@@ -120,9 +120,9 @@ def compute_decode() -> dict:
     g2 += [prefix() + bytes(32) + fp().to_bytes(32, "big") for _ in range(2)]
     g2 += [prefix() + fp().to_bytes(32, "big") + bytes(32) for _ in range(2)]
 
-    elements = [bn256.Fp2(0, 0), bn256.Fp2(0, 1), bn256.Fp2(0, bn256.P - 1), bn256.Fp2(1, 0)]
-    elements += [bn256.Fp2(0, fp()) for _ in range(6)]
-    elements += [bn256.Fp2(fp(), 0) for _ in range(6)]
+    elements = [tower.Fp2(0, 0), tower.Fp2(0, 1), tower.Fp2(0, tower.P - 1), tower.Fp2(1, 0)]
+    elements += [tower.Fp2(0, fp()) for _ in range(6)]
+    elements += [tower.Fp2(fp(), 0) for _ in range(6)]
     elements += [fp2().square() for _ in range(16)]
     elements += [fp2() for _ in range(32)]
     sqrt = []
@@ -141,16 +141,16 @@ def _json_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
-def _fp12_from_bytes(data: bytes) -> bn256.Fp12:
+def _fp12_from_bytes(data: bytes) -> tower.Fp12:
     """Raw F_p12 decode with no subgroup check (Miller-loop outputs are not in GT)."""
     c = [int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12)]
-    return bn256.Fp12(
-        bn256.Fp6(bn256.Fp2(c[0], c[1]), bn256.Fp2(c[2], c[3]), bn256.Fp2(c[4], c[5])),
-        bn256.Fp6(bn256.Fp2(c[6], c[7]), bn256.Fp2(c[8], c[9]), bn256.Fp2(c[10], c[11])),
+    return tower.Fp12(
+        tower.Fp6(tower.Fp2(c[0], c[1]), tower.Fp2(c[2], c[3]), tower.Fp2(c[4], c[5])),
+        tower.Fp6(tower.Fp2(c[6], c[7]), tower.Fp2(c[8], c[9]), tower.Fp2(c[10], c[11])),
     )
 
 
-def _pairing(p: bn256.PointG1, q: bn256.PointG2) -> bn256.Fp12:
+def _pairing(p: bn256.PointG1, q: bn256.PointG2) -> tower.Fp12:
     """e(P, Q) for P, Q not at infinity: one Miller loop on Q's table, one final exponentiation."""
     return bn256.final_exponentiation(bn256.miller_loop([(p, bn256.g2_lines(q))]))
 
