@@ -30,7 +30,6 @@ from .scheme import (
     make_trapdoor,
     make_x,
     matches_trapdoor,
-    test,
     verify_authenticity,
 )
 

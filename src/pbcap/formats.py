@@ -11,10 +11,12 @@ from __future__ import annotations
 import base64
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
-from .errors import DecodeError, ValidationError
+from .errors import DecodeError, PbcapError
 from .pairing import Group, GroupElement, PairingSuite, Scalar
 from .policy import CompiledPolicy, Policy
 from .provenance import parse_fragment
@@ -29,6 +31,7 @@ from .scheme import (
 from .storage import check_file_id, check_storage_unit
 
 FORMAT_VERSION = "pbcap/1"
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
 @dataclass(frozen=True)
@@ -54,35 +57,52 @@ def _dump(path: Path, kind: str, suite: PairingSuite, **fields) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load(path: Path, expected_kind: str, suite: PairingSuite | None = None) -> dict:
+@contextmanager
+def _naming(where) -> Iterator[None]:
+    """Prefix each refusal raised inside with ``where``; an unreadable file or a
+    value of the right JSON type that does not decode is a DecodeError."""
     try:
+        yield
+    except PbcapError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise DecodeError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def _load(path: Path, expected_kind: str, suite: PairingSuite | None = None) -> Iterator[dict]:
+    """Yield the document at ``path`` once its envelope is checked; every refusal names ``path``."""
+    with _naming(path):
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DecodeError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
-        raise DecodeError(f"{path}: not a {FORMAT_VERSION} file")
-    if doc.get("kind") != expected_kind:
-        raise DecodeError(f"{path}: expected kind {expected_kind!r}, got {doc.get('kind')!r}")
-    if suite is not None and doc.get("suite") != suite.name:
-        raise DecodeError(
-            f"{path}: file is for suite {doc.get('suite')!r}, not {suite.name!r}"
-        )
-    return doc
+        if type(doc) is not dict or doc.get("format") != FORMAT_VERSION:
+            raise DecodeError(f"not a {FORMAT_VERSION} file")
+        if doc.get("kind") != expected_kind:
+            raise DecodeError(f"expected kind {expected_kind!r}, got {doc.get('kind')!r}")
+        if suite is not None and doc.get("suite") != suite.name:
+            raise DecodeError(f"file is for suite {doc.get('suite')!r}, not {suite.name!r}")
+        yield doc
+
+
+def _field(doc: dict, key: str, kind: type, of: type | None = None, decode=None):
+    """``doc[key]`` if its JSON type is exactly ``kind`` (a bool is no integer), else a
+    DecodeError.  With ``of``, a list whose every entry has the JSON type ``of``; with
+    ``decode``, ``decode(doc[key])``, and a value that does not decode names the field."""
+    if key not in doc:
+        raise DecodeError(f"missing field {key!r}")
+    if type(doc[key]) is not kind:
+        raise DecodeError(f"field {key!r} is not {_JSON_TYPES[kind]}")
+    if of and any(type(entry) is not of for entry in doc[key]):
+        raise DecodeError(f"field {key!r} has an entry that is not {_JSON_TYPES[of]}")
+    with _naming(f"field {key!r}"):
+        return decode(doc[key]) if decode else doc[key]
 
 
 def _element(suite: PairingSuite, group: Group, doc: dict, key: str) -> GroupElement:
-    try:
-        raw = bytes.fromhex(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"missing or malformed field {key!r}") from exc
-    return suite.element_from_bytes(group, raw)
+    return _field(doc, key, str, decode=lambda text: suite.element_from_bytes(group, bytes.fromhex(text)))
 
 
 def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
-    try:
-        scalar = Scalar.from_bytes(bytes.fromhex(doc[key]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"missing or malformed field {key!r}") from exc
+    scalar = _field(doc, key, str, decode=lambda text: Scalar.from_bytes(bytes.fromhex(text)))
     if scalar.value >= suite.order:
         raise DecodeError(f"field {key!r} is not below the group order")
     return scalar
@@ -96,19 +116,19 @@ def save_admin_keypair(pair: AdminKeyPair, suite: PairingSuite, sk_path: Path, p
 
 
 def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
-    return _scalar(suite, _load(path, "admin-secret-key", suite), "sk")
+    with _load(path, "admin-secret-key", suite) as doc:
+        return _scalar(suite, doc, "sk")
 
 
 def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
-    doc = _load(path, "admin-public-key", suite)
-    pub = AdminPublicKey(
-        pk_a=_element(suite, Group.A, doc, "pk_a"),
-        pk_b=_element(suite, Group.B, doc, "pk_b"),
-    )
-    # dual-representation consistency: both components must share alpha
-    if not suite.pairs_equal(pub.pk_a, suite.gen_b, suite.gen_a, pub.pk_b):
-        raise DecodeError(f"{path}: pk_a and pk_b do not share an exponent")
-    return pub
+    with _load(path, "admin-public-key", suite) as doc:
+        pk_a, pk_b = _element(suite, Group.A, doc, "pk_a"), _element(suite, Group.B, doc, "pk_b")
+        # an identity key passes the dual-representation check below with both sides 1
+        if pk_a.is_identity() or pk_b.is_identity():
+            raise DecodeError("admin public key is the identity")
+        if not suite.pairs_equal(pk_a, suite.gen_b, suite.gen_a, pk_b):
+            raise DecodeError("pk_a and pk_b do not share an exponent")
+    return AdminPublicKey(pk_a=pk_a, pk_b=pk_b)
 
 
 def save_user_keypair(pair: UserKeyPair, suite: PairingSuite, sk_path: Path, pk_path: Path) -> None:
@@ -117,50 +137,39 @@ def save_user_keypair(pair: UserKeyPair, suite: PairingSuite, sk_path: Path, pk_
 
 
 def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
-    return _scalar(suite, _load(path, "user-secret-key", suite), "sk")
+    with _load(path, "user-secret-key", suite) as doc:
+        return _scalar(suite, doc, "sk")
 
 
 def load_user_public(path: Path, suite: PairingSuite) -> UserPublicKey:
-    doc = _load(path, "user-public-key", suite)
-    pk_b = _element(suite, Group.B, doc, "pk_b")
-    if pk_b.is_identity():
-        raise DecodeError(f"{path}: user public key is the identity")
+    with _load(path, "user-public-key", suite) as doc:
+        pk_b = _element(suite, Group.B, doc, "pk_b")
+        if pk_b.is_identity():
+            raise DecodeError("user public key is the identity")
     return UserPublicKey(pk_b=pk_b)
 
 
 # --- policies ---------------------------------------------------------------
 
-def _policy_fields(entry: dict) -> dict:
-    """The fields a policy keeps when it is compiled, with its storage unit checked."""
-    return {
-        "id": str(entry["id"]),
-        "priority": int(entry["priority"]),
-        "category": str(entry["category"]),
-        "storage_unit": check_storage_unit(str(entry["storage_unit"])),
-    }
-
-
-def _policy_entries(path: Path, doc: dict, build) -> list:
-    """``build(entry)`` for each policy entry, in file order; an error names the entry."""
-    entries = doc.get("policies", [])
-    if not isinstance(entries, list):
-        raise DecodeError(f"{path}: field 'policies' is not a list")
+def _policy_entries(doc: dict, build) -> list:
+    """``build(entry, **fields)`` for each policy entry, in file order; ``fields`` are those
+    a policy keeps when it is compiled, and a refusal names the entry."""
     built = []
-    for i, entry in enumerate(entries):
-        try:
-            built.append(build(entry))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: policy #{i}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DecodeError(f"{path}: policy #{i}: {exc}") from exc
+    for i, entry in enumerate(_field(doc, "policies", list, of=dict)):
+        with _naming(f"policy #{i}"):
+            built.append(build(
+                entry, id=_field(entry, "id", str), priority=_field(entry, "priority", int),
+                category=_field(entry, "category", str),
+                storage_unit=check_storage_unit(_field(entry, "storage_unit", str)),
+            ))
     return built
 
 
 def load_policies(path: Path) -> list[Policy]:
-    return _policy_entries(path, _load(path, "policy-set"), lambda entry: Policy(
-        keywords=tuple(parse_fragment(k) for k in entry["keywords"]),
-        **_policy_fields(entry),
-    ))
+    with _load(path, "policy-set") as doc:
+        return _policy_entries(doc, lambda entry, **fields: Policy(
+            keywords=tuple(parse_fragment(k) for k in _field(entry, "keywords", list, of=str)), **fields,
+        ))
 
 
 def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, path: Path) -> None:
@@ -180,16 +189,15 @@ def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, 
 
 
 def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPolicy]:
-    return _policy_entries(path, _load(path, "compiled-policy-set", suite), lambda entry: CompiledPolicy(
-        **_policy_fields(entry),
-        trapdoors=tuple(
-            TrapdoorEntry(
-                token=suite.element_from_bytes(Group.A, bytes.fromhex(td["token"])),
-                keyword_slot=str(td["slot"]),
-            )
-            for td in entry["trapdoors"]
-        ),
-    ))
+    with _load(path, "compiled-policy-set", suite) as doc:
+        return _policy_entries(doc, lambda entry, **fields: CompiledPolicy(
+            **fields,
+            trapdoors=tuple(
+                TrapdoorEntry(token=_element(suite, Group.A, td, "token"),
+                              keyword_slot=_field(td, "slot", str))
+                for td in _field(entry, "trapdoors", list, of=dict)
+            ),
+        ))
 
 
 # --- submissions --------------------------------------------------------------
@@ -206,23 +214,14 @@ def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
 
 def load_submission(path: Path, suite: PairingSuite) -> Submission:
     """Read a submission; a file id no store accepts is refused before any element is decoded."""
-    doc = _load(path, "submission", suite)
-    if not isinstance(doc.get("file_id"), str):
-        raise DecodeError(f"{path}: missing or non-string field 'file_id'")
-    try:
-        file_id = check_file_id(doc["file_id"])
-    except ValidationError as exc:
-        raise DecodeError(f"{path}: {exc}") from exc
-    x = _element(suite, Group.B, doc, "x")
-    try:
-        tags = tuple(
-            ClassificationTag(
-                y=suite.element_from_bytes(Group.B, bytes.fromhex(t["y"])),
-                z=bytes.fromhex(t["z"]),
-            )
-            for t in doc.get("tags", [])
+    with _load(path, "submission", suite) as doc:
+        return Submission(
+            file_id=check_file_id(_field(doc, "file_id", str)),
+            x=_element(suite, Group.B, doc, "x"),
+            tags=tuple(
+                ClassificationTag(y=_element(suite, Group.B, t, "y"),
+                                  z=_field(t, "z", str, decode=bytes.fromhex))
+                for t in _field(doc, "tags", list, of=dict)
+            ),
+            payload=_field(doc, "payload", str, decode=lambda text: base64.b64decode(text, validate=True)),
         )
-        payload = base64.b64decode(doc["payload"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"{path}: {exc}") from exc
-    return Submission(file_id=file_id, payload=payload, x=x, tags=tags)

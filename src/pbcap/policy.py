@@ -30,6 +30,17 @@ UNCLASSIFIED_CATEGORY = "unclassified"
 DEFAULT_STORAGE_UNIT = "default"
 
 
+def _check_policy(policy, conditions: tuple, what: str) -> None:
+    """The rules a policy and its compiled form share: a non-empty id,
+    condition set (keywords or trapdoors), category and storage unit."""
+    if not policy.id:
+        raise ValidationError("policy id must be non-empty")
+    if not conditions:
+        raise ValidationError(f"policy {policy.id!r} has an empty {what} set")
+    if not policy.category or not policy.storage_unit:
+        raise ValidationError(f"policy {policy.id!r} needs a category and a storage unit")
+
+
 @dataclass(frozen=True)
 class Policy:
     id: str
@@ -39,12 +50,7 @@ class Policy:
     storage_unit: str
 
     def __post_init__(self):
-        if not self.id:
-            raise ValidationError("policy id must be non-empty")
-        if not self.keywords:
-            raise ValidationError(f"policy {self.id!r} has an empty keyword set")
-        if not self.category or not self.storage_unit:
-            raise ValidationError(f"policy {self.id!r} needs a category and a storage unit")
+        _check_policy(self, self.keywords, "keyword")
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,9 @@ class CompiledPolicy:
     category: str
     storage_unit: str
     trapdoors: tuple[TrapdoorEntry, ...]
+
+    def __post_init__(self):
+        _check_policy(self, self.trapdoors, "trapdoor")
 
 
 @dataclass(frozen=True)

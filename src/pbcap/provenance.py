@@ -15,7 +15,7 @@ from __future__ import annotations
 import graphlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ValidationError
 
@@ -68,17 +68,27 @@ def parse_fragment(text: str) -> ProvenanceFragment:
     return ProvenanceFragment(relation, tuple(args))
 
 
+def _require_strings(declaration, what: str) -> None:
+    for f in fields(declaration):
+        if not isinstance(getattr(declaration, f.name), str):
+            raise ValidationError(f"{what} field {f.name!r} is not a string")
+
+
 @dataclass(frozen=True)
 class ProvenanceNode:
+    """A node; its label is checked as a fragment argument, since edges use it as one."""
+
     id: str
     kind: str
     label: str
 
     def __post_init__(self):
+        _require_strings(self, "node")
         if self.kind not in NODE_KINDS:
             raise ValidationError(
                 f"node kind {self.kind!r} not one of {', '.join(NODE_KINDS)}"
             )
+        _clean_token(self.label, "node label")
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,10 @@ class ProvenanceEdge:
     relation: str
     source: str
     target: str
+
+    def __post_init__(self):
+        _require_strings(self, "edge")
+        _clean_token(self.relation, "relation")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ is ``H1(P)^alpha``.  The decision point accepts iff both
 2. ``H2(e(trapdoor, Y)) == Z``                 (keyword match),
 
 which follow from bilinearity exactly when the keys are genuine and the
-fragments agree.
+fragments agree.  The paper's Test algorithm is these two checks,
+``verify_authenticity`` then ``matches_trapdoor``, as ``policy.classify``
+runs them: authenticity once per submission, then each (tag, trapdoor)
+pair until a policy matches.
 """
 
 from __future__ import annotations
@@ -147,16 +150,3 @@ def matches_trapdoor(
     """Equation (2): H2(e(token, Y)) == Z."""
     return suite.hash_to_bits(suite.pair(trapdoor.token, tag.y)) == tag.z
 
-
-def test(
-    suite: PairingSuite,
-    admin_pub: AdminPublicKey,
-    user_pub: UserPublicKey,
-    trapdoor: TrapdoorEntry,
-    tag: ClassificationTag,
-    x: GroupElement,
-) -> bool:
-    """Full test: authenticity gate on X first, then keyword match."""
-    if not verify_authenticity(suite, admin_pub, user_pub, x):
-        return False
-    return matches_trapdoor(suite, trapdoor, tag)

@@ -234,6 +234,34 @@ class TestTag:
         assert result.exit_code != 0
         assert "cycle" in result.output
 
+    @pytest.mark.parametrize("graph", [
+        "node t Artifact Te,st\nnode n Agent Nurse\nedge RecordedBy t n\n",
+        json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": 5},
+                              {"id": "n", "kind": "Agent", "label": "Nurse"}],
+                    "edges": [{"relation": "RecordedBy", "source": "t", "target": "n"}]}),
+        json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"},
+                              {"id": "n", "kind": "Agent", "label": "Nurse"}],
+                    "edges": [{"relation": "Recorded(By", "source": "t", "target": "n"}]}),
+        json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"}],
+                    "edges": [{"relation": "RecordedBy", "source": "t", "target": 5}]}),
+    ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target"])
+    def test_malformed_graph_rejected(self, pipeline, runner, graph):
+        """Refused while the graph is parsed: exit 1 with one line, no traceback."""
+        root, _ = pipeline
+        (root / "bad_graph").write_text(graph)
+        result = runner.invoke(cli, [
+            "user", "tag", "--graph", str(root / "bad_graph"),
+            "--admin-pk", str(root / "pap/admin.pk"),
+            "--user-sk", str(root / "usr/user.sk"),
+            "--payload", str(root / "payload.bin"),
+            "--out", str(root / "bad.json"), "--suite", "mock", "--seed", "5",
+        ], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("Error: ")
+        assert "Traceback" not in result.output
+        assert not (root / "bad.json").exists()
+
 
 class TestClassify:
     def test_medical_payload_lands_in_hospital(self, pipeline, runner):
@@ -335,7 +363,7 @@ class TestClassify:
         assert "batch2.json: payload not stored" in result.stderr
         for i in (4, 5):
             assert f"batch{i}.json: decode error: " in result.stderr
-        assert result.stderr.count("non-string field 'file_id'") == 2
+        assert result.stderr.count("field 'file_id' is not a string") == 2
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
     def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):

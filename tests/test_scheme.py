@@ -14,7 +14,6 @@ from pbcap.scheme import (
     make_trapdoor,
     make_x,
     matches_trapdoor,
-    test as scheme_test,
     verify_authenticity,
 )
 
@@ -59,7 +58,8 @@ class TestTagAndTrapdoor:
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
         x = make_x(admin.public, user.sk)
-        assert scheme_test(s, admin.public, user.public, trap, tag, x) is True
+        assert (verify_authenticity(s, admin.public, user.public, x)
+                and matches_trapdoor(s, trap, tag)) is True
 
     def test_mismatched_fragment_rejects(self, any_suite, rng):
         s = any_suite
@@ -68,7 +68,8 @@ class TestTagAndTrapdoor:
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, OTHER)
         x = make_x(admin.public, user.sk)
-        assert scheme_test(s, admin.public, user.public, trap, tag, x) is False
+        assert (verify_authenticity(s, admin.public, user.public, x)
+                and matches_trapdoor(s, trap, tag)) is False
 
     def test_wrong_user_key_fails_authenticity(self, any_suite, rng):
         s = any_suite
@@ -79,7 +80,8 @@ class TestTagAndTrapdoor:
         x = make_x(admin.public, imposter.sk)
         assert not verify_authenticity(s, admin.public, registered.public, x)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        assert scheme_test(s, admin.public, registered.public, trap, tag, x) is False
+        assert (verify_authenticity(s, admin.public, registered.public, x)
+                and matches_trapdoor(s, trap, tag)) is False
 
     def test_trapdoor_deterministic(self, any_suite, rng):
         s = any_suite
@@ -166,7 +168,8 @@ class TestBulkProperties:
             frag = f"EditedBy(Doc{i},Agent{i})".encode()
             tag = make_tag(prod_suite, admin.public, user.sk, frag, rng)
             trap = make_trapdoor(prod_suite, admin.sk, frag)
-            assert scheme_test(prod_suite, admin.public, user.public, trap, tag, x)
+            assert (verify_authenticity(prod_suite, admin.public, user.public, x)
+                    and matches_trapdoor(prod_suite, trap, tag))
 
     def test_soundness_production_sample(self, prod_suite):
         rng = random.Random(6)

@@ -143,6 +143,23 @@ class TestDecodePath:
         with pytest.raises(DecodeError, match="exponent"):
             load_admin_public(tmp_path / "a.pk", mock)
 
+    @pytest.mark.parametrize("identity", [("pk_a",), ("pk_b",), ("pk_a", "pk_b")])
+    def test_identity_admin_public_key_rejected(self, tmp_path, any_suite, identity):
+        """Both sides of the dual-representation check are 1 for an identity key."""
+        from pbcap.formats import load_admin_public, save_admin_keypair
+        from pbcap.pairing import Group
+        from pbcap.scheme import keygen_admin
+        import random
+
+        save_admin_keypair(keygen_admin(any_suite, random.Random(1)), any_suite,
+                           tmp_path / "a.sk", tmp_path / "a.pk")
+        doc = json.loads((tmp_path / "a.pk").read_text())
+        for key in identity:
+            doc[key] = any_suite.identity(Group.A if key == "pk_a" else Group.B).hex()
+        (tmp_path / "a.pk").write_text(json.dumps(doc))
+        with pytest.raises(DecodeError, match="admin public key is the identity"):
+            load_admin_public(tmp_path / "a.pk", any_suite)
+
     @pytest.mark.parametrize("role", ["admin", "user"])
     def test_secret_key_must_be_below_group_order(self, tmp_path, any_suite, role):
         from pbcap import formats
