@@ -10,7 +10,10 @@ file writers in ``pbcap.formats`` shared one envelope.  The two-pair
 raw Miller loop in ``miller_loop_pairs.json`` was written before the loop
 took its lines from ``PointG2.double``/``add``.  The point decodings and
 F_p2 square roots in ``decode.json`` were written while the decoders still
-ran a Legendre test before each root.  Every later
+ran a Legendre test before each root.  The G2 scalar multiples, line
+table digests and subgroup decisions in ``g2.json`` were written while
+``PointG2.double``/``add`` and the line formulas still built an ``Fp2``
+object per step.  Every later
 change must reproduce them byte for byte; a mismatch is a bug in the
 change, never a reason to rewrite the files.
 """
@@ -134,6 +137,65 @@ def compute_decode() -> dict:
         "g1": [_decoded(bn256.g1_from_bytes, bn256.g1_to_bytes, b) for b in g1],
         "g2": [_decoded(bn256.g2_from_bytes, bn256.g2_to_bytes, b) for b in g2],
         "fp2_sqrt": sqrt,
+    }
+
+
+G2_SEED = 13
+
+
+def _jacobian_hex(pt: bn256.PointG2) -> list[str]:
+    return [_fp2_hex(pt.x), _fp2_hex(pt.y), _fp2_hex(pt.z)]
+
+
+def _lines_digest(lines) -> str:
+    """SHA-256 over every coefficient of a line table, each Fp2 as its i
+    then real part, 32 bytes big-endian each, in table order."""
+    h = hashlib.sha256()
+    for group in lines:
+        for line in group:
+            for c in line:
+                h.update(c.x.to_bytes(32, "big") + c.y.to_bytes(32, "big"))
+    return h.hexdigest()
+
+
+def compute_g2() -> dict:
+    """Seeded G2 scalar multiples (Jacobian coordinates), line table
+    digests, and ``in_g2`` on twist points inside and outside G2."""
+    rng = random.Random(G2_SEED)
+    cofactor = 2 * tower.P - bn256.ORDER  # the twist has n * (2p - n) points
+
+    def twist_point() -> bn256.PointG2:
+        while True:
+            x = tower.Fp2(rng.getrandbits(256) % tower.P, rng.getrandbits(256) % tower.P)
+            y = (x.square() * x + bn256.TWIST_B).sqrt()
+            if y is not None:
+                return bn256.PointG2(x, y)
+
+    def mul_plain(pt: bn256.PointG2, k: int) -> bn256.PointG2:
+        r = bn256.G2_INF
+        for bit in bin(k)[2:]:
+            r = r.double()
+            if bit == "1":
+                r = r.add(pt)
+        return r
+
+    lam = bn256.PSI_EIGENVALUE
+    q = bn256.G2_GEN.scalar_mul(rng.getrandbits(256))
+    scalars = [0, 1, 2, 3, tower.U, lam - 1, lam, lam + 1, bn256.ORDER - 1]
+    scalars += [rng.getrandbits(256) for _ in range(6)]
+    scalar_mul = [{"q": name, "k": k, "kq": _jacobian_hex(pt.scalar_mul(k))}
+                  for name, pt in (("gen", bn256.G2_GEN), ("seeded", q)) for k in scalars]
+    outside = [twist_point() for _ in range(4)]
+    # unchecked points only meet scalars below 6u^2, where psi is never added
+    scalar_mul += [{"q": "twist", "k": k, "kq": _jacobian_hex(pt.scalar_mul(k)), "x": _fp2_hex(pt.x)}
+                   for pt in outside[:2] for k in (tower.U, 2 * tower.U, lam - 1)]
+    inside = [mul_plain(pt, cofactor) for pt in outside[2:]] + [q, bn256.G2_GEN.scalar_mul(rng.getrandbits(256))]
+    membership = [{"q": _jacobian_hex(pt), "in_g2": bn256.in_g2(pt)} for pt in outside + inside]
+    return {
+        "seed": G2_SEED,
+        "scalar_mul": scalar_mul,
+        "lines": {"gen": _lines_digest(bn256.g2_lines(bn256.G2_GEN)), "seeded": _lines_digest(bn256.g2_lines(q))},
+        "in_g2": membership,
     }
 
 
@@ -285,6 +347,10 @@ def test_two_pair_miller_loop_vector():
 
 def test_decode_vectors():
     assert _json_bytes(compute_decode()) == (VECTORS / "decode.json").read_bytes()
+
+
+def test_g2_vectors():
+    assert _json_bytes(compute_g2()) == (VECTORS / "g2.json").read_bytes()
 
 
 def test_hash_to_g1_vectors():
