@@ -22,8 +22,13 @@ builds throwaway tables.
 Nearly all of a pairing's time goes to four tower kernels:
 ``Fp12.square`` and ``_mul_line`` in the Miller loop,
 ``Fp12.cyclotomic_square`` and ``Fp12.__mul__`` in the final
-exponentiation.  Each works on plain ints and reduces each output
-coefficient mod P once.  Nothing here is constant-time.
+exponentiation.  Nearly all of the G2 work (``g2_lines``, the GLS ladder
+of ``PointG2.scalar_mul`` and ``in_g2``) goes to the point formulas
+``PointG2.double`` and ``add``, the line formulas ``_tangent`` and
+``_chord``, and ``psi``.  The kernels and the formulas alike work on
+plain ints, build no intermediate ``Fp2`` and reduce each output
+coefficient mod P once; the formulas also reduce a value that feeds a
+further product.  A line is six ints.  Nothing here is constant-time.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
 cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
@@ -169,42 +174,77 @@ class PointG2:
     def neg(self) -> "PointG2":
         return PointG2(self.x, self.y.neg(), self.z)
 
+    # The formulas below read each coordinate as its i and real parts (an
+    # Fp2 is x*i + y), build no intermediate Fp2 and reduce mod P only a
+    # value that feeds a further product, and each output coordinate once.
+    # An Fp2 square is (2*i*r, (r - i)(r + i)); an Fp2 product is Karatsuba,
+    # with m and n the real and i products.
+
     def double(self) -> "PointG2":
-        a = self.x.square()
-        b = self.y.square()
-        c = b.square()
-        d = ((self.x + b).square() - a - c).double()
-        e = a.double() + a
-        f = e.square()
-        c8 = c.double().double().double()
-        x3 = f - d.double()
-        y3 = e * (d - x3) - c8
-        z3 = (self.y * self.z).double()
-        return PointG2(x3, y3, z3)
+        """dbl-2009-l, as ``PointG1.double``."""
+        xi, xr, yi, yr, zi, zr = self.x.x, self.x.y, self.y.x, self.y.y, self.z.x, self.z.y
+        # A = X^2, B = Y^2, C = B^2
+        ai, ar = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
+        bi, br = 2 * yi * yr % P, (yr - yi) * (yr + yi) % P
+        ci, cr = 2 * bi * br, (br - bi) * (br + bi)
+        # D = 2((X + B)^2 - A - C), E = 3A, X3 = E^2 - 2D
+        si, sr = xi + bi, xr + br
+        di, dr = 2 * (2 * si * sr - ai - ci) % P, 2 * ((sr - si) * (sr + si) - ar - cr) % P
+        ei, er = 3 * ai, 3 * ar
+        x3i, x3r = (2 * ei * er - 2 * di) % P, ((er - ei) * (er + ei) - 2 * dr) % P
+        # Y3 = E(D - X3) - 8C, Z3 = 2YZ
+        ui, ur = di - x3i, dr - x3r
+        m, n = er * ur, ei * ui
+        y3i, y3r = ((ei + er) * (ui + ur) - m - n - 8 * ci) % P, (m - n - 8 * cr) % P
+        m, n = yr * zr, yi * zi
+        return PointG2(Fp2(x3i, x3r), Fp2(y3i, y3r),
+                       Fp2(2 * ((yi + yr) * (zi + zr) - m - n) % P, 2 * (m - n) % P))
 
     def add(self, other: "PointG2") -> "PointG2":
+        """add-2007-bl, as ``PointG1.add``; P + P takes ``double``."""
         if self.is_infinity():
             return other
         if other.is_infinity():
             return self
-        z1z1 = self.z.square()
-        z2z2 = other.z.square()
-        u1 = self.x * z2z2
-        u2 = other.x * z1z1
-        s1 = self.y * other.z * z2z2
-        s2 = other.y * self.z * z1z1
-        h = u2 - u1
-        r = s2 - s1
-        if h.is_zero() and r.is_zero():
+        x1i, x1r, y1i, y1r, z1i, z1r = self.x.x, self.x.y, self.y.x, self.y.y, self.z.x, self.z.y
+        x2i, x2r, y2i, y2r, z2i, z2r = other.x.x, other.x.y, other.y.x, other.y.y, other.z.x, other.z.y
+        # Z1Z1 = Z1^2, Z2Z2 = Z2^2, U1 = X1 Z2Z2, U2 = X2 Z1Z1
+        z11i, z11r = 2 * z1i * z1r % P, (z1r - z1i) * (z1r + z1i) % P
+        z22i, z22r = 2 * z2i * z2r % P, (z2r - z2i) * (z2r + z2i) % P
+        m, n = x1r * z22r, x1i * z22i
+        u1i, u1r = ((x1i + x1r) * (z22i + z22r) - m - n) % P, (m - n) % P
+        m, n = x2r * z11r, x2i * z11i
+        hi, hr = ((x2i + x2r) * (z11i + z11r) - m - n - u1i) % P, (m - n - u1r) % P
+        # S1 = Y1 Z2 Z2Z2, S2 = Y2 Z1 Z1Z1, H = U2 - U1, R = S2 - S1
+        m, n = y1r * z2r, y1i * z2i
+        ti, tr = ((y1i + y1r) * (z2i + z2r) - m - n) % P, (m - n) % P
+        m, n = tr * z22r, ti * z22i
+        s1i, s1r = ((ti + tr) * (z22i + z22r) - m - n) % P, (m - n) % P
+        m, n = y2r * z1r, y2i * z1i
+        ti, tr = ((y2i + y2r) * (z1i + z1r) - m - n) % P, (m - n) % P
+        m, n = tr * z11r, ti * z11i
+        ri, rr = ((ti + tr) * (z11i + z11r) - m - n - s1i) % P, (m - n - s1r) % P
+        if not (hi or hr or ri or rr):
             return self.double()
-        r = r.double()
-        i = h.square().double().double()
-        j = h * i
-        v = u1 * i
-        x3 = r.square() - j - v.double()
-        y3 = r * (v - x3) - (s1 * j).double()
-        z3 = ((self.z + other.z).square() - z1z1 - z2z2) * h
-        return PointG2(x3, y3, z3)
+        ri, rr = 2 * ri, 2 * rr
+        # I = 4H^2, J = H I, V = U1 I, X3 = R^2 - J - 2V
+        ii, ir = 8 * hi * hr % P, 4 * (hr - hi) * (hr + hi) % P
+        m, n = hr * ir, hi * ii
+        ji, jr = ((hi + hr) * (ii + ir) - m - n) % P, (m - n) % P
+        m, n = u1r * ir, u1i * ii
+        vi, vr = ((u1i + u1r) * (ii + ir) - m - n) % P, (m - n) % P
+        x3i, x3r = (2 * ri * rr - ji - 2 * vi) % P, ((rr - ri) * (rr + ri) - jr - 2 * vr) % P
+        # Y3 = R(V - X3) - 2 S1 J
+        wi, wr = vi - x3i, vr - x3r
+        m, n = rr * wr, ri * wi
+        mj, nj = s1r * jr, s1i * ji
+        y3i = ((ri + rr) * (wi + wr) - m - n - 2 * ((s1i + s1r) * (ji + jr) - mj - nj)) % P
+        y3r = (m - n - 2 * (mj - nj)) % P
+        # Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) H
+        si, sr = z1i + z2i, z1r + z2r
+        ti, tr = (2 * si * sr - z11i - z22i) % P, ((sr - si) * (sr + si) - z11r - z22r) % P
+        m, n = tr * hr, ti * hi
+        return PointG2(Fp2(x3i, x3r), Fp2(y3i, y3r), Fp2(((ti + tr) * (hi + hr) - m - n) % P, (m - n) % P))
 
     def scalar_mul(self, k: int) -> "PointG2":
         """[k mod n]Q by 2-D GLS (Galbraith-Lin-Scott, Eurocrypt 2009).
@@ -244,9 +284,20 @@ G2_GEN = PointG2(
 )
 
 
+PSI_X = (XI1[1].x, XI1[1].y)
+PSI_Y = (XI1[2].x, XI1[2].y)
+
+
 def psi(q: PointG2) -> PointG2:
-    """Untwist-Frobenius-twist endomorphism of the twist; [p] on G2."""
-    return PointG2(q.x.conjugate() * XI1[1], q.y.conjugate() * XI1[2], q.z.conjugate())
+    """Untwist-Frobenius-twist endomorphism of the twist; [p] on G2:
+    (conj(x) xi^((p-1)/3), conj(y) xi^((p-1)/2), conj(z))."""
+    xi, xr, yi, yr = -q.x.x, q.x.y, -q.y.x, q.y.y
+    (ai, ar), (bi, br) = PSI_X, PSI_Y
+    m, n = xr * ar, xi * ai
+    x = Fp2(((xi + xr) * (ai + ar) - m - n) % P, (m - n) % P)
+    m, n = yr * br, yi * bi
+    y = Fp2(((yi + yr) * (bi + br) - m - n) % P, (m - n) % P)
+    return PointG2(x, y, q.z.conjugate())
 
 
 def in_g2(q: PointG2) -> bool:
@@ -265,30 +316,50 @@ def in_g2(q: PointG2) -> bool:
 # --- optimal ate pairing -------------------------------------------------
 
 def _tangent(t: PointG2):
-    """2T and the tangent at T: (6x^3 - 4y^2, -6x^2 z^2, 4y z^3)."""
-    zz = t.z.square()
-    xx = t.x.square()
+    """2T and the tangent at T: (6x^3 - 4y^2, -6x^2 z^2, 4y z^3), in the
+    ints of the ``PointG2`` formulas."""
+    xi, xr, yi, yr, zi, zr = t.x.x, t.x.y, t.y.x, t.y.y, t.z.x, t.z.y
     t2 = t.double()
-    return t2, ((xx * t.x).mul_int(6) - t.y.square().double().double(),
-                (xx * zz).mul_int(6).neg(), (t2.z * zz).double())
+    xxi, xxr = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
+    zzi, zzr = 2 * zi * zr % P, (zr - zi) * (zr + zi) % P
+    m, n = xxr * xr, xxi * xi
+    ai = (6 * ((xxi + xxr) * (xi + xr) - m - n) - 8 * yi * yr) % P
+    ar = (6 * (m - n) - 4 * (yr - yi) * (yr + yi)) % P
+    m, n = xxr * zzr, xxi * zzi
+    bi, br = -6 * ((xxi + xxr) * (zzi + zzr) - m - n) % P, -6 * (m - n) % P
+    wi, wr = t2.z.x, t2.z.y
+    m, n = wr * zzr, wi * zzi
+    return t2, (ai, ar, bi, br, 2 * ((wi + wr) * (zzi + zzr) - m - n) % P, 2 * (m - n) % P)
 
 
 def _chord(t: PointG2, q: PointG2):
     """T + Q and the chord through T and an affine Q: (2(r x_Q - y_Q z3),
     -2r, 2 z3) with r = 2(y_Q z^3 - y) and z3 the z of T + Q."""
-    r = (q.y * t.z * t.z.square() - t.y).double()
+    xi, xr, yi, yr, zi, zr = q.x.x, q.x.y, q.y.x, q.y.y, t.z.x, t.z.y
+    zzi, zzr = 2 * zi * zr % P, (zr - zi) * (zr + zi) % P
+    m, n = yr * zr, yi * zi
+    ui, ur = ((yi + yr) * (zi + zr) - m - n) % P, (m - n) % P
+    m, n = ur * zzr, ui * zzi
+    ri = 2 * ((ui + ur) * (zzi + zzr) - m - n - t.y.x) % P
+    rr = 2 * (m - n - t.y.y) % P
     t = t.add(q)
-    return t, ((r * q.x - q.y * t.z).double(), r.double().neg(), t.z.double())
+    zi, zr = t.z.x, t.z.y
+    m, n = rr * xr, ri * xi
+    mz, nz = yr * zr, yi * zi
+    ai = 2 * ((ri + rr) * (xi + xr) - m - n - (yi + yr) * (zi + zr) + mz + nz) % P
+    ar = 2 * (m - n - mz + nz) % P
+    return t, (ai, ar, -2 * ri % P, -2 * rr % P, 2 * zi % P, 2 * zr % P)
 
 
-def g2_lines(q: PointG2) -> list[list[tuple[Fp2, Fp2, Fp2]]]:
+def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
     """P-free line coefficients (a, b, c) of the optimal ate Miller loop on Q.
 
     T starts at Q and moves only by ``PointG2.double`` and ``add``; the
     generic addition relies on T != +-Q, which holds for Q in G2.  There
     is one group per NAF_6UP2 digit (the tangent, then the chord with Q
     or -Q for a non-zero digit) and a last group for psi(Q) and
-    -psi^2(Q).  A line is evaluated at P = (px, py) as (a, b*px, c*py).
+    -psi^2(Q).  A line is six ints, the i and real parts of a, b and c;
+    at P = (px, py) it is (a, b*px, c*py), which ``_mul_line`` evaluates.
 
     The only code that builds a table.  Building one costs about a third
     of a one-pair Miller loop, so a caller that pairs the same Q again
@@ -330,8 +401,8 @@ def miller_loop(pairs) -> Fp12:
         if step < len(NAF_6UP2):
             f = f.square()
         for lines, px, py in evaluated:
-            for la, lb, lc in lines[step]:
-                f = _mul_line(f, la, lb.mul_int(px), lc.mul_int(py))
+            for line in lines[step]:
+                f = _mul_line(f, line, px, py)
     return f
 
 

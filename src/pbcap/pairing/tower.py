@@ -468,19 +468,21 @@ class Fp12:
 FP12_ONE = Fp12(FP6_ZERO, FP6_ONE)
 
 
-def _mul_line(f: Fp12, a: Fp2, b: Fp2, c: Fp2) -> Fp12:
-    """f * ((a*tau + b)*w + c), the line evaluated at P.
+def _mul_line(f: Fp12, line: tuple[int, int, int, int, int, int], px: int, py: int) -> Fp12:
+    """f * ((a*tau + b*px)*w + c*py), the line (a, b, c) evaluated at
+    P = (px, py); ``line`` holds the i and real parts of a, b and c.
 
     Karatsuba over w with both Fp6 products sparse (eprint 2010/354 §4):
-    with f = g*w + h, the product is (g + h)(a*tau + b + c) - g(a*tau + b)
-    - h*c on w and h*c + g(a*tau + b)*tau off it.  A product by a*tau + b
-    takes five Fp2 products, one by c three: 13 in all, where a full Fp12
-    product takes 18.
+    with f = g*w + h and the evaluated line (a*tau + b)*w + c, the product
+    is (g + h)(a*tau + b + c) - g(a*tau + b) - h*c on w and
+    h*c + g(a*tau + b)*tau off it.  A product by a*tau + b takes five Fp2
+    products, one by c three: 13 in all, where a full Fp12 product takes 18.
     """
+    ai, ar, bi, br, ci, cr = line
+    bi, br, ci, cr = bi * px % P, br * px % P, ci * py % P, cr * py % P
     g, h = f.x, f.y
     g2i, g2r, g1i, g1r, g0i, g0r = g.x.x, g.x.y, g.y.x, g.y.y, g.z.x, g.z.y
     h2i, h2r, h1i, h1r, h0i, h0r = h.x.x, h.x.y, h.y.x, h.y.y, h.z.x, h.z.y
-    ai, ar, bi, br, ci, cr = a.x, a.y, b.x, b.y, c.x, c.y
     # u = g*(a*tau + b) and s = (g + h)(a*tau + b + c)
     u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul_sparse(g2i, g2r, g1i, g1r, g0i, g0r, ai, ar, bi, br)
     s2i, s2r, s1i, s1r, s0i, s0r = _fp6_mul_sparse(

@@ -152,6 +152,100 @@ def _reference_mul_line(f, a, b, c):
     return tower.Fp12(fx, t3 + t1.mul_tau())
 
 
+# The Fp2-object point and line formulas the int formulas of ``bn256``
+# replaced, kept as their references: same algorithms, an Fp2 object and a
+# reduction per step.
+
+def _reference_double(t):
+    """dbl-2009-l."""
+    a = t.x.square()
+    b = t.y.square()
+    c = b.square()
+    d = ((t.x + b).square() - a - c).double()
+    e = a.double() + a
+    f = e.square()
+    c8 = c.double().double().double()
+    x3 = f - d.double()
+    y3 = e * (d - x3) - c8
+    z3 = (t.y * t.z).double()
+    return bn256.PointG2(x3, y3, z3)
+
+
+def _reference_add(t, q):
+    """add-2007-bl; P + P takes the doubling."""
+    if t.is_infinity():
+        return q
+    if q.is_infinity():
+        return t
+    z1z1 = t.z.square()
+    z2z2 = q.z.square()
+    u1 = t.x * z2z2
+    u2 = q.x * z1z1
+    s1 = t.y * q.z * z2z2
+    s2 = q.y * t.z * z1z1
+    h = u2 - u1
+    r = s2 - s1
+    if h.is_zero() and r.is_zero():
+        return _reference_double(t)
+    r = r.double()
+    i = h.square().double().double()
+    j = h * i
+    v = u1 * i
+    x3 = r.square() - j - v.double()
+    y3 = r * (v - x3) - (s1 * j).double()
+    z3 = ((t.z + q.z).square() - z1z1 - z2z2) * h
+    return bn256.PointG2(x3, y3, z3)
+
+
+def _reference_psi(q):
+    return bn256.PointG2(q.x.conjugate() * tower.XI1[1], q.y.conjugate() * tower.XI1[2], q.z.conjugate())
+
+
+def _reference_tangent(t):
+    zz = t.z.square()
+    xx = t.x.square()
+    t2 = _reference_double(t)
+    return t2, ((xx * t.x).mul_int(6) - t.y.square().double().double(),
+                (xx * zz).mul_int(6).neg(), (t2.z * zz).double())
+
+
+def _reference_chord(t, q):
+    r = (q.y * t.z * t.z.square() - t.y).double()
+    t = _reference_add(t, q)
+    return t, ((r * q.x - q.y * t.z).double(), r.double().neg(), t.z.double())
+
+
+def _line_ints(a, b, c):
+    """A line of Fp2 coefficients as the six ints of a ``g2_lines`` entry."""
+    return a.x, a.y, b.x, b.y, c.x, c.y
+
+
+def _jacobian(pt):
+    """The raw coordinates: equal only if every int is equal, so a
+    coordinate outside [0, p) also fails."""
+    return pt.x.x, pt.x.y, pt.y.x, pt.y.y, pt.z.x, pt.z.y
+
+
+def _rescaled(pt, lam):
+    """The same point in other Jacobian coordinates: (lam^2 x, lam^3 y, lam z)."""
+    lam2 = lam.square()
+    return bn256.PointG2(pt.x * lam2, pt.y * lam2 * lam, pt.z * lam)
+
+
+def _lockstep_ladder(q, k):
+    """[k]q by double-and-add, each step checked against the references."""
+    r = bn256.G2_INF
+    for bit in bin(k)[2:]:
+        d = r.double()
+        assert _jacobian(d) == _jacobian(_reference_double(r))
+        r = d
+        if bit == "1":
+            s = r.add(q)
+            assert _jacobian(s) == _jacobian(_reference_add(r, q))
+            r = s
+    return r
+
+
 def _on_twist(pt):
     """Whether a point satisfies the twist equation y^2 = x^3 + b'."""
     if pt.is_infinity():
@@ -242,17 +336,18 @@ class TestBn256Kernels:
 
     def test_sparse_line_product_matches_full_product(self):
         """``_mul_line`` against the full Fp12 product with the line
-        ((a*tau + b)*w + c), on real table entries evaluated at a real P."""
+        ((a*tau + b*px)*w + c*py), on real table entries and a real P."""
         rng = random.Random(27)
         p, q = _random_pair(rng)
         px, py = p.affine()
         zero = tower.FP2_ZERO
         for group in bn256.g2_lines(q)[::8]:
-            for la, lb, lc in group:
-                a, b, c = la, lb.mul_int(px), lc.mul_int(py)
+            for line in group:
+                ai, ar, bi, br, ci, cr = line
+                a, b, c = tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px), tower.Fp2(ci, cr).mul_int(py)
                 f = _random_fp12(rng)
-                line = tower.Fp12(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
-                assert tower._mul_line(f, a, b, c) == f * line
+                full = tower.Fp12(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
+                assert tower._mul_line(f, line, px, py) == f * full
 
     # Each fused kernel against its class reference.  Equality reads raw
     # ints, so it also checks that every output coefficient is in [0, p).
@@ -277,16 +372,21 @@ class TestBn256Kernels:
             assert t.cyclotomic_square() == _reference_cyclotomic_square(t)
 
     def test_fused_mul_line_matches_reference(self):
-        """Real table entries evaluated at a real P, and edge coefficients."""
+        """Real table entries evaluated at a real P, and edge coefficients
+        evaluated at edge and random coordinates."""
         rng = random.Random(31)
         p, q = _random_pair(rng)
-        px, py = p.affine()
-        lines = [(a, b.mul_int(px), c.mul_int(py)) for group in bn256.g2_lines(q)[::16] for a, b, c in group]
+        cases = [(line, *p.affine()) for group in bn256.g2_lines(q)[::16] for line in group]
         edges = _edge_fp2s()
-        lines += list(zip(edges, edges[::-1], edges[3:] + edges[:3])) + [(e, e, e) for e in edges]
+        lines = list(zip(edges, edges[::-1], edges[3:] + edges[:3])) + [(e, e, e) for e in edges]
+        coords = [(0, 0), (1, tower.P - 1), (tower.P - 1, 1), (rng.randrange(tower.P), rng.randrange(tower.P))]
+        cases += [(_line_ints(*line), px, py) for line in lines for px, py in coords]
         for f in _edge_fp12s() + [_random_fp12(rng) for _ in range(4)]:
-            for a, b, c in lines:
-                assert tower._mul_line(f, a, b, c) == _reference_mul_line(f, a, b, c)
+            for line, px, py in cases:
+                ai, ar, bi, br, ci, cr = line
+                expected = _reference_mul_line(f, tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px),
+                                               tower.Fp2(ci, cr).mul_int(py))
+                assert tower._mul_line(f, line, px, py) == expected
 
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):
@@ -330,6 +430,97 @@ class TestBn256Kernels:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
         assert small.scalar_mul(13).is_infinity()
         assert small.scalar_mul(15) == small.double()
+
+
+class TestG2Formulas:
+    """The int point and line formulas against their Fp2-object references.
+    ``_jacobian`` compares raw coordinates, so each case also checks that
+    every output int lies in [0, p)."""
+
+    def _points(self, rng):
+        """G2 points with z != 1, unchecked twist points, and coordinate
+        triples off the curve with every int 0, 1 or p - 1: the formulas
+        are polynomials and must agree on any input."""
+        g2 = [bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)) for _ in range(4)]
+        assert all(not pt.z.is_one() for pt in g2)
+        twist = [_twist_point(rng) for _ in range(2)]
+        twist += [pt.double() for pt in twist]
+        edges = _edge_fp2s()
+        off_curve = [bn256.PointG2(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[2:] + edges[:2])]
+        return [bn256.G2_GEN] + g2 + twist + off_curve
+
+    def test_double_matches_reference(self):
+        for pt in self._points(random.Random(41)) + [bn256.G2_INF]:
+            assert _jacobian(pt.double()) == _jacobian(_reference_double(pt))
+
+    def test_add_matches_reference(self):
+        rng = random.Random(42)
+        points = self._points(rng)
+        for a in points:
+            for b in points:
+                assert _jacobian(a.add(b)) == _jacobian(_reference_add(a, b))
+
+    def test_add_edge_cases_match_reference(self):
+        """P + P (the doubling branch, also across two Jacobian forms of P),
+        P + (-P) (infinity), and either operand at infinity."""
+        rng = random.Random(43)
+        inf = bn256.G2_INF
+        for pt in self._points(rng)[:8]:
+            lam = tower.Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
+            other = _rescaled(pt, lam)
+            assert _jacobian(other) != _jacobian(pt)
+            for a, b in ((pt, pt), (pt, other), (pt, pt.neg()), (pt, other.neg()), (pt, inf), (inf, pt)):
+                assert _jacobian(a.add(b)) == _jacobian(_reference_add(a, b))
+            assert _jacobian(pt.add(pt)) == _jacobian(pt.double())
+            assert pt.add(other.neg()).is_infinity()
+        assert _jacobian(inf.add(inf)) == _jacobian(_reference_add(inf, inf))
+
+    def test_ladder_on_points_outside_g2_matches_reference(self):
+        """``in_g2`` runs [u]Q on unchecked points.  On an order-13 point the
+        accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
+        rng = random.Random(44)
+        for q in (_twist_point(rng), _twist_point(rng)):
+            assert not bn256.in_g2(q)
+            _lockstep_ladder(q, tower.U)
+        small = _order_13_point(rng)
+        assert _lockstep_ladder(small, 13).is_infinity()
+        assert _lockstep_ladder(small, 15) == small.double()
+
+    def test_psi_matches_reference(self):
+        for pt in self._points(random.Random(45)) + [bn256.G2_INF]:
+            assert _jacobian(bn256.psi(pt)) == _jacobian(_reference_psi(pt))
+
+    def test_tangent_and_chord_match_reference(self):
+        """On arbitrary points T and affine Q, the next T and the line."""
+        rng = random.Random(46)
+        points = self._points(rng)
+        for t in points:
+            t2, line = bn256._tangent(t)
+            r2, ref = _reference_tangent(t)
+            assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
+            for q in points:
+                q = bn256.PointG2(q.x, q.y)
+                t2, line = bn256._chord(t, q)
+                r2, ref = _reference_chord(t, q)
+                assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
+
+    def test_line_table_matches_reference(self):
+        """Every line of two tables, T walked by the reference formulas."""
+        rng = random.Random(47)
+        for q in (bn256.G2_GEN, bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER))):
+            qa = bn256.PointG2(*q.affine())
+            t, expected = qa, []
+            for digit in tower.NAF_6UP2:
+                t, tangent = _reference_tangent(t)
+                group = [_line_ints(*tangent)]
+                if digit:
+                    t, chord = _reference_chord(t, qa if digit == 1 else qa.neg())
+                    group.append(_line_ints(*chord))
+                expected.append(group)
+            t, first = _reference_chord(t, _reference_psi(qa))
+            _, second = _reference_chord(t, bn256.PointG2(qa.x.mul_int(tower.XI2[1].y), qa.y))
+            expected.append([_line_ints(*first), _line_ints(*second)])
+            assert bn256.g2_lines(q) == expected
 
 
 class TestHashToGroupA:

@@ -153,8 +153,7 @@ def _lines_digest(lines) -> str:
     h = hashlib.sha256()
     for group in lines:
         for line in group:
-            for c in line:
-                h.update(c.x.to_bytes(32, "big") + c.y.to_bytes(32, "big"))
+            h.update(b"".join(c.to_bytes(32, "big") for c in line))
     return h.hexdigest()
 
 
