@@ -97,12 +97,21 @@ def _field(doc: dict, key: str, kind: type, of: type | None = None, decode=None)
         return decode(doc[key]) if decode else doc[key]
 
 
+def _hex(text: str) -> bytes:
+    """The bytes of ``text`` if it is hex as the writers write it: lower case,
+    no separators.  ``bytes.fromhex`` alone also reads upper case and spaces."""
+    data = bytes.fromhex(text)
+    if data.hex() != text:
+        raise ValueError("not lower-case hex without separators")
+    return data
+
+
 def _element(suite: PairingSuite, group: Group, doc: dict, key: str) -> GroupElement:
-    return _field(doc, key, str, decode=lambda text: suite.element_from_bytes(group, bytes.fromhex(text)))
+    return _field(doc, key, str, decode=lambda text: suite.element_from_bytes(group, _hex(text)))
 
 
 def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
-    scalar = _field(doc, key, str, decode=lambda text: Scalar.from_bytes(bytes.fromhex(text)))
+    scalar = _field(doc, key, str, decode=lambda text: Scalar.from_bytes(_hex(text)))
     if scalar.value >= suite.order:
         raise DecodeError(f"field {key!r} is not below the group order")
     return scalar
@@ -220,7 +229,7 @@ def load_submission(path: Path, suite: PairingSuite) -> Submission:
             x=_element(suite, Group.B, doc, "x"),
             tags=tuple(
                 ClassificationTag(y=_element(suite, Group.B, t, "y"),
-                                  z=_field(t, "z", str, decode=bytes.fromhex))
+                                  z=_field(t, "z", str, decode=_hex))
                 for t in _field(doc, "tags", list, of=dict)
             ),
             payload=_field(doc, "payload", str, decode=lambda text: base64.b64decode(text, validate=True)),

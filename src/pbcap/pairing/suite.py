@@ -30,6 +30,7 @@ from . import bn256
 H1_DST = b"PBCAP-H1-v1"
 H2_DST = b"PBCAP-H2-v1"
 H2_BYTES = 32
+SCALAR_BYTES = 32
 
 
 class Group(Enum):
@@ -49,10 +50,12 @@ class Scalar:
             raise ValueError("scalar must be positive")
 
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes(32, "big")
+        return self.value.to_bytes(SCALAR_BYTES, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Scalar":
+        if len(data) != SCALAR_BYTES:
+            raise ValueError(f"scalar must be exactly {SCALAR_BYTES} bytes")
         return cls(int.from_bytes(data, "big"))
 
 

@@ -176,22 +176,35 @@ def parse_graph_text(text: str) -> ProvenanceGraph:
     return ProvenanceGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
+def _json_entries(doc: dict, key: str, names: tuple[str, ...]) -> list[dict]:
+    """The fields ``names`` of each entry of ``doc[key]``, which must be a
+    list of objects; any other shape is refused with a message naming it."""
+    if key not in doc:
+        raise ValidationError(f"JSON graph has no {key!r} field")
+    if type(doc[key]) is not list:
+        raise ValidationError(f"JSON graph field {key!r} is not a list")
+    entries = []
+    for i, entry in enumerate(doc[key]):
+        if type(entry) is not dict:
+            raise ValidationError(f"JSON graph {key}[{i}] is not an object")
+        for name in names:
+            if name not in entry:
+                raise ValidationError(f"JSON graph {key}[{i}] has no {name!r} field")
+        entries.append({name: entry[name] for name in names})
+    return entries
+
+
 def parse_graph_json(text: str) -> ProvenanceGraph:
+    """The JSON mirror: an object whose ``nodes`` and ``edges`` are both
+    required lists of objects."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON graph: {exc}") from exc
-    try:
-        nodes = tuple(
-            ProvenanceNode(id=n["id"], kind=n["kind"], label=n["label"])
-            for n in doc["nodes"]
-        )
-        edges = tuple(
-            ProvenanceEdge(relation=e["relation"], source=e["source"], target=e["target"])
-            for e in doc.get("edges", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed JSON graph: missing {exc}") from exc
+    if type(doc) is not dict:
+        raise ValidationError("JSON graph is not an object")
+    nodes = tuple(ProvenanceNode(**n) for n in _json_entries(doc, "nodes", ("id", "kind", "label")))
+    edges = tuple(ProvenanceEdge(**e) for e in _json_entries(doc, "edges", ("relation", "source", "target")))
     return ProvenanceGraph(nodes=nodes, edges=edges)
 
 

@@ -244,7 +244,9 @@ class TestTag:
                     "edges": [{"relation": "Recorded(By", "source": "t", "target": "n"}]}),
         json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"}],
                     "edges": [{"relation": "RecordedBy", "source": "t", "target": 5}]}),
-    ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target"])
+        json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"}]}),
+        json.dumps({"nodes": ["t"], "edges": []}),
+    ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target", "no-edges", "string-node"])
     def test_malformed_graph_rejected(self, pipeline, runner, graph):
         """Refused while the graph is parsed: exit 1 with one line, no traceback."""
         root, _ = pipeline

@@ -1,4 +1,5 @@
-"""Every field of every ``pbcap/1`` file kind, set to each JSON type or deleted (mock suite).
+"""Every field of every ``pbcap/1`` file kind, set to each JSON type or deleted,
+and every hex field rewritten as hex no writer writes (mock suite).
 
 A loader either refuses the file with a DecodeError or ValidationError
 that names it, or -- only for a value of the writer's own type that is
@@ -24,6 +25,8 @@ from pbcap.scheme import keygen_admin, keygen_user, make_tag, make_x
 SUITE = get_suite("mock")
 DELETE = "<deleted>"
 VALUES = [None, 7, 2.5, True, "x", [], ["x"], {"x": 1}]
+# fields the writers write as lower-case hex with no separators
+HEX_FIELDS = {"sk", "pk_a", "pk_b", "token", "x", "y", "z"}
 
 POLICY_DOC = {
     "format": "pbcap/1",
@@ -88,10 +91,25 @@ def _paths(value, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _hex_variants(key, text):
+    """Hex that ``bytes.fromhex`` reads as the same or a nearby value but no
+    writer writes: upper case, space-separated pairs, both, and for a scalar
+    anything but 32 bytes (a secret key of 1 as "01")."""
+    pairs = " ".join(text[i:i + 2] for i in range(0, len(text), 2))
+    variants = {pairs, pairs.upper(), text.upper()} - {text}
+    if key == "sk":
+        variants |= {"01", text[2:], "00" + text}
+    return sorted(variants)
+
+
 def _cases(doc):
     """(field path, replacement, mutated document) for every field and replacement."""
     for path in _paths(doc):
-        for value in VALUES + ([DELETE] if isinstance(path[-1], str) else []):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        hex_variants = _hex_variants(path[-1], parent[path[-1]]) if path[-1] in HEX_FIELDS else []
+        for value in VALUES + ([DELETE] if isinstance(path[-1], str) else []) + hex_variants:
             mutated = copy.deepcopy(doc)
             parent = mutated
             for key in path[:-1]:

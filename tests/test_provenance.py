@@ -1,5 +1,7 @@
 """Fragment canonicalization and DAG handling."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -161,6 +163,25 @@ edge RecordedBy t n
             ' "edges": [{"relation": "RecordedBy", "source": "t", "target": "n"}]}'
         )
         assert parse_graph(doc) == g1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"edges": []}, "JSON graph has no 'nodes' field"),
+        ({"nodes": []}, "JSON graph has no 'edges' field"),
+        ({"nodes": [], "edges": 7}, "JSON graph field 'edges' is not a list"),
+        ({"nodes": {"t": {}}, "edges": []}, "JSON graph field 'nodes' is not a list"),
+        ({"nodes": "t", "edges": []}, "JSON graph field 'nodes' is not a list"),
+        ({"nodes": ["t"], "edges": []}, r"JSON graph nodes\[0\] is not an object"),
+        ({"nodes": [], "edges": [None]}, r"JSON graph edges\[0\] is not an object"),
+        ({"nodes": [{"id": "t", "kind": "Artifact"}], "edges": []},
+         r"JSON graph nodes\[0\] has no 'label' field"),
+        ({"nodes": [{"id": "t", "kind": "Artifact", "label": "T"}], "edges": [{"source": "t", "target": "t"}]},
+         r"JSON graph edges\[0\] has no 'relation' field"),
+    ], ids=["no-nodes", "no-edges", "int-edges", "object-nodes", "string-nodes",
+            "string-node", "null-edge", "node-without-label", "edge-without-relation"])
+    def test_json_shape_refused_by_field(self, doc, message):
+        """Both keys are required lists of objects; each refusal names the field."""
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_graph(json.dumps(doc))
 
     def test_sniffing(self):
         assert parse_graph(self.LINES).edges
