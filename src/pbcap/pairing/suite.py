@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Any
 
 from ..errors import DecodeError, GroupMismatchError
-from . import bn256
+from . import bn256, curve
 
 H1_DST = b"PBCAP-H1-v1"
 H2_DST = b"PBCAP-H2-v1"
@@ -182,15 +182,15 @@ class Bn256Suite(PairingSuite):
     name = "production"
 
     def __init__(self):
-        self.order = bn256.ORDER
-        self.gen_a = GroupElement(self, Group.A, bn256.G1_GEN)
-        self.gen_b = GroupElement(self, Group.B, bn256.G2_GEN)
+        self.order = curve.ORDER
+        self.gen_a = GroupElement(self, Group.A, curve.G1_GEN)
+        self.gen_b = GroupElement(self, Group.B, curve.G2_GEN)
 
     def identity(self, group: Group) -> GroupElement:
         if group is Group.A:
-            return GroupElement(self, Group.A, bn256.G1_INF)
+            return GroupElement(self, Group.A, curve.G1_INF)
         if group is Group.B:
-            return GroupElement(self, Group.B, bn256.G2_INF)
+            return GroupElement(self, Group.B, curve.G2_INF)
         return GroupElement(self, Group.T, bn256.FP12_ONE)
 
     def pair(self, x: GroupElement, y: GroupElement) -> GroupElement:

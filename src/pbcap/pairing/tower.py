@@ -4,8 +4,8 @@ F_p2 = F_p[i]/(i^2 + 1), F_p6 = F_p2[tau]/(tau^3 - xi) with xi = i + 3,
 and F_p12 = F_p6[w]/(w^2 - tau), following Beuchat et al. (eprint
 2010/354).  This module holds the field constants (P, U and the
 Frobenius constants), the classes ``Fp2``, ``Fp6`` and ``Fp12``, and the
-sparse line product ``_mul_line`` of the Miller loop; the curves, the
-pairing, hashing and serialization live in ``bn256``.
+sparse line product ``_mul_line`` of the Miller loop; the curve points
+live in ``curve``, the pairing, hashing and serialization in ``bn256``.
 
 Field elements are plain Python ints; the extension fields are thin
 classes over them.  Every coefficient an element holds lies in [0, P),

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Group, H2_BYTES, Scalar, bn256, tower
+from pbcap.pairing import Group, H2_BYTES, Scalar, bn256, curve, tower
 
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
 
@@ -17,7 +17,7 @@ def _draws(suite):
 
 def _mul_unreduced(pt, k):
     """[k]pt by double-and-add; unlike scalar_mul, k is not reduced mod the order."""
-    r = bn256.G1_INF if isinstance(pt, bn256.PointG1) else bn256.G2_INF
+    r = curve.G1_INF if isinstance(pt, curve.PointG1) else curve.G2_INF
     for bit in bin(k)[2:]:
         r = r.double()
         if bit == "1":
@@ -25,30 +25,30 @@ def _mul_unreduced(pt, k):
     return r
 
 
-TWIST_COFACTOR = 2 * tower.P - bn256.ORDER  # the twist has n * (2p - n) points
+TWIST_COFACTOR = 2 * tower.P - curve.ORDER  # the twist has n * (2p - n) points
 
 
 def _twist_point(rng):
     """A point on the twist with a random x; almost surely outside G2."""
     while True:
         x = tower.Fp2(rng.randrange(tower.P), rng.randrange(tower.P))
-        y = (x.square() * x + bn256.TWIST_B).sqrt()
+        y = (x.square() * x + curve.TWIST_B).sqrt()
         if y is not None:
-            return bn256.PointG2(x, y)
+            return curve.PointG2(x, y)
 
 
 def _order_13_point(rng):
     """A twist point of order 13, a small factor of the cofactor."""
-    small = bn256.G2_INF
+    small = curve.G2_INF
     while small.is_infinity():
-        small = _mul_unreduced(_twist_point(rng), bn256.ORDER * TWIST_COFACTOR // 13)
+        small = _mul_unreduced(_twist_point(rng), curve.ORDER * TWIST_COFACTOR // 13)
     return small
 
 
 def _random_pair(rng):
     """A (G1, G2) pair of random non-identity points; the G2 scalar is drawn first."""
-    q = bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER))
-    return bn256.G1_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)), q
+    q = curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER))
+    return curve.G1_GEN.scalar_mul(rng.randrange(1, curve.ORDER)), q
 
 
 def _prepared(pair):
@@ -168,7 +168,7 @@ def _reference_double(t):
     x3 = f - d.double()
     y3 = e * (d - x3) - c8
     z3 = (t.y * t.z).double()
-    return bn256.PointG2(x3, y3, z3)
+    return curve.PointG2(x3, y3, z3)
 
 
 def _reference_add(t, q):
@@ -194,11 +194,11 @@ def _reference_add(t, q):
     x3 = r.square() - j - v.double()
     y3 = r * (v - x3) - (s1 * j).double()
     z3 = ((t.z + q.z).square() - z1z1 - z2z2) * h
-    return bn256.PointG2(x3, y3, z3)
+    return curve.PointG2(x3, y3, z3)
 
 
 def _reference_psi(q):
-    return bn256.PointG2(q.x.conjugate() * tower.XI1[1], q.y.conjugate() * tower.XI1[2], q.z.conjugate())
+    return curve.PointG2(q.x.conjugate() * tower.XI1[1], q.y.conjugate() * tower.XI1[2], q.z.conjugate())
 
 
 def _reference_tangent(t):
@@ -229,12 +229,12 @@ def _jacobian(pt):
 def _rescaled(pt, lam):
     """The same point in other Jacobian coordinates: (lam^2 x, lam^3 y, lam z)."""
     lam2 = lam.square()
-    return bn256.PointG2(pt.x * lam2, pt.y * lam2 * lam, pt.z * lam)
+    return curve.PointG2(pt.x * lam2, pt.y * lam2 * lam, pt.z * lam)
 
 
 def _lockstep_ladder(q, k):
     """[k]q by double-and-add, each step checked against the references."""
-    r = bn256.G2_INF
+    r = curve.G2_INF
     for bit in bin(k)[2:]:
         d = r.double()
         assert _jacobian(d) == _jacobian(_reference_double(r))
@@ -251,7 +251,7 @@ def _on_twist(pt):
     if pt.is_infinity():
         return True
     x, y = pt.affine()
-    return y.square() == x.square() * x + bn256.TWIST_B
+    return y.square() == x.square() * x + curve.TWIST_B
 
 
 class TestBilinearity:
@@ -402,21 +402,21 @@ class TestBn256Kernels:
     def test_pairing_product_skips_infinity_pairs(self):
         p, q = _random_pair(random.Random(25))
         inverse = (p, q.neg())
-        for pairs in ([(bn256.G1_INF, q), (p, q), inverse],
-                      [(p, bn256.G2_INF), (p, q), inverse],
-                      [(bn256.G1_INF, bn256.G2_INF)]):
+        for pairs in ([(curve.G1_INF, q), (p, q), inverse],
+                      [(p, curve.G2_INF), (p, q), inverse],
+                      [(curve.G1_INF, curve.G2_INF)]):
             assert bn256.pairing_product_is_one(pairs)
-        assert not bn256.pairing_product_is_one([(bn256.G1_INF, q), (p, q)])
+        assert not bn256.pairing_product_is_one([(curve.G1_INF, q), (p, q)])
 
     def test_gls_scalar_mul_matches_plain_ladder(self):
         """G2 points, with the split k = a*6u^2 + b at its edges and random k."""
         rng = random.Random(26)
-        lam = bn256.PSI_EIGENVALUE
-        edges = [0, 1, 2, bn256.ORDER - 1, lam - 1, lam, lam + 1, tower.U]
-        points = [bn256.G2_GEN] + [_mul_unreduced(_twist_point(rng), TWIST_COFACTOR)
+        lam = curve.PSI_EIGENVALUE
+        edges = [0, 1, 2, curve.ORDER - 1, lam - 1, lam, lam + 1, tower.U]
+        points = [curve.G2_GEN] + [_mul_unreduced(_twist_point(rng), TWIST_COFACTOR)
                                    for _ in range(2)]
         for q in points:
-            for k in edges + [rng.randrange(bn256.ORDER) for _ in range(7)]:
+            for k in edges + [rng.randrange(curve.ORDER) for _ in range(7)]:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
 
     def test_gls_scalar_mul_outside_g2_below_psi_eigenvalue(self):
@@ -426,7 +426,7 @@ class TestBn256Kernels:
         rng = random.Random(27)
         small = _order_13_point(rng)
         for q in (_twist_point(rng), _twist_point(rng), small):
-            for k in (tower.U, 2 * tower.U, bn256.PSI_EIGENVALUE - 1):
+            for k in (tower.U, 2 * tower.U, curve.PSI_EIGENVALUE - 1):
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
         assert small.scalar_mul(13).is_infinity()
         assert small.scalar_mul(15) == small.double()
@@ -441,16 +441,16 @@ class TestG2Formulas:
         """G2 points with z != 1, unchecked twist points, and coordinate
         triples off the curve with every int 0, 1 or p - 1: the formulas
         are polynomials and must agree on any input."""
-        g2 = [bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)) for _ in range(4)]
+        g2 = [curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER)) for _ in range(4)]
         assert all(not pt.z.is_one() for pt in g2)
         twist = [_twist_point(rng) for _ in range(2)]
         twist += [pt.double() for pt in twist]
         edges = _edge_fp2s()
-        off_curve = [bn256.PointG2(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[2:] + edges[:2])]
-        return [bn256.G2_GEN] + g2 + twist + off_curve
+        off_curve = [curve.PointG2(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[2:] + edges[:2])]
+        return [curve.G2_GEN] + g2 + twist + off_curve
 
     def test_double_matches_reference(self):
-        for pt in self._points(random.Random(41)) + [bn256.G2_INF]:
+        for pt in self._points(random.Random(41)) + [curve.G2_INF]:
             assert _jacobian(pt.double()) == _jacobian(_reference_double(pt))
 
     def test_add_matches_reference(self):
@@ -464,7 +464,7 @@ class TestG2Formulas:
         """P + P (the doubling branch, also across two Jacobian forms of P),
         P + (-P) (infinity), and either operand at infinity."""
         rng = random.Random(43)
-        inf = bn256.G2_INF
+        inf = curve.G2_INF
         for pt in self._points(rng)[:8]:
             lam = tower.Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
             other = _rescaled(pt, lam)
@@ -480,15 +480,15 @@ class TestG2Formulas:
         accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
         rng = random.Random(44)
         for q in (_twist_point(rng), _twist_point(rng)):
-            assert not bn256.in_g2(q)
+            assert not curve.in_g2(q)
             _lockstep_ladder(q, tower.U)
         small = _order_13_point(rng)
         assert _lockstep_ladder(small, 13).is_infinity()
         assert _lockstep_ladder(small, 15) == small.double()
 
     def test_psi_matches_reference(self):
-        for pt in self._points(random.Random(45)) + [bn256.G2_INF]:
-            assert _jacobian(bn256.psi(pt)) == _jacobian(_reference_psi(pt))
+        for pt in self._points(random.Random(45)) + [curve.G2_INF]:
+            assert _jacobian(curve.psi(pt)) == _jacobian(_reference_psi(pt))
 
     def test_tangent_and_chord_match_reference(self):
         """On arbitrary points T and affine Q, the next T and the line."""
@@ -499,28 +499,10 @@ class TestG2Formulas:
             r2, ref = _reference_tangent(t)
             assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
             for q in points:
-                q = bn256.PointG2(q.x, q.y)
+                q = curve.PointG2(q.x, q.y)
                 t2, line = bn256._chord(t, q)
                 r2, ref = _reference_chord(t, q)
                 assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
-
-    def test_line_table_matches_reference(self):
-        """Every line of two tables, T walked by the reference formulas."""
-        rng = random.Random(47)
-        for q in (bn256.G2_GEN, bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER))):
-            qa = bn256.PointG2(*q.affine())
-            t, expected = qa, []
-            for digit in tower.NAF_6UP2:
-                t, tangent = _reference_tangent(t)
-                group = [_line_ints(*tangent)]
-                if digit:
-                    t, chord = _reference_chord(t, qa if digit == 1 else qa.neg())
-                    group.append(_line_ints(*chord))
-                expected.append(group)
-            t, first = _reference_chord(t, _reference_psi(qa))
-            _, second = _reference_chord(t, bn256.PointG2(qa.x.mul_int(tower.XI2[1].y), qa.y))
-            expected.append([_line_ints(*first), _line_ints(*second)])
-            assert bn256.g2_lines(q) == expected
 
 
 class TestHashToGroupA:
@@ -645,14 +627,14 @@ class TestSerialization:
 
     def test_g2_membership_agrees_with_unreduced_multiple(self):
         rng = random.Random(15)
-        inside = [bn256.G2_GEN.scalar_mul(rng.randrange(1, bn256.ORDER)) for _ in range(2)]
+        inside = [curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER)) for _ in range(2)]
         inside.append(_mul_unreduced(_twist_point(rng), TWIST_COFACTOR))
         outside = [_twist_point(rng) for _ in range(2)]
         outside.append(inside[0].add(_order_13_point(rng)))
         for pt in inside + outside:
-            assert bn256.in_g2(pt) is _mul_unreduced(pt, bn256.ORDER).is_infinity()
-        assert all(bn256.in_g2(pt) for pt in inside)
-        assert not any(bn256.in_g2(pt) for pt in outside)
+            assert curve.in_g2(pt) is _mul_unreduced(pt, curve.ORDER).is_infinity()
+        assert all(curve.in_g2(pt) for pt in inside)
+        assert not any(curve.in_g2(pt) for pt in outside)
 
     def test_wrong_length_rejected(self, any_suite):
         with pytest.raises(DecodeError):

@@ -3,7 +3,7 @@ scalar-multiplication counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``bn256.final_exponentiation``, ``bn256.g2_lines`` and
-``bn256.PointG2.scalar_mul``; the program itself keeps no counter.
+``curve.PointG2.scalar_mul``; the program itself keeps no counter.
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once ``pair`` has built it, so a command builds one table
@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from pbcap import formats, policy
 from pbcap.cli import cli
-from pbcap.pairing import bn256
+from pbcap.pairing import bn256, curve
 from pbcap.scheme import (
     keygen_admin,
     keygen_user,
@@ -97,7 +97,7 @@ def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
     by ``make_x``."""
     admin, user, rng = keys
     seen = Counter()
-    for cls in (bn256.PointG1, bn256.PointG2):
+    for cls in (curve.PointG1, curve.PointG2):
         def counted(point, k, _inner=cls.scalar_mul, _name=cls.__name__):
             seen[_name] += 1
             return _inner(point, k)

@@ -27,7 +27,7 @@ import pytest
 from click.testing import CliRunner
 
 from pbcap.cli import cli
-from pbcap.pairing import H1_DST, bn256, tower
+from pbcap.pairing import H1_DST, bn256, curve, tower
 
 VECTORS = Path(__file__).parent / "vectors"
 
@@ -35,13 +35,13 @@ PAIRING_SCALARS = [
     (1, 1),
     (6, 35),
     tuple(
-        int.from_bytes(hashlib.sha256(b"pbcap-kat-" + side).digest(), "big") % bn256.ORDER
+        int.from_bytes(hashlib.sha256(b"pbcap-kat-" + side).digest(), "big") % curve.ORDER
         for side in (b"a", b"b")
     ),
 ]
 FE_SCALARS = (5, 7)
 # the admin key check's loop: e(g1^alpha, g2) * e(g1, -(g2^alpha))
-DUAL_KEY_ALPHA = int.from_bytes(hashlib.sha256(b"pbcap-kat-alpha").digest(), "big") % bn256.ORDER
+DUAL_KEY_ALPHA = int.from_bytes(hashlib.sha256(b"pbcap-kat-alpha").digest(), "big") % curve.ORDER
 H1_MESSAGES = [b"RecordedBy(Test,Nurse)", b""]
 
 TAG_GRAPH = """\
@@ -107,14 +107,14 @@ def compute_decode() -> dict:
     def prefix() -> bytes:
         return bytes([2 + rng.getrandbits(1)])
 
-    g1 = [bn256.g1_to_bytes(bn256.G1_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(4)]
+    g1 = [bn256.g1_to_bytes(curve.G1_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(4)]
     g1 += [_flip(b) for b in g1]
     g1 += [prefix() + fp().to_bytes(32, "big") for _ in range(16)]
     # raw 256-bit x, so some are not below P
     g1 += [prefix() + rng.getrandbits(256).to_bytes(32, "big") for _ in range(4)]
     g1 += [bytes(33), b"\x02" + bytes(32), b"\x03" + bytes(32)]
 
-    g2 = [bn256.g2_to_bytes(bn256.G2_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(3)]
+    g2 = [bn256.g2_to_bytes(curve.G2_GEN.scalar_mul(rng.getrandbits(256))) for _ in range(3)]
     g2 += [_flip(b) for b in g2]
     g2 += [prefix() + fp().to_bytes(32, "big") + fp().to_bytes(32, "big") for _ in range(10)]
     g2 += [prefix() + rng.getrandbits(256).to_bytes(32, "big") + rng.getrandbits(256).to_bytes(32, "big")
@@ -143,7 +143,7 @@ def compute_decode() -> dict:
 G2_SEED = 13
 
 
-def _jacobian_hex(pt: bn256.PointG2) -> list[str]:
+def _jacobian_hex(pt: curve.PointG2) -> list[str]:
     return [_fp2_hex(pt.x), _fp2_hex(pt.y), _fp2_hex(pt.z)]
 
 
@@ -161,39 +161,39 @@ def compute_g2() -> dict:
     """Seeded G2 scalar multiples (Jacobian coordinates), line table
     digests, and ``in_g2`` on twist points inside and outside G2."""
     rng = random.Random(G2_SEED)
-    cofactor = 2 * tower.P - bn256.ORDER  # the twist has n * (2p - n) points
+    cofactor = 2 * tower.P - curve.ORDER  # the twist has n * (2p - n) points
 
-    def twist_point() -> bn256.PointG2:
+    def twist_point() -> curve.PointG2:
         while True:
             x = tower.Fp2(rng.getrandbits(256) % tower.P, rng.getrandbits(256) % tower.P)
-            y = (x.square() * x + bn256.TWIST_B).sqrt()
+            y = (x.square() * x + curve.TWIST_B).sqrt()
             if y is not None:
-                return bn256.PointG2(x, y)
+                return curve.PointG2(x, y)
 
-    def mul_plain(pt: bn256.PointG2, k: int) -> bn256.PointG2:
-        r = bn256.G2_INF
+    def mul_plain(pt: curve.PointG2, k: int) -> curve.PointG2:
+        r = curve.G2_INF
         for bit in bin(k)[2:]:
             r = r.double()
             if bit == "1":
                 r = r.add(pt)
         return r
 
-    lam = bn256.PSI_EIGENVALUE
-    q = bn256.G2_GEN.scalar_mul(rng.getrandbits(256))
-    scalars = [0, 1, 2, 3, tower.U, lam - 1, lam, lam + 1, bn256.ORDER - 1]
+    lam = curve.PSI_EIGENVALUE
+    q = curve.G2_GEN.scalar_mul(rng.getrandbits(256))
+    scalars = [0, 1, 2, 3, tower.U, lam - 1, lam, lam + 1, curve.ORDER - 1]
     scalars += [rng.getrandbits(256) for _ in range(6)]
     scalar_mul = [{"q": name, "k": k, "kq": _jacobian_hex(pt.scalar_mul(k))}
-                  for name, pt in (("gen", bn256.G2_GEN), ("seeded", q)) for k in scalars]
+                  for name, pt in (("gen", curve.G2_GEN), ("seeded", q)) for k in scalars]
     outside = [twist_point() for _ in range(4)]
     # unchecked points only meet scalars below 6u^2, where psi is never added
     scalar_mul += [{"q": "twist", "k": k, "kq": _jacobian_hex(pt.scalar_mul(k)), "x": _fp2_hex(pt.x)}
                    for pt in outside[:2] for k in (tower.U, 2 * tower.U, lam - 1)]
-    inside = [mul_plain(pt, cofactor) for pt in outside[2:]] + [q, bn256.G2_GEN.scalar_mul(rng.getrandbits(256))]
-    membership = [{"q": _jacobian_hex(pt), "in_g2": bn256.in_g2(pt)} for pt in outside + inside]
+    inside = [mul_plain(pt, cofactor) for pt in outside[2:]] + [q, curve.G2_GEN.scalar_mul(rng.getrandbits(256))]
+    membership = [{"q": _jacobian_hex(pt), "in_g2": curve.in_g2(pt)} for pt in outside + inside]
     return {
         "seed": G2_SEED,
         "scalar_mul": scalar_mul,
-        "lines": {"gen": _lines_digest(bn256.g2_lines(bn256.G2_GEN)), "seeded": _lines_digest(bn256.g2_lines(q))},
+        "lines": {"gen": _lines_digest(bn256.g2_lines(curve.G2_GEN)), "seeded": _lines_digest(bn256.g2_lines(q))},
         "in_g2": membership,
     }
 
@@ -211,7 +211,7 @@ def _fp12_from_bytes(data: bytes) -> tower.Fp12:
     )
 
 
-def _pairing(p: bn256.PointG1, q: bn256.PointG2) -> tower.Fp12:
+def _pairing(p: curve.PointG1, q: curve.PointG2) -> tower.Fp12:
     """e(P, Q) for P, Q not at infinity: one Miller loop on Q's table, one final exponentiation."""
     return bn256.final_exponentiation(bn256.miller_loop([(p, bn256.g2_lines(q))]))
 
@@ -219,11 +219,11 @@ def _pairing(p: bn256.PointG1, q: bn256.PointG2) -> tower.Fp12:
 def compute_kat() -> dict:
     pairings = [
         {"a": a, "b": b, "gt": bn256.gt_to_bytes(_pairing(
-            bn256.G1_GEN.scalar_mul(a), bn256.G2_GEN.scalar_mul(b))).hex()}
+            curve.G1_GEN.scalar_mul(a), curve.G2_GEN.scalar_mul(b))).hex()}
         for a, b in PAIRING_SCALARS
     ]
     a, b = FE_SCALARS
-    f = bn256.miller_loop([(bn256.G1_GEN.scalar_mul(a), bn256.g2_lines(bn256.G2_GEN.scalar_mul(b)))])
+    f = bn256.miller_loop([(curve.G1_GEN.scalar_mul(a), bn256.g2_lines(curve.G2_GEN.scalar_mul(b)))])
     fe = {
         "a": a, "b": b,
         "miller_loop": bn256.gt_to_bytes(f).hex(),
@@ -238,8 +238,8 @@ def compute_miller_loop_pairs() -> dict:
     """Raw two-pair Miller loop shaped like the admin key check, second Q negated."""
     alpha = DUAL_KEY_ALPHA
     f = bn256.miller_loop([
-        (bn256.G1_GEN.scalar_mul(alpha), bn256.g2_lines(bn256.G2_GEN)),
-        (bn256.G1_GEN, bn256.g2_lines(bn256.G2_GEN.scalar_mul(alpha).neg())),
+        (curve.G1_GEN.scalar_mul(alpha), bn256.g2_lines(curve.G2_GEN)),
+        (curve.G1_GEN, bn256.g2_lines(curve.G2_GEN.scalar_mul(alpha).neg())),
     ])
     return {"alpha": alpha, "miller_loop": bn256.gt_to_bytes(f).hex()}
 
@@ -322,15 +322,15 @@ def _kat() -> dict:
 
 def test_pairing_vectors():
     for vec in _kat()["pairing"]:
-        p = bn256.G1_GEN.scalar_mul(vec["a"])
-        q = bn256.G2_GEN.scalar_mul(vec["b"])
+        p = curve.G1_GEN.scalar_mul(vec["a"])
+        q = curve.G2_GEN.scalar_mul(vec["b"])
         assert bn256.gt_to_bytes(_pairing(p, q)).hex() == vec["gt"]
 
 
 def test_final_exponentiation_vector():
     vec = _kat()["final_exponentiation"]
-    f = bn256.miller_loop([(bn256.G1_GEN.scalar_mul(vec["a"]),
-                            bn256.g2_lines(bn256.G2_GEN.scalar_mul(vec["b"])))])
+    f = bn256.miller_loop([(curve.G1_GEN.scalar_mul(vec["a"]),
+                            bn256.g2_lines(curve.G2_GEN.scalar_mul(vec["b"])))])
     assert bn256.gt_to_bytes(f).hex() == vec["miller_loop"]
     f = _fp12_from_bytes(bytes.fromhex(vec["miller_loop"]))
     assert bn256.gt_to_bytes(bn256.final_exponentiation(f)).hex() == vec["final_exponentiation"]
