@@ -137,11 +137,9 @@ class PointG2:
     def neg(self) -> "PointG2":
         return PointG2(self.x, self.y.neg(), self.z)
 
-    # The formulas below read each coordinate as its i and real parts (an
-    # Fp2 is x*i + y), build no intermediate Fp2 and reduce mod P only a
-    # value that feeds a further product, and each output coordinate once.
-    # An Fp2 square is (2*i*r, (r - i)(r + i)); an Fp2 product is Karatsuba,
-    # with m and n the real and i products.
+    # In the formulas below, ai and ar are the i and real parts of a (an Fp2
+    # is x*i + y).  An Fp2 square is (2*i*r, (r - i)(r + i)); an Fp2 product
+    # is Karatsuba, with m and n the real and i products.
 
     def double(self) -> "PointG2":
         """dbl-2009-l, as ``PointG1.double``."""
