@@ -16,9 +16,8 @@ chords rely on T != +-Q, which holds for Q in G2.  Because a line table
 depends on Q alone, a Q paired many times needs one table (Costello and
 Stebila, "Fixed argument pairings", LATINCRYPT 2010).  This module keeps
 no table: ``g2_lines`` is the only function that builds one, and its caller
-decides how long it lives.  ``Bn256Suite.pair`` keeps the table of each
-group-B element it pairs on that element; ``pairing_product_is_one``
-builds throwaway tables.
+decides how long it lives.  ``Bn256Suite`` keeps the table of each
+group-B element it pairs on that element.
 
 Nearly all of a pairing's time goes to four tower kernels:
 ``Fp12.square`` and ``_mul_line`` in the Miller loop,
@@ -110,7 +109,7 @@ def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
 
     The only code that builds a table.  Building one costs about a third
     of a one-pair Miller loop, so a caller that pairs the same Q again
-    passes the same table: ``Bn256Suite.pair`` keeps it on the group-B
+    passes the same table: ``Bn256Suite`` keeps it on the group-B
     element.  Q must not be the point at infinity.
     """
     qa = PointG2(*q.affine())
@@ -186,18 +185,6 @@ def final_exponentiation(f: Fp12) -> Fp12:
     t1 = t1 * y0
     t0 = t0.cyclotomic_square() * t1
     return t0
-
-
-def pairing_product_is_one(pairs) -> bool:
-    """Whether the product of e(p, q) over (p, q) pairs is 1.
-
-    One Miller loop runs over every pair with a factor at infinity
-    dropped (its pairing is 1), and one final exponentiation follows
-    (Scott, "On the efficient implementation of pairing-based
-    protocols", IMA 2011).  Each Q's table is built here and dropped.
-    """
-    live = [(p, g2_lines(q)) for p, q in pairs if not (p.is_infinity() or q.is_infinity())]
-    return final_exponentiation(miller_loop(live)).is_one()
 
 
 # --- hash to G1 ----------------------------------------------------------

@@ -60,6 +60,9 @@ class PointG1:
             return self.is_infinity() and other.is_infinity()
         return self.affine() == other.affine()
 
+    def neg(self) -> "PointG1":
+        return PointG1(self.x, -self.y % P, self.z)
+
     def double(self) -> "PointG1":
         # dbl-2009-l
         a = self.x * self.x % P

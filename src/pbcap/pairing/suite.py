@@ -10,8 +10,9 @@ Two interchangeable environments implement the same surface:
   exponents, so every algebraic identity can be checked exactly.  Test
   infrastructure only; never use it to protect anything.
 
-Elements are immutable; all operations are pure.  Randomness is always
-caller-supplied (anything with a ``randrange`` method, e.g.
+An element's value never changes, but a group-B element of the
+production suite keeps its line table once it is paired.  Randomness is
+always caller-supplied (anything with a ``randrange`` method, e.g.
 ``secrets.SystemRandom`` in production or a seeded ``random.Random`` in
 tests).
 """
@@ -64,8 +65,8 @@ class GroupElement:
 
     Equality is canonical-bytes equality; the payload representation is
     suite-specific and opaque to callers.  ``lines`` is the suite's
-    pairing table for a group-B element: None until ``Bn256Suite.pair``
-    first pairs the element, then kept for as long as the element lives.
+    pairing table for a group-B element: None until ``Bn256Suite`` first
+    pairs the element, then kept for as long as the element lives.
     """
 
     __slots__ = ("suite", "group", "value", "lines")
@@ -184,7 +185,11 @@ class Bn256Suite(PairingSuite):
     def __init__(self):
         self.order = curve.ORDER
         self.gen_a = GroupElement(self, Group.A, curve.G1_GEN)
-        self.gen_b = GroupElement(self, Group.B, curve.G2_GEN)
+
+    @property
+    def gen_b(self) -> GroupElement:
+        # new each time: a table kept on an element the suite held would live until a full collection
+        return GroupElement(self, Group.B, curve.G2_GEN)
 
     def identity(self, group: Group) -> GroupElement:
         if group is Group.A:
@@ -193,40 +198,38 @@ class Bn256Suite(PairingSuite):
             return GroupElement(self, Group.B, curve.G2_INF)
         return GroupElement(self, Group.T, bn256.FP12_ONE)
 
-    def pair(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        """e(x, y), from y's ``g2_lines`` table, built the first time y is paired.
+    def _pairing_product(self, pairs):
+        """The product of e(a, b) over (group-A, group-B) pairs, with one Miller
+        loop and one final exponentiation (Scott, IMA 2011).
 
-        y is a tag's Y in ``matches_trapdoor``, tested against every
-        trapdoor of a submission, or ``admin_pk_b`` in ``make_tag``,
-        paired once per fragment of a ``user tag``.  The table lives on y
-        and dies with it, so it is reused within one command and never
-        across commands.  It is built on first use, not on decoding, so
-        a classify that stops early builds tables only for the tags it
-        tested.
+        A pair with a factor at infinity pairs to 1 and is dropped.  Each b
+        keeps its ``g2_lines`` table, built the first time b is paired, not
+        when it is decoded: a classify that stops early builds tables only
+        for the tags it tested.
         """
-        self._require(x, Group.A)
-        self._require(y, Group.B)
-        if x.value.is_infinity() or y.value.is_infinity():
-            return self.identity(Group.T)
-        if y.lines is None:
-            y.lines = bn256.g2_lines(y.value)
-        f = bn256.miller_loop([(x.value, y.lines)])
-        return GroupElement(self, Group.T, bn256.final_exponentiation(f))
+        live = []
+        for a, b in pairs:
+            self._require(a, Group.A)
+            self._require(b, Group.B)
+            if a.value.is_infinity() or b.value.is_infinity():
+                continue
+            if b.lines is None:
+                b.lines = bn256.g2_lines(b.value)
+            live.append((a.value, b.lines))
+        if not live:
+            return bn256.FP12_ONE
+        return bn256.final_exponentiation(bn256.miller_loop(live))
+
+    def pair(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        return GroupElement(self, Group.T, self._pairing_product([(x, y)]))
 
     def pairs_equal(self, a1: GroupElement, b1: GroupElement,
                     a2: GroupElement, b2: GroupElement) -> bool:
-        """e(a1, b1) * e(a2, -b2) == 1, with one shared final exponentiation.
-
-        Both tables are built for this one check and dropped.  b2 enters
-        negated, as a new point.  b1 is X in the authenticity check, paired
-        once per submission, or ``gen_b`` in the admin key check; the suite
-        holds ``gen_b`` in a reference cycle, so a table kept on it would
-        stay until a full garbage collection.
-        """
-        for a, b in ((a1, b1), (a2, b2)):
-            self._require(a, Group.A)
-            self._require(b, Group.B)
-        return bn256.pairing_product_is_one([(a1.value, b1.value), (a2.value, b2.value.neg())])
+        """e(a1, b1) * e(-a2, b2) == 1: a2 is negated in G1, so b2 keeps its
+        own table."""
+        self._require(a2, Group.A)
+        neg_a2 = GroupElement(self, Group.A, a2.value.neg())
+        return self._pairing_product([(a1, b1), (neg_a2, b2)]).is_one()
 
     def hash_to_group_a(self, message: bytes) -> GroupElement:
         return GroupElement(self, Group.A, bn256.hash_to_g1(message, H1_DST))

@@ -93,9 +93,6 @@ class Fp2:
     def __eq__(self, other):
         return self.x == other.x and self.y == other.y
 
-    def __hash__(self):
-        return hash((self.x, self.y))
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
@@ -376,9 +373,6 @@ class Fp12:
             v0i + 3 * u2i + u2r, v0r + 3 * u2r - u2i,
         ))
 
-    def mul_scalar(self, k: Fp6) -> "Fp12":
-        return Fp12(self.x * k, self.y * k)
-
     def square(self) -> "Fp12":
         """(a*w + b)^2 = 2ab*w + (a + b)(a*tau + b) - ab - ab*tau: two
         ``_fp6_mul`` products."""
@@ -462,7 +456,7 @@ class Fp12:
     def inverse(self) -> "Fp12":
         t1 = self.y * self.y - (self.x * self.x).mul_tau()
         t2 = t1.inverse()
-        return Fp12(self.x.neg(), self.y).mul_scalar(t2)
+        return Fp12(self.x.neg() * t2, self.y * t2)
 
 
 FP12_ONE = Fp12(FP6_ZERO, FP6_ONE)

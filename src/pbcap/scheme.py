@@ -80,6 +80,9 @@ class ClassificationTag:
     def __post_init__(self):
         if len(self.z) != H2_BYTES:
             raise ValueError(f"tag digest must be {H2_BYTES} bytes")
+        # e(token, 1) = 1 for every token, so z = H2(1) would match every trapdoor
+        if self.y.is_identity():
+            raise ValueError("tag y is the identity")
 
 
 @dataclass(frozen=True)

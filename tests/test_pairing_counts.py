@@ -6,8 +6,9 @@ The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``curve.PointG2.scalar_mul``; the program itself keeps no counter.
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
-its line table once ``pair`` has built it, so a command builds one table
-per distinct tag Y or admin key it pairs.
+its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
+command builds one table per group-B element it pairs: each tag Y, each
+X, ``g_b``, the admin key and the user key.
 """
 
 import json
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 
 from pbcap import formats, policy
 from pbcap.cli import cli
-from pbcap.pairing import bn256, curve
+from pbcap.pairing import Group, bn256, curve, get_suite
 from pbcap.scheme import (
     keygen_admin,
     keygen_user,
@@ -175,7 +176,7 @@ def test_no_match_pdp_classify(tmp_path, counts, tables):
     ys = [t["y"] for t in json.loads((tmp_path / "sub.json").read_text())["tags"]]
     assert len(set(ys)) == tags
     assert [tables[y] for y in ys] == [1] * tags
-    # the two checks build throwaway tables, two each
+    # the admin key check builds g_b's and admin_pk_b's tables, authenticity X's and user_pk_b's
     assert sum(tables.values()) == tags + 2 + 2
 
 
@@ -258,10 +259,55 @@ def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
     assert sum(tables.values()) == 2
 
 
+def test_identity_tag_y_refused_by_pdp_classify(tmp_path, counts):
+    """A hand-built submission whose one tag has the identity as y and
+    H2(1) as z would match every trapdoor, e(token, 1) being 1, and go to
+    the top policy's unit.  It is refused when it is read: exit 3, nothing
+    stored, no pairing beyond the command's admin key check."""
+    args = _prepare_pdp_classify(tmp_path, [_policy("top", ["ApprovedBy(Plan,Board)"], 9)])
+    suite = get_suite("production")
+    wildcard = {"y": "00" * 65, "z": suite.hash_to_bits(suite.identity(Group.T)).hex()}
+    doc = json.loads((tmp_path / "sub.json").read_text())
+    (tmp_path / "sub.json").write_text(json.dumps(dict(doc, tags=[wildcard])))
+    counts.clear()
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 3, result.output
+    assert "sub.json: tag y is the identity" in result.stderr
+    assert list((tmp_path / "store").iterdir()) == []
+    _expect(counts, 1, 1)
+
+
+def test_pdp_classify_batch_builds_one_user_key_table(tmp_path, counts, tables):
+    """Two submissions of one user in one ``pdp classify``: the
+    authenticity check pairs the user key, which keeps its table for the
+    whole batch.  Each submission decodes its own X and tags, which build
+    their own tables."""
+    policies = [_policy("1", ["SignedBy(Form,Clerk)"], 5)]
+    args = _prepare_pdp_classify(tmp_path, policies)
+    result = CliRunner().invoke(cli, [str(a) for a in (
+        "user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
+        "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
+        "--out", tmp_path / "sub2.json", "--seed", 4, "--file-id", "second.bin")])
+    assert result.exit_code == 0, result.output
+    counts.clear()
+    tables.clear()
+    result = CliRunner().invoke(cli, args[:3] + [str(tmp_path / "sub2.json")] + args[3:])
+    assert result.exit_code == 0, result.output
+    tags, trapdoors = 2, 1
+    _expect(counts, 1 + 2 * (1 + tags * trapdoors), 1 + 2 * (1 + tags * trapdoors))
+    user_pk_b = json.loads((tmp_path / "usr/user.pk").read_text())["pk_b"]
+    x = json.loads((tmp_path / "sub.json").read_text())["x"]
+    assert tables[user_pk_b] == 1
+    assert tables[x] == 2
+    # g_b and admin_pk_b, the user key, then X and each tag's Y per submission
+    assert sum(tables.values()) == 2 + 1 + 2 * (1 + tags)
+
+
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
 def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fragments):
-    """Every tag pairs with ``admin_pk_b``, which builds its table once
-    per ``user tag`` command, whatever the number of fragments."""
+    """The admin key check and every tag pair with ``admin_pk_b``, which
+    builds its table once per ``user tag`` command, whatever the number of
+    fragments."""
     (tmp_path / "graph.txt").write_text(graph)
     (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
     runner = CliRunner()
@@ -280,5 +326,5 @@ def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fr
     _expect(counts, 1 + fragments, 1 + fragments)
     admin_pk_b = json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
     assert tables[admin_pk_b] == 1
-    # the admin key check's two throwaway tables
-    assert sum(tables.values()) == 1 + 2
+    # admin_pk_b's, shared by the admin key check and every tag, and g_b's
+    assert sum(tables.values()) == 2

@@ -112,6 +112,13 @@ class TestTagAndTrapdoor:
         with pytest.raises(ValueError):
             ClassificationTag(y=tag.y, z=b"short")
 
+    def test_identity_tag_y_refused(self, any_suite):
+        """e(token, 1) = 1 for every token, so an identity Y with z = H2(1)
+        would match every trapdoor."""
+        s = any_suite
+        with pytest.raises(ValueError, match="identity"):
+            ClassificationTag(y=s.identity(Group.B), z=s.hash_to_bits(s.identity(Group.T)))
+
     def test_mock_tag_target_exponent(self, mock_suite, rng):
         """Y carries beta*r and t carries alpha*beta*r*dlog(H1(P)) exactly."""
         s = mock_suite

@@ -235,7 +235,8 @@ def compute_kat() -> dict:
 
 
 def compute_miller_loop_pairs() -> dict:
-    """Raw two-pair Miller loop shaped like the admin key check, second Q negated."""
+    """Raw two-pair Miller loop on fixed inputs, ([alpha]G1, G2) and (G1, -[alpha]G2),
+    whose product pairs to 1."""
     alpha = DUAL_KEY_ALPHA
     f = bn256.miller_loop([
         (curve.G1_GEN.scalar_mul(alpha), bn256.g2_lines(curve.G2_GEN)),
