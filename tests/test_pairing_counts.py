@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from pbcap import formats, policy
 from pbcap.cli import cli
-from pbcap.pairing import Group, bn256, curve, get_suite
+from pbcap.pairing import Group, bn256, curve
 from pbcap.scheme import (
     keygen_admin,
     keygen_user,
@@ -259,14 +259,13 @@ def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
     assert sum(tables.values()) == 2
 
 
-def test_identity_tag_y_refused_by_pdp_classify(tmp_path, counts):
+def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts):
     """A hand-built submission whose one tag has the identity as y and
     H2(1) as z would match every trapdoor, e(token, 1) being 1, and go to
     the top policy's unit.  It is refused when it is read: exit 3, nothing
     stored, no pairing beyond the command's admin key check."""
     args = _prepare_pdp_classify(tmp_path, [_policy("top", ["ApprovedBy(Plan,Board)"], 9)])
-    suite = get_suite("production")
-    wildcard = {"y": "00" * 65, "z": suite.hash_to_bits(suite.identity(Group.T)).hex()}
+    wildcard = {"y": "00" * 65, "z": prod_suite.hash_to_bits(prod_suite.identity(Group.T)).hex()}
     doc = json.loads((tmp_path / "sub.json").read_text())
     (tmp_path / "sub.json").write_text(json.dumps(dict(doc, tags=[wildcard])))
     counts.clear()
