@@ -24,6 +24,7 @@ from .scheme import (
     TrapdoorEntry,
     UserKeyPair,
     UserPublicKey,
+    check_admin_key,
     keygen_admin,
     keygen_user,
     make_tag,

@@ -14,6 +14,13 @@ its unit).  A compiled set, key or storage root that cannot be read --
 including a compiled set that names an unsafe storage unit -- exits 3
 before any submission is read.  Otherwise each submission of a batch is
 handled on its own; the exit code is the highest of theirs.
+
+An admin public key whose two halves do not share an exponent is refused
+by ``user tag`` when it is loaded (exit 1).  ``pdp classify`` folds that
+check into the first authentication it runs (``verify_authenticity``
+with a random ``delta``), so it finds such a key once a submission is
+authenticated, not before any submission is read: it then exits 3 at
+once, and that submission is neither stored nor logged.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ def _make_rng(seed: int | None, suite_name: str):
 def _guard(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise click.ClickException(f"{path} exists; pass --force to overwrite")
+
+
+def _bad_admin_key(path: Path) -> str:
+    return f"{path}: pk_a and pk_b do not share an exponent"
 
 
 @click.group()
@@ -155,6 +166,8 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
         file_id = check_file_id(file_id or payload_path.name)
         graph = parse_graph(graph_path.read_text(encoding="utf-8"))
         admin_pub = formats.load_admin_public(admin_pk_path, suite)
+        if not scheme.check_admin_key(suite, admin_pub):
+            raise click.ClickException(_bad_admin_key(admin_pk_path))
         user_sk = formats.load_user_secret(user_sk_path, suite)
     except PbcapError as exc:
         raise click.ClickException(str(exc))
@@ -181,23 +194,14 @@ def pdp():
     """Policy decision + enforcement point."""
 
 
-def _classify_one(suite, compiled, admin_pub, user_pub, layout, sub_path: Path):
-    """Classify, store and log one submission; returns its exit code."""
-    try:
-        sub = formats.load_submission(sub_path, suite)
-        decision = policy.classify(
-            list(sub.tags), user_pub, admin_pub, compiled, suite,
-            file_id=sub.file_id, x=sub.x,
-        )
-    except PbcapError as exc:
-        click.echo(f"{sub_path}: decode error: {exc}", err=True)
-        return EXIT_DECODE_ERROR
+def _route(layout, sub_path: Path, decision, payload: bytes) -> int:
+    """Store and log one classified submission; returns its exit code."""
     if not decision.authenticated:
         layout.log(decision)
         click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
         return EXIT_AUTH_FAILURE
     try:
-        layout.store(decision, sub.payload)
+        layout.store(decision, payload)
     except ValidationError as exc:
         click.echo(f"{sub_path}: payload not stored: {exc}", err=True)
         return EXIT_DECODE_ERROR
@@ -231,8 +235,26 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
     except PbcapError as exc:
         click.echo(f"decode error: {exc}", err=True)
         sys.exit(EXIT_DECODE_ERROR)
-    codes = [_classify_one(suite, compiled, admin_pub, user_pub, layout, path)
-             for path in submissions]
+    codes = []
+    key_good = False
+    for sub_path in submissions:
+        try:
+            sub = formats.load_submission(sub_path, suite)
+            # until the admin key is known good, each authentication checks it too
+            delta = 0 if key_good else 1 + secrets.randbelow(min(2 ** 128, suite.order) - 1)
+            decision = policy.classify(
+                list(sub.tags), user_pub, admin_pub, compiled, suite,
+                file_id=sub.file_id, x=sub.x, delta=delta,
+            )
+        except PbcapError as exc:
+            click.echo(f"{sub_path}: decode error: {exc}", err=True)
+            codes.append(EXIT_DECODE_ERROR)
+            continue
+        if delta and not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
+            click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
+            sys.exit(EXIT_DECODE_ERROR)
+        key_good = True
+        codes.append(_route(layout, sub_path, decision, sub.payload))
     sys.exit(max(codes))
 
 

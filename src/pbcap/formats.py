@@ -132,11 +132,9 @@ def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
 def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
     with _load(path, "admin-public-key", suite) as doc:
         pk_a, pk_b = _element(suite, Group.A, doc, "pk_a"), _element(suite, Group.B, doc, "pk_b")
-        # an identity key passes the dual-representation check below with both sides 1
+        # an identity key passes scheme.check_admin_key with both sides 1
         if pk_a.is_identity() or pk_b.is_identity():
             raise DecodeError("admin public key is the identity")
-        if not suite.pairs_equal(pk_a, suite.gen_b, suite.gen_a, pk_b):
-            raise DecodeError("pk_a and pk_b do not share an exponent")
     return AdminPublicKey(pk_a=pk_a, pk_b=pk_b)
 
 

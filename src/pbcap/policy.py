@@ -126,6 +126,7 @@ def classify(
     *,
     x: GroupElement,
     file_id: str = "",
+    delta: int = 0,
 ) -> Decision:
     """Route one submission.
 
@@ -134,9 +135,10 @@ def classify(
     tried from the highest priority down (ties by smallest id), and
     testing stops at the first policy for which any tag passes against
     any of its trapdoors: the winner is the same as when every policy is
-    tested, and no lower-priority match is learned.
+    tested, and no lower-priority match is learned.  ``delta`` is passed
+    to ``verify_authenticity``.
     """
-    if not verify_authenticity(suite, admin_pub, user_pub, x):
+    if not verify_authenticity(suite, admin_pub, user_pub, x, delta):
         return Decision.unclassified(file_id, authenticated=False)
 
     for policy in sorted(compiled, key=lambda p: (-p.priority, p.id)):

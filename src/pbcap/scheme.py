@@ -27,6 +27,25 @@ fragments agree.  The paper's Test algorithm is these two checks,
 ``verify_authenticity`` then ``matches_trapdoor``, as ``policy.classify``
 runs them: authenticity once per submission, then each (tag, trapdoor)
 pair until a policy matches.
+
+Equation (1) binds X to admin_pk_a, but X is made from admin_pk_b, so
+the admin key must also hold the same exponent in both groups:
+
+0. ``e(admin_pk_a, g_b) == e(g_a, admin_pk_b)``  (``check_admin_key``).
+
+``verify_authenticity`` with ``delta`` >= 1 checks (0) and (1) in one
+2-pair product, the small-exponent batch test (Bellare, Garay and Rabin,
+Eurocrypt 1998; Ferrara et al., CT-RSA 2009):
+
+    e(admin_pk_a, g_b^delta * user_pk_b) == e(g_a, admin_pk_b^delta * X).
+
+With r0 and r1 the left side over the right side of (0) and (1), it
+holds iff r0^delta == r1.  If (0) fails, r0 generates the prime-order
+target group and one delta mod n at most passes; if only (1) fails, none
+does.  With delta uniform in [1, min(2^128, n)), a bad key or a forged X
+passes with probability at most 2^-128.  The bound needs every element
+in its prime-order group, which decoding guarantees.  The check needs no
+G2 negation, and a 128-bit delta keeps its two G2 multiplications short.
 """
 
 from __future__ import annotations
@@ -135,14 +154,28 @@ def make_trapdoor(
     )
 
 
+def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey) -> bool:
+    """Equation (0): e(admin_pk_a, g_b) == e(g_a, admin_pk_b)."""
+    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b, suite.gen_a, admin_pub.pk_b)
+
+
 def verify_authenticity(
     suite: PairingSuite,
     admin_pub: AdminPublicKey,
     user_pub: UserPublicKey,
     x: GroupElement,
+    delta: int = 0,
 ) -> bool:
-    """Equation (1): e(g_a, X) == e(admin_pk_a, user_pk_b)."""
-    return suite.pairs_equal(suite.gen_a, x, admin_pub.pk_a, user_pub.pk_b)
+    """Equation (1): e(g_a, X) == e(admin_pk_a, user_pk_b).
+
+    With ``delta`` >= 1, equations (0) and (1) batched into one product
+    (see the module docstring).  ``delta`` = 0 pairs ``user_pk_b`` itself,
+    so its kept line table serves every later submission of a batch.
+    """
+    if not delta:
+        return suite.pairs_equal(suite.gen_a, x, admin_pub.pk_a, user_pub.pk_b)
+    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b ** delta * user_pub.pk_b,
+                             suite.gen_a, admin_pub.pk_b ** delta * x)
 
 
 def matches_trapdoor(

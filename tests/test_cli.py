@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from pbcap import policy, scheme
 from pbcap.cli import cli
 
 POLICY_DOC = {
@@ -71,6 +72,26 @@ def pipeline(tmp_path, runner):
         "--payload", tmp_path / "payload.bin",
         "--out", tmp_path / "sub.json", "--suite", "mock", "--seed", 3)
     return tmp_path, run
+
+
+def _mix_admin_key(root, run):
+    """Give ``pap/admin.pk`` the pk_b of another admin key pair; returns the refusal."""
+    run("pap", "keygen", "--out-dir", root / "pap2", "--suite", "mock", "--seed", 9)
+    doc = json.loads((root / "pap/admin.pk").read_text())
+    doc["pk_b"] = json.loads((root / "pap2/admin.pk").read_text())["pk_b"]
+    (root / "pap/admin.pk").write_text(json.dumps(doc))
+    return f"{root / 'pap/admin.pk'}: pk_a and pk_b do not share an exponent"
+
+
+def _forge(root, run):
+    """A submission tagged with the key of a user the PDP does not know."""
+    run("user", "keygen", "--out-dir", root / "usr2", "--suite", "mock", "--seed", 77)
+    run("user", "tag", "--graph", root / "graph.txt",
+        "--admin-pk", root / "pap/admin.pk",
+        "--user-sk", root / "usr2/user.sk",
+        "--payload", root / "payload.bin",
+        "--out", root / "forged.json", "--suite", "mock", "--seed", 7)
+    return root / "forged.json"
 
 
 def _classify_args(root, sub="sub.json"):
@@ -234,6 +255,20 @@ class TestTag:
         assert result.exit_code != 0
         assert "cycle" in result.output
 
+    def test_mixed_exponent_admin_key_refused(self, pipeline, runner):
+        """Checked when the key is loaded: exit 1, no submission written."""
+        root, run = pipeline
+        refusal = _mix_admin_key(root, run)
+        result = runner.invoke(cli, [str(a) for a in (
+            "user", "tag", "--graph", root / "graph.txt",
+            "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / "usr/user.sk",
+            "--payload", root / "payload.bin",
+            "--out", root / "bad.json", "--suite", "mock", "--seed", 5)], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: {refusal}\n"
+        assert not (root / "bad.json").exists()
+
     @pytest.mark.parametrize("graph", [
         "node t Artifact Te,st\nnode n Agent Nurse\nedge RecordedBy t n\n",
         json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": 5},
@@ -295,15 +330,54 @@ class TestClassify:
 
     def test_unregistered_user_exits_2_and_stores_nothing(self, pipeline, runner):
         root, run = pipeline
-        run("user", "keygen", "--out-dir", root / "usr2", "--suite", "mock", "--seed", 77)
-        run("user", "tag", "--graph", root / "graph.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr2/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "forged.json", "--suite", "mock", "--seed", 7)
+        _forge(root, run)
         result = runner.invoke(cli, _classify_args(root, "forged.json"))
         assert result.exit_code == 2
         assert not list((root / "store").glob("*/*"))
+
+    @pytest.mark.parametrize("first", ["sub.json", "forged.json"])
+    def test_mixed_exponent_admin_key_exits_3(self, pipeline, runner, first):
+        """Found by the first authentication, genuine or forged: exit 3 at
+        once, the rest of the batch unread, nothing stored and nothing logged."""
+        root, run = pipeline
+        _forge(root, run)
+        refusal = _mix_admin_key(root, run)
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(root / first), str(root / "sub.json")] + base[3:],
+                               catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"decode error: {refusal}\n"
+        assert list((root / "store").iterdir()) == []
+
+    def test_forged_then_genuine_checks_admin_key_once(self, pipeline, runner, monkeypatch):
+        """The forged submission fails the merged check, so the admin key is
+        checked alone and passes: that submission exits 2 and is logged.
+        The genuine one is then authenticated by the plain check (delta 0)
+        and exits 0."""
+        root, run = pipeline
+        _forge(root, run)
+        deltas, key_checks = [], []
+
+        def verify(suite, admin_pub, user_pub, x, delta=0, _inner=policy.verify_authenticity):
+            deltas.append(delta)
+            return _inner(suite, admin_pub, user_pub, x, delta)
+
+        def check(suite, admin_pub, _inner=scheme.check_admin_key):
+            key_checks.append(admin_pub)
+            return _inner(suite, admin_pub)
+
+        monkeypatch.setattr(policy, "verify_authenticity", verify)
+        monkeypatch.setattr(scheme, "check_admin_key", check)
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(root / "forged.json"), str(root / "sub.json")] + base[3:],
+                               catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"{root / 'forged.json'}: authentication failure; payload not stored\n"
+        assert json.loads(result.stdout)["storage_unit"] == "Hospital"
+        log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
+        assert [entry["authenticated"] for entry in log] == [False, True]
+        assert len(deltas) == 2 and deltas[0] >= 1 and deltas[1] == 0
+        assert len(key_checks) == 1
 
     def test_corrupt_submission_exits_3(self, pipeline, runner):
         root, _ = pipeline

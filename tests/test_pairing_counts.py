@@ -7,8 +7,12 @@ The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
-command builds one table per group-B element it pairs: each tag Y, each
-X, ``g_b``, the admin key and the user key.
+command builds one table per group-B element it pairs.  ``user tag``
+pairs ``g_b`` and the admin key in its admin key check, then the admin
+key again per tag.  ``pdp classify`` checks the admin key inside its
+first authentication, whose merged check pairs two new elements,
+g_b^delta * user_pk_b and admin_pk_b^delta * X; each later authentication
+of the batch pairs X and the user key, and each tested tag its Y.
 """
 
 import json
@@ -22,6 +26,7 @@ from pbcap import formats, policy
 from pbcap.cli import cli
 from pbcap.pairing import Group, bn256, curve
 from pbcap.scheme import (
+    check_admin_key,
     keygen_admin,
     keygen_user,
     make_tag,
@@ -69,10 +74,13 @@ def keys(prod_suite):
     return keygen_admin(prod_suite, rng), keygen_user(prod_suite, rng), rng
 
 
-def test_load_admin_public(prod_suite, keys, tmp_path, counts):
+def test_check_admin_key(prod_suite, keys, tmp_path, counts):
+    """Loading the admin public key pairs nothing; checking it is one 2-pair product."""
     admin, _, _ = keys
     formats.save_admin_keypair(admin, prod_suite, tmp_path / "a.sk", tmp_path / "a.pk")
-    formats.load_admin_public(tmp_path / "a.pk", prod_suite)
+    admin_pub = formats.load_admin_public(tmp_path / "a.pk", prod_suite)
+    assert not counts
+    assert check_admin_key(prod_suite, admin_pub)
     _expect(counts, 1, 1)
 
 
@@ -171,13 +179,13 @@ def test_no_match_pdp_classify(tmp_path, counts, tables):
     ]
     tags, trapdoors = 2, 3
     assert _pdp_classify(tmp_path, policies, counts, tables)["matched_policy"] is None
-    # admin dual-key check and authenticity: one shared Miller loop and one FE each
-    _expect(counts, 1 + 1 + tags * trapdoors, 2 + tags * trapdoors)
+    # the admin key check merged into authentication: one Miller loop and one FE
+    _expect(counts, 1 + tags * trapdoors, 1 + tags * trapdoors)
     ys = [t["y"] for t in json.loads((tmp_path / "sub.json").read_text())["tags"]]
     assert len(set(ys)) == tags
     assert [tables[y] for y in ys] == [1] * tags
-    # the admin key check builds g_b's and admin_pk_b's tables, authenticity X's and user_pk_b's
-    assert sum(tables.values()) == tags + 2 + 2
+    # the merged check builds the tables of its two new elements, none on a key or X
+    assert sum(tables.values()) == tags + 2
 
 
 def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
@@ -197,7 +205,7 @@ def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
     ]
     assert _pdp_classify(tmp_path, policies, counts)["matched_policy"] == "top"
     assert tested == ["top/k0"]
-    _expect(counts, 3, 3)
+    _expect(counts, 2, 2)
 
 
 def test_log_name_storage_unit_refused_by_pdp_classify(tmp_path, counts):
@@ -245,7 +253,7 @@ def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, paylo
 
 def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
     """A hand-built submission whose file id no store accepts is refused
-    when it is read: no pairing runs beyond the command's admin key check."""
+    when it is read: no pairing runs, and no table is built."""
     args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
     doc = json.loads((tmp_path / "sub.json").read_text())
     (tmp_path / "sub.json").write_text(json.dumps(dict(doc, file_id="../evil")))
@@ -255,31 +263,34 @@ def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
     assert result.exit_code == 3, result.output
     assert "file id '../evil' is not a safe file name" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
-    _expect(counts, 1, 1)
-    assert sum(tables.values()) == 2
+    assert not counts
+    assert not tables
 
 
-def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts):
+def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, tables):
     """A hand-built submission whose one tag has the identity as y and
     H2(1) as z would match every trapdoor, e(token, 1) being 1, and go to
     the top policy's unit.  It is refused when it is read: exit 3, nothing
-    stored, no pairing beyond the command's admin key check."""
+    stored, no pairing and no table."""
     args = _prepare_pdp_classify(tmp_path, [_policy("top", ["ApprovedBy(Plan,Board)"], 9)])
     wildcard = {"y": "00" * 65, "z": prod_suite.hash_to_bits(prod_suite.identity(Group.T)).hex()}
     doc = json.loads((tmp_path / "sub.json").read_text())
     (tmp_path / "sub.json").write_text(json.dumps(dict(doc, tags=[wildcard])))
     counts.clear()
+    tables.clear()
     result = CliRunner().invoke(cli, args)
     assert result.exit_code == 3, result.output
     assert "sub.json: tag y is the identity" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
-    _expect(counts, 1, 1)
+    assert not counts
+    assert not tables
 
 
 def test_pdp_classify_batch_builds_one_user_key_table(tmp_path, counts, tables):
-    """Two submissions of one user in one ``pdp classify``: the
-    authenticity check pairs the user key, which keeps its table for the
-    whole batch.  Each submission decodes its own X and tags, which build
+    """Two submissions of one user in one ``pdp classify``: the first
+    authentication also checks the admin key and pairs two new elements;
+    the later ones pair the user key, which keeps its table for the rest
+    of the batch.  Each submission decodes its own X and tags, which build
     their own tables."""
     policies = [_policy("1", ["SignedBy(Form,Clerk)"], 5)]
     args = _prepare_pdp_classify(tmp_path, policies)
@@ -293,13 +304,14 @@ def test_pdp_classify_batch_builds_one_user_key_table(tmp_path, counts, tables):
     result = CliRunner().invoke(cli, args[:3] + [str(tmp_path / "sub2.json")] + args[3:])
     assert result.exit_code == 0, result.output
     tags, trapdoors = 2, 1
-    _expect(counts, 1 + 2 * (1 + tags * trapdoors), 1 + 2 * (1 + tags * trapdoors))
+    _expect(counts, 2 * (1 + tags * trapdoors), 2 * (1 + tags * trapdoors))
     user_pk_b = json.loads((tmp_path / "usr/user.pk").read_text())["pk_b"]
     x = json.loads((tmp_path / "sub.json").read_text())["x"]
     assert tables[user_pk_b] == 1
-    assert tables[x] == 2
-    # g_b and admin_pk_b, the user key, then X and each tag's Y per submission
-    assert sum(tables.values()) == 2 + 1 + 2 * (1 + tags)
+    # X is the same for both submissions; only the second pairs it
+    assert tables[x] == 1
+    # the merged check's two elements and each tag's Y, then the user key, X and each Y
+    assert sum(tables.values()) == (2 + tags) + (1 + 1 + tags)
 
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])

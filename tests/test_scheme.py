@@ -7,7 +7,9 @@ import pytest
 from pbcap.errors import GroupMismatchError
 from pbcap.pairing import Group, Scalar
 from pbcap.scheme import (
+    AdminPublicKey,
     ClassificationTag,
+    check_admin_key,
     keygen_admin,
     keygen_user,
     make_tag,
@@ -40,6 +42,13 @@ class TestKeygen:
         user = keygen_user(mock_suite, rng)
         assert mock_suite.discrete_log(user.pk_b) == user.sk.value
         assert mock_suite.gen_b ** user.sk == user.pk_b
+
+    def test_tampered_public_key_rejected(self, mock_suite):
+        """An admin public key whose pk_b comes from another key pair."""
+        a = keygen_admin(mock_suite, random.Random(1))
+        b = keygen_admin(mock_suite, random.Random(2))
+        assert check_admin_key(mock_suite, a.public)
+        assert not check_admin_key(mock_suite, AdminPublicKey(pk_a=a.pk_a, pk_b=b.pk_b))
 
     def test_user_pk_not_identity(self, any_suite, rng):
         assert not keygen_user(any_suite, rng).pk_b.is_identity()
@@ -198,3 +207,66 @@ class TestBulkProperties:
                 continue
             forged_x = admin.pk_b ** beta_prime
             assert not verify_authenticity(s, admin.public, user.public, forged_x)
+
+
+class TestMergedAuthenticity:
+    """``verify_authenticity`` with delta >= 1: e(pk_a, g_b^delta * user_pk_b)
+    == e(g_a, pk_b^delta * X).  In the mock its two sides differ by the
+    exponent delta*(alpha - alpha') + (alpha*beta - x), for pk_a = alpha,
+    pk_b = alpha', user_pk_b = beta and X = x: it passes iff that is 0 mod n."""
+
+    @pytest.fixture
+    def keys(self, mock_suite):
+        rng = random.Random(15)
+        admin, other = keygen_admin(mock_suite, rng), keygen_admin(mock_suite, rng)
+        user = keygen_user(mock_suite, rng)
+        return admin, AdminPublicKey(pk_a=admin.pk_a, pk_b=other.pk_b), user, rng
+
+    @staticmethod
+    def _deltas(suite, rng):
+        return [1, 2, 2 ** 60, suite.order - 1] + [rng.randrange(1, suite.order) for _ in range(20)]
+
+    def test_bad_key_passes_at_one_delta(self, mock_suite, keys):
+        """With X = pk_b^beta the exponent is (alpha - alpha')*(delta + beta):
+        only delta = -beta mod n passes.  An X of the genuine alpha passes
+        the plain check (delta = 0), which is why the key needs checking,
+        and fails every delta >= 1."""
+        s = mock_suite
+        _, bad, user, rng = keys
+        beta = user.sk.value
+        x = make_x(bad, user.sk)
+        assert not verify_authenticity(s, bad, user.public, x)
+        assert verify_authenticity(s, bad, user.public, x, delta=s.order - beta)
+        for delta in [s.order - beta - 1, s.order - beta + 1] + self._deltas(s, rng):
+            assert not verify_authenticity(s, bad, user.public, x, delta=delta), delta
+        x_alpha = user.public.pk_b ** s.discrete_log(bad.pk_a)
+        assert verify_authenticity(s, bad, user.public, x_alpha)
+        for delta in self._deltas(s, rng):
+            assert not verify_authenticity(s, bad, user.public, x_alpha, delta=delta), delta
+
+    def test_forged_x_fails_every_delta(self, mock_suite, keys):
+        s = mock_suite
+        admin, _, user, rng = keys
+        forged = make_x(admin.public, Scalar(user.sk.value + 1))
+        for delta in [0] + self._deltas(s, rng):
+            assert not verify_authenticity(s, admin.public, user.public, forged, delta=delta), delta
+
+    def test_genuine_passes_every_delta(self, mock_suite, keys):
+        s = mock_suite
+        admin, _, user, rng = keys
+        x = make_x(admin.public, user.sk)
+        for delta in [0] + self._deltas(s, rng):
+            assert verify_authenticity(s, admin.public, user.public, x, delta=delta), delta
+
+    def test_production_random_delta(self, prod_suite):
+        """A 128-bit delta on BN-256: the genuine pair passes, a mixed-exponent
+        key and a forged X fail."""
+        s = prod_suite
+        rng = random.Random(16)
+        admin, other, user = keygen_admin(s, rng), keygen_admin(s, rng), keygen_user(s, rng)
+        bad = AdminPublicKey(pk_a=admin.pk_a, pk_b=other.pk_b)
+        delta = rng.randrange(1, 2 ** 128)
+        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), delta=delta)
+        assert not verify_authenticity(s, bad, user.public, make_x(bad, user.sk), delta=delta)
+        forged = make_x(admin.public, Scalar(user.sk.value + 1))
+        assert not verify_authenticity(s, admin.public, user.public, forged, delta=delta)
