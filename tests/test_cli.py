@@ -84,14 +84,13 @@ def _mix_admin_key(root, run):
 
 
 def _forge(root, run):
-    """A submission tagged with the key of a user the PDP does not know."""
+    """Write ``forged.json``, tagged with the key of a user the PDP does not know."""
     run("user", "keygen", "--out-dir", root / "usr2", "--suite", "mock", "--seed", 77)
     run("user", "tag", "--graph", root / "graph.txt",
         "--admin-pk", root / "pap/admin.pk",
         "--user-sk", root / "usr2/user.sk",
         "--payload", root / "payload.bin",
         "--out", root / "forged.json", "--suite", "mock", "--seed", 7)
-    return root / "forged.json"
 
 
 def _classify_args(root, sub="sub.json"):
