@@ -268,7 +268,7 @@ def harness():
 @harness.command("run")
 @click.option("--attacker", "attacker_name", type=click.Choice(sorted(game.ATTACKERS)),
               default="random-guess", show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @seed_option
 @suite_option
 def harness_run(attacker_name: str, trials: int, seed: int | None, suite_name: str):

@@ -27,7 +27,8 @@ exponentiation.  Nearly all of a line table's goes to the point formulas
 ``_chord``.  The kernels and the formulas alike work on plain ints,
 build no intermediate ``Fp2`` and reduce each output coefficient mod P
 once; the formulas also reduce a value that feeds a further product.  A
-line is six ints.  Nothing here is constant-time.
+line is six ints, an F_p12 element a tuple of twelve (``Fp12.c``).
+Nothing here is constant-time.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
 cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
@@ -35,7 +36,7 @@ hard part of ``final_exponentiation`` runs.  They must never touch a
 decoded or otherwise unchecked element: the Miller loop and GT
 exponentiation use the generic ``square`` and ``exp``.  GT elements are
 encoded (``gt_to_bytes``, the H2 input) but never decoded; ``gt_to_bytes``
-reads the raw coefficients, so they must be fully reduced.
+joins the raw coefficients of ``Fp12.c``, so they must be fully reduced.
 """
 
 from __future__ import annotations
@@ -322,8 +323,4 @@ def g2_from_bytes(data: bytes) -> PointG2:
 
 
 def gt_to_bytes(e: Fp12) -> bytes:
-    coords = (
-        e.x.x.x, e.x.x.y, e.x.y.x, e.x.y.y, e.x.z.x, e.x.z.y,
-        e.y.x.x, e.y.x.y, e.y.y.x, e.y.y.y, e.y.z.x, e.y.z.y,
-    )
-    return b"".join(c.to_bytes(FP_BYTES, "big") for c in coords)
+    return b"".join(c.to_bytes(FP_BYTES, "big") for c in e.c)

@@ -63,8 +63,8 @@ class Scalar:
 class GroupElement:
     """An element of one of the three pairing groups.
 
-    Equality is canonical-bytes equality; the payload representation is
-    suite-specific and opaque to callers.  ``lines`` is the suite's
+    Equality is canonical-bytes equality, and elements are unhashable; the
+    payload representation is suite-specific and opaque to callers.  ``lines`` is the suite's
     pairing table for a group-B element: None until ``Bn256Suite`` first
     pairs the element, then kept for as long as the element lives.
     """
@@ -108,9 +108,6 @@ class GroupElement:
             and self.group is other.group
             and self.to_bytes() == other.to_bytes()
         )
-
-    def __hash__(self):
-        return hash((self.group, self.to_bytes()))
 
     def __repr__(self):
         return f"GroupElement({self.group.value}, {self.to_bytes()[:9].hex()}...)"

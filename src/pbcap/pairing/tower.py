@@ -7,25 +7,30 @@ Frobenius constants), the classes ``Fp2``, ``Fp6`` and ``Fp12``, and the
 sparse line product ``_mul_line`` of the Miller loop; the curve points
 live in ``curve``, the pairing, hashing and serialization in ``bn256``.
 
-Field elements are plain Python ints; the extension fields are thin
-classes over them.  Every coefficient an element holds lies in [0, P),
-because equality and ``bn256.gt_to_bytes`` read the raw ints.  Nothing
-here is constant-time.
+Field elements are plain Python ints.  An ``Fp2`` holds two; an ``Fp12``
+holds its 12 coefficients as one flat tuple ``c`` in ``gt_to_bytes``
+order, with no ``Fp6`` or ``Fp2`` objects inside.  ``Fp6`` stays as a
+class for two reasons: ``Fp12.inverse`` inverts its F_p6 norm with
+``Fp6.inverse``, and the tests keep the Fp6-object formulas the int
+kernels replaced as references.  Every coefficient an element holds
+lies in [0, P), because equality and ``bn256.gt_to_bytes`` read the raw
+ints.  Nothing here is constant-time.
 
 Four kernels take most of a pairing's time: ``Fp12.__mul__``,
-``Fp12.square``, ``Fp12.cyclotomic_square`` and ``_mul_line``.  Each reads
-its operands' coefficients into ints, keeps the algorithm of the class
-formulas it replaced (Karatsuba over w and in each F_p6 and F_p2 product,
-Granger-Scott squaring), builds no intermediate ``Fp2`` or ``Fp6`` object
-and reduces each of its 12 output coefficients mod P exactly once (lazy
-reduction, Aranha et al., Eurocrypt 2011).  Every product it takes is of
-linear combinations of reduced coefficients, so no intermediate grows
-past about 520 bits.  The F_p6 products are the int-level helpers
-``_fp6_mul`` and ``_fp6_mul_sparse``, not copies inlined at each call
-site: a call costs at most a few percent of a kernel, while the inlined
-copies made this module 40% larger (8.2k against 5.8k syntax-tree
-nodes), and compiling it from source, as every process does when no
-bytecode is cached, raised the benchmark's peak RSS by 0.35 MB.
+``Fp12.square``, ``Fp12.cyclotomic_square`` and ``_mul_line``.  Each
+unpacks its operands' ``c`` tuples into named ints, keeps the algorithm
+of the class formulas it replaced (Karatsuba over w and in each F_p6 and
+F_p2 product, Granger-Scott squaring), builds no intermediate ``Fp2`` or
+``Fp6`` object and reduces each of its 12 output coefficients mod P
+exactly once (lazy reduction, Aranha et al., Eurocrypt 2011).  Every
+product it takes is of linear combinations of reduced coefficients, so
+no intermediate grows past about 520 bits.  The F_p6 products are the
+int-level helpers ``_fp6_mul`` and ``_fp6_mul_sparse``, not copies
+inlined at each call site: a call costs at most a few percent of a
+kernel, while the inlined copies made this module 40% larger (8.2k
+against 5.8k syntax-tree nodes), and compiling it from source, as every
+process does when no bytecode is cached, raised the benchmark's peak RSS
+by 0.35 MB.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
 cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
@@ -192,15 +197,6 @@ class Fp6:
         self.y = y
         self.z = z
 
-    def __eq__(self, other):
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
-
-    def neg(self) -> "Fp6":
-        return Fp6(self.x.neg(), self.y.neg(), self.z.neg())
-
     def __add__(self, other):
         return Fp6(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -245,17 +241,9 @@ class Fp6:
         return Fp6(c * f, b * f, a * f)
 
 
-FP6_ZERO = Fp6(FP2_ZERO, FP2_ZERO, FP2_ZERO)
-FP6_ONE = Fp6(FP2_ZERO, FP2_ZERO, FP2_ONE)
-
-
-def _fp12(c: tuple[int, ...]) -> "Fp12":
-    """The element with unreduced coefficients c, in ``gt_to_bytes`` order
-    (x.x.x, x.x.y, ..., y.z.y), each reduced mod P once."""
-    return Fp12(
-        Fp6(Fp2(c[0] % P, c[1] % P), Fp2(c[2] % P, c[3] % P), Fp2(c[4] % P, c[5] % P)),
-        Fp6(Fp2(c[6] % P, c[7] % P), Fp2(c[8] % P, c[9] % P), Fp2(c[10] % P, c[11] % P)),
-    )
+def _fp12(c) -> "Fp12":
+    """The element with the 12 unreduced coefficients c, each reduced mod P once."""
+    return Fp12(tuple([x % P for x in c]))
 
 
 def _fp6_mul(a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r):
@@ -308,54 +296,48 @@ def _fp6_mul_sparse(a2i, a2r, a1i, a1r, a0i, a0r, pi, pr, qi, qr):
 
 
 class Fp12:
-    """Quadratic extension of Fp6: x*w + y with w^2 = tau.
+    """Quadratic extension of Fp6: a*w + b with w^2 = tau.
 
-    The kernels read an Fp6 operand u as six ints named by power of tau
-    and part: u2i, u2r = u.x.x, u.x.y (the i and real parts of the tau^2
-    coefficient), u1i, u1r = u.y.x, u.y.y and u0i, u0r = u.z.x, u.z.y.
+    ``c`` holds the 12 coefficients, each in [0, P), in ``gt_to_bytes``
+    order: a's, then b's, each half as the i and real parts of its tau^2,
+    tau and 1 coefficients.  The kernels name them by half, power of tau
+    and part: a2i, a2r, a1i, a1r, a0i, a0r, b2i, ..., b0r = f.c.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("c",)
 
-    def __init__(self, x: Fp6, y: Fp6):
-        self.x = x
-        self.y = y
+    def __init__(self, c: tuple[int, ...]):
+        self.c = c
 
     def __eq__(self, other):
-        return self.x == other.x and self.y == other.y
+        return self.c == other.c
 
     def is_one(self) -> bool:
-        return self.x.is_zero() and self.y == FP6_ONE
+        return self.c == FP12_ONE.c
 
     def conjugate(self) -> "Fp12":
-        return Fp12(self.x.neg(), self.y)
+        return Fp12(tuple([-x % P for x in self.c[:6]]) + self.c[6:])
+
+    def _frobenius(self, consts: tuple[Fp2, ...], conjugate: bool) -> "Fp12":
+        """Each Fp2 coefficient, conjugated if ``conjugate``, times its
+        constant in ``consts`` (in ``c`` order)."""
+        c, out = self.c, []
+        for k, q in enumerate(consts):
+            e = Fp2(-c[2 * k] if conjugate else c[2 * k], c[2 * k + 1]) * q
+            out += (e.x, e.y)
+        return Fp12(tuple(out))
 
     def frobenius(self) -> "Fp12":
-        e1 = Fp6(
-            self.x.x.conjugate() * XI1[4],
-            self.x.y.conjugate() * XI1[2],
-            self.x.z.conjugate() * XI1[0],
-        )
-        e2 = Fp6(
-            self.y.x.conjugate() * XI1[3],
-            self.y.y.conjugate() * XI1[1],
-            self.y.z.conjugate(),
-        )
-        return Fp12(e1, e2)
+        return self._frobenius((XI1[4], XI1[2], XI1[0], XI1[3], XI1[1], FP2_ONE), True)
 
     def frobenius_p2(self) -> "Fp12":
-        e1 = Fp6(self.x.x * XI2[4], self.x.y * XI2[2], self.x.z * XI2[0])
-        e2 = Fp6(self.y.x * XI2[3], self.y.y * XI2[1], self.y.z)
-        return Fp12(e1, e2)
+        return self._frobenius((XI2[4], XI2[2], XI2[0], XI2[3], XI2[1], FP2_ONE), False)
 
     def __mul__(self, other):
         """(a*w + b)(c*w + d) = ((a + b)(c + d) - ac - bd)*w + bd + ac*tau:
         Karatsuba over w, three ``_fp6_mul`` products."""
-        a, b, c, d = self.x, self.y, other.x, other.y
-        a2i, a2r, a1i, a1r, a0i, a0r = a.x.x, a.x.y, a.y.x, a.y.y, a.z.x, a.z.y
-        b2i, b2r, b1i, b1r, b0i, b0r = b.x.x, b.x.y, b.y.x, b.y.y, b.z.x, b.z.y
-        c2i, c2r, c1i, c1r, c0i, c0r = c.x.x, c.x.y, c.y.x, c.y.y, c.z.x, c.z.y
-        d2i, d2r, d1i, d1r, d0i, d0r = d.x.x, d.x.y, d.y.x, d.y.y, d.z.x, d.z.y
+        a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r = self.c
+        c2i, c2r, c1i, c1r, c0i, c0r, d2i, d2r, d1i, d1r, d0i, d0r = other.c
         # u = ac, v = bd and s = (a + b)(c + d)
         u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul(a2i, a2r, a1i, a1r, a0i, a0r,
                                                 c2i, c2r, c1i, c1r, c0i, c0r)
@@ -376,9 +358,7 @@ class Fp12:
     def square(self) -> "Fp12":
         """(a*w + b)^2 = 2ab*w + (a + b)(a*tau + b) - ab - ab*tau: two
         ``_fp6_mul`` products."""
-        a, b = self.x, self.y
-        a2i, a2r, a1i, a1r, a0i, a0r = a.x.x, a.x.y, a.y.x, a.y.y, a.z.x, a.z.y
-        b2i, b2r, b1i, b1r, b0i, b0r = b.x.x, b.x.y, b.y.x, b.y.y, b.z.x, b.z.y
+        a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r = self.c
         # v = ab and s = (a + b)(a*tau + b)
         v2i, v2r, v1i, v1r, v0i, v0r = _fp6_mul(a2i, a2r, a1i, a1r, a0i, a0r,
                                                 b2i, b2r, b1i, b1r, b0i, b0r)
@@ -402,9 +382,7 @@ class Fp12:
         square is (2*i*r, (r - i)(r + i)).  Wrong for any element outside
         that subgroup.
         """
-        a, b = self.x, self.y
-        a2i, a2r, a1i, a1r, a0i, a0r = a.x.x, a.x.y, a.y.x, a.y.y, a.z.x, a.z.y
-        b2i, b2r, b1i, b1r, b0i, b0r = b.x.x, b.x.y, b.y.x, b.y.y, b.z.x, b.z.y
+        a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r = self.c
 
         # A = b0 + a1*s, the w^0 and w^3 coefficients
         pi, pr = 2 * b0i * b0r, (b0r - b0i) * (b0r + b0i)
@@ -454,12 +432,19 @@ class Fp12:
         return r
 
     def inverse(self) -> "Fp12":
-        t1 = self.y * self.y - (self.x * self.x).mul_tau()
-        t2 = t1.inverse()
-        return Fp12(self.x.neg() * t2, self.y * t2)
+        """1/(a*w + b) = (-a*w + b) * t with t = 1/(b^2 - a^2*tau), an
+        ``Fp6.inverse``."""
+        a, b = self.c[:6], self.c[6:]
+        u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul(*a, *a)
+        v2i, v2r, v1i, v1r, v0i, v0r = _fp6_mul(*b, *b)
+        # a^2*tau = u1*tau^2 + u0*tau + xi*u2
+        n = Fp6(Fp2((v2i - u1i) % P, (v2r - u1r) % P), Fp2((v1i - u0i) % P, (v1r - u0r) % P),
+                Fp2((v0i - 3 * u2i - u2r) % P, (v0r - 3 * u2r + u2i) % P)).inverse()
+        t = (n.x.x, n.x.y, n.y.x, n.y.y, n.z.x, n.z.y)
+        return _fp12([-x for x in _fp6_mul(*a, *t)] + list(_fp6_mul(*b, *t)))
 
 
-FP12_ONE = Fp12(FP6_ZERO, FP6_ONE)
+FP12_ONE = Fp12((0,) * 11 + (1,))
 
 
 def _mul_line(f: Fp12, line: tuple[int, int, int, int, int, int], px: int, py: int) -> Fp12:
@@ -474,9 +459,7 @@ def _mul_line(f: Fp12, line: tuple[int, int, int, int, int, int], px: int, py: i
     """
     ai, ar, bi, br, ci, cr = line
     bi, br, ci, cr = bi * px % P, br * px % P, ci * py % P, cr * py % P
-    g, h = f.x, f.y
-    g2i, g2r, g1i, g1r, g0i, g0r = g.x.x, g.x.y, g.y.x, g.y.y, g.z.x, g.z.y
-    h2i, h2r, h1i, h1r, h0i, h0r = h.x.x, h.x.y, h.y.x, h.y.y, h.z.x, h.z.y
+    g2i, g2r, g1i, g1r, g0i, g0r, h2i, h2r, h1i, h1r, h0i, h0r = f.c
     # u = g*(a*tau + b) and s = (g + h)(a*tau + b + c)
     u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul_sparse(g2i, g2r, g1i, g1r, g0i, g0r, ai, ar, bi, br)
     s2i, s2r, s1i, s1r, s0i, s0r = _fp6_mul_sparse(

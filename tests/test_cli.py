@@ -502,3 +502,12 @@ class TestDeterminism:
                 assert result.exit_code == 0, result.output
             logs.append((base / "store/decisions.log").read_bytes())
         assert logs[0] == logs[1]
+
+
+class TestHarness:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_is_usage_error(self, runner, trials):
+        result = runner.invoke(cli, ["harness", "run", "--suite", "mock", "--seed", "1", "--trials", trials])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--trials'" in result.output

@@ -67,14 +67,8 @@ def _cyclotomic_elements(rng, n):
     return out
 
 
-def _fp12_from_ints(c):
-    """The element with coefficients c, in ``gt_to_bytes`` order."""
-    fp2s = [tower.Fp2(c[i], c[i + 1]) for i in range(0, 12, 2)]
-    return tower.Fp12(tower.Fp6(*fp2s[:3]), tower.Fp6(*fp2s[3:]))
-
-
 def _random_fp12(rng):
-    return _fp12_from_ints([rng.randrange(tower.P) for _ in range(12)])
+    return tower.Fp12(tuple(rng.randrange(tower.P) for _ in range(12)))
 
 
 def _edge_fp12s():
@@ -83,7 +77,7 @@ def _edge_fp12s():
     top = tower.P - 1
     patterns = [[0] * 12, [top] * 12, [0, top] * 6, [top, 0] * 6, [top, 1] * 6,
                 [top] * 6 + [0] * 6, [0] * 6 + [top] * 6, [1] + [0] * 11]
-    return [_fp12_from_ints(c) for c in patterns]
+    return [tower.Fp12(tuple(c)) for c in patterns]
 
 
 def _edge_fp2s():
@@ -91,27 +85,73 @@ def _edge_fp2s():
     return [tower.Fp2(x, y) for x in (0, 1, top) for y in (0, 1, top)]
 
 
+def _halves(f):
+    """f = x*w + y as its two ``Fp6`` halves (x, y), for the class references."""
+    fp2s = [tower.Fp2(f.c[i], f.c[i + 1]) for i in range(0, 12, 2)]
+    return tower.Fp6(*fp2s[:3]), tower.Fp6(*fp2s[3:])
+
+
+def _join(x, y):
+    """The element x*w + y of two ``Fp6`` halves: ``_halves`` inverted."""
+    return tower.Fp12(tuple(n for h in (x, y) for e in (h.x, h.y, h.z) for n in (e.x, e.y)))
+
+
+def _fp6_neg(x):
+    """-x, one Fp2 coefficient at a time."""
+    return tower.Fp6(x.x.neg(), x.y.neg(), x.z.neg())
+
+
 def _schoolbook_fp12_mul(a, b):
     """Four Fp6 products: (ax*w + ay)(bx*w + by) with w^2 = tau."""
-    return tower.Fp12(a.x * b.y + a.y * b.x, a.y * b.y + (a.x * b.x).mul_tau())
+    (ax, ay), (bx, by) = _halves(a), _halves(b)
+    return _join(ax * by + ay * bx, ay * by + (ax * bx).mul_tau())
 
 
-# The class formulas the fused kernels of ``tower`` replaced, kept as their
-# references: same algorithms, an Fp2/Fp6 object and a reduction per step.
+# The class formulas the fused kernels and the flat methods of ``tower``
+# replaced, kept as their references: same algorithms, an Fp2/Fp6 object
+# and a reduction per step.
 
 def _reference_fp12_mul(a, b):
     """Karatsuba over w: three Fp6 products."""
-    axbx = a.x * b.x
-    ayby = a.y * b.y
-    tx = (a.x + a.y) * (b.x + b.y) - axbx - ayby
-    return tower.Fp12(tx, ayby + axbx.mul_tau())
+    (ax, ay), (bx, by) = _halves(a), _halves(b)
+    axbx = ax * bx
+    ayby = ay * by
+    tx = (ax + ay) * (bx + by) - axbx - ayby
+    return _join(tx, ayby + axbx.mul_tau())
 
 
 def _reference_square(a):
-    v0 = a.x * a.y
-    t = a.x.mul_tau() + a.y
-    ty = (a.x + a.y) * t - v0 - v0.mul_tau()
-    return tower.Fp12(v0 + v0, ty)
+    ax, ay = _halves(a)
+    v0 = ax * ay
+    t = ax.mul_tau() + ay
+    ty = (ax + ay) * t - v0 - v0.mul_tau()
+    return _join(v0 + v0, ty)
+
+
+def _reference_conjugate(f):
+    x, y = _halves(f)
+    return _join(_fp6_neg(x), y)
+
+
+def _reference_frobenius(f):
+    x, y = _halves(f)
+    xi1 = tower.XI1
+    e1 = tower.Fp6(x.x.conjugate() * xi1[4], x.y.conjugate() * xi1[2], x.z.conjugate() * xi1[0])
+    e2 = tower.Fp6(y.x.conjugate() * xi1[3], y.y.conjugate() * xi1[1], y.z.conjugate())
+    return _join(e1, e2)
+
+
+def _reference_frobenius_p2(f):
+    x, y = _halves(f)
+    xi2 = tower.XI2
+    return _join(tower.Fp6(x.x * xi2[4], x.y * xi2[2], x.z * xi2[0]), tower.Fp6(y.x * xi2[3], y.y * xi2[1], y.z))
+
+
+def _reference_inverse(f):
+    x, y = _halves(f)
+    t1 = y * y - (x * x).mul_tau()
+    t2 = t1.inverse()
+    return _join(_fp6_neg(x) * t2, y * t2)
 
 
 def _fp4_square(a, b):
@@ -123,18 +163,19 @@ def _fp4_square(a, b):
 
 def _reference_cyclotomic_square(f):
     """Granger-Scott: (3a^2 - 2a', 3s*c^2 + 2b', 3b^2 - 2c') over F_p4."""
-    a2, a3 = _fp4_square(f.y.z, f.x.y)
-    b2, b3 = _fp4_square(f.x.z, f.y.x)
-    c2, c3 = _fp4_square(f.y.y, f.x.x)
+    x, y = _halves(f)
+    a2, a3 = _fp4_square(y.z, x.y)
+    b2, b3 = _fp4_square(x.z, y.x)
+    c2, c3 = _fp4_square(y.y, x.x)
     c3 = c3.mul_xi()
     # coefficients of w^0 .. w^5: y.z, x.z, y.y, x.y, y.x, x.x
-    y_z = a2.double() + a2 - f.y.z.double()
-    x_y = a3.double() + a3 + f.x.y.double()
-    x_z = c3.double() + c3 + f.x.z.double()
-    y_x = c2.double() + c2 - f.y.x.double()
-    y_y = b2.double() + b2 - f.y.y.double()
-    x_x = b3.double() + b3 + f.x.x.double()
-    return tower.Fp12(tower.Fp6(x_x, x_y, x_z), tower.Fp6(y_x, y_y, y_z))
+    y_z = a2.double() + a2 - y.z.double()
+    x_y = a3.double() + a3 + x.y.double()
+    x_z = c3.double() + c3 + x.z.double()
+    y_x = c2.double() + c2 - y.x.double()
+    y_y = b2.double() + b2 - y.y.double()
+    x_x = b3.double() + b3 + x.x.double()
+    return _join(tower.Fp6(x_x, x_y, x_z), tower.Fp6(y_x, y_y, y_z))
 
 
 def _mul_linear(g, a, b):
@@ -146,10 +187,11 @@ def _mul_linear(g, a, b):
 
 def _reference_mul_line(f, a, b, c):
     """f * ((a*tau + b)*w + c): Karatsuba over w with both Fp6 products sparse."""
-    t1 = _mul_linear(f.x, a, b)
-    t3 = tower.Fp6(f.y.x * c, f.y.y * c, f.y.z * c)
-    fx = _mul_linear(f.x + f.y, a, b + c) - t1 - t3
-    return tower.Fp12(fx, t3 + t1.mul_tau())
+    x, y = _halves(f)
+    t1 = _mul_linear(x, a, b)
+    t3 = tower.Fp6(y.x * c, y.y * c, y.z * c)
+    fx = _mul_linear(x + y, a, b + c) - t1 - t3
+    return _join(fx, t3 + t1.mul_tau())
 
 
 # The Fp2-object point and line formulas the int formulas of ``bn256``
@@ -359,7 +401,7 @@ class TestBn256Kernels:
                 ai, ar, bi, br, ci, cr = line
                 a, b, c = tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px), tower.Fp2(ci, cr).mul_int(py)
                 f = _random_fp12(rng)
-                full = tower.Fp12(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
+                full = _join(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
                 assert tower._mul_line(f, line, px, py) == f * full
 
     # Each fused kernel against its class reference.  Equality reads raw
@@ -400,6 +442,20 @@ class TestBn256Kernels:
                 expected = _reference_mul_line(f, tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px),
                                                tower.Fp2(ci, cr).mul_int(py))
                 assert tower._mul_line(f, line, px, py) == expected
+
+    def test_frobenius_and_conjugate_match_references(self):
+        rng = random.Random(32)
+        for f in _edge_fp12s() + [_random_fp12(rng) for _ in range(12)]:
+            assert f.conjugate() == _reference_conjugate(f)
+            assert f.frobenius() == _reference_frobenius(f)
+            assert f.frobenius_p2() == _reference_frobenius_p2(f)
+
+    def test_inverse_matches_reference(self):
+        """Every element but zero, which has no inverse."""
+        rng = random.Random(33)
+        for f in _edge_fp12s()[1:] + [_random_fp12(rng) for _ in range(12)]:
+            assert f.inverse() == _reference_inverse(f)
+            assert f * f.inverse() == tower.FP12_ONE
 
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):

@@ -204,11 +204,7 @@ def _json_bytes(doc: dict) -> bytes:
 
 def _fp12_from_bytes(data: bytes) -> tower.Fp12:
     """Raw F_p12 decode with no subgroup check (Miller-loop outputs are not in GT)."""
-    c = [int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12)]
-    return tower.Fp12(
-        tower.Fp6(tower.Fp2(c[0], c[1]), tower.Fp2(c[2], c[3]), tower.Fp2(c[4], c[5])),
-        tower.Fp6(tower.Fp2(c[6], c[7]), tower.Fp2(c[8], c[9]), tower.Fp2(c[10], c[11])),
-    )
+    return tower.Fp12(tuple(int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12)))
 
 
 def _pairing(p: curve.PointG1, q: curve.PointG2) -> tower.Fp12:
