@@ -9,10 +9,11 @@
 
 Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
-error or a file id that cannot be stored (unsafe, or already stored in
-its unit).  A compiled set, key or storage root that cannot be read --
-including a compiled set that names an unsafe storage unit -- exits 3
-before any submission is read.  Otherwise each submission of a batch is
+error, a file id that cannot be stored (unsafe, or already stored in
+its unit) or a storage unit whose path is not a directory.  A compiled
+set, key or storage root that cannot be read -- including a compiled
+set that names an unsafe storage unit -- exits 3 before any submission
+is read.  Otherwise each submission of a batch is
 handled on its own; the exit code is the highest of theirs.
 
 An admin public key whose two halves do not share an exponent is refused
@@ -64,6 +65,11 @@ def _make_rng(seed: int | None, suite_name: str):
 
 
 def _guard(path: Path, force: bool) -> None:
+    """Refuse an output path before any work: a missing parent directory,
+    or an existing file without --force.  ``--out`` and ``--out-dir``
+    refuse a directory and a file themselves, as usage errors."""
+    if not path.parent.is_dir():
+        raise click.ClickException(f"{path.parent} is not a directory")
     if path.exists() and not force:
         raise click.ClickException(f"{path} exists; pass --force to overwrite")
 
@@ -85,7 +91,7 @@ def pap():
 
 
 @pap.command("keygen")
-@click.option("--out-dir", type=click.Path(path_type=Path), required=True)
+@click.option("--out-dir", type=click.Path(path_type=Path, file_okay=False), required=True)
 @suite_option
 @seed_option
 @force_option
@@ -104,7 +110,7 @@ def pap_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
 @pap.command("compile")
 @click.option("--policies", "policy_path", type=click.Path(path_type=Path, exists=True), required=True)
 @click.option("--admin-sk", "sk_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
+@click.option("--out", "out_path", type=click.Path(path_type=Path, dir_okay=False), required=True)
 @suite_option
 @force_option
 def pap_compile(policy_path: Path, sk_path: Path, out_path: Path, suite_name: str, force: bool):
@@ -130,7 +136,7 @@ def user():
 
 
 @user.command("keygen")
-@click.option("--out-dir", type=click.Path(path_type=Path), required=True)
+@click.option("--out-dir", type=click.Path(path_type=Path, file_okay=False), required=True)
 @suite_option
 @seed_option
 @force_option
@@ -151,7 +157,7 @@ def user_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
 @click.option("--admin-pk", "admin_pk_path", type=click.Path(path_type=Path, exists=True), required=True)
 @click.option("--user-sk", "user_sk_path", type=click.Path(path_type=Path, exists=True), required=True)
 @click.option("--payload", "payload_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
+@click.option("--out", "out_path", type=click.Path(path_type=Path, dir_okay=False), required=True)
 @click.option("--file-id", default=None, help="Defaults to the payload file name.")
 @suite_option
 @seed_option

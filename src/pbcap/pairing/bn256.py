@@ -27,7 +27,8 @@ exponentiation.  Nearly all of a line table's goes to the point formulas
 ``_chord``.  The kernels and the formulas alike work on plain ints,
 build no intermediate ``Fp2`` and reduce each output coefficient mod P
 once; the formulas also reduce a value that feeds a further product.  A
-line is six ints, an F_p12 element a tuple of twelve (``Fp12.c``).
+line is six ints, a G2 point a tuple of six (``PointG2.c``), an F_p12
+element a tuple of twelve (``Fp12.c``).
 Nothing here is constant-time.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
@@ -45,7 +46,6 @@ import hashlib
 
 from .curve import G2_INF, TWIST_B, PointG1, PointG2, in_g2, psi
 from .tower import (
-    FP2_ONE,
     FP12_ONE,
     INV_2,
     NAF_6UP2,
@@ -65,7 +65,7 @@ from .tower import (
 def _tangent(t: PointG2):
     """2T and the tangent at T: (6x^3 - 4y^2, -6x^2 z^2, 4y z^3), in the
     ints of the ``PointG2`` formulas."""
-    xi, xr, yi, yr, zi, zr = t.x.x, t.x.y, t.y.x, t.y.y, t.z.x, t.z.y
+    xi, xr, yi, yr, zi, zr = t.c
     t2 = t.double()
     xxi, xxr = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
     zzi, zzr = 2 * zi * zr % P, (zr - zi) * (zr + zi) % P
@@ -74,7 +74,7 @@ def _tangent(t: PointG2):
     ar = (6 * (m - n) - 4 * (yr - yi) * (yr + yi)) % P
     m, n = xxr * zzr, xxi * zzi
     bi, br = -6 * ((xxi + xxr) * (zzi + zzr) - m - n) % P, -6 * (m - n) % P
-    wi, wr = t2.z.x, t2.z.y
+    wi, wr = t2.c[4:]
     m, n = wr * zzr, wi * zzi
     return t2, (ai, ar, bi, br, 2 * ((wi + wr) * (zzi + zzr) - m - n) % P, 2 * (m - n) % P)
 
@@ -82,15 +82,15 @@ def _tangent(t: PointG2):
 def _chord(t: PointG2, q: PointG2):
     """T + Q and the chord through T and an affine Q: (2(r x_Q - y_Q z3),
     -2r, 2 z3) with r = 2(y_Q z^3 - y) and z3 the z of T + Q."""
-    xi, xr, yi, yr, zi, zr = q.x.x, q.x.y, q.y.x, q.y.y, t.z.x, t.z.y
+    (xi, xr, yi, yr, _, _), (_, _, tyi, tyr, zi, zr) = q.c, t.c
     zzi, zzr = 2 * zi * zr % P, (zr - zi) * (zr + zi) % P
     m, n = yr * zr, yi * zi
     ui, ur = ((yi + yr) * (zi + zr) - m - n) % P, (m - n) % P
     m, n = ur * zzr, ui * zzi
-    ri = 2 * ((ui + ur) * (zzi + zzr) - m - n - t.y.x) % P
-    rr = 2 * (m - n - t.y.y) % P
+    ri = 2 * ((ui + ur) * (zzi + zzr) - m - n - tyi) % P
+    rr = 2 * (m - n - tyr) % P
     t = t.add(q)
-    zi, zr = t.z.x, t.z.y
+    zi, zr = t.c[4:]
     m, n = rr * xr, ri * xi
     mz, nz = yr * zr, yi * zi
     ai = 2 * ((ri + rr) * (xi + xr) - m - n - (yi + yr) * (zi + zr) + mz + nz) % P
@@ -113,7 +113,7 @@ def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
     passes the same table: ``Bn256Suite`` keeps it on the group-B
     element.  Q must not be the point at infinity.
     """
-    qa = PointG2(*q.affine())
+    qa = PointG2((*q.affine(), 0, 1))
     t = qa
     lines = []
     for digit in NAF_6UP2:
@@ -124,7 +124,8 @@ def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
             group.append(chord)
         lines.append(group)
     t, first = _chord(t, psi(qa))
-    _, second = _chord(t, PointG2(qa.x.mul_int(XI2[1].y), qa.y, FP2_ONE))
+    xi, xr, yi, yr, _, _ = qa.c
+    _, second = _chord(t, PointG2((xi * XI2[1].y % P, xr * XI2[1].y % P, yi, yr, 0, 1)))
     lines.append([first, second])
     return lines
 
@@ -289,10 +290,10 @@ def g1_from_bytes(data: bytes) -> PointG1:
 def g2_to_bytes(pt: PointG2) -> bytes:
     if pt.is_infinity():
         return b"\x00" + b"\x00" * (2 * FP_BYTES)
-    x, y = pt.affine()
-    sign = y.y & 1 if y.y != 0 else y.x & 1
+    xi, xr, yi, yr = pt.affine()
+    sign = yr & 1 if yr != 0 else yi & 1
     prefix = b"\x03" if sign else b"\x02"
-    return prefix + x.x.to_bytes(FP_BYTES, "big") + x.y.to_bytes(FP_BYTES, "big")
+    return prefix + xi.to_bytes(FP_BYTES, "big") + xr.to_bytes(FP_BYTES, "big")
 
 
 def g2_from_bytes(data: bytes) -> PointG2:
@@ -316,7 +317,7 @@ def g2_from_bytes(data: bytes) -> PointG2:
     sign = y.y & 1 if y.y != 0 else y.x & 1
     if sign != (data[0] & 1):
         y = y.neg()
-    pt = PointG2(x, y)
+    pt = PointG2((xx, xy, y.x, y.y, 0, 1))
     if not in_g2(pt):
         raise ValueError("decoded G2 point not in the prime-order subgroup")
     return pt

@@ -2,28 +2,29 @@
 
 G1 is the curve y^2 = x^3 + 3 over F_p, in Jacobian coordinates over
 ints; G2 is the order-n subgroup of its sextic twist y^2 = x^3 + b' over
-F_p2, in Jacobian coordinates over ``Fp2``.  This module holds the
+F_p2, in Jacobian coordinates whose six ints, the i and real parts of x,
+y and z, a ``PointG2`` holds as one tuple ``c``.  This module holds the
 points, their formulas and scalar multiplications, the endomorphism
 ``psi`` and the G2 subgroup test ``in_g2``; the pairing, hash-to-G1 and
 the encodings live in ``bn256``, the field tower in ``tower``.
 
 Nearly all G2 work (the GLS ladder of ``PointG2.scalar_mul``, ``in_g2``
 and the line tables of ``bn256.g2_lines``) goes to ``PointG2.double``
-and ``add`` and to ``psi``.  They read each coordinate into ints, build
-no intermediate ``Fp2``, reduce mod P a value that feeds a further
-product, and reduce each output coordinate once, as the F_p12 kernels of
-``tower`` do.  Every coordinate a point holds lies in [0, P), because
-the encodings read the raw ints.  The points are a module of their own
-because a process that imports from source, with no cached bytecode,
-compiles each module whole: with the int formulas inside ``bn256``,
-importing ``pbcap.cli`` peaked about 0.2 MB higher, and so did the
-benchmark's peak RSS, while split into two modules it peaks as before.
+and ``add`` and to ``psi``.  They unpack ``c`` into named ints, build no
+``Fp2``, reduce mod P a value that feeds a further product, and reduce
+each output int once, as the F_p12 kernels of ``tower`` do.  Every int a
+point holds lies in [0, P), because the encodings read the raw ints.
+The points are a module of their own because a process that imports
+from source, with no cached bytecode, compiles each module whole: with
+the int formulas inside ``bn256``, importing ``pbcap.cli`` peaked about
+0.2 MB higher, and so did the benchmark's peak RSS, while split into
+two modules it peaks as before.
 Nothing here is constant-time.
 """
 
 from __future__ import annotations
 
-from .tower import FP2_ONE, FP2_ZERO, P, U, XI, XI1, Fp2, fp_inv
+from .tower import P, U, XI, XI1, Fp2, fp_inv
 
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
@@ -111,26 +112,27 @@ class PointG1:
 
 
 class PointG2:
-    """Jacobian point on the sextic twist y^2 = x^3 + b' over F_p2."""
+    """Jacobian point on the sextic twist y^2 = x^3 + b' over F_p2: ``c``
+    holds the i and real parts of x, y and z, six ints in [0, P)."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ("c",)
 
-    def __init__(self, x: Fp2, y: Fp2, z: Fp2 = FP2_ONE):
-        self.x = x
-        self.y = y
-        self.z = z
+    def __init__(self, c: tuple[int, int, int, int, int, int]):
+        self.c = c
 
     def is_infinity(self) -> bool:
-        return self.z.is_zero()
+        return self.c[4] == 0 and self.c[5] == 0
 
-    def affine(self) -> tuple[Fp2, Fp2]:
-        if self.z.is_zero():
+    def affine(self) -> tuple[int, int, int, int]:
+        xi, xr, yi, yr, zi, zr = self.c
+        if self.is_infinity():
             raise ZeroDivisionError("point at infinity has no affine form")
-        if self.z.is_one():
-            return self.x, self.y
-        zinv = self.z.inverse()
+        if zi == 0 and zr == 1:
+            return xi, xr, yi, yr
+        zinv = Fp2(zi, zr).inverse()
         zinv2 = zinv.square()
-        return self.x * zinv2, self.y * zinv2 * zinv
+        x, y = Fp2(xi, xr) * zinv2, Fp2(yi, yr) * zinv2 * zinv
+        return x.x, x.y, y.x, y.y
 
     def __eq__(self, other):
         if self.is_infinity() or other.is_infinity():
@@ -138,7 +140,8 @@ class PointG2:
         return self.affine() == other.affine()
 
     def neg(self) -> "PointG2":
-        return PointG2(self.x, self.y.neg(), self.z)
+        xi, xr, yi, yr, zi, zr = self.c
+        return PointG2((xi, xr, -yi % P, -yr % P, zi, zr))
 
     # In the formulas below, ai and ar are the i and real parts of a (an Fp2
     # is x*i + y).  An Fp2 square is (2*i*r, (r - i)(r + i)); an Fp2 product
@@ -146,7 +149,7 @@ class PointG2:
 
     def double(self) -> "PointG2":
         """dbl-2009-l, as ``PointG1.double``."""
-        xi, xr, yi, yr, zi, zr = self.x.x, self.x.y, self.y.x, self.y.y, self.z.x, self.z.y
+        xi, xr, yi, yr, zi, zr = self.c
         # A = X^2, B = Y^2, C = B^2
         ai, ar = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
         bi, br = 2 * yi * yr % P, (yr - yi) * (yr + yi) % P
@@ -161,8 +164,7 @@ class PointG2:
         m, n = er * ur, ei * ui
         y3i, y3r = ((ei + er) * (ui + ur) - m - n - 8 * ci) % P, (m - n - 8 * cr) % P
         m, n = yr * zr, yi * zi
-        return PointG2(Fp2(x3i, x3r), Fp2(y3i, y3r),
-                       Fp2(2 * ((yi + yr) * (zi + zr) - m - n) % P, 2 * (m - n) % P))
+        return PointG2((x3i, x3r, y3i, y3r, 2 * ((yi + yr) * (zi + zr) - m - n) % P, 2 * (m - n) % P))
 
     def add(self, other: "PointG2") -> "PointG2":
         """add-2007-bl, as ``PointG1.add``; P + P takes ``double``."""
@@ -170,8 +172,8 @@ class PointG2:
             return other
         if other.is_infinity():
             return self
-        x1i, x1r, y1i, y1r, z1i, z1r = self.x.x, self.x.y, self.y.x, self.y.y, self.z.x, self.z.y
-        x2i, x2r, y2i, y2r, z2i, z2r = other.x.x, other.x.y, other.y.x, other.y.y, other.z.x, other.z.y
+        x1i, x1r, y1i, y1r, z1i, z1r = self.c
+        x2i, x2r, y2i, y2r, z2i, z2r = other.c
         # Z1Z1 = Z1^2, Z2Z2 = Z2^2, U1 = X1 Z2Z2, U2 = X2 Z1Z1
         z11i, z11r = 2 * z1i * z1r % P, (z1r - z1i) * (z1r + z1i) % P
         z22i, z22r = 2 * z2i * z2r % P, (z2r - z2i) * (z2r + z2i) % P
@@ -208,7 +210,7 @@ class PointG2:
         si, sr = z1i + z2i, z1r + z2r
         ti, tr = (2 * si * sr - z11i - z22i) % P, ((sr - si) * (sr + si) - z11r - z22r) % P
         m, n = tr * hr, ti * hi
-        return PointG2(Fp2(x3i, x3r), Fp2(y3i, y3r), Fp2(((ti + tr) * (hi + hr) - m - n) % P, (m - n) % P))
+        return PointG2((x3i, x3r, y3i, y3r, ((ti + tr) * (hi + hr) - m - n) % P, (m - n) % P))
 
     def scalar_mul(self, k: int) -> "PointG2":
         """[k mod n]Q by 2-D GLS (Galbraith-Lin-Scott, Eurocrypt 2009).
@@ -225,7 +227,7 @@ class PointG2:
         a, b = divmod(k % ORDER, PSI_EIGENVALUE)
         q_psi = psi(self)
         table = (None, self, q_psi, self.add(q_psi))
-        r = PointG2(FP2_ZERO, FP2_ONE, FP2_ZERO)
+        r = G2_INF
         for i in reversed(range(max(a.bit_length(), b.bit_length()))):
             r = r.double()
             digit = (a >> i & 1) << 1 | b >> i & 1
@@ -236,16 +238,16 @@ class PointG2:
 
 G1_GEN = PointG1(1, P - 2)
 G1_INF = PointG1(0, 0, 0)
-G2_INF = PointG2(FP2_ZERO, FP2_ONE, FP2_ZERO)
+G2_INF = PointG2((0, 0, 0, 1, 0, 0))
 
 # Generator of the order-n subgroup of the twist (dclxvi parameters)
-G2_GEN = PointG2(
-    Fp2(21167961636542580255011770066570541300993051739349375019639421053990175267184,
-        64746500191241794695844075326670126197795977525365406531717464316923369116492),
-    Fp2(20666913350058776956210519119118544732556678129809273996262322366050359951122,
-        17778617556404439934652658462602675281523610326338642107814333856843981424549),
-    FP2_ONE,
-)
+G2_GEN = PointG2((
+    21167961636542580255011770066570541300993051739349375019639421053990175267184,
+    64746500191241794695844075326670126197795977525365406531717464316923369116492,
+    20666913350058776956210519119118544732556678129809273996262322366050359951122,
+    17778617556404439934652658462602675281523610326338642107814333856843981424549,
+    0, 1,
+))
 
 
 PSI_X = (XI1[1].x, XI1[1].y)
@@ -255,13 +257,13 @@ PSI_Y = (XI1[2].x, XI1[2].y)
 def psi(q: PointG2) -> PointG2:
     """Untwist-Frobenius-twist endomorphism of the twist; [p] on G2:
     (conj(x) xi^((p-1)/3), conj(y) xi^((p-1)/2), conj(z))."""
-    xi, xr, yi, yr = -q.x.x, q.x.y, -q.y.x, q.y.y
+    xi, xr, yi, yr, zi, zr = q.c
+    xi, yi = -xi, -yi
     (ai, ar), (bi, br) = PSI_X, PSI_Y
     m, n = xr * ar, xi * ai
-    x = Fp2(((xi + xr) * (ai + ar) - m - n) % P, (m - n) % P)
-    m, n = yr * br, yi * bi
-    y = Fp2(((yi + yr) * (bi + br) - m - n) % P, (m - n) % P)
-    return PointG2(x, y, q.z.conjugate())
+    mb, nb = yr * br, yi * bi
+    return PointG2((((xi + xr) * (ai + ar) - m - n) % P, (m - n) % P,
+                    ((yi + yr) * (bi + br) - mb - nb) % P, (mb - nb) % P, -zi % P, zr))
 
 
 def in_g2(q: PointG2) -> bool:

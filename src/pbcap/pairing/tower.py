@@ -101,9 +101,6 @@ class Fp2:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_one(self) -> bool:
-        return self.x == 0 and self.y == 1
-
     def conjugate(self) -> "Fp2":
         return Fp2(-self.x % P, self.y)
 
@@ -178,7 +175,6 @@ class Fp2:
         return Fp2(self.x * fp_inv(2 * v % P) % P, v)
 
 
-FP2_ZERO = Fp2(0, 0)
 FP2_ONE = Fp2(0, 1)
 
 XI = Fp2(1, 3)  # i + 3, the sextic non-residue

@@ -69,7 +69,10 @@ class StorageLayout:
         unit = check_storage_unit(decision.storage_unit)
         file_name = check_file_id(decision.file_id)
         unit_dir = self.root / unit
-        unit_dir.mkdir(exist_ok=True)
+        try:
+            unit_dir.mkdir(exist_ok=True)
+        except FileExistsError:
+            raise ValidationError(f"storage unit {unit!r} is not a directory") from None
         target = unit_dir / file_name
         # not named after file_id, which may already be as long as a name can be
         tmp = unit_dir / f".{uuid.uuid4().hex}.tmp"

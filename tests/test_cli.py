@@ -299,6 +299,46 @@ class TestTag:
         assert not (root / "bad.json").exists()
 
 
+def _tree(root):
+    """Every path under ``root``, with a file's bytes, to show nothing was written."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is refused before any key is
+    read: a missing parent directory exits 1, a directory given as ``--out``
+    or a file given as ``--out-dir`` is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("command, option, target, code, message", [
+        ("user tag", "--out", "nodir/sub.json", 1, "nodir is not a directory"),
+        ("pap compile", "--out", "nodir/c.json", 1, "nodir is not a directory"),
+        ("user tag", "--out", "d", 2, "Invalid value for '--out'"),
+        ("pap compile", "--out", "d", 2, "Invalid value for '--out'"),
+        ("pap keygen", "--out-dir", "afile", 2, "Invalid value for '--out-dir'"),
+        ("user keygen", "--out-dir", "afile", 2, "Invalid value for '--out-dir'"),
+    ], ids=["tag-missing-parent", "compile-missing-parent", "tag-out-is-dir", "compile-out-is-dir",
+            "pap-keygen-out-dir-is-file", "user-keygen-out-dir-is-file"])
+    def test_unwritable_output_path_refused(self, pipeline, runner, command, option, target, code, message):
+        root, _ = pipeline
+        (root / "d").mkdir()
+        (root / "afile").write_bytes(b"a file")
+        inputs = {
+            "user tag": ["--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
+                         "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin"],
+            "pap compile": ["--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk"],
+            "pap keygen": [],
+            "user keygen": [],
+        }[command]
+        before = _tree(root)
+        result = runner.invoke(cli, [str(a) for a in (*command.split(), *inputs, option, root / target,
+                                                      "--suite", "mock", "--force")],
+                               catch_exceptions=False)
+        assert result.exit_code == code, result.output
+        assert message in result.stderr
+        assert "Traceback" not in result.output
+        assert _tree(root) == before
+
+
 class TestClassify:
     def test_medical_payload_lands_in_hospital(self, pipeline, runner):
         root, _ = pipeline
@@ -439,6 +479,29 @@ class TestClassify:
         for i in (4, 5):
             assert f"batch{i}.json: decode error: " in result.stderr
         assert result.stderr.count("field 'file_id' is not a string") == 2
+
+    def test_storage_unit_that_is_not_a_directory_skipped_with_exit_3(self, pipeline, runner):
+        """A file where the Hospital unit's directory belongs: that payload is
+        reported and neither stored nor logged, and the batch goes on."""
+        root, run = pipeline
+        (root / "other.txt").write_text("node a Artifact Draft\nnode b Agent Intern\nedge ScannedBy a b\n")
+        run("user", "tag", "--graph", root / "other.txt",
+            "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / "usr/user.sk",
+            "--payload", root / "payload.bin",
+            "--out", root / "other.json", "--suite", "mock", "--seed", 6,
+            "--file-id", "other.bin")
+        (root / "store/Hospital").write_bytes(b"not a unit")
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(root / "sub.json"), str(root / "other.json")] + base[3:],
+                               catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"{root / 'sub.json'}: payload not stored: "
+                                 "storage unit 'Hospital' is not a directory\n")
+        assert (root / "store/Hospital").read_bytes() == b"not a unit"
+        assert [p.name for p in (root / "store").glob("*/*")] == ["other.bin"]
+        log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
+        assert [entry["file_id"] for entry in log] == ["other.bin"]
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
     def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):

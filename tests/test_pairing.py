@@ -34,7 +34,7 @@ def _twist_point(rng):
         x = tower.Fp2(rng.randrange(tower.P), rng.randrange(tower.P))
         y = (x.square() * x + curve.TWIST_B).sqrt()
         if y is not None:
-            return curve.PointG2(x, y)
+            return _point(x, y, tower.FP2_ONE)
 
 
 def _order_13_point(rng):
@@ -196,21 +196,34 @@ def _reference_mul_line(f, a, b, c):
 
 # The Fp2-object point and line formulas the int formulas of ``bn256``
 # replaced, kept as their references: same algorithms, an Fp2 object and a
-# reduction per step.
+# reduction per step.  They read a point through ``_fp2s`` and build one
+# with ``_point``.
+
+def _fp2s(pt):
+    """A point's Jacobian x, y and z as ``Fp2`` objects."""
+    xi, xr, yi, yr, zi, zr = pt.c
+    return tower.Fp2(xi, xr), tower.Fp2(yi, yr), tower.Fp2(zi, zr)
+
+
+def _point(x, y, z):
+    """The point with Jacobian ``Fp2`` coordinates x, y and z: ``_fp2s`` inverted."""
+    return curve.PointG2((x.x, x.y, y.x, y.y, z.x, z.y))
+
 
 def _reference_double(t):
     """dbl-2009-l."""
-    a = t.x.square()
-    b = t.y.square()
+    tx, ty, tz = _fp2s(t)
+    a = tx.square()
+    b = ty.square()
     c = b.square()
-    d = ((t.x + b).square() - a - c).double()
+    d = ((tx + b).square() - a - c).double()
     e = a.double() + a
     f = e.square()
     c8 = c.double().double().double()
     x3 = f - d.double()
     y3 = e * (d - x3) - c8
-    z3 = (t.y * t.z).double()
-    return curve.PointG2(x3, y3, z3)
+    z3 = (ty * tz).double()
+    return _point(x3, y3, z3)
 
 
 def _reference_add(t, q):
@@ -219,12 +232,13 @@ def _reference_add(t, q):
         return q
     if q.is_infinity():
         return t
-    z1z1 = t.z.square()
-    z2z2 = q.z.square()
-    u1 = t.x * z2z2
-    u2 = q.x * z1z1
-    s1 = t.y * q.z * z2z2
-    s2 = q.y * t.z * z1z1
+    (tx, ty, tz), (qx, qy, qz) = _fp2s(t), _fp2s(q)
+    z1z1 = tz.square()
+    z2z2 = qz.square()
+    u1 = tx * z2z2
+    u2 = qx * z1z1
+    s1 = ty * qz * z2z2
+    s2 = qy * tz * z1z1
     h = u2 - u1
     r = s2 - s1
     if h.is_zero() and r.is_zero():
@@ -235,26 +249,30 @@ def _reference_add(t, q):
     v = u1 * i
     x3 = r.square() - j - v.double()
     y3 = r * (v - x3) - (s1 * j).double()
-    z3 = ((t.z + q.z).square() - z1z1 - z2z2) * h
-    return curve.PointG2(x3, y3, z3)
+    z3 = ((tz + qz).square() - z1z1 - z2z2) * h
+    return _point(x3, y3, z3)
 
 
 def _reference_psi(q):
-    return curve.PointG2(q.x.conjugate() * tower.XI1[1], q.y.conjugate() * tower.XI1[2], q.z.conjugate())
+    qx, qy, qz = _fp2s(q)
+    return _point(qx.conjugate() * tower.XI1[1], qy.conjugate() * tower.XI1[2], qz.conjugate())
 
 
 def _reference_tangent(t):
-    zz = t.z.square()
-    xx = t.x.square()
+    tx, ty, tz = _fp2s(t)
+    zz = tz.square()
+    xx = tx.square()
     t2 = _reference_double(t)
-    return t2, ((xx * t.x).mul_int(6) - t.y.square().double().double(),
-                (xx * zz).mul_int(6).neg(), (t2.z * zz).double())
+    return t2, ((xx * tx).mul_int(6) - ty.square().double().double(),
+                (xx * zz).mul_int(6).neg(), (_fp2s(t2)[2] * zz).double())
 
 
 def _reference_chord(t, q):
-    r = (q.y * t.z * t.z.square() - t.y).double()
+    (_, ty, tz), (qx, qy, _) = _fp2s(t), _fp2s(q)
+    r = (qy * tz * tz.square() - ty).double()
     t = _reference_add(t, q)
-    return t, ((r * q.x - q.y * t.z).double(), r.double().neg(), t.z.double())
+    tz = _fp2s(t)[2]
+    return t, ((r * qx - qy * tz).double(), r.double().neg(), tz.double())
 
 
 def _line_ints(a, b, c):
@@ -265,13 +283,14 @@ def _line_ints(a, b, c):
 def _jacobian(pt):
     """The raw coordinates: equal only if every int is equal, so a
     coordinate outside [0, p) also fails."""
-    return pt.x.x, pt.x.y, pt.y.x, pt.y.y, pt.z.x, pt.z.y
+    return pt.c
 
 
 def _rescaled(pt, lam):
     """The same point in other Jacobian coordinates: (lam^2 x, lam^3 y, lam z)."""
+    x, y, z = _fp2s(pt)
     lam2 = lam.square()
-    return curve.PointG2(pt.x * lam2, pt.y * lam2 * lam, pt.z * lam)
+    return _point(x * lam2, y * lam2 * lam, z * lam)
 
 
 def _lockstep_ladder(q, k):
@@ -292,7 +311,8 @@ def _on_twist(pt):
     """Whether a point satisfies the twist equation y^2 = x^3 + b'."""
     if pt.is_infinity():
         return True
-    x, y = pt.affine()
+    xi, xr, yi, yr = pt.affine()
+    x, y = tower.Fp2(xi, xr), tower.Fp2(yi, yr)
     return y.square() == x.square() * x + curve.TWIST_B
 
 
@@ -395,7 +415,7 @@ class TestBn256Kernels:
         rng = random.Random(27)
         p, q = _random_pair(rng)
         px, py = p.affine()
-        zero = tower.FP2_ZERO
+        zero = tower.Fp2(0, 0)
         for group in bn256.g2_lines(q)[::8]:
             for line in group:
                 ai, ar, bi, br, ci, cr = line
@@ -502,11 +522,11 @@ class TestG2Formulas:
         triples off the curve with every int 0, 1 or p - 1: the formulas
         are polynomials and must agree on any input."""
         g2 = [curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER)) for _ in range(4)]
-        assert all(not pt.z.is_one() for pt in g2)
+        assert all(pt.c[4:] != (0, 1) for pt in g2)
         twist = [_twist_point(rng) for _ in range(2)]
         twist += [pt.double() for pt in twist]
         edges = _edge_fp2s()
-        off_curve = [curve.PointG2(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[2:] + edges[:2])]
+        off_curve = [_point(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[2:] + edges[:2])]
         return [curve.G2_GEN] + g2 + twist + off_curve
 
     def test_double_matches_reference(self):
@@ -550,6 +570,29 @@ class TestG2Formulas:
         for pt in self._points(random.Random(45)) + [curve.G2_INF]:
             assert _jacobian(curve.psi(pt)) == _jacobian(_reference_psi(pt))
 
+    def test_neg_matches_reference(self):
+        """``neg`` against ``Fp2.neg`` of y, x and z unchanged."""
+        for pt in self._points(random.Random(47)) + [curve.G2_INF]:
+            x, y, z = _fp2s(pt)
+            assert _jacobian(pt.neg()) == _jacobian(_point(x, y.neg(), z))
+
+    def test_affine_matches_reference(self):
+        """``affine`` against (x / z^2, y / z^3) in ``Fp2``, compared as raw
+        ints; every Jacobian form of a point gives the same ints, and a
+        z = 1 point gives its own.  A point with z = 0 has no affine form."""
+        rng = random.Random(48)
+        for pt in self._points(rng):
+            x, y, z = _fp2s(pt)
+            if z.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    pt.affine()
+                continue
+            ax, ay = x * z.square().inverse(), y * (z.square() * z).inverse()
+            assert pt.affine() == (ax.x, ax.y, ay.x, ay.y)
+            lam = tower.Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
+            assert _rescaled(pt, lam).affine() == pt.affine()
+            assert curve.PointG2(pt.c[:4] + (0, 1)).affine() == pt.c[:4]
+
     def test_tangent_and_chord_match_reference(self):
         """On arbitrary points T and affine Q, the next T and the line."""
         rng = random.Random(46)
@@ -559,7 +602,7 @@ class TestG2Formulas:
             r2, ref = _reference_tangent(t)
             assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
             for q in points:
-                q = curve.PointG2(q.x, q.y)
+                q = curve.PointG2(q.c[:4] + (0, 1))
                 t2, line = bn256._chord(t, q)
                 r2, ref = _reference_chord(t, q)
                 assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)

@@ -54,6 +54,13 @@ class TestLayout:
         assert len((tmp_path / storage.LOG_NAME).read_text().splitlines()) == 1
         assert [p.name for p in layout.stored_files()] == ["a.bin"]
 
+    def test_storage_unit_that_is_not_a_directory_refused(self, layout, tmp_path):
+        (tmp_path / "Hospital").write_bytes(b"not a unit")
+        with pytest.raises(ValidationError, match="not a directory"):
+            layout.store(_decision(), b"payload")
+        assert (tmp_path / "Hospital").read_bytes() == b"not a unit"
+        assert not (tmp_path / storage.LOG_NAME).exists()
+
     def test_stored_files_listing(self, layout):
         layout.store(_decision("a.bin"), b"1")
         layout.store(_decision("b.bin", unit="default"), b"2")

@@ -13,7 +13,8 @@ F_p2 square roots in ``decode.json`` were written while the decoders still
 ran a Legendre test before each root.  The G2 scalar multiples, line
 table digests and subgroup decisions in ``g2.json`` were written while
 ``PointG2.double``/``add`` and the line formulas still built an ``Fp2``
-object per step.  Every later
+object per step, and while a point still held its coordinates as three
+``Fp2`` objects.  Every later
 change must reproduce them byte for byte; a mismatch is a bug in the
 change, never a reason to rewrite the files.
 """
@@ -144,7 +145,7 @@ G2_SEED = 13
 
 
 def _jacobian_hex(pt: curve.PointG2) -> list[str]:
-    return [_fp2_hex(pt.x), _fp2_hex(pt.y), _fp2_hex(pt.z)]
+    return [_fp2_hex(tower.Fp2(*pt.c[i:i + 2])) for i in (0, 2, 4)]
 
 
 def _lines_digest(lines) -> str:
@@ -168,7 +169,7 @@ def compute_g2() -> dict:
             x = tower.Fp2(rng.getrandbits(256) % tower.P, rng.getrandbits(256) % tower.P)
             y = (x.square() * x + curve.TWIST_B).sqrt()
             if y is not None:
-                return curve.PointG2(x, y)
+                return curve.PointG2((x.x, x.y, y.x, y.y, 0, 1))
 
     def mul_plain(pt: curve.PointG2, k: int) -> curve.PointG2:
         r = curve.G2_INF
@@ -186,7 +187,7 @@ def compute_g2() -> dict:
                   for name, pt in (("gen", curve.G2_GEN), ("seeded", q)) for k in scalars]
     outside = [twist_point() for _ in range(4)]
     # unchecked points only meet scalars below 6u^2, where psi is never added
-    scalar_mul += [{"q": "twist", "k": k, "kq": _jacobian_hex(pt.scalar_mul(k)), "x": _fp2_hex(pt.x)}
+    scalar_mul += [{"q": "twist", "k": k, "kq": _jacobian_hex(pt.scalar_mul(k)), "x": _jacobian_hex(pt)[0]}
                    for pt in outside[:2] for k in (tower.U, 2 * tower.U, lam - 1)]
     inside = [mul_plain(pt, cofactor) for pt in outside[2:]] + [q, curve.G2_GEN.scalar_mul(rng.getrandbits(256))]
     membership = [{"q": _jacobian_hex(pt), "in_g2": curve.in_g2(pt)} for pt in outside + inside]
