@@ -32,8 +32,9 @@ element a tuple of twelve (``Fp12.c``).
 Nothing here is constant-time.
 
 ``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
-cyclotomic subgroup (elements f with f^(p^6 + 1) = 1), which is where the
-hard part of ``final_exponentiation`` runs.  They must never touch a
+cyclotomic subgroup (elements f with f^(p^4 - p^2 + 1) = 1), which is where
+the hard part of ``final_exponentiation`` runs; its three powers of u each
+take three chains by v, as does ``in_g2``'s [u]Q.  They must never touch a
 decoded or otherwise unchecked element: the Miller loop and GT
 exponentiation use the generic ``square`` and ``exp``.  GT elements are
 encoded (``gt_to_bytes``, the H2 input) but never decoded; ``gt_to_bytes``

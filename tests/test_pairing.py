@@ -481,6 +481,14 @@ class TestBn256Kernels:
         for t in _cyclotomic_elements(random.Random(23), 3):
             assert t.exp_u() == t.exp(tower.U)
 
+    def test_exp_u_on_one_and_conjugates(self):
+        """``FP12_ONE``, and conjugates of cyclotomic elements, which are
+        their inverses.  (-1 is no case: its order 2 does not divide
+        p^4 - p^2 + 1.)"""
+        ts = [tower.FP12_ONE] + [t.conjugate() for t in _cyclotomic_elements(random.Random(29), 2)]
+        for t in ts:
+            assert t.exp_u() == t.exp(tower.U)
+
     def test_shared_miller_loop_is_product_of_single_loops(self):
         rng = random.Random(24)
         for _ in range(3):
@@ -500,9 +508,10 @@ class TestBn256Kernels:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
 
     def test_gls_scalar_mul_outside_g2_below_psi_eigenvalue(self):
-        """in_g2 multiplies unchecked twist points by u < 6u^2, where psi is
-        never added.  On an order-13 point the ladder's accumulator meets
-        -Q (k = 13) and +Q (k = 15) before the add."""
+        """Unchecked twist points times k < 6u^2, where psi is never added:
+        the case the frozen twist entries of ``g2.json`` use (``in_g2``
+        takes its [u]Q from ``curve._mul_u``).  On an order-13 point the
+        ladder's accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
         rng = random.Random(27)
         small = _order_13_point(rng)
         for q in (_twist_point(rng), _twist_point(rng), small):
@@ -510,6 +519,18 @@ class TestBn256Kernels:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k)
         assert small.scalar_mul(13).is_infinity()
         assert small.scalar_mul(15) == small.double()
+
+    def test_mul_u_matches_unreduced_ladder(self):
+        """``curve._mul_u``, three NAF ladders by v, is [u]Q on G2 points,
+        unchecked twist points, an order-13 point and infinity.  No twist
+        point of small order meets +-base inside a v ladder: the twist order's
+        only factors below 2^23 are 13, 7369 and their product, and none
+        divides 2m +- 1 for a prefix m of v's digits."""
+        rng = random.Random(28)
+        points = [curve.G2_GEN, curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER)),
+                  _twist_point(rng), _twist_point(rng), _order_13_point(rng), curve.G2_INF]
+        for q in points:
+            assert curve._mul_u(q) == _mul_unreduced(q, tower.U)
 
 
 class TestG2Formulas:
@@ -556,8 +577,9 @@ class TestG2Formulas:
         assert _jacobian(inf.add(inf)) == _jacobian(_reference_add(inf, inf))
 
     def test_ladder_on_points_outside_g2_matches_reference(self):
-        """``in_g2`` runs [u]Q on unchecked points.  On an order-13 point the
-        accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
+        """The formulas on unchecked twist points, which ``in_g2``'s [u]Q and
+        the frozen twist entries of ``g2.json`` run on.  On an order-13 point
+        the accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
         rng = random.Random(44)
         for q in (_twist_point(rng), _twist_point(rng)):
             assert not curve.in_g2(q)
