@@ -54,6 +54,7 @@ seed_option = click.option(
 force_option = click.option(
     "--force", is_flag=True, help="Overwrite existing output files.",
 )
+input_file = click.Path(path_type=Path, exists=True, dir_okay=False)
 
 
 def _make_rng(seed: int | None, suite_name: str):
@@ -62,6 +63,13 @@ def _make_rng(seed: int | None, suite_name: str):
     if suite_name == "production":
         click.echo("warning: --seed with the production suite is for tests only", err=True)
     return random.Random(seed)
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot create {out_dir}: {exc.strerror}")
 
 
 def _guard(path: Path, force: bool) -> None:
@@ -98,7 +106,7 @@ def pap():
 def pap_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
     """Generate the administrator key pair (admin.sk / admin.pk)."""
     suite = get_suite(suite_name)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     sk_path, pk_path = out_dir / "admin.sk", out_dir / "admin.pk"
     _guard(sk_path, force)
     _guard(pk_path, force)
@@ -108,8 +116,8 @@ def pap_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
 
 
 @pap.command("compile")
-@click.option("--policies", "policy_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--admin-sk", "sk_path", type=click.Path(path_type=Path, exists=True), required=True)
+@click.option("--policies", "policy_path", type=input_file, required=True)
+@click.option("--admin-sk", "sk_path", type=input_file, required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path, dir_okay=False), required=True)
 @suite_option
 @force_option
@@ -143,7 +151,7 @@ def user():
 def user_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
     """Generate a user key pair (user.sk / user.pk)."""
     suite = get_suite(suite_name)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     sk_path, pk_path = out_dir / "user.sk", out_dir / "user.pk"
     _guard(sk_path, force)
     _guard(pk_path, force)
@@ -153,10 +161,10 @@ def user_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
 
 
 @user.command("tag")
-@click.option("--graph", "graph_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--admin-pk", "admin_pk_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--user-sk", "user_sk_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--payload", "payload_path", type=click.Path(path_type=Path, exists=True), required=True)
+@click.option("--graph", "graph_path", type=input_file, required=True)
+@click.option("--admin-pk", "admin_pk_path", type=input_file, required=True)
+@click.option("--user-sk", "user_sk_path", type=input_file, required=True)
+@click.option("--payload", "payload_path", type=input_file, required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path, dir_okay=False), required=True)
 @click.option("--file-id", default=None, help="Defaults to the payload file name.")
 @suite_option
@@ -221,11 +229,11 @@ def _route(layout, sub_path: Path, decision, payload: bytes) -> int:
 
 
 @pdp.command("classify")
-@click.argument("submissions", type=click.Path(path_type=Path, exists=True), nargs=-1, required=True)
-@click.option("--policies", "compiled_path", type=click.Path(path_type=Path, exists=True), required=True,
+@click.argument("submissions", type=input_file, nargs=-1, required=True)
+@click.option("--policies", "compiled_path", type=input_file, required=True,
               help="Compiled policy file from `pap compile`.")
-@click.option("--admin-pk", "admin_pk_path", type=click.Path(path_type=Path, exists=True), required=True)
-@click.option("--user-pk", "user_pk_path", type=click.Path(path_type=Path, exists=True), required=True)
+@click.option("--admin-pk", "admin_pk_path", type=input_file, required=True)
+@click.option("--user-pk", "user_pk_path", type=input_file, required=True)
 @click.option("--storage-root", envvar="PBCAP_STORAGE_ROOT",
               type=click.Path(path_type=Path, exists=True, file_okay=False), required=True)
 @suite_option

@@ -339,6 +339,55 @@ class TestOutputPaths:
         assert _tree(root) == before
 
 
+    @pytest.mark.parametrize("command", ["pap keygen", "user keygen"])
+    def test_out_dir_below_a_file_refused(self, tmp_path, runner, command):
+        """``--out-dir afile/sub`` with ``afile`` a file: exit 1, the path named."""
+        (tmp_path / "afile").write_bytes(b"a file")
+        out_dir = tmp_path / "afile/sub"
+        before = _tree(tmp_path)
+        result = runner.invoke(cli, [*command.split(), "--out-dir", str(out_dir), "--suite", "mock"],
+                               catch_exceptions=False)
+        assert result.exit_code == 1, result.output
+        assert f"Error: cannot create {out_dir}" in result.stderr
+        assert "Traceback" not in result.output
+        assert _tree(tmp_path) == before
+
+
+class TestInputPaths:
+    """A directory given as an input file is a usage error (exit 2), refused
+    before the command body runs: no key is read and no pairing runs."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("pap compile", "--policies"), ("pap compile", "--admin-sk"),
+        ("user tag", "--graph"), ("user tag", "--admin-pk"),
+        ("user tag", "--user-sk"), ("user tag", "--payload"),
+        ("pdp classify", "SUBMISSIONS"), ("pdp classify", "--policies"),
+        ("pdp classify", "--admin-pk"), ("pdp classify", "--user-pk"),
+    ])
+    def test_directory_refused(self, pipeline, runner, monkeypatch, command, option):
+        root, _ = pipeline
+        (root / "d").mkdir()
+        args = [str(a) for a in {
+            "pap compile": ["pap", "compile", "--policies", root / "policies.json",
+                            "--admin-sk", root / "pap/admin.sk", "--out", root / "c.json"],
+            "user tag": ["user", "tag", "--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
+                         "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin",
+                         "--out", root / "out.json"],
+            "pdp classify": _classify_args(root)[:-2],
+        }[command]]
+        args[2 if option == "SUBMISSIONS" else args.index(option) + 1] = str(root / "d")
+
+        def body_ran(name):
+            raise AssertionError("the command body ran")
+        monkeypatch.setattr("pbcap.cli.get_suite", body_ran)
+        before = _tree(root)
+        result = runner.invoke(cli, args + ["--suite", "mock"], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for" in result.stderr and "is a directory" in result.stderr
+        assert "Traceback" not in result.output
+        assert _tree(root) == before
+
+
 class TestClassify:
     def test_medical_payload_lands_in_hospital(self, pipeline, runner):
         root, _ = pipeline
