@@ -13,7 +13,8 @@ error, a file id that cannot be stored (unsafe, or already stored in
 its unit) or a storage unit whose path is not a directory.  A compiled
 set, key or storage root that cannot be read -- including a compiled
 set that names an unsafe storage unit -- exits 3 before any submission
-is read.  Otherwise each submission of a batch is
+is read; an input path that is missing or a directory is a usage error
+(exit 2) before anything is read.  Otherwise each submission of a batch is
 handled on its own; the exit code is the highest of theirs.
 
 An admin public key whose two halves do not share an exponent is refused

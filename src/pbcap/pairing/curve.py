@@ -222,8 +222,8 @@ class PointG2:
 
         Valid domain: Q in G2 with any k, or any twist point with
         k mod n < 6u^2, where a = 0 and psi(Q) is never added.  The second
-        case now serves only the frozen twist entries of the G2 vectors;
-        ``in_g2`` takes its [u]Q from ``_mul_u``.
+        case serves only the frozen twist entries of the G2 vectors
+        (``in_g2`` takes its [u]Q from ``_mul_u``).
         """
         a, b = divmod(k % ORDER, PSI_EIGENVALUE)
         q_psi = psi(self)
