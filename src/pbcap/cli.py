@@ -19,10 +19,10 @@ handled on its own; the exit code is the highest of theirs.
 
 An admin public key whose two halves do not share an exponent is refused
 by ``user tag`` when it is loaded (exit 1).  ``pdp classify`` folds that
-check into the first authentication it runs (``verify_authenticity``
-with a random ``delta``), so it finds such a key once a submission is
-authenticated, not before any submission is read: it then exits 3 at
-once, and that submission is neither stored nor logged.
+check into every authentication (``verify_authenticity``), so it finds
+such a key at the first submission it authenticates.  A failed one then
+checks the key alone: a bad key exits 3 at once, that submission neither
+stored nor logged; with a good key the submission's X is forged (exit 2).
 """
 
 from __future__ import annotations
@@ -75,10 +75,12 @@ def _make_out_dir(out_dir: Path) -> None:
 
 def _guard(path: Path, force: bool) -> None:
     """Refuse an output path before any work: a missing parent directory,
-    or an existing file without --force.  ``--out`` and ``--out-dir``
-    refuse a directory and a file themselves, as usage errors."""
+    a directory, or an existing file without --force.  ``--out`` and
+    ``--out-dir`` also refuse a directory and a file as usage errors."""
     if not path.parent.is_dir():
         raise click.ClickException(f"{path.parent} is not a directory")
+    if path.is_dir():
+        raise click.ClickException(f"{path} is a directory")
     if path.exists() and not force:
         raise click.ClickException(f"{path} exists; pass --force to overwrite")
 
@@ -251,24 +253,21 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         click.echo(f"decode error: {exc}", err=True)
         sys.exit(EXIT_DECODE_ERROR)
     codes = []
-    key_good = False
+    rng = secrets.SystemRandom()
     for sub_path in submissions:
         try:
             sub = formats.load_submission(sub_path, suite)
-            # until the admin key is known good, each authentication checks it too
-            delta = 0 if key_good else 1 + secrets.randbelow(min(2 ** 128, suite.order) - 1)
             decision = policy.classify(
                 list(sub.tags), user_pub, admin_pub, compiled, suite,
-                file_id=sub.file_id, x=sub.x, delta=delta,
+                file_id=sub.file_id, x=sub.x, rng=rng,
             )
         except PbcapError as exc:
             click.echo(f"{sub_path}: decode error: {exc}", err=True)
             codes.append(EXIT_DECODE_ERROR)
             continue
-        if delta and not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
+        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
             click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
             sys.exit(EXIT_DECODE_ERROR)
-        key_good = True
         codes.append(_route(layout, sub_path, decision, sub.payload))
     sys.exit(max(codes))
 

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .errors import DecodeError, PbcapError
 from .pairing import Group, GroupElement, PairingSuite, Scalar
-from .policy import CompiledPolicy, Policy
+from .policy import CompiledPolicy, Policy, check_unique_ids
 from .provenance import parse_fragment
 from .scheme import (
     AdminKeyPair,
@@ -174,9 +174,9 @@ def _policy_entries(doc: dict, build) -> list:
 
 def load_policies(path: Path) -> list[Policy]:
     with _load(path, "policy-set") as doc:
-        return _policy_entries(doc, lambda entry, **fields: Policy(
+        return check_unique_ids(_policy_entries(doc, lambda entry, **fields: Policy(
             keywords=tuple(parse_fragment(k) for k in _field(entry, "keywords", list, of=str)), **fields,
-        ))
+        )))
 
 
 def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, path: Path) -> None:
@@ -197,14 +197,14 @@ def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, 
 
 def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPolicy]:
     with _load(path, "compiled-policy-set", suite) as doc:
-        return _policy_entries(doc, lambda entry, **fields: CompiledPolicy(
+        return check_unique_ids(_policy_entries(doc, lambda entry, **fields: CompiledPolicy(
             **fields,
             trapdoors=tuple(
                 TrapdoorEntry(token=_element(suite, Group.A, td, "token"),
                               keyword_slot=_field(td, "slot", str))
                 for td in _field(entry, "trapdoors", list, of=dict)
             ),
-        ))
+        )))
 
 
 # --- submissions --------------------------------------------------------------

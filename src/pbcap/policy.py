@@ -41,6 +41,16 @@ def _check_policy(policy, conditions: tuple, what: str) -> None:
         raise ValidationError(f"policy {policy.id!r} needs a category and a storage unit")
 
 
+def check_unique_ids(policies: list) -> list:
+    """``policies``, plain or compiled, once no two share an id."""
+    seen: set[str] = set()
+    for policy in policies:
+        if policy.id in seen:
+            raise ValidationError(f"duplicate policy id {policy.id!r}")
+        seen.add(policy.id)
+    return policies
+
+
 @dataclass(frozen=True)
 class Policy:
     id: str
@@ -90,31 +100,19 @@ def compile_policies(
     suite: PairingSuite,
 ) -> list[CompiledPolicy]:
     """Replace every keyword with its trapdoor; order is preserved."""
-    seen_ids: set[str] = set()
-    compiled = []
-    for policy in policies:
-        if policy.id in seen_ids:
-            raise ValidationError(f"duplicate policy id {policy.id!r}")
-        seen_ids.add(policy.id)
-        trapdoors = tuple(
-            make_trapdoor(
-                suite,
-                admin_sk,
-                keyword.canonical_bytes(),
-                keyword_slot=f"{policy.id}/k{i}",
-            )
-            for i, keyword in enumerate(policy.keywords)
+    return [
+        CompiledPolicy(
+            id=policy.id,
+            priority=policy.priority,
+            category=policy.category,
+            storage_unit=policy.storage_unit,
+            trapdoors=tuple(
+                make_trapdoor(suite, admin_sk, keyword.canonical_bytes(), keyword_slot=f"{policy.id}/k{i}")
+                for i, keyword in enumerate(policy.keywords)
+            ),
         )
-        compiled.append(
-            CompiledPolicy(
-                id=policy.id,
-                priority=policy.priority,
-                category=policy.category,
-                storage_unit=policy.storage_unit,
-                trapdoors=trapdoors,
-            )
-        )
-    return compiled
+        for policy in check_unique_ids(policies)
+    ]
 
 
 def classify(
@@ -125,8 +123,8 @@ def classify(
     suite: PairingSuite,
     *,
     x: GroupElement,
+    rng,
     file_id: str = "",
-    delta: int = 0,
 ) -> Decision:
     """Route one submission.
 
@@ -135,10 +133,10 @@ def classify(
     tried from the highest priority down (ties by smallest id), and
     testing stops at the first policy for which any tag passes against
     any of its trapdoors: the winner is the same as when every policy is
-    tested, and no lower-priority match is learned.  ``delta`` is passed
-    to ``verify_authenticity``.
+    tested, and no lower-priority match is learned.  ``rng`` draws the
+    authentication's delta (``verify_authenticity``).
     """
-    if not verify_authenticity(suite, admin_pub, user_pub, x, delta):
+    if not verify_authenticity(suite, admin_pub, user_pub, x, rng):
         return Decision.unclassified(file_id, authenticated=False)
 
     for policy in sorted(compiled, key=lambda p: (-p.priority, p.id)):

@@ -33,9 +33,9 @@ the admin key must also hold the same exponent in both groups:
 
 0. ``e(admin_pk_a, g_b) == e(g_a, admin_pk_b)``  (``check_admin_key``).
 
-``verify_authenticity`` with ``delta`` >= 1 checks (0) and (1) in one
-2-pair product, the small-exponent batch test (Bellare, Garay and Rabin,
-Eurocrypt 1998; Ferrara et al., CT-RSA 2009):
+``verify_authenticity`` checks (0) and (1) in one 2-pair product, the
+small-exponent batch test (Bellare, Garay and Rabin, Eurocrypt 1998;
+Ferrara et al., CT-RSA 2009), with a fresh delta per call:
 
     e(admin_pk_a, g_b^delta * user_pk_b) == e(g_a, admin_pk_b^delta * X).
 
@@ -164,16 +164,11 @@ def verify_authenticity(
     admin_pub: AdminPublicKey,
     user_pub: UserPublicKey,
     x: GroupElement,
-    delta: int = 0,
+    rng,
 ) -> bool:
-    """Equation (1): e(g_a, X) == e(admin_pk_a, user_pk_b).
-
-    With ``delta`` >= 1, equations (0) and (1) batched into one product
-    (see the module docstring).  ``delta`` = 0 pairs ``user_pk_b`` itself,
-    so its kept line table serves every later submission of a batch.
-    """
-    if not delta:
-        return suite.pairs_equal(suite.gen_a, x, admin_pub.pk_a, user_pub.pk_b)
+    """Equations (0) and (1) batched into one product with a delta drawn
+    from ``rng`` (see the module docstring)."""
+    delta = rng.randrange(1, min(2 ** 128, suite.order))
     return suite.pairs_equal(admin_pub.pk_a, suite.gen_b ** delta * user_pub.pk_b,
                              suite.gen_a, admin_pub.pk_b ** delta * x)
 

@@ -50,7 +50,7 @@ def _fragment(rng, i):
 def test_criterion_1_completeness():
     """1000 random fragments, fresh keys every 100: matching trapdoor
     always accepted."""
-    rng = random.Random(101)
+    rng, deltas = random.Random(101), random.Random(201)
     failures = 0
     for batch in range(10):
         admin = keygen_admin(SUITE, rng)
@@ -60,7 +60,7 @@ def test_criterion_1_completeness():
             frag = _fragment(rng, i)
             tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
             trap = make_trapdoor(SUITE, admin.sk, frag)
-            if (verify_authenticity(SUITE, admin.public, user.public, x)
+            if (verify_authenticity(SUITE, admin.public, user.public, x, deltas)
                 and matches_trapdoor(SUITE, trap, tag)) is not True:
                 failures += 1
     _verdict(1, failures == 0,
@@ -69,7 +69,7 @@ def test_criterion_1_completeness():
 
 def test_criterion_2_soundness():
     """10^4 mismatched fragment pairs: never accepted."""
-    rng = random.Random(102)
+    rng, deltas = random.Random(102), random.Random(202)
     admin = keygen_admin(SUITE, rng)
     user = keygen_user(SUITE, rng)
     x = make_x(admin.public, user.sk)
@@ -79,7 +79,7 @@ def test_criterion_2_soundness():
         other = _fragment(rng, i) + b"'"
         tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
         trap = make_trapdoor(SUITE, admin.sk, other)
-        if (verify_authenticity(SUITE, admin.public, user.public, x)
+        if (verify_authenticity(SUITE, admin.public, user.public, x, deltas)
             and matches_trapdoor(SUITE, trap, tag)):
             accepted += 1
     _verdict(2, accepted == 0,
@@ -89,7 +89,7 @@ def test_criterion_2_soundness():
 def test_criterion_3_authenticity_gate():
     """1000 submissions keyed with an unregistered exponent: the
     key-binding equation fails and classify never routes them."""
-    rng = random.Random(103)
+    rng, deltas = random.Random(103), random.Random(203)
     admin = keygen_admin(SUITE, rng)
     registered = keygen_user(SUITE, rng)
     policy = Policy(id="p", keywords=(parse_fragment("K(a,b)"),),
@@ -102,9 +102,9 @@ def test_criterion_3_authenticity_gate():
             continue
         tag = make_tag(SUITE, admin.public, imposter.sk, b"K(a,b)", rng)
         x = make_x(admin.public, imposter.sk)
-        if verify_authenticity(SUITE, admin.public, registered.public, x):
+        if verify_authenticity(SUITE, admin.public, registered.public, x, deltas):
             leaks += 1
-        decision = classify([tag], registered.public, admin.public, compiled, SUITE, x=x)
+        decision = classify([tag], registered.public, admin.public, compiled, SUITE, x=x, rng=deltas)
         if decision.authenticated or decision.matched_policy is not None:
             leaks += 1
     _verdict(3, leaks == 0,
@@ -240,7 +240,7 @@ def test_criterion_7_policy_reproduction(tmp_path):
 def test_criterion_8_priority_conflict():
     """Priorities {5, 9}: the 9 wins; brute force over every match
     subset of a 3-policy set confirms the argmax and tie-break rule."""
-    rng = random.Random(108)
+    rng, deltas = random.Random(108), random.Random(208)
     admin = keygen_admin(SUITE, rng)
     user = keygen_user(SUITE, rng)
     x = make_x(admin.public, user.sk)
@@ -254,7 +254,7 @@ def test_criterion_8_priority_conflict():
     tags = [make_tag(SUITE, admin.public, user.sk, f, rng)
             for f in (b"A(x,y)", b"B(x,y)")]
     nine_wins = classify(tags, user.public, admin.public, five_nine,
-                         SUITE, x=x).matched_policy == "high"
+                         SUITE, x=x, rng=deltas).matched_policy == "high"
 
     trio = [p("p1", "K1(a,b)", 3), p("p2", "K2(a,b)", 9), p("p3", "K3(a,b)", 9)]
     compiled = compile_policies(trio, admin.sk, SUITE)
@@ -265,7 +265,7 @@ def test_criterion_8_priority_conflict():
             tags = [make_tag(SUITE, admin.public, user.sk, keyword_of[q.id], rng)
                     for q in subset]
             got = classify(tags, user.public, admin.public, compiled,
-                           SUITE, x=x).matched_policy
+                           SUITE, x=x, rng=deltas).matched_policy
             want = (min(subset, key=lambda q: (-q.priority, q.id)).id
                     if subset else None)
             if got != want:

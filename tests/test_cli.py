@@ -2,13 +2,15 @@
 
 import json
 import os
+import secrets
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from pbcap import policy, scheme
+from pbcap import scheme
 from pbcap.cli import cli
+from pbcap.pairing import MockSuite
 
 POLICY_DOC = {
     "format": "pbcap/1",
@@ -192,6 +194,19 @@ class TestCompile:
         assert f"storage unit {unit!r}" in result.output
         assert not (tmp_path / "out.json").exists()
 
+    def test_duplicate_policy_id_refused_naming_the_file(self, tmp_path, runner):
+        doc = dict(POLICY_DOC, policies=[dict(p, id="p") for p in POLICY_DOC["policies"]])
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path), "--suite", "mock", "--seed", "1"])
+        result = runner.invoke(cli, [
+            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
+            "--admin-sk", str(tmp_path / "admin.sk"),
+            "--out", str(tmp_path / "out.json"), "--suite", "mock",
+        ], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: {tmp_path / 'bad.json'}: duplicate policy id 'p'\n"
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("policies", [5, None, True, 3.9])
     def test_non_list_policies_refused(self, tmp_path, runner, policies):
         """A decode error with exit 1, not a TypeError traceback."""
@@ -352,6 +367,26 @@ class TestOutputPaths:
         assert "Traceback" not in result.output
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+    @pytest.mark.parametrize("command, key", [
+        ("pap keygen", "admin.sk"), ("pap keygen", "admin.pk"),
+        ("user keygen", "user.sk"), ("user keygen", "user.pk"),
+    ])
+    def test_key_path_that_is_a_directory_refused(self, tmp_path, runner, command, key, force):
+        """A key path that is a directory: exit 1, the path named, before any
+        key is generated.  With --force, the other key file of an existing
+        pair is not replaced."""
+        keygen = [*command.split(), "--out-dir", str(tmp_path), "--suite", "mock"]
+        if force:
+            assert runner.invoke(cli, keygen, catch_exceptions=False).exit_code == 0
+            (tmp_path / key).unlink()
+        (tmp_path / key).mkdir()
+        before = _tree(tmp_path)
+        result = runner.invoke(cli, keygen + ["--force"] * force, catch_exceptions=False)
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"Error: {tmp_path / key} is a directory\n"
+        assert _tree(tmp_path) == before
+
 
 class TestInputPaths:
     """A directory given as an input file is a usage error (exit 2), refused
@@ -437,34 +472,45 @@ class TestClassify:
         assert result.stderr == f"decode error: {refusal}\n"
         assert list((root / "store").iterdir()) == []
 
-    def test_forged_then_genuine_checks_admin_key_once(self, pipeline, runner, monkeypatch):
-        """The forged submission fails the merged check, so the admin key is
-        checked alone and passes: that submission exits 2 and is logged.
-        The genuine one is then authenticated by the plain check (delta 0)
-        and exits 0."""
+    def test_genuine_forged_genuine_checks_admin_key_once(self, pipeline, runner, monkeypatch):
+        """Each authentication draws one delta from one system rng.  The
+        forged submission fails, so the admin key is checked alone and
+        passes: that submission exits 2 and is logged, and the genuine ones
+        around it are stored."""
         root, run = pipeline
         _forge(root, run)
-        deltas, key_checks = [], []
+        run("user", "tag", "--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin",
+            "--out", root / "sub2.json", "--suite", "mock", "--seed", 4, "--file-id", "second.bin")
+        rngs, draws, key_checks = [], [], []
 
-        def verify(suite, admin_pub, user_pub, x, delta=0, _inner=policy.verify_authenticity):
-            deltas.append(delta)
-            return _inner(suite, admin_pub, user_pub, x, delta)
+        class Recorded(secrets.SystemRandom):
+            def __init__(self):
+                super().__init__()
+                rngs.append(self)
+
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
 
         def check(suite, admin_pub, _inner=scheme.check_admin_key):
             key_checks.append(admin_pub)
             return _inner(suite, admin_pub)
 
-        monkeypatch.setattr(policy, "verify_authenticity", verify)
+        monkeypatch.setattr(secrets, "SystemRandom", Recorded)
         monkeypatch.setattr(scheme, "check_admin_key", check)
         base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(root / "forged.json"), str(root / "sub.json")] + base[3:],
-                               catch_exceptions=False)
+        batch = [str(root / name) for name in ("sub.json", "forged.json", "sub2.json")]
+        result = runner.invoke(cli, base[:2] + batch + base[3:], catch_exceptions=False)
         assert result.exit_code == 2, result.output
         assert result.stderr == f"{root / 'forged.json'}: authentication failure; payload not stored\n"
-        assert json.loads(result.stdout)["storage_unit"] == "Hospital"
+        stored = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [(d["file_id"], d["storage_unit"]) for d in stored] == [
+            ("payload.bin", "Hospital"), ("second.bin", "Hospital")]
         log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
-        assert [entry["authenticated"] for entry in log] == [False, True]
-        assert len(deltas) == 2 and deltas[0] >= 1 and deltas[1] == 0
+        assert [entry["authenticated"] for entry in log] == [True, False, True]
+        assert len(rngs) == 1
+        assert draws == [(1, min(2 ** 128, MockSuite().order))] * 3
         assert len(key_checks) == 1
 
     def test_corrupt_submission_exits_3(self, pipeline, runner):
@@ -576,6 +622,21 @@ class TestClassify:
         assert result.exit_code == 3, result.output
         assert "field 'policies' is not a list" in result.stderr
         assert "Traceback" not in result.output
+        assert list((root / "store").iterdir()) == []
+
+    def test_duplicate_compiled_policy_id_exits_3(self, pipeline, runner):
+        """A hand-built compiled set with two policies of one id is refused
+        when it is read, before any submission: nothing stored or logged."""
+        root, _ = pipeline
+        doc = json.loads((root / "compiled.json").read_text())
+        for entry in doc["policies"]:
+            entry["id"] = "p"
+        (root / "compiled.json").write_text(json.dumps(doc))
+        (root / "junk.json").write_text("not a submission")
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:2] + [str(root / "junk.json")] + base[2:], catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"decode error: {root / 'compiled.json'}: duplicate policy id 'p'\n"
         assert list((root / "store").iterdir()) == []
 
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):

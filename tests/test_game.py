@@ -114,7 +114,7 @@ class TestChallengeConstruction:
                 for frag in ctx.pair
             ]
             assert sorted(hits) == [False, True]
-            assert verify_authenticity(ctx.suite, ctx.admin_pub, ctx.user_pub, ctx.x)
+            assert verify_authenticity(ctx.suite, ctx.admin_pub, ctx.user_pub, ctx.x, random.Random(22))
 
     def test_fresh_keys_each_trial(self, mock_suite):
         admins = []

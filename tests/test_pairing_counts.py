@@ -9,10 +9,9 @@ depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
 command builds one table per group-B element it pairs.  ``user tag``
 pairs ``g_b`` and the admin key in its admin key check, then the admin
-key again per tag.  ``pdp classify`` checks the admin key inside its
-first authentication, whose merged check pairs two new elements,
-g_b^delta * user_pk_b and admin_pk_b^delta * X; each later authentication
-of the batch pairs X and the user key, and each tested tag its Y.
+key again per tag.  ``pdp classify`` checks the admin key inside every
+authentication, whose merged check pairs two new elements,
+g_b^delta * user_pk_b and admin_pk_b^delta * X, and each tested tag its Y.
 """
 
 import json
@@ -85,9 +84,9 @@ def test_check_admin_key(prod_suite, keys, tmp_path, counts):
 
 
 def test_verify_authenticity(prod_suite, keys, counts):
-    admin, user, _ = keys
+    admin, user, rng = keys
     x = make_x(admin.public, user.sk)
-    assert verify_authenticity(prod_suite, admin.public, user.public, x)
+    assert verify_authenticity(prod_suite, admin.public, user.public, x, rng)
     _expect(counts, 1, 1)
 
 
@@ -286,12 +285,12 @@ def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, ta
     assert not tables
 
 
-def test_pdp_classify_batch_builds_one_user_key_table(tmp_path, counts, tables):
-    """Two submissions of one user in one ``pdp classify``: the first
-    authentication also checks the admin key and pairs two new elements;
-    the later ones pair the user key, which keeps its table for the rest
-    of the batch.  Each submission decodes its own X and tags, which build
-    their own tables."""
+def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, tables, monkeypatch):
+    """Two submissions of one user in one ``pdp classify``: each
+    authentication also checks the admin key, with two G2 multiplications
+    by its delta, and pairs two new elements; neither the user key nor X
+    is paired.  Each submission decodes its own tags, whose Ys build their
+    own tables."""
     policies = [_policy("1", ["SignedBy(Form,Clerk)"], 5)]
     args = _prepare_pdp_classify(tmp_path, policies)
     result = CliRunner().invoke(cli, [str(a) for a in (
@@ -299,19 +298,25 @@ def test_pdp_classify_batch_builds_one_user_key_table(tmp_path, counts, tables):
         "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
         "--out", tmp_path / "sub2.json", "--seed", 4, "--file-id", "second.bin")])
     assert result.exit_code == 0, result.output
+    g2_muls = []
+
+    def counted(point, k, _inner=curve.PointG2.scalar_mul):
+        g2_muls.append(k)
+        return _inner(point, k)
+
+    monkeypatch.setattr(curve.PointG2, "scalar_mul", counted)
     counts.clear()
     tables.clear()
     result = CliRunner().invoke(cli, args[:3] + [str(tmp_path / "sub2.json")] + args[3:])
     assert result.exit_code == 0, result.output
     tags, trapdoors = 2, 1
     _expect(counts, 2 * (1 + tags * trapdoors), 2 * (1 + tags * trapdoors))
+    assert len(g2_muls) == 2 * 2 and all(0 < k < 2 ** 128 for k in g2_muls)
     user_pk_b = json.loads((tmp_path / "usr/user.pk").read_text())["pk_b"]
     x = json.loads((tmp_path / "sub.json").read_text())["x"]
-    assert tables[user_pk_b] == 1
-    # X is the same for both submissions; only the second pairs it
-    assert tables[x] == 1
-    # the merged check's two elements and each tag's Y, then the user key, X and each Y
-    assert sum(tables.values()) == (2 + tags) + (1 + 1 + tags)
+    assert tables[user_pk_b] == 0 and tables[x] == 0
+    # per submission, the merged check's two elements and each tag's Y
+    assert sum(tables.values()) == 2 * (2 + tags)
 
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])

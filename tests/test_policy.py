@@ -49,7 +49,7 @@ def _classify(env, tags, compiled, **kwargs):
     """Classify tags from the env's user, who sends their own X."""
     suite, _, admin, user = env
     return classify(tags, user.public, admin.public, compiled, suite,
-                    x=make_x(admin.public, user.sk), **kwargs)
+                    x=make_x(admin.public, user.sk), rng=random.Random(0), **kwargs)
 
 
 class TestCompile:
@@ -123,12 +123,12 @@ class TestClassify:
         stranger = keygen_user(suite, rng)
         compiled = compile_policies([MEDICAL], admin.sk, suite)
         with pytest.raises(TypeError):
-            classify([], stranger.public, admin.public, compiled, suite, file_id="f")
+            classify([], stranger.public, admin.public, compiled, suite, file_id="f", rng=rng)
         for x, authenticated in (
             (make_x(admin.public, user.sk), True),
             (make_x(admin.public, stranger.sk), False),
         ):
-            decision = classify([], user.public, admin.public, compiled, suite, file_id="f", x=x)
+            decision = classify([], user.public, admin.public, compiled, suite, file_id="f", x=x, rng=rng)
             assert decision == Decision.unclassified("f", authenticated=authenticated)
 
     def test_no_match_unclassified(self, mock_env):
@@ -230,7 +230,7 @@ class TestClassify:
                      b"RecordedBy(Test,Nurse)", rng)
         ]
         decision = classify(tags, registered.public, admin.public, compiled, mock_suite,
-                            x=make_x(admin.public, imposter.sk))
+                            x=make_x(admin.public, imposter.sk), rng=rng)
         assert decision.authenticated is False
         assert decision.matched_policy is None
 

@@ -67,7 +67,7 @@ class TestTagAndTrapdoor:
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
         x = make_x(admin.public, user.sk)
-        assert (verify_authenticity(s, admin.public, user.public, x)
+        assert (verify_authenticity(s, admin.public, user.public, x, rng)
                 and matches_trapdoor(s, trap, tag)) is True
 
     def test_mismatched_fragment_rejects(self, any_suite, rng):
@@ -77,7 +77,7 @@ class TestTagAndTrapdoor:
         tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
         trap = make_trapdoor(s, admin.sk, OTHER)
         x = make_x(admin.public, user.sk)
-        assert (verify_authenticity(s, admin.public, user.public, x)
+        assert (verify_authenticity(s, admin.public, user.public, x, rng)
                 and matches_trapdoor(s, trap, tag)) is False
 
     def test_wrong_user_key_fails_authenticity(self, any_suite, rng):
@@ -87,9 +87,9 @@ class TestTagAndTrapdoor:
         imposter = keygen_user(s, rng)
         tag = make_tag(s, admin.public, imposter.sk, FRAGMENT, rng)
         x = make_x(admin.public, imposter.sk)
-        assert not verify_authenticity(s, admin.public, registered.public, x)
+        assert not verify_authenticity(s, admin.public, registered.public, x, rng)
         trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        assert (verify_authenticity(s, admin.public, registered.public, x)
+        assert (verify_authenticity(s, admin.public, registered.public, x, rng)
                 and matches_trapdoor(s, trap, tag)) is False
 
     def test_trapdoor_deterministic(self, any_suite, rng):
@@ -184,7 +184,7 @@ class TestBulkProperties:
             frag = f"EditedBy(Doc{i},Agent{i})".encode()
             tag = make_tag(prod_suite, admin.public, user.sk, frag, rng)
             trap = make_trapdoor(prod_suite, admin.sk, frag)
-            assert (verify_authenticity(prod_suite, admin.public, user.public, x)
+            assert (verify_authenticity(prod_suite, admin.public, user.public, x, rng)
                     and matches_trapdoor(prod_suite, trap, tag))
 
     def test_soundness_production_sample(self, prod_suite):
@@ -206,14 +206,36 @@ class TestBulkProperties:
             if beta_prime.value == user.sk.value:
                 continue
             forged_x = admin.pk_b ** beta_prime
-            assert not verify_authenticity(s, admin.public, user.public, forged_x)
+            assert not verify_authenticity(s, admin.public, user.public, forged_x, rng)
+
+
+class FixedRng:
+    """An rng whose ``randrange`` returns ``value``, which must lie in the range asked for."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, start, stop):
+        assert start <= self.value < stop, (start, self.value, stop)
+        return self.value
+
+
+class RecordingRng:
+    """Forwards ``randrange`` to ``inner`` and records the arguments of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return self.inner.randrange(*args)
 
 
 class TestMergedAuthenticity:
-    """``verify_authenticity`` with delta >= 1: e(pk_a, g_b^delta * user_pk_b)
-    == e(g_a, pk_b^delta * X).  In the mock its two sides differ by the
-    exponent delta*(alpha - alpha') + (alpha*beta - x), for pk_a = alpha,
-    pk_b = alpha', user_pk_b = beta and X = x: it passes iff that is 0 mod n."""
+    """``verify_authenticity``: e(pk_a, g_b^delta * user_pk_b) == e(g_a, pk_b^delta * X).
+    In the mock its two sides differ by the exponent
+    delta*(alpha - alpha') + (alpha*beta - x), for pk_a = alpha, pk_b = alpha',
+    user_pk_b = beta and X = x: it passes iff that is 0 mod n."""
 
     @pytest.fixture
     def keys(self, mock_suite):
@@ -226,37 +248,48 @@ class TestMergedAuthenticity:
     def _deltas(suite, rng):
         return [1, 2, 2 ** 60, suite.order - 1] + [rng.randrange(1, suite.order) for _ in range(20)]
 
+    def test_one_delta_drawn_per_check(self, any_suite):
+        """Each check draws one delta, uniform in [1, min(2^128, n))."""
+        s = any_suite
+        rng = random.Random(17)
+        admin, user = keygen_admin(s, rng), keygen_user(s, rng)
+        x = make_x(admin.public, user.sk)
+        recording = RecordingRng(rng)
+        assert verify_authenticity(s, admin.public, user.public, x, recording)
+        assert not verify_authenticity(s, admin.public, user.public, make_x(admin.public, admin.sk), recording)
+        assert recording.calls == [(1, min(2 ** 128, s.order))] * 2
+
     def test_bad_key_passes_at_one_delta(self, mock_suite, keys):
         """With X = pk_b^beta the exponent is (alpha - alpha')*(delta + beta):
-        only delta = -beta mod n passes.  An X of the genuine alpha passes
-        the plain check (delta = 0), which is why the key needs checking,
-        and fails every delta >= 1."""
+        only delta = -beta mod n passes.  An X of the genuine alpha satisfies
+        equation (1) alone, which is why the key needs checking, and fails
+        every delta."""
         s = mock_suite
         _, bad, user, rng = keys
         beta = user.sk.value
         x = make_x(bad, user.sk)
-        assert not verify_authenticity(s, bad, user.public, x)
-        assert verify_authenticity(s, bad, user.public, x, delta=s.order - beta)
+        assert s.pair(s.gen_a, x) != s.pair(bad.pk_a, user.public.pk_b)
+        assert verify_authenticity(s, bad, user.public, x, FixedRng(s.order - beta))
         for delta in [s.order - beta - 1, s.order - beta + 1] + self._deltas(s, rng):
-            assert not verify_authenticity(s, bad, user.public, x, delta=delta), delta
+            assert not verify_authenticity(s, bad, user.public, x, FixedRng(delta)), delta
         x_alpha = user.public.pk_b ** s.discrete_log(bad.pk_a)
-        assert verify_authenticity(s, bad, user.public, x_alpha)
+        assert s.pair(s.gen_a, x_alpha) == s.pair(bad.pk_a, user.public.pk_b)
         for delta in self._deltas(s, rng):
-            assert not verify_authenticity(s, bad, user.public, x_alpha, delta=delta), delta
+            assert not verify_authenticity(s, bad, user.public, x_alpha, FixedRng(delta)), delta
 
     def test_forged_x_fails_every_delta(self, mock_suite, keys):
         s = mock_suite
         admin, _, user, rng = keys
         forged = make_x(admin.public, Scalar(user.sk.value + 1))
-        for delta in [0] + self._deltas(s, rng):
-            assert not verify_authenticity(s, admin.public, user.public, forged, delta=delta), delta
+        for delta in self._deltas(s, rng):
+            assert not verify_authenticity(s, admin.public, user.public, forged, FixedRng(delta)), delta
 
     def test_genuine_passes_every_delta(self, mock_suite, keys):
         s = mock_suite
         admin, _, user, rng = keys
         x = make_x(admin.public, user.sk)
-        for delta in [0] + self._deltas(s, rng):
-            assert verify_authenticity(s, admin.public, user.public, x, delta=delta), delta
+        for delta in self._deltas(s, rng):
+            assert verify_authenticity(s, admin.public, user.public, x, FixedRng(delta)), delta
 
     def test_production_random_delta(self, prod_suite):
         """A 128-bit delta on BN-256: the genuine pair passes, a mixed-exponent
@@ -265,8 +298,8 @@ class TestMergedAuthenticity:
         rng = random.Random(16)
         admin, other, user = keygen_admin(s, rng), keygen_admin(s, rng), keygen_user(s, rng)
         bad = AdminPublicKey(pk_a=admin.pk_a, pk_b=other.pk_b)
-        delta = rng.randrange(1, 2 ** 128)
-        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), delta=delta)
-        assert not verify_authenticity(s, bad, user.public, make_x(bad, user.sk), delta=delta)
+        delta = FixedRng(rng.randrange(1, 2 ** 128))
+        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), delta)
+        assert not verify_authenticity(s, bad, user.public, make_x(bad, user.sk), delta)
         forged = make_x(admin.public, Scalar(user.sk.value + 1))
-        assert not verify_authenticity(s, admin.public, user.public, forged, delta=delta)
+        assert not verify_authenticity(s, admin.public, user.public, forged, delta)
