@@ -9,13 +9,15 @@
 
 Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
-error, a file id that cannot be stored (unsafe, or already stored in
-its unit) or a storage unit whose path is not a directory.  A compiled
-set, key or storage root that cannot be read -- including a compiled
-set that names an unsafe storage unit -- exits 3 before any submission
-is read; an input path that is missing or a directory is a usage error
-(exit 2) before anything is read.  Otherwise each submission of a batch is
-handled on its own; the exit code is the highest of theirs.
+error (a JSON file nested too deep to parse is one), a file id that
+cannot be stored (unsafe, or already stored in its unit) or a storage
+unit whose path is not a directory.  A compiled set, key or storage root
+that cannot be read -- including a compiled set that names an unsafe
+storage unit, and a storage root whose ``decisions.log`` is not a
+regular file -- exits 3 before any submission is read; an input path
+that is missing or a directory is a usage error (exit 2) before
+anything is read.  Otherwise each submission of a batch is handled on
+its own; the exit code is the highest of theirs.
 
 An admin public key whose two halves do not share an exponent is refused
 by ``user tag`` when it is loaded (exit 1).  ``pdp classify`` folds that
@@ -38,7 +40,7 @@ import click
 from . import formats, game, policy, scheme
 from .errors import PbcapError, ValidationError
 from .pairing import get_suite
-from .provenance import extract_fragments, parse_graph
+from .provenance import extract_fragments
 from .storage import StorageLayout, check_file_id
 
 EXIT_AUTH_FAILURE = 2
@@ -85,6 +87,20 @@ def _guard(path: Path, force: bool) -> None:
         raise click.ClickException(f"{path} exists; pass --force to overwrite")
 
 
+def _keygen(out_dir: Path, role: str, keygen, save, suite_name: str, seed: int | None,
+            force: bool) -> None:
+    """Write ``<role>.sk`` and ``<role>.pk`` in ``out_dir``: both paths are
+    refused before the key pair is drawn."""
+    suite = get_suite(suite_name)
+    _make_out_dir(out_dir)
+    sk_path, pk_path = out_dir / f"{role}.sk", out_dir / f"{role}.pk"
+    _guard(sk_path, force)
+    _guard(pk_path, force)
+    pair = keygen(suite, _make_rng(seed, suite_name))
+    save(pair, suite, sk_path, pk_path)
+    click.echo(f"wrote {sk_path} and {pk_path}")
+
+
 def _bad_admin_key(path: Path) -> str:
     return f"{path}: pk_a and pk_b do not share an exponent"
 
@@ -108,14 +124,7 @@ def pap():
 @force_option
 def pap_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
     """Generate the administrator key pair (admin.sk / admin.pk)."""
-    suite = get_suite(suite_name)
-    _make_out_dir(out_dir)
-    sk_path, pk_path = out_dir / "admin.sk", out_dir / "admin.pk"
-    _guard(sk_path, force)
-    _guard(pk_path, force)
-    pair = scheme.keygen_admin(suite, _make_rng(seed, suite_name))
-    formats.save_admin_keypair(pair, suite, sk_path, pk_path)
-    click.echo(f"wrote {sk_path} and {pk_path}")
+    _keygen(out_dir, "admin", scheme.keygen_admin, formats.save_admin_keypair, suite_name, seed, force)
 
 
 @pap.command("compile")
@@ -153,14 +162,7 @@ def user():
 @force_option
 def user_keygen(out_dir: Path, suite_name: str, seed: int | None, force: bool):
     """Generate a user key pair (user.sk / user.pk)."""
-    suite = get_suite(suite_name)
-    _make_out_dir(out_dir)
-    sk_path, pk_path = out_dir / "user.sk", out_dir / "user.pk"
-    _guard(sk_path, force)
-    _guard(pk_path, force)
-    pair = scheme.keygen_user(suite, _make_rng(seed, suite_name))
-    formats.save_user_keypair(pair, suite, sk_path, pk_path)
-    click.echo(f"wrote {sk_path} and {pk_path}")
+    _keygen(out_dir, "user", scheme.keygen_user, formats.save_user_keypair, suite_name, seed, force)
 
 
 @user.command("tag")
@@ -181,7 +183,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
     rng = _make_rng(seed, suite_name)
     try:
         file_id = check_file_id(file_id or payload_path.name)
-        graph = parse_graph(graph_path.read_text(encoding="utf-8"))
+        graph = formats.load_graph(graph_path)
         admin_pub = formats.load_admin_public(admin_pk_path, suite)
         if not scheme.check_admin_key(suite, admin_pub):
             raise click.ClickException(_bad_admin_key(admin_pk_path))

@@ -19,7 +19,7 @@ from typing import Iterator
 from .errors import DecodeError, PbcapError
 from .pairing import Group, GroupElement, PairingSuite, Scalar
 from .policy import CompiledPolicy, Policy, check_unique_ids
-from .provenance import parse_fragment
+from .provenance import ProvenanceGraph, parse_fragment, parse_graph
 from .scheme import (
     AdminKeyPair,
     AdminPublicKey,
@@ -59,13 +59,14 @@ def _dump(path: Path, kind: str, suite: PairingSuite, **fields) -> None:
 
 @contextmanager
 def _naming(where) -> Iterator[None]:
-    """Prefix each refusal raised inside with ``where``; an unreadable file or a
-    value of the right JSON type that does not decode is a DecodeError."""
+    """Prefix each refusal raised inside with ``where``; an unreadable file, a
+    document nested too deep to parse or a value of the right JSON type that
+    does not decode is a DecodeError."""
     try:
         yield
     except PbcapError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DecodeError(f"{where}: {exc}") from exc
 
 
@@ -115,6 +116,12 @@ def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
     if scalar.value >= suite.order:
         raise DecodeError(f"field {key!r} is not below the group order")
     return scalar
+
+
+def load_graph(path: Path) -> ProvenanceGraph:
+    """The provenance graph in ``path``; as from every loader, a refusal names ``path``."""
+    with _naming(path):
+        return parse_graph(path.read_text(encoding="utf-8"))
 
 
 # --- keys -----------------------------------------------------------------

@@ -31,14 +31,11 @@ line is six ints, a G2 point a tuple of six (``PointG2.c``), an F_p12
 element a tuple of twelve (``Fp12.c``).
 Nothing here is constant-time.
 
-``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
-cyclotomic subgroup (elements f with f^(p^4 - p^2 + 1) = 1), which is where
-the hard part of ``final_exponentiation`` runs; its three powers of u each
-take three chains by v, as does ``in_g2``'s [u]Q.  They must never touch a
-decoded or otherwise unchecked element: the Miller loop and GT
-exponentiation use the generic ``square`` and ``exp``.  GT elements are
-encoded (``gt_to_bytes``, the H2 input) but never decoded; ``gt_to_bytes``
-joins the raw coefficients of ``Fp12.c``, so they must be fully reduced.
+The hard part of ``final_exponentiation`` takes its three powers of u
+with ``Fp12.exp_u``, which ``tower``'s docstring restricts to the
+cyclotomic subgroup.  GT elements are encoded (``gt_to_bytes``, the H2
+input) but never decoded; ``gt_to_bytes`` joins the raw coefficients of
+``Fp12.c``, so they must be fully reduced.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .tower import (
     INV_2,
     NAF_6UP2,
     P,
-    XI2,
     Fp2,
     Fp12,
     _mul_line,
@@ -104,9 +100,9 @@ def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
 
     T starts at Q and moves only by ``PointG2.double`` and ``add``; the
     generic addition relies on T != +-Q, which holds for Q in G2.  There
-    is one group per NAF_6UP2 digit (the tangent, then the chord with Q
-    or -Q for a non-zero digit) and a last group for psi(Q) and
-    -psi^2(Q).  A line is six ints, the i and real parts of a, b and c;
+    is one group per NAF_6UP2 digit (the tangent, the chord with +-Q for
+    a non-zero digit and, in the last, the chords with psi(Q) and
+    -psi^2(Q)).  A line is six ints, the i and real parts of a, b and c;
     at P = (px, py) it is (a, b*px, c*py), which ``_mul_line`` evaluates.
 
     The only code that builds a table.  Building one costs about a third
@@ -125,9 +121,8 @@ def g2_lines(q: PointG2) -> list[list[tuple[int, int, int, int, int, int]]]:
             group.append(chord)
         lines.append(group)
     t, first = _chord(t, psi(qa))
-    xi, xr, yi, yr, _, _ = qa.c
-    _, second = _chord(t, PointG2((xi * XI2[1].y % P, xr * XI2[1].y % P, yi, yr, 0, 1)))
-    lines.append([first, second])
+    _, second = _chord(t, psi(psi(qa)).neg())
+    lines[-1] += [first, second]
     return lines
 
 
@@ -137,18 +132,17 @@ def miller_loop(pairs) -> Fp12:
 
     The loop only evaluates tables; it builds none, so the caller may
     pass one Q's table to many loops.  One accumulator serves every
-    pair: it is squared once per NAF digit and each pair's lines for
-    that digit, evaluated at its P, are multiplied into it.  Because
-    (f1*f2)^2 * l1 * l2 = (f1^2 * l1) * (f2^2 * l2), the result equals
-    the product of the single-pair loops exactly, with one Fp12 squaring
-    per digit instead of one per digit and pair.  No P may be at
-    infinity, and each Q must lie in G2.
+    pair: it is squared once per group (one per NAF digit) and each
+    pair's lines of that group, evaluated at its P, are multiplied into
+    it.  Because (f1*f2)^2 * l1 * l2 = (f1^2 * l1) * (f2^2 * l2), the
+    result equals the product of the single-pair loops exactly, with one
+    Fp12 squaring per group instead of one per group and pair.  No P may
+    be at infinity, and each Q must lie in G2.
     """
     evaluated = [(lines, *p.affine()) for p, lines in pairs]
     f = FP12_ONE
-    for step in range(len(NAF_6UP2) + 1):
-        if step < len(NAF_6UP2):
-            f = f.square()
+    for step in range(len(NAF_6UP2)):
+        f = f.square()
         for lines, px, py in evaluated:
             for line in lines[step]:
                 f = _mul_line(f, line, px, py)

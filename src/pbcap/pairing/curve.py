@@ -24,7 +24,7 @@ Nothing here is constant-time.
 
 from __future__ import annotations
 
-from .tower import NAF_V, P, U, XI, XI1, Fp2, fp_inv
+from .tower import P, U, XI, XI1, Fp2, fp_inv, pow_u
 
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
@@ -223,7 +223,7 @@ class PointG2:
         Valid domain: Q in G2 with any k, or any twist point with
         k mod n < 6u^2, where a = 0 and psi(Q) is never added.  The second
         case serves only the frozen twist entries of the G2 vectors
-        (``in_g2`` takes its [u]Q from ``_mul_u``).
+        (``in_g2`` takes its [u]Q from ``tower.pow_u``).
         """
         a, b = divmod(k % ORDER, PSI_EIGENVALUE)
         q_psi = psi(self)
@@ -267,27 +267,13 @@ def psi(q: PointG2) -> PointG2:
                     ((yi + yr) * (bi + br) - mb - nb) % P, (mb - nb) % P, -zi % P, zr))
 
 
-def _mul_u(q: PointG2) -> PointG2:
-    """[u]Q = [v]([v]([v]Q)) for any twist point, as ``Fp12.exp_u``: each
-    pass walks the signed digits of v, where -base is free and ``add``
-    handles +-base and infinity."""
-    for _ in range(3):
-        base, neg = q, q.neg()
-        for digit in NAF_V:
-            q = q.double()
-            if digit == 1:
-                q = q.add(base)
-            elif digit == -1:
-                q = q.add(neg)
-    return q
-
-
 def in_g2(q: PointG2) -> bool:
     """Membership of a twist point in the order-n subgroup.
 
     [u+1]Q + psi([u]Q) + psi^2([u]Q) == psi^3([2u]Q) (Scott, eprint
     2021/1130): one [u]Q, three ladders by v, instead of [n]Q.
     """
-    uq = _mul_u(q)
+    # [u]Q for any twist point: ``add`` handles +-base and infinity
+    uq = pow_u(q, PointG2.double, PointG2.add, PointG2.neg)
     lhs = uq.add(q).add(psi(uq)).add(psi(psi(uq)))
     return lhs == psi(psi(psi(uq.double())))

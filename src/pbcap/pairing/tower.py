@@ -37,10 +37,11 @@ cyclotomic subgroup (elements f with f^(p^4 - p^2 + 1) = 1, as every
 f^((p^6 - 1)(p^2 + 1)) is; -1 is not), which is where the hard part of
 ``bn256.final_exponentiation`` runs.  They must never touch a decoded or
 otherwise unchecked element: the Miller loop and GT exponentiation use
-the generic ``square`` and ``exp``.  ``exp_u`` raises to u = v^3 as three
+the generic ``square`` and ``exp``.  ``pow_u`` raises to u = v^3 as three
 passes over the signed digits of v, which has 5 non-zero digits where u
 has 23: 63 squarings and 12 products (Naehrig, Niederhagen and Schwabe,
-LATINCRYPT 2010).
+LATINCRYPT 2010).  ``exp_u`` is that chain in F_p12, ``curve.in_g2``'s
+[u]Q the same chain in G2.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def _naf(x: int) -> list[int]:
 # 6u+2 and v in NAF, most significant digit first, leading digit dropped
 NAF_6UP2 = list(reversed(_naf(6 * U + 2)))[1:]
 NAF_V = list(reversed(_naf(V)))[1:]
+
+
+def pow_u(x, square, mul, inverse):
+    """x^u in the group of ``square``, ``mul`` and ``inverse``: three passes
+    over the signed digits of v, each with its own base's inverse."""
+    for _ in range(3):
+        base, inv = x, inverse(x)
+        for digit in NAF_V:
+            x = square(x)
+            if digit == 1:
+                x = mul(x, base)
+            elif digit == -1:
+                x = mul(x, inv)
+    return x
 
 
 class Fp2:
@@ -419,19 +434,9 @@ class Fp12:
         return r
 
     def exp_u(self) -> "Fp12":
-        """self^U = ((self^V)^V)^V for a cyclotomic-subgroup element: each
-        pass walks the signed digits of V, where the inverse of its base is
-        the conjugate."""
-        r = self
-        for _ in range(3):
-            base, inv = r, r.conjugate()
-            for digit in NAF_V:
-                r = r.cyclotomic_square()
-                if digit == 1:
-                    r = r * base
-                elif digit == -1:
-                    r = r * inv
-        return r
+        """self^U, correct only for a cyclotomic-subgroup element, where
+        ``cyclotomic_square`` squares and the conjugate is the inverse."""
+        return pow_u(self, Fp12.cyclotomic_square, Fp12.__mul__, Fp12.conjugate)
 
     def inverse(self) -> "Fp12":
         """1/(a*w + b) = (-a*w + b) * t with t = 1/(b^2 - a^2*tau), an

@@ -199,7 +199,7 @@ def parse_graph_json(text: str) -> ProvenanceGraph:
     required lists of objects."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON graph: {exc}") from exc
     if type(doc) is not dict:
         raise ValidationError("JSON graph is not an object")

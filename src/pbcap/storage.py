@@ -59,6 +59,9 @@ class StorageLayout:
         self.root = Path(root)
         if not self.root.is_dir():
             raise ValidationError(f"storage root {self.root} does not exist")
+        # refused here, or a payload would be stored before its log line fails
+        if self.log_path.exists() and not self.log_path.is_file():
+            raise ValidationError(f"decision log {self.log_path} is not a regular file")
 
     @property
     def log_path(self) -> Path:

@@ -295,11 +295,14 @@ class TestTag:
                     "edges": [{"relation": "RecordedBy", "source": "t", "target": 5}]}),
         json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"}]}),
         json.dumps({"nodes": ["t"], "edges": []}),
-    ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target", "no-edges", "string-node"])
+        b"node t Artifact Te\xffst\n",
+    ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target", "no-edges", "string-node",
+            "not-utf8"])
     def test_malformed_graph_rejected(self, pipeline, runner, graph):
-        """Refused while the graph is parsed: exit 1 with one line, no traceback."""
+        """Refused while the graph is read: exit 1 with one line naming the
+        file, no traceback."""
         root, _ = pipeline
-        (root / "bad_graph").write_text(graph)
+        (root / "bad_graph").write_bytes(graph if isinstance(graph, bytes) else graph.encode())
         result = runner.invoke(cli, [
             "user", "tag", "--graph", str(root / "bad_graph"),
             "--admin-pk", str(root / "pap/admin.pk"),
@@ -309,7 +312,7 @@ class TestTag:
         ], catch_exceptions=False)
         assert result.exit_code == 1
         assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("Error: ")
+        assert result.stderr.startswith(f"Error: {root / 'bad_graph'}: ")
         assert "Traceback" not in result.output
         assert not (root / "bad.json").exists()
 
@@ -639,6 +642,17 @@ class TestClassify:
         assert result.stderr == f"decode error: {root / 'compiled.json'}: duplicate policy id 'p'\n"
         assert list((root / "store").iterdir()) == []
 
+    def test_decision_log_that_is_not_a_file_exits_3(self, pipeline, runner):
+        """Refused with the storage root, before any submission is read:
+        nothing is stored."""
+        root, _ = pipeline
+        (root / "store/decisions.log").mkdir()
+        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"decode error: decision log {root / 'store/decisions.log'} "
+                                 "is not a regular file\n")
+        assert list((root / "store").rglob("*")) == [root / "store/decisions.log"]
+
     def test_storage_root_env_var(self, pipeline, runner, monkeypatch):
         root, _ = pipeline
         monkeypatch.setenv("PBCAP_STORAGE_ROOT", str(root / "store"))
@@ -647,6 +661,45 @@ class TestClassify:
         del args[i:i + 2]
         result = runner.invoke(cli, args)
         assert result.exit_code == 0, result.output
+
+
+class TestNestedJson:
+    """A JSON file nested deeper than the parser's recursion limit is
+    refused as malformed, with no traceback."""
+
+    @pytest.mark.parametrize("target", ["submission", "pap/admin.pk", "usr/user.pk", "compiled.json", "graph"])
+    def test_deep_json_refused(self, pipeline, runner, target):
+        root, _ = pipeline
+        deep = "[" * 200000
+        base = _classify_args(root)
+        if target == "submission":
+            # exit 3 for that submission; the genuine one after it is still routed
+            (root / "deep.json").write_text(deep)
+            result = runner.invoke(cli, base[:2] + [str(root / "deep.json"), str(root / "sub.json")] + base[3:],
+                                   catch_exceptions=False)
+            assert result.exit_code == 3, result.output
+            assert result.stderr.startswith(f"{root / 'deep.json'}: decode error: {root / 'deep.json'}: ")
+            assert (root / "store/Hospital/payload.bin").exists()
+        elif target == "graph":
+            (root / "deep_graph").write_text('{"nodes": ' + deep)
+            result = runner.invoke(cli, [str(a) for a in (
+                "user", "tag", "--graph", root / "deep_graph",
+                "--admin-pk", root / "pap/admin.pk",
+                "--user-sk", root / "usr/user.sk",
+                "--payload", root / "payload.bin",
+                "--out", root / "bad.json", "--suite", "mock", "--seed", 5)], catch_exceptions=False)
+            assert result.exit_code == 1
+            assert result.stderr.startswith(f"Error: {root / 'deep_graph'}: invalid JSON graph: ")
+            assert not (root / "bad.json").exists()
+        else:
+            # exit 3 before any submission is read: nothing stored or logged
+            (root / target).write_text(deep)
+            result = runner.invoke(cli, base, catch_exceptions=False)
+            assert result.exit_code == 3, result.output
+            assert result.stderr.startswith(f"decode error: {root / target}: ")
+            assert list((root / "store").iterdir()) == []
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.output
 
 
 class TestDeterminism:

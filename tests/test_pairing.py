@@ -510,7 +510,7 @@ class TestBn256Kernels:
     def test_gls_scalar_mul_outside_g2_below_psi_eigenvalue(self):
         """Unchecked twist points times k < 6u^2, where psi is never added:
         the case the frozen twist entries of ``g2.json`` use (``in_g2``
-        takes its [u]Q from ``curve._mul_u``).  On an order-13 point the
+        takes its [u]Q from ``tower.pow_u``).  On an order-13 point the
         ladder's accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
         rng = random.Random(27)
         small = _order_13_point(rng)
@@ -521,16 +521,18 @@ class TestBn256Kernels:
         assert small.scalar_mul(15) == small.double()
 
     def test_mul_u_matches_unreduced_ladder(self):
-        """``curve._mul_u``, three NAF ladders by v, is [u]Q on G2 points,
-        unchecked twist points, an order-13 point and infinity.  No twist
-        point of small order meets +-base inside a v ladder: the twist order's
-        only factors below 2^23 are 13, 7369 and their product, and none
-        divides 2m +- 1 for a prefix m of v's digits."""
+        """``tower.pow_u`` with the G2 formulas, three NAF ladders by v as
+        ``in_g2`` runs it, is [u]Q on G2 points, unchecked twist points, an
+        order-13 point and infinity.  No twist point of small order meets
+        +-base inside a v ladder: the twist order's only factors below 2^23
+        are 13, 7369 and their product, and none divides 2m +- 1 for a
+        prefix m of v's digits."""
         rng = random.Random(28)
         points = [curve.G2_GEN, curve.G2_GEN.scalar_mul(rng.randrange(1, curve.ORDER)),
                   _twist_point(rng), _twist_point(rng), _order_13_point(rng), curve.G2_INF]
         for q in points:
-            assert curve._mul_u(q) == _mul_unreduced(q, tower.U)
+            uq = tower.pow_u(q, curve.PointG2.double, curve.PointG2.add, curve.PointG2.neg)
+            assert uq == _mul_unreduced(q, tower.U)
 
 
 class TestG2Formulas:

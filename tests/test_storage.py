@@ -39,6 +39,12 @@ class TestLayout:
         with pytest.raises(ValidationError):
             StorageLayout(tmp_path / "nope")
 
+    def test_decision_log_that_is_not_a_file_rejected(self, tmp_path):
+        """Refused when the layout is made, before any payload is stored."""
+        (tmp_path / storage.LOG_NAME).mkdir()
+        with pytest.raises(ValidationError, match="decision log .* is not a regular file"):
+            StorageLayout(tmp_path)
+
     @pytest.mark.parametrize("bad", ["../up", "a/b", "a\\b", "..", "x\x00y"])
     def test_traversal_names_rejected(self, layout, bad):
         with pytest.raises(ValidationError):
