@@ -10,11 +10,13 @@
 Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
 error (a JSON file nested too deep to parse is one), a file id that
-cannot be stored (unsafe, or already stored in its unit) or a storage
-unit whose path is not a directory.  A compiled set, key or storage root
-that cannot be read -- including a compiled set that names an unsafe
-storage unit, and a storage root whose ``decisions.log`` is not a
-regular file -- exits 3 before any submission is read; an input path
+cannot be stored (unsafe, longer than 255 bytes in UTF-8, or already
+stored in its unit), a storage unit whose path is not a directory, or
+any other ``OSError`` while a payload is stored or logged (that payload
+is then neither stored nor logged).  A compiled set, key or storage root
+that cannot be read -- including a compiled set that names an unsafe or
+overlong storage unit, and a storage root whose ``decisions.log`` is not
+a regular file -- exits 3 before any submission is read; an input path
 that is missing or a directory is a usage error (exit 2) before
 anything is read.  Otherwise each submission of a batch is handled on
 its own; the exit code is the highest of theirs.

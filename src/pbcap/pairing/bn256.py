@@ -24,11 +24,11 @@ Nearly all of a pairing's time goes to four tower kernels:
 ``Fp12.cyclotomic_square`` and ``Fp12.__mul__`` in the final
 exponentiation.  Nearly all of a line table's goes to the point formulas
 ``PointG2.double`` and ``add`` and to the line formulas ``_tangent`` and
-``_chord``.  The kernels and the formulas alike work on plain ints,
-build no intermediate ``Fp2`` and reduce each output coefficient mod P
-once; the formulas also reduce a value that feeds a further product.  A
-line is six ints, a G2 point a tuple of six (``PointG2.c``), an F_p12
-element a tuple of twelve (``Fp12.c``).
+``_chord``.  The kernels and the formulas alike work on plain ints and
+reduce each output coefficient mod P once; the formulas also reduce a
+value that feeds a further product.  A line is six ints, a G2 point a
+tuple of six (``PointG2.c``), an F_p12 element a tuple of twelve
+(``Fp12.c``).
 Nothing here is constant-time.
 
 The hard part of ``final_exponentiation`` takes its three powers of u
@@ -48,9 +48,10 @@ from .tower import (
     INV_2,
     NAF_6UP2,
     P,
-    Fp2,
     Fp12,
     _mul_line,
+    fp2_mul,
+    fp2_sqrt,
     fp_inv,
     fp_legendre,
     fp_sqrt,
@@ -304,15 +305,15 @@ def g2_from_bytes(data: bytes) -> PointG2:
     xy = int.from_bytes(data[1 + FP_BYTES:], "big")
     if xx >= P or xy >= P:
         raise ValueError("G2 x coordinate out of range")
-    x = Fp2(xx, xy)
-    yy = x.square() * x + TWIST_B
-    y = yy.sqrt()
+    x3i, x3r = fp2_mul(fp2_mul((xx, xy), (xx, xy)), (xx, xy))
+    y = fp2_sqrt(((x3i + TWIST_B[0]) % P, (x3r + TWIST_B[1]) % P))
     if y is None:
         raise ValueError("G2 x coordinate not on twist")
-    sign = y.y & 1 if y.y != 0 else y.x & 1
+    yi, yr = y
+    sign = yr & 1 if yr != 0 else yi & 1
     if sign != (data[0] & 1):
-        y = y.neg()
-    pt = PointG2((xx, xy, y.x, y.y, 0, 1))
+        yi, yr = -yi % P, -yr % P
+    pt = PointG2((xx, xy, yi, yr, 0, 1))
     if not in_g2(pt):
         raise ValueError("decoded G2 point not in the prime-order subgroup")
     return pt

@@ -10,26 +10,26 @@ the encodings live in ``bn256``, the field tower in ``tower``.
 
 Nearly all G2 work (the GLS ladder of ``PointG2.scalar_mul``, ``in_g2``
 and the line tables of ``bn256.g2_lines``) goes to ``PointG2.double``
-and ``add`` and to ``psi``.  They unpack ``c`` into named ints, build no
-``Fp2``, reduce mod P a value that feeds a further product, and reduce
-each output int once, as the F_p12 kernels of ``tower`` do.  Every int a
-point holds lies in [0, P), because the encodings read the raw ints.
-The points are a module of their own because a process that imports
-from source, with no cached bytecode, compiles each module whole: with
-the int formulas inside ``bn256``, importing ``pbcap.cli`` peaked about
-0.2 MB higher, and so did the benchmark's peak RSS, while split into
-two modules it peaks as before.
+and ``add`` and to ``psi``.  They unpack ``c`` into named ints, reduce
+mod P a value that feeds a further product, and reduce each output int
+once, as the F_p12 kernels of ``tower`` do.  Every int a point holds
+lies in [0, P), because the encodings read the raw ints.  The points are
+a module of their own because a process that imports from source, with
+no cached bytecode, compiles each module whole: with the int formulas
+inside ``bn256``, importing ``pbcap.cli`` peaked about 0.2 MB higher, and
+so did the benchmark's peak RSS, while split into two modules it peaks
+as before.
 Nothing here is constant-time.
 """
 
 from __future__ import annotations
 
-from .tower import P, U, XI, XI1, Fp2, fp_inv, pow_u
+from .tower import P, U, XI1, fp2_inv, fp2_mul, fp_inv, pow_bits, pow_u
 
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
 
-TWIST_B = XI.inverse().mul_int(3)
+TWIST_B = tuple(3 * c % P for c in fp2_inv((1, 3)))  # 3/xi, xi = i + 3
 
 
 class PointG1:
@@ -103,12 +103,7 @@ class PointG1:
         return PointG1(x3, y3, z3)
 
     def scalar_mul(self, k: int) -> "PointG1":
-        r = PointG1(0, 0, 0)
-        for bit in bin(k % ORDER)[2:]:
-            r = r.double()
-            if bit == "1":
-                r = r.add(self)
-        return r
+        return pow_bits(self, k % ORDER, G1_INF, PointG1.double, PointG1.add)
 
 
 class PointG2:
@@ -129,10 +124,9 @@ class PointG2:
             raise ZeroDivisionError("point at infinity has no affine form")
         if zi == 0 and zr == 1:
             return xi, xr, yi, yr
-        zinv = Fp2(zi, zr).inverse()
-        zinv2 = zinv.square()
-        x, y = Fp2(xi, xr) * zinv2, Fp2(yi, yr) * zinv2 * zinv
-        return x.x, x.y, y.x, y.y
+        zinv = fp2_inv((zi, zr))
+        zinv2 = fp2_mul(zinv, zinv)
+        return (*fp2_mul((xi, xr), zinv2), *fp2_mul(fp2_mul((yi, yr), zinv2), zinv))
 
     def __eq__(self, other):
         if self.is_infinity() or other.is_infinity():
@@ -251,8 +245,7 @@ G2_GEN = PointG2((
 ))
 
 
-PSI_X = (XI1[1].x, XI1[1].y)
-PSI_Y = (XI1[2].x, XI1[2].y)
+PSI_X, PSI_Y = XI1[1], XI1[2]
 
 
 def psi(q: PointG2) -> PointG2:

@@ -3,26 +3,28 @@
 F_p2 = F_p[i]/(i^2 + 1), F_p6 = F_p2[tau]/(tau^3 - xi) with xi = i + 3,
 and F_p12 = F_p6[w]/(w^2 - tau), following Beuchat et al. (eprint
 2010/354).  This module holds the field constants (P, U and the
-Frobenius constants), the classes ``Fp2``, ``Fp6`` and ``Fp12``, and the
-sparse line product ``_mul_line`` of the Miller loop; the curve points
-live in ``curve``, the pairing, hashing and serialization in ``bn256``.
+Frobenius constants), the class ``Fp12``, the int helpers ``fp2_mul``,
+``fp2_inv``, ``fp2_sqrt`` and the F_p6 ones, the sparse line product
+``_mul_line`` of the Miller loop, and two ladders: ``pow_bits``, the
+binary one that ``Fp12.exp``, ``XI1`` and ``curve.PointG1.scalar_mul``
+share, and ``pow_u``.  The curve points live in ``curve``, the pairing,
+hashing and serialization in ``bn256``.
 
-Field elements are plain Python ints.  An ``Fp2`` holds two; an ``Fp12``
-holds its 12 coefficients as one flat tuple ``c`` in ``gt_to_bytes``
-order, with no ``Fp6`` or ``Fp2`` objects inside.  ``Fp6`` stays as a
-class for two reasons: ``Fp12.inverse`` inverts its F_p6 norm with
-``Fp6.inverse``, and the tests keep the Fp6-object formulas the int
-kernels replaced as references.  Every coefficient an element holds
-lies in [0, P), because equality and ``bn256.gt_to_bytes`` read the raw
-ints.  Nothing here is constant-time.
+Field elements are plain Python ints, and there is no F_p2 or F_p6 class.
+An F_p2 element outside the kernels is an (i, real) pair of ints; an
+``Fp12`` holds its 12 coefficients as one flat tuple ``c`` in
+``gt_to_bytes`` order.  Every coefficient an element holds lies in
+[0, P), because equality and ``bn256.gt_to_bytes`` read the raw ints.
+The tests keep the F_p2 and F_p6 class formulas the int code replaced as
+references.  Nothing here is constant-time.
 
 Four kernels take most of a pairing's time: ``Fp12.__mul__``,
 ``Fp12.square``, ``Fp12.cyclotomic_square`` and ``_mul_line``.  Each
 unpacks its operands' ``c`` tuples into named ints, keeps the algorithm
 of the class formulas it replaced (Karatsuba over w and in each F_p6 and
-F_p2 product, Granger-Scott squaring), builds no intermediate ``Fp2`` or
-``Fp6`` object and reduces each of its 12 output coefficients mod P
-exactly once (lazy reduction, Aranha et al., Eurocrypt 2011).  Every
+F_p2 product, Granger-Scott squaring) and reduces each of its 12 output
+coefficients mod P exactly once (lazy reduction, Aranha et al., Eurocrypt
+2011).  Every
 product it takes is of linear combinations of reduced coefficients, so
 no intermediate grows past about 520 bits.  The F_p6 products are the
 int-level helpers ``_fp6_mul`` and ``_fp6_mul_sparse``, not copies
@@ -102,158 +104,64 @@ def pow_u(x, square, mul, inverse):
     return x
 
 
-class Fp2:
-    """F_p[i] / (i^2 + 1), represented as x*i + y."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        self.x = x
-        self.y = y
-
-    def __repr__(self):
-        return "Fp2(%d, %d)" % (self.x, self.y)
-
-    def __eq__(self, other):
-        return self.x == other.x and self.y == other.y
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def conjugate(self) -> "Fp2":
-        return Fp2(-self.x % P, self.y)
-
-    def neg(self) -> "Fp2":
-        return Fp2(-self.x % P, -self.y % P)
-
-    def __add__(self, other):
-        return Fp2((self.x + other.x) % P, (self.y + other.y) % P)
-
-    def __sub__(self, other):
-        return Fp2((self.x - other.x) % P, (self.y - other.y) % P)
-
-    def double(self) -> "Fp2":
-        return Fp2(self.x * 2 % P, self.y * 2 % P)
-
-    def __mul__(self, other):
-        # Karatsuba
-        vy = self.y * other.y
-        vx = self.x * other.x
-        c0 = (vy - vx) % P
-        c1 = ((self.x + self.y) * (other.x + other.y) - vy - vx) % P
-        return Fp2(c1, c0)
-
-    def mul_int(self, k: int) -> "Fp2":
-        return Fp2(self.x * k % P, self.y * k % P)
-
-    def mul_xi(self) -> "Fp2":
-        # multiply by xi = i + 3
-        return Fp2((self.x * 3 + self.y) % P, (self.y * 3 - self.x) % P)
-
-    def square(self) -> "Fp2":
-        ty = (self.y - self.x) * (self.y + self.x) % P
-        tx = 2 * self.x * self.y % P
-        return Fp2(tx, ty)
-
-    def inverse(self) -> "Fp2":
-        t = fp_inv((self.x * self.x + self.y * self.y) % P)
-        return Fp2(-self.x * t % P, self.y * t % P)
-
-    def exp(self, k: int) -> "Fp2":
-        r = FP2_ONE
-        for bit in bin(k)[2:]:
-            r = r.square()
-            if bit == "1":
-                r = r * self
-        return r
-
-    def sqrt(self) -> "Fp2 | None":
-        """Square root in F_p2, or None if the element is a non-residue.
-
-        Each F_p root is taken first and its square then checked, which
-        decides residuosity without a Legendre symbol.  With
-        n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
-        (x/(2 sqrt(alpha)))*i + sqrt(alpha); its square is self whenever
-        both F_p roots exist.  The two choices of alpha multiply to
-        -(x/2)^2, a non-residue for x != 0, so exactly one is a square.
-        """
-        if self.x == 0:
-            v = fp_sqrt(self.y)
-            if v * v % P == self.y:
-                return Fp2(0, v)
-            # -1 is a non-residue, so -y is a square and (t*i)^2 = -t^2 = y
-            return Fp2(fp_sqrt(-self.y % P), 0)
-        n = (self.x * self.x + self.y * self.y) % P
-        lam = fp_sqrt(n)
-        if lam * lam % P != n:
-            return None
-        alpha = (self.y + lam) * INV_2 % P
-        v = fp_sqrt(alpha)
-        if v * v % P != alpha:
-            v = fp_sqrt((self.y - lam) * INV_2 % P)
-        return Fp2(self.x * fp_inv(2 * v % P) % P, v)
+def pow_bits(x, k, one, square, mul):
+    """x^k in the group of ``one``, ``square`` and ``mul``: left to right
+    over the bits of k, one square per bit and a product per set bit."""
+    r = one
+    for bit in bin(k)[2:]:
+        r = square(r)
+        if bit == "1":
+            r = mul(r, x)
+    return r
 
 
-FP2_ONE = Fp2(0, 1)
+def fp2_mul(a, b):
+    """a*b by Karatsuba; the inputs may be unreduced."""
+    (ai, ar), (bi, br) = a, b
+    m, n = ar * br, ai * bi
+    return ((ai + ar) * (bi + br) - m - n) % P, (m - n) % P
 
-XI = Fp2(1, 3)  # i + 3, the sextic non-residue
 
-XI1 = [XI.exp(k * (P - 1) // 6) for k in range(1, 6)]
-XI2 = [x * x.conjugate() for x in XI1]
+def fp2_inv(a):
+    """1/a = conj(a)/(ai^2 + ar^2); raises ValueError for 0."""
+    ai, ar = a
+    t = fp_inv((ai * ai + ar * ar) % P)
+    return -ai * t % P, ar * t % P
 
 
-class Fp6:
-    """Cubic extension of Fp2: x*tau^2 + y*tau + z with tau^3 = xi."""
+def fp2_sqrt(a):
+    """Square root of a = x*i + y in F_p2, or None if a is a non-residue.
 
-    __slots__ = ("x", "y", "z")
+    Each F_p root is taken first and its square then checked, which
+    decides residuosity without a Legendre symbol.  With
+    n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
+    (x/(2 sqrt(alpha)))*i + sqrt(alpha); its square is a whenever
+    both F_p roots exist.  The two choices of alpha multiply to
+    -(x/2)^2, a non-residue for x != 0, so exactly one is a square.
+    """
+    x, y = a
+    if x == 0:
+        v = fp_sqrt(y)
+        if v * v % P == y:
+            return 0, v
+        # -1 is a non-residue, so -y is a square and (t*i)^2 = -t^2 = y
+        return fp_sqrt(-y % P), 0
+    n = (x * x + y * y) % P
+    lam = fp_sqrt(n)
+    if lam * lam % P != n:
+        return None
+    alpha = (y + lam) * INV_2 % P
+    v = fp_sqrt(alpha)
+    if v * v % P != alpha:
+        v = fp_sqrt((y - lam) * INV_2 % P)
+    return x * fp_inv(2 * v % P) % P, v
 
-    def __init__(self, x: Fp2, y: Fp2, z: Fp2):
-        self.x = x
-        self.y = y
-        self.z = z
 
-    def __add__(self, other):
-        return Fp6(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Fp6(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, other):
-        # Algorithm 13, eprint 2010/354
-        t0 = self.z * other.z
-        t1 = self.y * other.y
-        t2 = self.x * other.x
-
-        tz = (self.x + self.y) * (other.x + other.y)
-        tz = (tz - t1 - t2).mul_xi() + t0
-
-        ty = (self.y + self.z) * (other.y + other.z)
-        ty = ty - t0 - t1 + t2.mul_xi()
-
-        tx = (self.x + self.z) * (other.x + other.z)
-        tx = tx - t0 + t1 - t2
-
-        return Fp6(tx, ty, tz)
-
-    def mul_tau(self) -> "Fp6":
-        return Fp6(self.y, self.z, self.x.mul_xi())
-
-    def inverse(self) -> "Fp6":
-        # Algorithm 17, eprint 2010/354 (with the sign fix on C)
-        xx = self.x.square()
-        yy = self.y.square()
-        zz = self.z.square()
-        xy = self.x * self.y
-        xz = self.x * self.z
-        yz = self.y * self.z
-
-        a = zz - xy.mul_xi()
-        b = xx.mul_xi() - yz
-        c = yy - xz
-
-        f = (c * self.y).mul_xi() + (a * self.z) + (b * self.x).mul_xi()
-        f = f.inverse()
-        return Fp6(c * f, b * f, a * f)
+# xi^(k(p - 1)/6) for k = 1..5, with xi = i + 3 the sextic non-residue
+XI1 = [pow_bits((1, 3), k * (P - 1) // 6, (0, 1), lambda a: fp2_mul(a, a), fp2_mul)
+       for k in range(1, 6)]
+# XI1[k] * conj(XI1[k]) is a norm, so a plain F_p int
+XI2 = [(xi * xi + xr * xr) % P for xi, xr in XI1]
 
 
 def _fp12(c) -> "Fp12":
@@ -310,6 +218,24 @@ def _fp6_mul_sparse(a2i, a2r, a1i, a1r, a0i, a0r, pi, pr, qi, qr):
     return c2i, c2r, c1i, c1r, 3 * wi + wr + vi, 3 * wr - wi + vr
 
 
+def _fp6_inv(a2i, a2r, a1i, a1r, a0i, a0r):
+    """1/a for the six ints of an Fp6 element a = x*tau^2 + y*tau + z, in
+    and out in ``_fp6_mul``'s order: Algorithm 17 of eprint 2010/354 (with
+    the sign fix on C).  The inputs may be unreduced; the outputs are
+    reduced."""
+    x, y, z = (a2i, a2r), (a1i, a1r), (a0i, a0r)
+    (xxi, xxr), (yyi, yyr), (zzi, zzr) = fp2_mul(x, x), fp2_mul(y, y), fp2_mul(z, z)
+    (xyi, xyr), (xzi, xzr), (yzi, yzr) = fp2_mul(x, y), fp2_mul(x, z), fp2_mul(y, z)
+    # A = z^2 - xi*x*y, B = xi*x^2 - y*z, C = y^2 - x*z
+    a = zzi - 3 * xyi - xyr, zzr - 3 * xyr + xyi
+    b = 3 * xxi + xxr - yzi, 3 * xxr - xxi - yzr
+    c = yyi - xzi, yyr - xzr
+    # F = xi*(C*y + B*x) + A*z
+    (ci, cr), (bi, br), (ai, ar) = fp2_mul(c, y), fp2_mul(b, x), fp2_mul(a, z)
+    f = fp2_inv((3 * (ci + bi) + cr + br + ai, 3 * (cr + br) - ci - bi + ar))
+    return (*fp2_mul(c, f), *fp2_mul(b, f), *fp2_mul(a, f))
+
+
 class Fp12:
     """Quadratic extension of Fp6: a*w + b with w^2 = tau.
 
@@ -333,20 +259,17 @@ class Fp12:
     def conjugate(self) -> "Fp12":
         return Fp12(tuple([-x % P for x in self.c[:6]]) + self.c[6:])
 
-    def _frobenius(self, consts: tuple[Fp2, ...], conjugate: bool) -> "Fp12":
-        """Each Fp2 coefficient, conjugated if ``conjugate``, times its
-        constant in ``consts`` (in ``c`` order)."""
+    def frobenius(self) -> "Fp12":
+        """Each Fp2 coefficient conjugated, times its power of xi."""
         c, out = self.c, []
-        for k, q in enumerate(consts):
-            e = Fp2(-c[2 * k] if conjugate else c[2 * k], c[2 * k + 1]) * q
-            out += (e.x, e.y)
+        for k, q in enumerate((XI1[4], XI1[2], XI1[0], XI1[3], XI1[1], (0, 1))):
+            out += fp2_mul((-c[2 * k], c[2 * k + 1]), q)
         return Fp12(tuple(out))
 
-    def frobenius(self) -> "Fp12":
-        return self._frobenius((XI1[4], XI1[2], XI1[0], XI1[3], XI1[1], FP2_ONE), True)
-
     def frobenius_p2(self) -> "Fp12":
-        return self._frobenius((XI2[4], XI2[2], XI2[0], XI2[3], XI2[1], FP2_ONE), False)
+        """Each Fp2 coefficient times its power of xi's norm, an int."""
+        consts = (XI2[4], XI2[2], XI2[0], XI2[3], XI2[1], 1)
+        return Fp12(tuple([x * consts[n // 2] % P for n, x in enumerate(self.c)]))
 
     def __mul__(self, other):
         """(a*w + b)(c*w + d) = ((a + b)(c + d) - ac - bd)*w + bd + ac*tau:
@@ -426,12 +349,7 @@ class Fp12:
         return _fp12((x2i, x2r, x1i, x1r, x0i, x0r, y2i, y2r, y1i, y1r, y0i, y0r))
 
     def exp(self, k: int) -> "Fp12":
-        r = FP12_ONE
-        for bit in bin(k)[2:]:
-            r = r.square()
-            if bit == "1":
-                r = r * self
-        return r
+        return pow_bits(self, k, FP12_ONE, Fp12.square, Fp12.__mul__)
 
     def exp_u(self) -> "Fp12":
         """self^U, correct only for a cyclotomic-subgroup element, where
@@ -439,15 +357,14 @@ class Fp12:
         return pow_u(self, Fp12.cyclotomic_square, Fp12.__mul__, Fp12.conjugate)
 
     def inverse(self) -> "Fp12":
-        """1/(a*w + b) = (-a*w + b) * t with t = 1/(b^2 - a^2*tau), an
-        ``Fp6.inverse``."""
+        """1/(a*w + b) = (-a*w + b) * t with t = 1/(b^2 - a^2*tau), a
+        ``_fp6_inv``."""
         a, b = self.c[:6], self.c[6:]
         u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul(*a, *a)
         v2i, v2r, v1i, v1r, v0i, v0r = _fp6_mul(*b, *b)
         # a^2*tau = u1*tau^2 + u0*tau + xi*u2
-        n = Fp6(Fp2((v2i - u1i) % P, (v2r - u1r) % P), Fp2((v1i - u0i) % P, (v1r - u0r) % P),
-                Fp2((v0i - 3 * u2i - u2r) % P, (v0r - 3 * u2r + u2i) % P)).inverse()
-        t = (n.x.x, n.x.y, n.y.x, n.y.y, n.z.x, n.z.y)
+        t = _fp6_inv(v2i - u1i, v2r - u1r, v1i - u0i, v1r - u0r,
+                     v0i - 3 * u2i - u2r, v0r - 3 * u2r + u2i)
         return _fp12([-x for x in _fp6_mul(*a, *t)] + list(_fp6_mul(*b, *t)))
 
 

@@ -12,11 +12,20 @@ from .errors import ValidationError
 from .policy import Decision
 
 LOG_NAME = "decisions.log"
+NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 def _safe_name(name: str, what: str) -> str:
+    """``name`` if it is one file name that ``os`` can encode in at most
+    NAME_MAX bytes; a longer one would fail only when its payload is linked."""
     if not name or name in (".", "..") or "/" in name or "\\" in name or "\x00" in name:
         raise ValidationError(f"{what} {name!r} is not a safe file name")
+    try:
+        size = len(os.fsencode(name))
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {name!r} cannot be encoded as a file name") from None
+    if size > NAME_MAX:
+        raise ValidationError(f"{what} {name!r} is {size} bytes long; a file name takes at most {NAME_MAX}")
     return name
 
 
@@ -50,9 +59,11 @@ class StorageLayout:
     a temporary file ``.<hex>.tmp`` in its unit directory and hard-linked
     to its target name, which fails if that name exists.  So a failed
     write leaves neither a partial payload nor a log line, and a repeated
-    ``file_id`` is refused while the earlier payload stays.  Dot names in
-    a unit directory are reserved for those temporary files.  Submissions
-    are stored one at a time, so the decision log takes no lock.
+    ``file_id`` is refused while the earlier payload stays.  If its log
+    line cannot be written, the linked payload is removed again, so stored
+    payloads and log lines stay one to one.  Dot names in a unit directory
+    are reserved for those temporary files.  Submissions are stored one at
+    a time, so the decision log takes no lock.
     """
 
     def __init__(self, root: Path):
@@ -68,27 +79,40 @@ class StorageLayout:
         return self.root / LOG_NAME
 
     def store(self, decision: Decision, payload: bytes) -> Path:
-        """Place the payload in the winning unit and log the decision."""
+        """Place the payload in the winning unit and log the decision.
+
+        Every refusal, and every ``OSError`` on the way, is a
+        ValidationError that leaves no payload and no log line behind.
+        """
         unit = check_storage_unit(decision.storage_unit)
         file_name = check_file_id(decision.file_id)
         unit_dir = self.root / unit
-        try:
-            unit_dir.mkdir(exist_ok=True)
-        except FileExistsError:
-            raise ValidationError(f"storage unit {unit!r} is not a directory") from None
         target = unit_dir / file_name
         # not named after file_id, which may already be as long as a name can be
         tmp = unit_dir / f".{uuid.uuid4().hex}.tmp"
         try:
-            with open(tmp, "xb") as fh:
-                fh.write(payload)
             try:
-                os.link(tmp, target)
+                unit_dir.mkdir(exist_ok=True)
             except FileExistsError:
-                raise ValidationError(f"file id {file_name!r} is already stored in {unit!r}") from None
-        finally:
-            tmp.unlink(missing_ok=True)
-        self.log(decision)
+                raise ValidationError(f"storage unit {unit!r} is not a directory") from None
+            try:
+                with open(tmp, "xb") as fh:
+                    fh.write(payload)
+                try:
+                    os.link(tmp, target)
+                except FileExistsError:
+                    raise ValidationError(f"file id {file_name!r} is already stored in {unit!r}") from None
+            finally:
+                tmp.unlink(missing_ok=True)
+            try:
+                self.log(decision)
+            except OSError:
+                target.unlink()
+                raise
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot store file id {file_name!r} in storage unit {unit!r}: {exc.strerror or exc}"
+            ) from None
         return target
 
     def log(self, decision: Decision) -> None:

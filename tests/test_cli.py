@@ -1,5 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
+import builtins
+import errno
 import json
 import os
 import secrets
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pbcap import scheme
+from pbcap import scheme, storage
 from pbcap.cli import cli
 from pbcap.pairing import MockSuite
 
@@ -178,7 +180,7 @@ class TestCompile:
         assert "policy #0" in result.output
         assert "malformed fragment" in result.output
 
-    @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
+    @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("\u00e9" * 128, id="utf8-256")])
     def test_unstorable_storage_unit_refused(self, tmp_path, runner, unit):
         doc = dict(POLICY_DOC)
         doc["policies"] = [doc["policies"][0], dict(doc["policies"][1], storage_unit=unit)]
@@ -282,6 +284,35 @@ class TestTag:
         assert result.exit_code == 1
         assert result.stderr == f"Error: {refusal}\n"
         assert not (root / "bad.json").exists()
+
+    @pytest.mark.parametrize("file_id, code", [("a" * 255, 0), ("a" * 256, 1),
+                                               ("\u00e9" * 127 + "a", 0), ("\u00e9" * 128, 1)],
+                             ids=["ascii-255", "ascii-256", "utf8-255", "utf8-256"])
+    def test_file_id_longer_than_name_max_refused(self, pipeline, runner, monkeypatch, file_id, code):
+        """A file id over 255 bytes in UTF-8 is refused with exit 1 before
+        any pairing; one of 255 bytes is tagged."""
+        root, _ = pipeline
+        key_checks = []
+
+        def check(*args, _inner=scheme.check_admin_key):
+            key_checks.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(scheme, "check_admin_key", check)
+        result = runner.invoke(cli, [str(a) for a in (
+            "user", "tag", "--graph", root / "graph.txt",
+            "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / "usr/user.sk",
+            "--payload", root / "payload.bin",
+            "--out", root / "long.json", "--suite", "mock", "--seed", 5, "--file-id", file_id)],
+            catch_exceptions=False)
+        assert result.exit_code == code, result.output
+        assert (root / "long.json").exists() is (code == 0)
+        # the admin key check is the first pairing ``user tag`` runs
+        assert len(key_checks) == (0 if code else 1)
+        if code:
+            size = len(file_id.encode("utf-8"))
+            assert result.stderr == f"Error: file id {file_id!r} is {size} bytes long; a file name takes at most 255\n"
 
     @pytest.mark.parametrize("graph", [
         "node t Artifact Te,st\nnode n Agent Nurse\nedge RecordedBy t n\n",
@@ -551,10 +582,13 @@ class TestClassify:
         with its ``file_id`` rewritten, as a hand-built file would be.
         Reading the submission refuses it, and so it refuses a file id
         that is not a string (``null`` would otherwise be stored as
-        ``None``); a repeated id is refused only by the store."""
+        ``None``) or longer than 255 bytes in UTF-8 (``os.link`` would
+        fail only after the payload is written); a repeated id is refused
+        only by the store."""
         root, run = pipeline
         subs = []
-        for i, file_id in enumerate(["good.bin", "evil", "good.bin", "good2.bin", "null", "five"]):
+        names = ["good.bin", "evil", "good.bin", "good2.bin", "null", "five", "ascii", "utf8", "utf8-255"]
+        for i, file_id in enumerate(names):
             out = root / f"batch{i}.json"
             run("user", "tag", "--graph", root / "graph.txt",
                 "--admin-pk", root / "pap/admin.pk",
@@ -563,14 +597,18 @@ class TestClassify:
                 "--out", out, "--suite", "mock", "--seed", 200 + i,
                 "--file-id", file_id)
             subs.append(out)
-        for i, file_id in ((1, "../evil"), (4, None), (5, 5)):
+        longest = "\u00e9" * 127 + "a"
+        for i, file_id in ((1, "../evil"), (4, None), (5, 5), (6, "a" * 256), (7, "\u00e9" * 128), (8, longest)):
             doc = json.loads(subs[i].read_text())
             subs[i].write_text(json.dumps(dict(doc, file_id=file_id)))
         base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:])
+        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:], catch_exceptions=False)
         assert result.exit_code == 3, result.output
-        assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin"]
-        assert len((root / "store/decisions.log").read_text().splitlines()) == 2
+        assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin", longest]
+        assert len((root / "store/decisions.log").read_text().splitlines()) == 3
+        for i in (6, 7):
+            assert f"batch{i}.json: decode error: " in result.stderr
+        assert result.stderr.count("bytes long; a file name takes at most 255") == 2
         assert "batch1.json: decode error:" in result.stderr
         assert "file id '../evil' is not a safe file name" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
@@ -601,7 +639,62 @@ class TestClassify:
         log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
         assert [entry["file_id"] for entry in log] == ["other.bin"]
 
-    @pytest.mark.parametrize("unit", ["decisions.log", "../up"])
+    @pytest.mark.parametrize("point", ["mkdir", "open", "write", "link", "log"])
+    def test_store_os_error_skipped_with_exit_3(self, pipeline, runner, monkeypatch, point):
+        """An OSError at any step of storing a payload is one stderr line
+        naming the unit and the file id, with exit 3 and no traceback: that
+        payload is neither stored nor logged, no temporary file is left,
+        and a genuine submission later in the batch is still routed."""
+        root, run = pipeline
+        run("user", "tag", "--graph", root / "graph.txt",
+            "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / "usr/user.sk",
+            "--payload", root / "payload.bin",
+            "--out", root / "second.json", "--suite", "mock", "--seed", 6, "--file-id", "second.bin")
+
+        class BrokenFile:
+            """An open file whose write fails."""
+
+            def __init__(self, path, mode):
+                self._fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        owner, name, real, failing = {
+            "mkdir": (Path, "mkdir", Path.mkdir, refuse),
+            "open": (storage, "open", builtins.open, refuse),
+            "write": (storage, "open", builtins.open, BrokenFile),
+            "link": (os, "link", os.link, refuse),
+            "log": (storage.StorageLayout, "log", storage.StorageLayout.log, refuse),
+        }[point]
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            return (failing if len(calls) == 1 else real)(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, first_fails, raising=False)
+        base = _classify_args(root)
+        result = runner.invoke(cli, base[:3] + [str(root / "second.json")] + base[3:], catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith(f"{root / 'sub.json'}: payload not stored: cannot store file id "
+                                        "'payload.bin' in storage unit 'Hospital': ")
+        assert len(result.stderr.splitlines()) == 1
+        assert sorted(p.name for p in (root / "store").rglob("*") if p.is_file()) == ["decisions.log", "second.bin"]
+        log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
+        assert [entry["file_id"] for entry in log] == ["second.bin"]
+
+    @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("a" * 256, id="ascii-256")])
     def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):
         """A hand-built compiled set that routes to a unit no store accepts
         is refused when it is read: nothing is stored and nothing logged."""

@@ -8,7 +8,121 @@ import pytest
 from pbcap.errors import DecodeError, GroupMismatchError
 from pbcap.pairing import Group, H2_BYTES, Scalar, bn256, curve, tower
 
+P = tower.P
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
+
+
+# F_p2 and F_p6 as the classes the int helpers and kernels of ``tower``
+# replaced, kept as the references the tests compare them with: one object
+# and one reduction per step.
+
+class Fp2:
+    """F_p[i] / (i^2 + 1), represented as x*i + y."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other):
+        return self.x == other.x and self.y == other.y
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+    def conjugate(self) -> "Fp2":
+        return Fp2(-self.x % P, self.y)
+
+    def neg(self) -> "Fp2":
+        return Fp2(-self.x % P, -self.y % P)
+
+    def __add__(self, other):
+        return Fp2((self.x + other.x) % P, (self.y + other.y) % P)
+
+    def __sub__(self, other):
+        return Fp2((self.x - other.x) % P, (self.y - other.y) % P)
+
+    def double(self) -> "Fp2":
+        return Fp2(self.x * 2 % P, self.y * 2 % P)
+
+    def __mul__(self, other):
+        # Karatsuba
+        vy = self.y * other.y
+        vx = self.x * other.x
+        c0 = (vy - vx) % P
+        c1 = ((self.x + self.y) * (other.x + other.y) - vy - vx) % P
+        return Fp2(c1, c0)
+
+    def mul_int(self, k: int) -> "Fp2":
+        return Fp2(self.x * k % P, self.y * k % P)
+
+    def mul_xi(self) -> "Fp2":
+        # multiply by xi = i + 3
+        return Fp2((self.x * 3 + self.y) % P, (self.y * 3 - self.x) % P)
+
+    def square(self) -> "Fp2":
+        ty = (self.y - self.x) * (self.y + self.x) % P
+        tx = 2 * self.x * self.y % P
+        return Fp2(tx, ty)
+
+    def inverse(self) -> "Fp2":
+        t = tower.fp_inv((self.x * self.x + self.y * self.y) % P)
+        return Fp2(-self.x * t % P, self.y * t % P)
+
+
+class Fp6:
+    """Cubic extension of Fp2: x*tau^2 + y*tau + z with tau^3 = xi."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Fp2, y: Fp2, z: Fp2):
+        self.x = x
+        self.y = y
+        self.z = z
+
+    def __add__(self, other):
+        return Fp6(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other):
+        return Fp6(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __mul__(self, other):
+        # Algorithm 13, eprint 2010/354
+        t0 = self.z * other.z
+        t1 = self.y * other.y
+        t2 = self.x * other.x
+
+        tz = (self.x + self.y) * (other.x + other.y)
+        tz = (tz - t1 - t2).mul_xi() + t0
+
+        ty = (self.y + self.z) * (other.y + other.z)
+        ty = ty - t0 - t1 + t2.mul_xi()
+
+        tx = (self.x + self.z) * (other.x + other.z)
+        tx = tx - t0 + t1 - t2
+
+        return Fp6(tx, ty, tz)
+
+    def mul_tau(self) -> "Fp6":
+        return Fp6(self.y, self.z, self.x.mul_xi())
+
+    def inverse(self) -> "Fp6":
+        # Algorithm 17, eprint 2010/354 (with the sign fix on C)
+        xx = self.x.square()
+        yy = self.y.square()
+        zz = self.z.square()
+        xy = self.x * self.y
+        xz = self.x * self.z
+        yz = self.y * self.z
+
+        a = zz - xy.mul_xi()
+        b = xx.mul_xi() - yz
+        c = yy - xz
+
+        f = (c * self.y).mul_xi() + (a * self.z) + (b * self.x).mul_xi()
+        f = f.inverse()
+        return Fp6(c * f, b * f, a * f)
 
 
 def _draws(suite):
@@ -31,10 +145,11 @@ TWIST_COFACTOR = 2 * tower.P - curve.ORDER  # the twist has n * (2p - n) points
 def _twist_point(rng):
     """A point on the twist with a random x; almost surely outside G2."""
     while True:
-        x = tower.Fp2(rng.randrange(tower.P), rng.randrange(tower.P))
-        y = (x.square() * x + curve.TWIST_B).sqrt()
+        x = Fp2(rng.randrange(tower.P), rng.randrange(tower.P))
+        yy = x.square() * x + Fp2(*curve.TWIST_B)
+        y = tower.fp2_sqrt((yy.x, yy.y))
         if y is not None:
-            return _point(x, y, tower.FP2_ONE)
+            return _point(x, Fp2(*y), Fp2(0, 1))
 
 
 def _order_13_point(rng):
@@ -82,13 +197,13 @@ def _edge_fp12s():
 
 def _edge_fp2s():
     top = tower.P - 1
-    return [tower.Fp2(x, y) for x in (0, 1, top) for y in (0, 1, top)]
+    return [Fp2(x, y) for x in (0, 1, top) for y in (0, 1, top)]
 
 
 def _halves(f):
     """f = x*w + y as its two ``Fp6`` halves (x, y), for the class references."""
-    fp2s = [tower.Fp2(f.c[i], f.c[i + 1]) for i in range(0, 12, 2)]
-    return tower.Fp6(*fp2s[:3]), tower.Fp6(*fp2s[3:])
+    fp2s = [Fp2(f.c[i], f.c[i + 1]) for i in range(0, 12, 2)]
+    return Fp6(*fp2s[:3]), Fp6(*fp2s[3:])
 
 
 def _join(x, y):
@@ -98,7 +213,7 @@ def _join(x, y):
 
 def _fp6_neg(x):
     """-x, one Fp2 coefficient at a time."""
-    return tower.Fp6(x.x.neg(), x.y.neg(), x.z.neg())
+    return Fp6(x.x.neg(), x.y.neg(), x.z.neg())
 
 
 def _schoolbook_fp12_mul(a, b):
@@ -135,16 +250,16 @@ def _reference_conjugate(f):
 
 def _reference_frobenius(f):
     x, y = _halves(f)
-    xi1 = tower.XI1
-    e1 = tower.Fp6(x.x.conjugate() * xi1[4], x.y.conjugate() * xi1[2], x.z.conjugate() * xi1[0])
-    e2 = tower.Fp6(y.x.conjugate() * xi1[3], y.y.conjugate() * xi1[1], y.z.conjugate())
+    xi1 = [Fp2(*q) for q in tower.XI1]
+    e1 = Fp6(x.x.conjugate() * xi1[4], x.y.conjugate() * xi1[2], x.z.conjugate() * xi1[0])
+    e2 = Fp6(y.x.conjugate() * xi1[3], y.y.conjugate() * xi1[1], y.z.conjugate())
     return _join(e1, e2)
 
 
 def _reference_frobenius_p2(f):
     x, y = _halves(f)
-    xi2 = tower.XI2
-    return _join(tower.Fp6(x.x * xi2[4], x.y * xi2[2], x.z * xi2[0]), tower.Fp6(y.x * xi2[3], y.y * xi2[1], y.z))
+    xi2 = [Fp2(*q) * Fp2(*q).conjugate() for q in tower.XI1]
+    return _join(Fp6(x.x * xi2[4], x.y * xi2[2], x.z * xi2[0]), Fp6(y.x * xi2[3], y.y * xi2[1], y.z))
 
 
 def _reference_inverse(f):
@@ -175,21 +290,21 @@ def _reference_cyclotomic_square(f):
     y_x = c2.double() + c2 - y.x.double()
     y_y = b2.double() + b2 - y.y.double()
     x_x = b3.double() + b3 + x.x.double()
-    return _join(tower.Fp6(x_x, x_y, x_z), tower.Fp6(y_x, y_y, y_z))
+    return _join(Fp6(x_x, x_y, x_z), Fp6(y_x, y_y, y_z))
 
 
 def _mul_linear(g, a, b):
     """g * (a*tau + b) in five Fp2 products, where a full Fp6 product takes six."""
     ya = g.y * a
     zb = g.z * b
-    return tower.Fp6(g.x * b + ya, (g.y + g.z) * (a + b) - ya - zb, (g.x * a).mul_xi() + zb)
+    return Fp6(g.x * b + ya, (g.y + g.z) * (a + b) - ya - zb, (g.x * a).mul_xi() + zb)
 
 
 def _reference_mul_line(f, a, b, c):
     """f * ((a*tau + b)*w + c): Karatsuba over w with both Fp6 products sparse."""
     x, y = _halves(f)
     t1 = _mul_linear(x, a, b)
-    t3 = tower.Fp6(y.x * c, y.y * c, y.z * c)
+    t3 = Fp6(y.x * c, y.y * c, y.z * c)
     fx = _mul_linear(x + y, a, b + c) - t1 - t3
     return _join(fx, t3 + t1.mul_tau())
 
@@ -202,7 +317,7 @@ def _reference_mul_line(f, a, b, c):
 def _fp2s(pt):
     """A point's Jacobian x, y and z as ``Fp2`` objects."""
     xi, xr, yi, yr, zi, zr = pt.c
-    return tower.Fp2(xi, xr), tower.Fp2(yi, yr), tower.Fp2(zi, zr)
+    return Fp2(xi, xr), Fp2(yi, yr), Fp2(zi, zr)
 
 
 def _point(x, y, z):
@@ -255,7 +370,7 @@ def _reference_add(t, q):
 
 def _reference_psi(q):
     qx, qy, qz = _fp2s(q)
-    return _point(qx.conjugate() * tower.XI1[1], qy.conjugate() * tower.XI1[2], qz.conjugate())
+    return _point(qx.conjugate() * Fp2(*tower.XI1[1]), qy.conjugate() * Fp2(*tower.XI1[2]), qz.conjugate())
 
 
 def _reference_tangent(t):
@@ -275,8 +390,9 @@ def _reference_chord(t, q):
     return t, ((r * qx - qy * tz).double(), r.double().neg(), tz.double())
 
 
-def _line_ints(a, b, c):
-    """A line of Fp2 coefficients as the six ints of a ``g2_lines`` entry."""
+def _six_ints(a, b, c):
+    """Three Fp2s as six ints: a line as a ``g2_lines`` entry, or the Fp6
+    a*tau^2 + b*tau + c in ``_fp6_mul``'s order."""
     return a.x, a.y, b.x, b.y, c.x, c.y
 
 
@@ -312,8 +428,8 @@ def _on_twist(pt):
     if pt.is_infinity():
         return True
     xi, xr, yi, yr = pt.affine()
-    x, y = tower.Fp2(xi, xr), tower.Fp2(yi, yr)
-    return y.square() == x.square() * x + curve.TWIST_B
+    x, y = Fp2(xi, xr), Fp2(yi, yr)
+    return y.square() == x.square() * x + Fp2(*curve.TWIST_B)
 
 
 class TestBilinearity:
@@ -415,13 +531,13 @@ class TestBn256Kernels:
         rng = random.Random(27)
         p, q = _random_pair(rng)
         px, py = p.affine()
-        zero = tower.Fp2(0, 0)
+        zero = Fp2(0, 0)
         for group in bn256.g2_lines(q)[::8]:
             for line in group:
                 ai, ar, bi, br, ci, cr = line
-                a, b, c = tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px), tower.Fp2(ci, cr).mul_int(py)
+                a, b, c = Fp2(ai, ar), Fp2(bi, br).mul_int(px), Fp2(ci, cr).mul_int(py)
                 f = _random_fp12(rng)
-                full = _join(tower.Fp6(zero, a, b), tower.Fp6(zero, zero, c))
+                full = _join(Fp6(zero, a, b), Fp6(zero, zero, c))
                 assert tower._mul_line(f, line, px, py) == f * full
 
     # Each fused kernel against its class reference.  Equality reads raw
@@ -455,15 +571,27 @@ class TestBn256Kernels:
         edges = _edge_fp2s()
         lines = list(zip(edges, edges[::-1], edges[3:] + edges[:3])) + [(e, e, e) for e in edges]
         coords = [(0, 0), (1, tower.P - 1), (tower.P - 1, 1), (rng.randrange(tower.P), rng.randrange(tower.P))]
-        cases += [(_line_ints(*line), px, py) for line in lines for px, py in coords]
+        cases += [(_six_ints(*line), px, py) for line in lines for px, py in coords]
         for f in _edge_fp12s() + [_random_fp12(rng) for _ in range(4)]:
             for line, px, py in cases:
                 ai, ar, bi, br, ci, cr = line
-                expected = _reference_mul_line(f, tower.Fp2(ai, ar), tower.Fp2(bi, br).mul_int(px),
-                                               tower.Fp2(ci, cr).mul_int(py))
+                expected = _reference_mul_line(f, Fp2(ai, ar), Fp2(bi, br).mul_int(px),
+                                               Fp2(ci, cr).mul_int(py))
                 assert tower._mul_line(f, line, px, py) == expected
 
     def test_frobenius_and_conjugate_match_references(self):
+        """Also the constants both sides read: ``XI1[k - 1]`` is
+        xi^(k(p - 1)/6) with xi = i + 3, and ``XI2[k - 1]`` its norm, an
+        F_p int.  The reference powers take ``pow_bits`` with the reference
+        Fp2, so the ladder is first checked against ``pow`` on ints."""
+        exponents = [k * (tower.P - 1) // 6 for k in range(1, 6)]
+        for e in [0, 1, 2, tower.U] + exponents:
+            assert tower.pow_bits(7, e, 1, lambda a: a * a % tower.P,
+                                  lambda a, b: a * b % tower.P) == pow(7, e, tower.P)
+        for e, xi1, xi2 in zip(exponents, tower.XI1, tower.XI2):
+            ref = tower.pow_bits(Fp2(1, 3), e, Fp2(0, 1), Fp2.square, Fp2.__mul__)
+            assert xi1 == (ref.x, ref.y)
+            assert Fp2(0, xi2) == ref * ref.conjugate()
         rng = random.Random(32)
         for f in _edge_fp12s() + [_random_fp12(rng) for _ in range(12)]:
             assert f.conjugate() == _reference_conjugate(f)
@@ -471,11 +599,24 @@ class TestBn256Kernels:
             assert f.frobenius_p2() == _reference_frobenius_p2(f)
 
     def test_inverse_matches_reference(self):
-        """Every element but zero, which has no inverse."""
+        """Every element but zero, which has no inverse; and the F_p6 and
+        F_p2 inverses under it, on seeded elements and on elements with
+        every coefficient 0, 1 or p - 1."""
         rng = random.Random(33)
         for f in _edge_fp12s()[1:] + [_random_fp12(rng) for _ in range(12)]:
             assert f.inverse() == _reference_inverse(f)
             assert f * f.inverse() == tower.FP12_ONE
+        edges = _edge_fp2s()
+        fp2s = edges + [Fp2(rng.randrange(tower.P), rng.randrange(tower.P)) for _ in range(6)]
+        fp6s = [Fp6(a, b, c) for a, b, c in zip(edges, edges[::-1], edges[3:] + edges[:3])]
+        fp6s += [Fp6(*fp2s[i:i + 3]) for i in range(len(fp2s) - 2)]
+        for a in fp6s:
+            b = a.inverse()
+            assert tower._fp6_inv(*_six_ints(a.x, a.y, a.z)) == _six_ints(b.x, b.y, b.z)
+        for a in fp2s[1:]:
+            assert tower.fp2_inv((a.x, a.y)) == (a.inverse().x, a.inverse().y)
+        with pytest.raises(ValueError):
+            tower.fp2_inv((0, 0))
 
     def test_exp_u_matches_exp(self):
         for t in _cyclotomic_elements(random.Random(23), 3):
@@ -569,7 +710,7 @@ class TestG2Formulas:
         rng = random.Random(43)
         inf = curve.G2_INF
         for pt in self._points(rng)[:8]:
-            lam = tower.Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
+            lam = Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
             other = _rescaled(pt, lam)
             assert _jacobian(other) != _jacobian(pt)
             for a, b in ((pt, pt), (pt, other), (pt, pt.neg()), (pt, other.neg()), (pt, inf), (inf, pt)):
@@ -613,7 +754,7 @@ class TestG2Formulas:
                 continue
             ax, ay = x * z.square().inverse(), y * (z.square() * z).inverse()
             assert pt.affine() == (ax.x, ax.y, ay.x, ay.y)
-            lam = tower.Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
+            lam = Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
             assert _rescaled(pt, lam).affine() == pt.affine()
             assert curve.PointG2(pt.c[:4] + (0, 1)).affine() == pt.c[:4]
 
@@ -624,12 +765,12 @@ class TestG2Formulas:
         for t in points:
             t2, line = bn256._tangent(t)
             r2, ref = _reference_tangent(t)
-            assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
+            assert _jacobian(t2) == _jacobian(r2) and line == _six_ints(*ref)
             for q in points:
                 q = curve.PointG2(q.c[:4] + (0, 1))
                 t2, line = bn256._chord(t, q)
                 r2, ref = _reference_chord(t, q)
-                assert _jacobian(t2) == _jacobian(r2) and line == _line_ints(*ref)
+                assert _jacobian(t2) == _jacobian(r2) and line == _six_ints(*ref)
 
 
 class TestHashToGroupA:

@@ -31,9 +31,34 @@ class TestLayout:
         assert json.loads(lines[0])["file_id"] == "f.bin"
 
     def test_longest_file_name_stored(self, layout, tmp_path):
-        name = "f" * 255  # NAME_MAX on common file systems
-        layout.store(_decision(file_id=name), b"payload")
-        assert (tmp_path / "Hospital" / name).read_bytes() == b"payload"
+        """255 bytes in UTF-8, NAME_MAX on common file systems, in ASCII and
+        in two-byte characters, as a file id and as a storage unit."""
+        for name in ("f" * 255, "\u00e9" * 127 + "f"):
+            layout.store(_decision(file_id=name, unit=name), b"payload")
+            assert (tmp_path / name / name).read_bytes() == b"payload"
+
+    @pytest.mark.parametrize("name", ["f" * 256, "\u00e9" * 128, "\u00e9" * 127 + "ff"],
+                             ids=["ascii-256", "utf8-256", "utf8-257"])
+    def test_name_longer_than_name_max_rejected(self, layout, tmp_path, name):
+        """Refused by the checks the loaders call, before any write: os.link
+        would refuse it only once the payload is written."""
+        size = len(name.encode("utf-8"))
+        for check, what in ((storage.check_file_id, "file id"), (storage.check_storage_unit, "storage unit")):
+            with pytest.raises(ValidationError, match=f"{what} '{name}' is {size} bytes long"):
+                check(name)
+        for decision in (_decision(file_id=name), _decision(unit=name)):
+            with pytest.raises(ValidationError, match="bytes long"):
+                layout.store(decision, b"p")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_name_the_file_system_cannot_encode_rejected(self, layout, tmp_path):
+        """A lone surrogate, as a JSON file id can carry, fails os.fsencode."""
+        for check in (storage.check_file_id, storage.check_storage_unit):
+            with pytest.raises(ValidationError, match="cannot be encoded as a file name"):
+                check("x\ud800y")
+        with pytest.raises(ValidationError, match="cannot be encoded"):
+            layout.store(_decision(file_id="x\ud800y"), b"p")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -115,7 +140,7 @@ class TestLayout:
             def refuse(src, dst):
                 raise OSError("link refused")
             monkeypatch.setattr(storage.os, "link", refuse)
-        with pytest.raises(OSError):
+        with pytest.raises(ValidationError, match="cannot store file id 'f.bin' in storage unit 'Hospital'"):
             layout.store(_decision(), b"payload")
         assert list((tmp_path / "Hospital").iterdir()) == []
         assert not (tmp_path / "decisions.log").exists()

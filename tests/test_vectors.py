@@ -10,7 +10,9 @@ file writers in ``pbcap.formats`` shared one envelope.  The two-pair
 raw Miller loop in ``miller_loop_pairs.json`` was written before the loop
 took its lines from ``PointG2.double``/``add``.  The point decodings and
 F_p2 square roots in ``decode.json`` were written while the decoders still
-ran a Legendre test before each root.  The G2 scalar multiples, line
+ran a Legendre test before each root; its roots came from ``Fp2.sqrt``,
+a method of the F_p2 class ``tower`` then held, and ``tower.fp2_sqrt``,
+the int form of that method, reproduces them.  The G2 scalar multiples, line
 table digests and subgroup decisions in ``g2.json`` were written while
 ``PointG2.double``/``add`` and the line formulas still built an ``Fp2``
 object per step, and while a point still held its coordinates as three
@@ -79,8 +81,9 @@ CLASSIFY_SUBMISSIONS = {
 DECODE_SEED = 9
 
 
-def _fp2_hex(a: tower.Fp2) -> str:
-    return a.x.to_bytes(32, "big").hex() + a.y.to_bytes(32, "big").hex()
+def _fp2_hex(a: tuple[int, int]) -> str:
+    """An (i, real) pair as 64 bytes of hex, i first."""
+    return b"".join(c.to_bytes(32, "big") for c in a).hex()
 
 
 def _decoded(decode, encode, blob: bytes) -> dict:
@@ -102,8 +105,8 @@ def compute_decode() -> dict:
     def fp() -> int:
         return rng.getrandbits(256) % tower.P
 
-    def fp2() -> tower.Fp2:
-        return tower.Fp2(fp(), fp())
+    def fp2() -> tuple[int, int]:
+        return fp(), fp()
 
     def prefix() -> bytes:
         return bytes([2 + rng.getrandbits(1)])
@@ -124,14 +127,14 @@ def compute_decode() -> dict:
     g2 += [prefix() + bytes(32) + fp().to_bytes(32, "big") for _ in range(2)]
     g2 += [prefix() + fp().to_bytes(32, "big") + bytes(32) for _ in range(2)]
 
-    elements = [tower.Fp2(0, 0), tower.Fp2(0, 1), tower.Fp2(0, tower.P - 1), tower.Fp2(1, 0)]
-    elements += [tower.Fp2(0, fp()) for _ in range(6)]
-    elements += [tower.Fp2(fp(), 0) for _ in range(6)]
-    elements += [fp2().square() for _ in range(16)]
+    elements = [(0, 0), (0, 1), (0, tower.P - 1), (1, 0)]
+    elements += [(0, fp()) for _ in range(6)]
+    elements += [(fp(), 0) for _ in range(6)]
+    elements += [tower.fp2_mul(a, a) for a in (fp2() for _ in range(16))]
     elements += [fp2() for _ in range(32)]
     sqrt = []
     for a in elements:
-        root = a.sqrt()
+        root = tower.fp2_sqrt(a)
         sqrt.append({"a": _fp2_hex(a), "root": None if root is None else _fp2_hex(root)})
     return {
         "seed": DECODE_SEED,
@@ -145,7 +148,7 @@ G2_SEED = 13
 
 
 def _jacobian_hex(pt: curve.PointG2) -> list[str]:
-    return [_fp2_hex(tower.Fp2(*pt.c[i:i + 2])) for i in (0, 2, 4)]
+    return [_fp2_hex(pt.c[i:i + 2]) for i in (0, 2, 4)]
 
 
 def _lines_digest(lines) -> str:
@@ -166,10 +169,11 @@ def compute_g2() -> dict:
 
     def twist_point() -> curve.PointG2:
         while True:
-            x = tower.Fp2(rng.getrandbits(256) % tower.P, rng.getrandbits(256) % tower.P)
-            y = (x.square() * x + curve.TWIST_B).sqrt()
+            x = rng.getrandbits(256) % tower.P, rng.getrandbits(256) % tower.P
+            x3 = tower.fp2_mul(tower.fp2_mul(x, x), x)
+            y = tower.fp2_sqrt(tuple((a + b) % tower.P for a, b in zip(x3, curve.TWIST_B)))
             if y is not None:
-                return curve.PointG2((x.x, x.y, y.x, y.y, 0, 1))
+                return curve.PointG2((*x, *y, 0, 1))
 
     def mul_plain(pt: curve.PointG2, k: int) -> curve.PointG2:
         r = curve.G2_INF
