@@ -11,12 +11,14 @@ Exit codes for ``pdp classify``: 0 any successful routing (including
 unclassified), 2 authentication failure (payload not stored), 3 decode
 error (a JSON file nested too deep to parse is one), a file id that
 cannot be stored (unsafe, longer than 255 bytes in UTF-8, or already
-stored in its unit), a storage unit whose path is not a directory, or
-any other ``OSError`` while a payload is stored or logged (that payload
-is then neither stored nor logged).  A compiled set, key or storage root
-that cannot be read -- including a compiled set that names an unsafe or
-overlong storage unit, and a storage root whose ``decisions.log`` is not
-a regular file -- exits 3 before any submission is read; an input path
+stored in its unit), a storage unit whose path is not a directory, any
+other ``OSError`` while a payload is stored or logged (that payload is
+then neither stored nor logged), or an ``OSError`` while the decision on
+a submission that failed authentication is logged (one stderr line names
+that submission).  A compiled set, key or storage root that cannot be
+read -- including a compiled set that names an unsafe or overlong
+storage unit, and a storage root whose ``decisions.log`` is not a
+regular file -- exits 3 before any submission is read; an input path
 that is missing or a directory is a usage error (exit 2) before
 anything is read.  Otherwise each submission of a batch is handled on
 its own; the exit code is the highest of theirs.
@@ -218,7 +220,12 @@ def pdp():
 def _route(layout, sub_path: Path, decision, payload: bytes) -> int:
     """Store and log one classified submission; returns its exit code."""
     if not decision.authenticated:
-        layout.log(decision)
+        try:
+            layout.log(decision)
+        except OSError as exc:
+            click.echo(f"{sub_path}: authentication failure; payload not stored; "
+                       f"decision not logged: {exc.strerror or exc}", err=True)
+            return EXIT_DECODE_ERROR
         click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
         return EXIT_AUTH_FAILURE
     try:

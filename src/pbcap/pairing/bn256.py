@@ -62,14 +62,14 @@ from .tower import (
 
 def _tangent(t: PointG2):
     """2T and the tangent at T: (6x^3 - 4y^2, -6x^2 z^2, 4y z^3), in the
-    ints of the ``PointG2`` formulas."""
-    xi, xr, yi, yr, zi, zr = t.c
-    t2 = t.double()
-    xxi, xxr = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
+    ints of the ``PointG2`` formulas; x^2 and y^2 are the squares the
+    doubling took."""
+    xi, xr, _, _, zi, zr = t.c
+    t2, xxi, xxr, yyi, yyr = t._double_and_squares()
     zzi, zzr = 2 * zi * zr % P, (zr - zi) * (zr + zi) % P
     m, n = xxr * xr, xxi * xi
-    ai = (6 * ((xxi + xxr) * (xi + xr) - m - n) - 8 * yi * yr) % P
-    ar = (6 * (m - n) - 4 * (yr - yi) * (yr + yi)) % P
+    ai = (6 * ((xxi + xxr) * (xi + xr) - m - n) - 4 * yyi) % P
+    ar = (6 * (m - n) - 4 * yyr) % P
     m, n = xxr * zzr, xxi * zzi
     bi, br = -6 * ((xxi + xxr) * (zzi + zzr) - m - n) % P, -6 * (m - n) % P
     wi, wr = t2.c[4:]
@@ -191,7 +191,11 @@ SQRT_NEG_3 = fp_sqrt(P - 3)
 
 
 def _map_to_g1(t: int) -> PointG1:
-    """Fouque-Tibouchi map F_p -> E(F_p) for BN curves (b = 3)."""
+    """Fouque-Tibouchi map F_p -> E(F_p) for BN curves (b = 3).
+
+    The candidates x1 and x2 are tested by ``fp_legendre``, and one root
+    is taken, of the first whose g(x) is a non-zero square; if neither
+    is, x3's g(x) is a square."""
     if t == 0:
         t = 1  # the map is undefined at 0; negligible-probability input
     b = PointG1.B
@@ -210,10 +214,9 @@ def _map_to_g1(t: int) -> PointG1:
     x1 = ((SQRT_NEG_3 - 1) * INV_2 - t * w) % P
     for x in (x1, (-1 - x1) % P):
         gx = g(x)
-        y = fp_sqrt(gx)
-        # a non-zero square (Legendre symbol 1); gx = 0 falls through
-        if gx and y * y % P == gx:
-            return PointG1(x, chi_t * y % P)
+        # a non-zero square; gx = 0 falls through
+        if fp_legendre(gx) == 1:
+            return PointG1(x, chi_t * fp_sqrt(gx) % P)
     x3 = (1 + fp_inv(w * w % P)) % P
     gx3 = g(x3)
     return PointG1(x3, chi_t * fp_sqrt(gx3) % P)

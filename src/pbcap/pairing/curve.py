@@ -8,9 +8,24 @@ points, their formulas and scalar multiplications, the endomorphism
 ``psi`` and the G2 subgroup test ``in_g2``; the pairing, hash-to-G1 and
 the encodings live in ``bn256``, the field tower in ``tower``.
 
-Nearly all G2 work (the GLS ladder of ``PointG2.scalar_mul``, ``in_g2``
-and the line tables of ``bn256.g2_lines``) goes to ``PointG2.double``
-and ``add`` and to ``psi``.  They unpack ``c`` into named ints, reduce
+Both scalar multiplications split k by an endomorphism and run one
+signed Straus-Shamir ladder, ``_straus``, over the images of the point.
+In G1, phi(x, y) = (beta x, y) acts as [lambda] with lambda^2 + lambda +
+1 = 0 mod n, and k splits into two parts of at most 128 bits (GLV:
+Gallant, Lambert and Vanstone, Crypto 2001).  In G2, psi acts as [6u^2],
+and k splits into four parts of at most 65 bits (4-D GLS: Galbraith and
+Scott, Pairing 2008).  ``_split`` rounds k against a short basis of the
+lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
+rounding): ``G1_BASIS`` has the rows (2u+1, 6u^2+4u+1) and (6u^2+2u,
+-2u-1), ``G2_BASIS`` the four Galbraith-Scott rows for BN curves.  Its
+rounding constants are ints, computed once from the bases by Cramer's
+rule.  ``PointG2.scalar_mul`` is defined on G2 only, since psi is
+[6u^2] nowhere else; a multiple of any other twist point, as in
+``in_g2``, needs a plain ladder such as ``tower.pow_u``.
+
+Nearly all G2 work (the ladder of ``PointG2.scalar_mul``, ``in_g2`` and
+the line tables of ``bn256.g2_lines``) goes to ``PointG2.double`` and
+``add`` and to ``psi``.  They unpack ``c`` into named ints, reduce
 mod P a value that feeds a further product, and reduce each output int
 once, as the F_p12 kernels of ``tower`` do.  Every int a point holds
 lies in [0, P), because the encodings read the raw ints.  The points are
@@ -24,12 +39,79 @@ Nothing here is constant-time.
 
 from __future__ import annotations
 
-from .tower import P, U, XI1, fp2_inv, fp2_mul, fp_inv, pow_bits, pow_u
+from .tower import P, U, XI1, fp2_inv, fp2_mul, fp_inv, pow_u
 
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
+BETA = pow(2, (P - 1) // 3, P)  # a cube root of unity in F_p
+PHI_EIGENVALUE = ORDER - 36 * U ** 3 - 18 * U * U - 6 * U - 2  # phi's action on G1
+
+# Bases of the lattice {(a_0, ..., a_{d-1}) : sum a_j lambda^j = 0 mod n},
+# with lambda = PHI_EIGENVALUE in G1 (GLV) and PSI_EIGENVALUE in G2
+# (Galbraith and Scott, Pairing 2008, for BN curves).  Each entry is
+# O(u) or O(u^2), where n is O(u^4).
+G1_BASIS = ((2 * U + 1, 6 * U * U + 4 * U + 1), (6 * U * U + 2 * U, -2 * U - 1))
+G2_BASIS = ((U + 1, U, U, -2 * U), (2 * U + 1, -U, -U - 1, -U),
+            (2 * U, 2 * U + 1, 2 * U + 1, 2 * U + 1), (U - 1, 4 * U + 2, -2 * U + 1, U - 1))
 
 TWIST_B = tuple(3 * c % P for c in fp2_inv((1, 3)))  # 3/xi, xi = i + 3
+
+
+def _det(m) -> int:
+    """Determinant of a square int matrix, by expansion along its first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j, a in enumerate(m[0]))
+
+
+def _rounding(basis) -> tuple[int, ...]:
+    """The c_i with (1, 0, ..., 0) = sum (c_i / n) row_i: n times the first
+    column of basis^-1, a cofactor over det/n by Cramer's rule.  det is -n
+    for ``G1_BASIS`` and -3n for ``G2_BASIS``, a basis of an index-3
+    sublattice; 3 divides each of its cofactors."""
+    scale = _det(basis) // ORDER
+    return tuple((-1) ** i * _det([row[1:] for row in basis[:i] + basis[i + 1:]]) // scale
+                 for i in range(len(basis)))
+
+
+G1_ROUNDING = _rounding(G1_BASIS)
+G2_ROUNDING = _rounding(G2_BASIS)
+
+
+def _split(k: int, basis, rounding) -> list[int]:
+    """Signed parts k_j with sum k_j lambda^j = k mod n (Babai rounding):
+    (k mod n, 0, ..., 0) minus the basis combination with coefficients
+    round(k c_i / n).  Each |k_j| is at most half the sum of column j's
+    absolute entries."""
+    k %= ORDER
+    coeffs = [(2 * k * c + ORDER) // (2 * ORDER) for c in rounding]
+    parts = [-sum(a * row[j] for a, row in zip(coeffs, basis)) for j in range(len(basis))]
+    parts[0] += k
+    return parts
+
+
+def _straus(bases, parts, inf):
+    """The sum of [k]B over the (B, k) pairs: one signed Straus-Shamir ladder.
+
+    The table holds the 2^d subset sums of the bases, each base negated
+    where its part is negative; entry m sums the bases whose bits are set
+    in m.  The ladder takes one double per bit of the longest part and
+    one add per non-zero column of bits.
+    """
+    table = [inf]
+    for base, k in zip(bases, parts):
+        base = base if k >= 0 else base.neg()
+        table += [t.add(base) for t in table]
+    width = max(abs(k).bit_length() for k in parts)
+    # column i of the part bits, highest part first, is the table index
+    rows = [bin(abs(k))[2:].zfill(width) for k in reversed(parts)]
+    r = inf
+    for column in zip(*rows):
+        r = r.double()
+        digit = int("".join(column), 2)
+        if digit:
+            r = r.add(table[digit])
+    return r
 
 
 class PointG1:
@@ -103,7 +185,15 @@ class PointG1:
         return PointG1(x3, y3, z3)
 
     def scalar_mul(self, k: int) -> "PointG1":
-        return pow_bits(self, k % ORDER, G1_INF, PointG1.double, PointG1.add)
+        """[k mod n]P by 2-D GLV (Gallant, Lambert and Vanstone, Crypto 2001).
+
+        E(F_p) has prime order n, so phi(x, y) = (beta x, y) acts on every
+        point as [lambda], lambda = ``PHI_EIGENVALUE``.  ``G1_BASIS`` splits
+        k into two signed parts of at most 128 bits, and one ladder runs
+        over P and phi(P).
+        """
+        phi = PointG1(BETA * self.x % P, self.y, self.z)
+        return _straus((self, phi), _split(k, G1_BASIS, G1_ROUNDING), G1_INF)
 
 
 class PointG2:
@@ -143,6 +233,11 @@ class PointG2:
 
     def double(self) -> "PointG2":
         """dbl-2009-l, as ``PointG1.double``."""
+        return self._double_and_squares()[0]
+
+    def _double_and_squares(self):
+        """2Q, with the squares X^2 and Y^2 that ``double`` takes, as the
+        i and real parts of each: ``bn256._tangent`` reuses them."""
         xi, xr, yi, yr, zi, zr = self.c
         # A = X^2, B = Y^2, C = B^2
         ai, ar = 2 * xi * xr % P, (xr - xi) * (xr + xi) % P
@@ -158,7 +253,8 @@ class PointG2:
         m, n = er * ur, ei * ui
         y3i, y3r = ((ei + er) * (ui + ur) - m - n - 8 * ci) % P, (m - n - 8 * cr) % P
         m, n = yr * zr, yi * zi
-        return PointG2((x3i, x3r, y3i, y3r, 2 * ((yi + yr) * (zi + zr) - m - n) % P, 2 * (m - n) % P))
+        z3i, z3r = 2 * ((yi + yr) * (zi + zr) - m - n) % P, 2 * (m - n) % P
+        return PointG2((x3i, x3r, y3i, y3r, z3i, z3r)), ai, ar, bi, br
 
     def add(self, other: "PointG2") -> "PointG2":
         """add-2007-bl, as ``PointG1.add``; P + P takes ``double``."""
@@ -207,28 +303,19 @@ class PointG2:
         return PointG2((x3i, x3r, y3i, y3r, ((ti + tr) * (hi + hr) - m - n) % P, (m - n) % P))
 
     def scalar_mul(self, k: int) -> "PointG2":
-        """[k mod n]Q by 2-D GLS (Galbraith-Lin-Scott, Eurocrypt 2009).
+        """[k mod n]Q for Q in G2 by 4-D GLS (Galbraith and Scott, Pairing 2008).
 
-        psi acts on G2 as [p] = [6u^2], since n = p - 6u^2.  Splitting
-        k mod n = a*6u^2 + b gives [k]Q = [a]psi(Q) + [b]Q, with a and b
-        of about 128 bits each, so one Shamir ladder over Q, psi(Q) and
-        Q + psi(Q) takes half the doublings of a plain ladder.
-
-        Valid domain: Q in G2 with any k, or any twist point with
-        k mod n < 6u^2, where a = 0 and psi(Q) is never added.  The second
-        case serves only the frozen twist entries of the G2 vectors
-        (``in_g2`` takes its [u]Q from ``tower.pow_u``).
+        psi acts on G2 as [6u^2] (``PSI_EIGENVALUE``), since n = p - 6u^2.
+        ``G2_BASIS`` splits k into four signed parts of at most 65 bits,
+        and one ladder runs over Q, psi(Q), psi^2(Q) and psi^3(Q).  Defined
+        on G2 only: on any other twist point psi is not [6u^2], and the
+        result is not [k]Q.  Every group-B value is in G2 (a generator, a
+        product, or a decoding that passed ``in_g2``), and ``in_g2`` takes
+        its [u]Q from ``tower.pow_u``.
         """
-        a, b = divmod(k % ORDER, PSI_EIGENVALUE)
-        q_psi = psi(self)
-        table = (None, self, q_psi, self.add(q_psi))
-        r = G2_INF
-        for i in reversed(range(max(a.bit_length(), b.bit_length()))):
-            r = r.double()
-            digit = (a >> i & 1) << 1 | b >> i & 1
-            if digit:
-                r = r.add(table[digit])
-        return r
+        q1 = psi(self)
+        q2 = psi(q1)
+        return _straus((self, q1, q2, psi(q2)), _split(k, G2_BASIS, G2_ROUNDING), G2_INF)
 
 
 G1_GEN = PointG1(1, P - 2)

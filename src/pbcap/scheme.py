@@ -45,7 +45,8 @@ target group and one delta mod n at most passes; if only (1) fails, none
 does.  With delta uniform in [1, min(2^128, n)), a bad key or a forged X
 passes with probability at most 2^-128.  The bound needs every element
 in its prime-order group, which decoding guarantees.  The check needs no
-G2 negation, and a 128-bit delta keeps its two G2 multiplications short.
+G2 negation.  Its two G2 multiplications split delta into four parts
+of about 64 bits, as every G2 multiplication does, whatever delta's size.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import errno
 import json
 import os
 import secrets
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -694,6 +696,34 @@ class TestClassify:
         log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
         assert [entry["file_id"] for entry in log] == ["second.bin"]
 
+    def test_unlogged_authentication_failure_skipped_with_exit_3(self, pipeline, runner, monkeypatch):
+        """An OSError while the decision on a forged submission is logged
+        is one stderr line naming that submission, with exit 3 and no
+        traceback; the genuine submission after it is still routed."""
+        root, run = pipeline
+        _forge(root, run)
+        calls = []
+
+        def first_fails(layout, decision, _real=storage.StorageLayout.log):
+            calls.append(decision.file_id)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return _real(layout, decision)
+
+        monkeypatch.setattr(storage.StorageLayout, "log", first_fails)
+        base = _classify_args(root)
+        batch = [str(root / "forged.json"), str(root / "sub.json")]
+        result = runner.invoke(cli, base[:2] + batch + base[3:], catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == (f"{root / 'forged.json'}: authentication failure; payload not stored; "
+                                 "decision not logged: No space left on device\n")
+        assert [json.loads(line)["file_id"] for line in result.stdout.splitlines()] == ["payload.bin"]
+        assert [p.relative_to(root / "store").as_posix() for p in (root / "store").glob("*/*")] == [
+            "Hospital/payload.bin"]
+        log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
+        assert [entry["authenticated"] for entry in log] == [True]
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("a" * 256, id="ascii-256")])
     def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):
         """A hand-built compiled set that routes to a unit no store accepts
@@ -830,3 +860,15 @@ class TestHarness:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--trials'" in result.output
+
+
+def test_import_loads_neither_fractions_nor_decimal():
+    """A fresh ``import pbcap.cli`` loads neither module: importing
+    ``fractions``, which loads ``_decimal``, for the integer constants of
+    the curve raised the benchmark's peak RSS by 0.4 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, pbcap.cli; print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

@@ -432,6 +432,87 @@ def _on_twist(pt):
     return y.square() == x.square() * x + Fp2(*curve.TWIST_B)
 
 
+# (basis, rounding constants, eigenvalue, most bits of a part) of the
+# GLV split in G1 and the 4-D GLS split in G2
+SPLITS = [(curve.G1_BASIS, curve.G1_ROUNDING, curve.PHI_EIGENVALUE, 128),
+          (curve.G2_BASIS, curve.G2_ROUNDING, curve.PSI_EIGENVALUE, 65)]
+
+
+def _split_edges(basis, lam, rng):
+    """k = 0, 1, n - 1 and n, the powers of lambda and their negatives
+    (parts that are mostly zero, or -1), and three random k."""
+    n = curve.ORDER
+    powers = [pow(lam, j, n) for j in range(len(basis))]
+    return [0, 1, n - 1, n] + powers + [n - x for x in powers] + [rng.randrange(n) for _ in range(3)]
+
+
+# ``tower.fp_legendre`` and ``bn256._map_to_g1`` before the Jacobi symbol
+# replaced Euler's criterion, kept as their references.
+
+def _reference_legendre(a):
+    x = pow(a, (P - 1) // 2, P)
+    return -1 if x == P - 1 else x
+
+
+def _reference_map_to_g1(t):
+    """Fouque-Tibouchi, with a root and a square check per candidate x."""
+    if t == 0:
+        t = 1
+    b = curve.PointG1.B
+    t2 = t * t % P
+    denom = (1 + b + t2) % P
+    if denom == 0:
+        t = (t + 1) % P
+        t2 = t * t % P
+        denom = (1 + b + t2) % P
+    chi_t = _reference_legendre(t)
+    w = bn256.SQRT_NEG_3 * t % P * tower.fp_inv(denom) % P
+    x1 = ((bn256.SQRT_NEG_3 - 1) * tower.INV_2 - t * w) % P
+    for x in (x1, (-1 - x1) % P):
+        gx = (x * x * x + b) % P
+        y = tower.fp_sqrt(gx)
+        if gx and y * y % P == gx:
+            return curve.PointG1(x, chi_t * y % P)
+    x3 = (1 + tower.fp_inv(w * w % P)) % P
+    return curve.PointG1(x3, chi_t * tower.fp_sqrt((x3 * x3 * x3 + b) % P) % P)
+
+
+class TestEndomorphismSplits:
+    def test_lattice_rows_vanish_mod_n(self):
+        n = curve.ORDER
+        for basis, _, lam, _ in SPLITS:
+            for row in basis:
+                assert sum(a * pow(lam, j, n) for j, a in enumerate(row)) % n == 0
+
+    def test_eigenvalues(self):
+        """phi(G1_GEN) = [lambda]G1_GEN with lambda^2 + lambda + 1 = 0 mod n,
+        and psi(G2_GEN) = [6u^2]G2_GEN, a root of x^4 - x^2 + 1 mod n."""
+        n, lam, mu = curve.ORDER, curve.PHI_EIGENVALUE, curve.PSI_EIGENVALUE
+        assert curve.BETA != 1 and pow(curve.BETA, 3, P) == 1
+        assert (lam * lam + lam + 1) % n == 0
+        g1 = curve.G1_GEN
+        assert _mul_unreduced(g1, lam) == curve.PointG1(curve.BETA * g1.x % P, g1.y)
+        assert (mu ** 4 - mu ** 2 + 1) % n == 0
+        assert _mul_unreduced(curve.G2_GEN, mu) == curve.psi(curve.G2_GEN)
+
+    def test_splits_reconstruct_k_within_bounds(self):
+        """sum k_j lambda^j = k mod n, and each |k_j| is at most half the
+        sum of column j's absolute entries, which fits 128 bits in G1 and
+        65 in G2; the edges give zero and negative parts."""
+        n = curve.ORDER
+        rng = random.Random(31)
+        for basis, rounding, lam, bits in SPLITS:
+            bounds = [sum(abs(row[j]) for row in basis) // 2 for j in range(len(basis))]
+            assert max(bounds).bit_length() <= bits
+            signs = set()
+            for k in _split_edges(basis, lam, rng) + [rng.randrange(n) for _ in range(1000)]:
+                parts = curve._split(k, basis, rounding)
+                assert sum(a * pow(lam, j, n) for j, a in enumerate(parts)) % n == k % n
+                assert all(abs(a) <= bound for a, bound in zip(parts, bounds))
+                signs.update((a > 0) - (a < 0) for a in parts)
+            assert signs == {-1, 0, 1}
+
+
 class TestBilinearity:
     def test_non_degeneracy(self, any_suite):
         assert not any_suite.pair(any_suite.gen_a, any_suite.gen_b).is_identity()
@@ -638,28 +719,39 @@ class TestBn256Kernels:
             assert bn256.miller_loop([a, b]) == bn256.miller_loop([a]) * bn256.miller_loop([b])
 
     def test_gls_scalar_mul_matches_plain_ladder(self):
-        """G2 points, with the split k = a*6u^2 + b at its edges and random k."""
+        """G2 points, with k at the edges of the 4-D split and random k."""
         rng = random.Random(26)
         lam = curve.PSI_EIGENVALUE
-        edges = [0, 1, 2, curve.ORDER - 1, lam - 1, lam, lam + 1, tower.U]
+        edges = [0, 1, 2, curve.ORDER - 1, curve.ORDER, lam - 1, lam, lam + 1, tower.U]
         points = [curve.G2_GEN] + [_mul_unreduced(_twist_point(rng), TWIST_COFACTOR)
                                    for _ in range(2)]
         for q in points:
             for k in edges + [rng.randrange(curve.ORDER) for _ in range(7)]:
-                assert q.scalar_mul(k) == _mul_unreduced(q, k)
+                assert q.scalar_mul(k) == _mul_unreduced(q, k % curve.ORDER)
 
-    def test_gls_scalar_mul_outside_g2_below_psi_eigenvalue(self):
-        """Unchecked twist points times k < 6u^2, where psi is never added:
-        the case the frozen twist entries of ``g2.json`` use (``in_g2``
-        takes its [u]Q from ``tower.pow_u``).  On an order-13 point the
-        ladder's accumulator meets -Q (k = 13) and +Q (k = 15) before the add."""
+    def test_scalar_mul_on_split_edge_cases(self):
+        """k whose parts are zero or negative in each split, and powers of
+        each eigenvalue; and the point at infinity, which stays there."""
         rng = random.Random(27)
-        small = _order_13_point(rng)
-        for q in (_twist_point(rng), _twist_point(rng), small):
-            for k in (tower.U, 2 * tower.U, curve.PSI_EIGENVALUE - 1):
-                assert q.scalar_mul(k) == _mul_unreduced(q, k)
-        assert small.scalar_mul(13).is_infinity()
-        assert small.scalar_mul(15) == small.double()
+        for point, basis, lam in ((curve.G1_GEN, curve.G1_BASIS, curve.PHI_EIGENVALUE),
+                                  (curve.G2_GEN, curve.G2_BASIS, curve.PSI_EIGENVALUE)):
+            for k in _split_edges(basis, lam, rng):
+                assert point.scalar_mul(k) == _mul_unreduced(point, k % curve.ORDER)
+        for inf in (curve.G1_INF, curve.G2_INF):
+            for k in (0, 1, curve.ORDER - 1, rng.randrange(curve.ORDER)):
+                assert inf.scalar_mul(k).is_infinity()
+
+    def test_g1_scalar_mul_matches_plain_ladder(self):
+        """The generator, random multiples and hashed points, at the split
+        edges and random k."""
+        rng = random.Random(30)
+        points = [curve.G1_GEN, curve.G1_GEN.scalar_mul(rng.randrange(1, curve.ORDER))]
+        points += [bn256.hash_to_g1(m, b"pbcap-test") for m in (b"", b"RecordedBy(Test,Nurse)")]
+        edges = [0, 1, 2, curve.ORDER - 1, curve.ORDER, curve.PHI_EIGENVALUE, tower.U]
+        for pt in points:
+            for k in edges + [rng.randrange(curve.ORDER) for _ in range(5)]:
+                assert pt.scalar_mul(k) == _mul_unreduced(pt, k % curve.ORDER)
+
 
     def test_mul_u_matches_unreduced_ladder(self):
         """``tower.pow_u`` with the G2 formulas, three NAF ladders by v as
@@ -790,6 +882,18 @@ class TestHashToGroupA:
         assert e.group is Group.A
         # must survive a strict decode (on curve, right subgroup)
         assert any_suite.element_from_bytes(Group.A, e.to_bytes()) == e
+
+    def test_fp_legendre_matches_euler_criterion(self):
+        rng = random.Random(32)
+        for a in [0, 1, 2, P - 1, P, -1, 2 * P + 3] + [rng.randrange(P) for _ in range(3000)]:
+            assert tower.fp_legendre(a) == _reference_legendre(a)
+
+    def test_map_to_g1_matches_reference(self):
+        """The same Jacobian point, on t = 0, 1, 2, p - 1 and seeded draws."""
+        rng = random.Random(34)
+        for t in [0, 1, 2, P - 1] + [rng.randrange(P) for _ in range(3000)]:
+            pt, ref = bn256._map_to_g1(t), _reference_map_to_g1(t)
+            assert (pt.x, pt.y, pt.z) == (ref.x, ref.y, ref.z)
 
     def test_mock_hash_exposes_discrete_log(self, mock_suite):
         e = mock_suite.hash_to_group_a(b"RecordedBy(Test,Nurse)")
