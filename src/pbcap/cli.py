@@ -265,6 +265,8 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         sys.exit(EXIT_DECODE_ERROR)
     codes = []
     rng = secrets.SystemRandom()
+    # one g_b element per command: an admin key check builds its table once
+    gen_b = suite.gen_b
     for sub_path in submissions:
         try:
             sub = formats.load_submission(sub_path, suite)
@@ -276,7 +278,7 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
             click.echo(f"{sub_path}: decode error: {exc}", err=True)
             codes.append(EXIT_DECODE_ERROR)
             continue
-        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
+        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub, gen_b=gen_b):
             click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
             sys.exit(EXIT_DECODE_ERROR)
         codes.append(_route(layout, sub_path, decision, sub.payload))

@@ -17,9 +17,13 @@ and k splits into four parts of at most 65 bits (4-D GLS: Galbraith and
 Scott, Pairing 2008).  ``_split`` rounds k against a short basis of the
 lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
 rounding): ``G1_BASIS`` has the rows (2u+1, 6u^2+4u+1) and (6u^2+2u,
--2u-1), ``G2_BASIS`` the four Galbraith-Scott rows for BN curves.  Its
-rounding constants are ints, computed once from the bases by Cramer's
-rule.  ``PointG2.scalar_mul`` is defined on G2 only, since psi is
+-2u-1), ``G2_BASIS`` three Galbraith-Scott rows for BN curves and
+(1, -2u-1, -1, -2u).  Both bases have det +-n and so span the whole
+lattice, and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits
+back into exactly (d_j): its coordinates in the G2 basis lie within
+10^-9 of integers, which the rounding returns.  The rounding constants
+are ints, computed once from the bases by Cramer's rule.
+``PointG2.scalar_mul`` is defined on G2 only, since psi is
 [6u^2] nowhere else; a multiple of any other twist point, as in
 ``in_g2``, needs a plain ladder such as ``tower.pow_u``.
 
@@ -47,12 +51,14 @@ BETA = pow(2, (P - 1) // 3, P)  # a cube root of unity in F_p
 PHI_EIGENVALUE = ORDER - 36 * U ** 3 - 18 * U * U - 6 * U - 2  # phi's action on G1
 
 # Bases of the lattice {(a_0, ..., a_{d-1}) : sum a_j lambda^j = 0 mod n},
-# with lambda = PHI_EIGENVALUE in G1 (GLV) and PSI_EIGENVALUE in G2
-# (Galbraith and Scott, Pairing 2008, for BN curves).  Each entry is
-# O(u) or O(u^2), where n is O(u^4).
+# with lambda = PHI_EIGENVALUE in G1 (GLV) and PSI_EIGENVALUE in G2.  Each
+# has det +-n, so it spans the whole lattice.  The G2 rows are the first
+# three of Galbraith and Scott's four for BN curves (Pairing 2008), whose
+# four span only a sublattice of index 3, and (1, -2u-1, -1, -2u).  Each
+# entry is O(u) or O(u^2), where n is O(u^4).
 G1_BASIS = ((2 * U + 1, 6 * U * U + 4 * U + 1), (6 * U * U + 2 * U, -2 * U - 1))
 G2_BASIS = ((U + 1, U, U, -2 * U), (2 * U + 1, -U, -U - 1, -U),
-            (2 * U, 2 * U + 1, 2 * U + 1, 2 * U + 1), (U - 1, 4 * U + 2, -2 * U + 1, U - 1))
+            (2 * U, 2 * U + 1, 2 * U + 1, 2 * U + 1), (1, -2 * U - 1, -1, -2 * U))
 
 TWIST_B = tuple(3 * c % P for c in fp2_inv((1, 3)))  # 3/xi, xi = i + 3
 
@@ -66,9 +72,7 @@ def _det(m) -> int:
 
 def _rounding(basis) -> tuple[int, ...]:
     """The c_i with (1, 0, ..., 0) = sum (c_i / n) row_i: n times the first
-    column of basis^-1, a cofactor over det/n by Cramer's rule.  det is -n
-    for ``G1_BASIS`` and -3n for ``G2_BASIS``, a basis of an index-3
-    sublattice; 3 divides each of its cofactors."""
+    column of basis^-1, a cofactor over det/n = +-1 by Cramer's rule."""
     scale = _det(basis) // ORDER
     return tuple((-1) ** i * _det([row[1:] for row in basis[:i] + basis[i + 1:]]) // scale
                  for i in range(len(basis)))
@@ -257,25 +261,32 @@ class PointG2:
         return PointG2((x3i, x3r, y3i, y3r, z3i, z3r)), ai, ar, bi, br
 
     def add(self, other: "PointG2") -> "PointG2":
-        """add-2007-bl, as ``PointG1.add``; P + P takes ``double``."""
+        """add-2007-bl, as ``PointG1.add``; P + P takes ``double``.  An
+        affine ``other`` (z = 1) skips the products by Z2: Z2Z2 = 1,
+        U1 = X1 and S1 = Y1, and the same ints come out."""
         if self.is_infinity():
             return other
         if other.is_infinity():
             return self
         x1i, x1r, y1i, y1r, z1i, z1r = self.c
         x2i, x2r, y2i, y2r, z2i, z2r = other.c
+        affine = z2i == 0 and z2r == 1
         # Z1Z1 = Z1^2, Z2Z2 = Z2^2, U1 = X1 Z2Z2, U2 = X2 Z1Z1
         z11i, z11r = 2 * z1i * z1r % P, (z1r - z1i) * (z1r + z1i) % P
-        z22i, z22r = 2 * z2i * z2r % P, (z2r - z2i) * (z2r + z2i) % P
-        m, n = x1r * z22r, x1i * z22i
-        u1i, u1r = ((x1i + x1r) * (z22i + z22r) - m - n) % P, (m - n) % P
+        if affine:
+            u1i, u1r, s1i, s1r = x1i, x1r, y1i, y1r
+        else:
+            z22i, z22r = 2 * z2i * z2r % P, (z2r - z2i) * (z2r + z2i) % P
+            m, n = x1r * z22r, x1i * z22i
+            u1i, u1r = ((x1i + x1r) * (z22i + z22r) - m - n) % P, (m - n) % P
+            # S1 = Y1 Z2 Z2Z2
+            m, n = y1r * z2r, y1i * z2i
+            ti, tr = ((y1i + y1r) * (z2i + z2r) - m - n) % P, (m - n) % P
+            m, n = tr * z22r, ti * z22i
+            s1i, s1r = ((ti + tr) * (z22i + z22r) - m - n) % P, (m - n) % P
         m, n = x2r * z11r, x2i * z11i
         hi, hr = ((x2i + x2r) * (z11i + z11r) - m - n - u1i) % P, (m - n - u1r) % P
-        # S1 = Y1 Z2 Z2Z2, S2 = Y2 Z1 Z1Z1, H = U2 - U1, R = S2 - S1
-        m, n = y1r * z2r, y1i * z2i
-        ti, tr = ((y1i + y1r) * (z2i + z2r) - m - n) % P, (m - n) % P
-        m, n = tr * z22r, ti * z22i
-        s1i, s1r = ((ti + tr) * (z22i + z22r) - m - n) % P, (m - n) % P
+        # S2 = Y2 Z1 Z1Z1, H = U2 - U1, R = S2 - S1
         m, n = y2r * z1r, y2i * z1i
         ti, tr = ((y2i + y2r) * (z1i + z1r) - m - n) % P, (m - n) % P
         m, n = tr * z11r, ti * z11i
@@ -296,9 +307,12 @@ class PointG2:
         mj, nj = s1r * jr, s1i * ji
         y3i = ((ri + rr) * (wi + wr) - m - n - 2 * ((s1i + s1r) * (ji + jr) - mj - nj)) % P
         y3r = (m - n - 2 * (mj - nj)) % P
-        # Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) H
-        si, sr = z1i + z2i, z1r + z2r
-        ti, tr = (2 * si * sr - z11i - z22i) % P, ((sr - si) * (sr + si) - z11r - z22r) % P
+        # Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) H, which is 2 Z1 H for Z2 = 1
+        if affine:
+            ti, tr = 2 * z1i, 2 * z1r
+        else:
+            si, sr = z1i + z2i, z1r + z2r
+            ti, tr = (2 * si * sr - z11i - z22i) % P, ((sr - si) * (sr + si) - z11r - z22r) % P
         m, n = tr * hr, ti * hi
         return PointG2((x3i, x3r, y3i, y3r, ((ti + tr) * (hi + hr) - m - n) % P, (m - n) % P))
 

@@ -165,6 +165,11 @@ class PairingSuite(ABC):
         """Uniform draw from Z_p^* (zero excluded by the range itself)."""
         return Scalar(rng.randrange(1, self.order))
 
+    def batch_exponent(self, r: int) -> int:
+        """The exponent delta of ``scheme.verify_authenticity``'s batch
+        test for its draw r in [1, min(2^128, order)): r itself."""
+        return r
+
     def _require(self, e: GroupElement, group: Group) -> None:
         if not isinstance(e, GroupElement) or e.suite is not self:
             raise GroupMismatchError("element does not belong to this suite")
@@ -187,6 +192,19 @@ class Bn256Suite(PairingSuite):
     def gen_b(self) -> GroupElement:
         # new each time: a table kept on an element the suite held would live until a full collection
         return GroupElement(self, Group.B, curve.G2_GEN)
+
+    def batch_exponent(self, r: int) -> int:
+        """sum d_j lambda^j mod n over the four 32-bit limbs d_j of r, with
+        lambda = ``curve.PSI_EIGENVALUE``: each G2 multiplication by it
+        splits back into exactly (d_0, ..., d_3), a 32-bit ladder.  Two
+        draws with one delta would differ by a vector of the lattice of
+        ``curve.G2_BASIS`` with every entry under 2^32 in size, and the
+        bound that makes the split exact leaves 0 as the only such vector:
+        r -> delta is one to one, and delta is never 0."""
+        delta = 0
+        for j in (3, 2, 1, 0):
+            delta = (delta * curve.PSI_EIGENVALUE + (r >> 32 * j & 0xFFFFFFFF)) % self.order
+        return delta
 
     def identity(self, group: Group) -> GroupElement:
         if group is Group.A:

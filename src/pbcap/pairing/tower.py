@@ -26,10 +26,10 @@ Four kernels take most of a pairing's time: ``Fp12.__mul__``,
 unpacks its operands' ``c`` tuples into named ints, keeps the algorithm
 of the class formulas it replaced (Karatsuba over w and in each F_p6 and
 F_p2 product, Granger-Scott squaring) and reduces each of its 12 output
-coefficients mod P exactly once (lazy reduction, Aranha et al., Eurocrypt
-2011).  Every
-product it takes is of linear combinations of reduced coefficients, so
-no intermediate grows past about 520 bits.  The F_p6 products are the
+coefficients mod P exactly once, in the tuple it returns (lazy
+reduction, Aranha et al., Eurocrypt 2011).  Every product it takes is of
+linear combinations of reduced coefficients, so no intermediate grows
+past about 520 bits.  The F_p6 products are the
 int-level helpers ``_fp6_mul`` and ``_fp6_mul_sparse``, not copies
 inlined at each call site: a call costs at most a few percent of a
 kernel, while the inlined copies made this module 40% larger (8.2k
@@ -45,8 +45,13 @@ otherwise unchecked element: the Miller loop and GT exponentiation use
 the generic ``square`` and ``exp``.  ``pow_u`` raises to u = v^3 as three
 passes over the signed digits of v, which has 5 non-zero digits where u
 has 23: 63 squarings and 12 products (Naehrig, Niederhagen and Schwabe,
-LATINCRYPT 2010).  ``exp_u`` is that chain in F_p12, ``curve.in_g2``'s
-[u]Q the same chain in G2.
+LATINCRYPT 2010).  ``curve.in_g2`` takes [u]Q by that chain in G2.
+``exp_u`` runs the same three passes by v, with the same 12 products,
+but squares in compressed form (Karabina, Math. Comp. 2013): 4 of the 6
+F_p2 coefficients, 8 reductions a squaring where ``cyclotomic_square``
+takes 12.  Each pass decompresses the four powers it keeps with one
+F_p inversion.  An element with a kept power it cannot decompress (a0 of
+0, as in 1) takes ``pow_u`` with ``cyclotomic_square``.
 """
 
 from __future__ import annotations
@@ -153,18 +158,17 @@ def fp2_inv(a):
 def fp2_sqrt(a):
     """Square root of a = x*i + y in F_p2, or None if a is a non-residue.
 
-    Each F_p root is taken first and its square then checked, which
-    decides residuosity without a Legendre symbol.  With
-    n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
-    (x/(2 sqrt(alpha)))*i + sqrt(alpha); its square is a whenever
-    both F_p roots exist.  The two choices of alpha multiply to
-    -(x/2)^2, a non-residue for x != 0, so exactly one is a square.
+    With n = x^2 + y^2 and alpha = (y +- sqrt(n))/2, the root is
+    (x/(2 sqrt(alpha)))*i + sqrt(alpha).  a is a square exactly when n
+    is, which the root of n, squared back, decides.  The two choices of
+    alpha multiply to -(x/2)^2, a non-residue for x != 0, so exactly one
+    is a square: ``fp_legendre`` picks it, at a fraction of a root's
+    cost, and one root of alpha follows.
     """
     x, y = a
     if x == 0:
-        v = fp_sqrt(y)
-        if v * v % P == y:
-            return 0, v
+        if fp_legendre(y) >= 0:
+            return 0, fp_sqrt(y)
         # -1 is a non-residue, so -y is a square and (t*i)^2 = -t^2 = y
         return fp_sqrt(-y % P), 0
     n = (x * x + y * y) % P
@@ -172,9 +176,9 @@ def fp2_sqrt(a):
     if lam * lam % P != n:
         return None
     alpha = (y + lam) * INV_2 % P
+    if fp_legendre(alpha) < 0:
+        alpha = (y - lam) * INV_2 % P
     v = fp_sqrt(alpha)
-    if v * v % P != alpha:
-        v = fp_sqrt((y - lam) * INV_2 % P)
     return x * fp_inv(2 * v % P) % P, v
 
 
@@ -183,11 +187,6 @@ XI1 = [pow_bits((1, 3), k * (P - 1) // 6, (0, 1), lambda a: fp2_mul(a, a), fp2_m
        for k in range(1, 6)]
 # XI1[k] * conj(XI1[k]) is a norm, so a plain F_p int
 XI2 = [(xi * xi + xr * xr) % P for xi, xr in XI1]
-
-
-def _fp12(c) -> "Fp12":
-    """The element with the 12 unreduced coefficients c, each reduced mod P once."""
-    return Fp12(tuple([x % P for x in c]))
 
 
 def _fp6_mul(a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r):
@@ -305,13 +304,13 @@ class Fp12:
         s2i, s2r, s1i, s1r, s0i, s0r = _fp6_mul(
             a2i + b2i, a2r + b2r, a1i + b1i, a1r + b1r, a0i + b0i, a0r + b0r,
             c2i + d2i, c2r + d2r, c1i + d1i, c1r + d1r, c0i + d0i, c0r + d0r)
-        return _fp12((
-            s2i - u2i - v2i, s2r - u2r - v2r,
-            s1i - u1i - v1i, s1r - u1r - v1r,
-            s0i - u0i - v0i, s0r - u0r - v0r,
-            v2i + u1i, v2r + u1r,
-            v1i + u0i, v1r + u0r,
-            v0i + 3 * u2i + u2r, v0r + 3 * u2r - u2i,
+        return Fp12((
+            (s2i - u2i - v2i) % P, (s2r - u2r - v2r) % P,
+            (s1i - u1i - v1i) % P, (s1r - u1r - v1r) % P,
+            (s0i - u0i - v0i) % P, (s0r - u0r - v0r) % P,
+            (v2i + u1i) % P, (v2r + u1r) % P,
+            (v1i + u0i) % P, (v1r + u0r) % P,
+            (v0i + 3 * u2i + u2r) % P, (v0r + 3 * u2r - u2i) % P,
         ))
 
     def square(self) -> "Fp12":
@@ -324,11 +323,11 @@ class Fp12:
         s2i, s2r, s1i, s1r, s0i, s0r = _fp6_mul(
             a2i + b2i, a2r + b2r, a1i + b1i, a1r + b1r, a0i + b0i, a0r + b0r,
             a1i + b2i, a1r + b2r, a0i + b1i, a0r + b1r, 3 * a2i + a2r + b0i, 3 * a2r - a2i + b0r)
-        return _fp12((
-            2 * v2i, 2 * v2r, 2 * v1i, 2 * v1r, 2 * v0i, 2 * v0r,
-            s2i - v2i - v1i, s2r - v2r - v1r,
-            s1i - v1i - v0i, s1r - v1r - v0r,
-            s0i - v0i - 3 * v2i - v2r, s0r - v0r - 3 * v2r + v2i,
+        return Fp12((
+            2 * v2i % P, 2 * v2r % P, 2 * v1i % P, 2 * v1r % P, 2 * v0i % P, 2 * v0r % P,
+            (s2i - v2i - v1i) % P, (s2r - v2r - v1r) % P,
+            (s1i - v1i - v0i) % P, (s1r - v1r - v0r) % P,
+            (s0i - v0i - 3 * v2i - v2r) % P, (s0r - v0r - 3 * v2r + v2i) % P,
         ))
 
     def cyclotomic_square(self) -> "Fp12":
@@ -367,15 +366,25 @@ class Fp12:
         ei, er = 2 * si * sr - pi - qi, (sr - si) * (sr + si) - pr - qr
         x0i, x0r = 3 * (3 * ei + er) + 2 * a0i, 3 * (3 * er - ei) + 2 * a0r
 
-        return _fp12((x2i, x2r, x1i, x1r, x0i, x0r, y2i, y2r, y1i, y1r, y0i, y0r))
+        return Fp12((x2i % P, x2r % P, x1i % P, x1r % P, x0i % P, x0r % P,
+                     y2i % P, y2r % P, y1i % P, y1r % P, y0i % P, y0r % P))
 
     def exp(self, k: int) -> "Fp12":
         return pow_bits(self, k, FP12_ONE, Fp12.square, Fp12.__mul__)
 
     def exp_u(self) -> "Fp12":
-        """self^U, correct only for a cyclotomic-subgroup element, where
-        ``cyclotomic_square`` squares and the conjugate is the inverse."""
-        return pow_u(self, Fp12.cyclotomic_square, Fp12.__mul__, Fp12.conjugate)
+        """self^U, correct only for a cyclotomic-subgroup element, where the
+        conjugate is the inverse: three passes x -> x^v, each
+        x x^(2^8) x^(2^15) x^(-2^18) x^(2^21) with the four powers from
+        ``_compressed_powers``.  An element with a power it cannot
+        decompress, as 1 has, takes ``pow_u`` with ``cyclotomic_square``."""
+        x = self
+        for _ in range(3):
+            g = _compressed_powers(x, (8, 7, 3, 3))
+            if g is None:
+                return pow_u(self, Fp12.cyclotomic_square, Fp12.__mul__, Fp12.conjugate)
+            x = x * g[0] * g[1] * g[2].conjugate() * g[3]
+        return x
 
     def inverse(self) -> "Fp12":
         """1/(a*w + b) = (-a*w + b) * t with t = 1/(b^2 - a^2*tau), a
@@ -386,10 +395,76 @@ class Fp12:
         # a^2*tau = u1*tau^2 + u0*tau + xi*u2
         t = _fp6_inv(v2i - u1i, v2r - u1r, v1i - u0i, v1r - u0r,
                      v0i - 3 * u2i - u2r, v0r - 3 * u2r + u2i)
-        return _fp12([-x for x in _fp6_mul(*a, *t)] + list(_fp6_mul(*b, *t)))
+        u2i, u2r, u1i, u1r, u0i, u0r = _fp6_mul(*a, *t)
+        v2i, v2r, v1i, v1r, v0i, v0r = _fp6_mul(*b, *t)
+        return Fp12((-u2i % P, -u2r % P, -u1i % P, -u1r % P, -u0i % P, -u0r % P,
+                     v2i % P, v2r % P, v1i % P, v1r % P, v0i % P, v0r % P))
 
 
 FP12_ONE = Fp12((0,) * 11 + (1,))
+
+
+def _compressed_powers(x: Fp12, runs) -> "list[Fp12] | None":
+    """x^(2^m) for each running sum m of ``runs``, by compressed squarings
+    of a cyclotomic-subgroup element x (Karabina, Math. Comp. 2013); None
+    if one of them has a0 = 0, which has no decompression.
+
+    A squaring maps the coefficients (b1, b2, a0, a2) to
+    (3(a0^2 + xi b2^2) - 2b1, 3(b1^2 + xi a2^2) - 2b2, 2a0 + 6xi b1 a2,
+    2a2 + 6 a0 b2): the B and C parts of ``cyclotomic_square``, 8
+    reductions where it takes 12.  Each kept power keeps the unreduced
+    b1^2 and a2^2 that the next squaring takes anyway, and is decompressed
+    by a1 = (xi a2^2 + 3b1^2 - 2b2)/(4a0) and
+    b0 = xi(2a1^2 + a0 a2 - 3b1 b2) + 1, with one inversion for them all
+    (Montgomery's trick; Aranha et al., Eurocrypt 2011).  A run of 0
+    keeps x itself.
+    """
+    a2i, a2r, _, _, a0i, a0r, b2i, b2r, b1i, b1r, _, _ = x.c
+    # p = b1^2 and q = a2^2, unreduced, of the value the loop squares next
+    pi, pr = 2 * b1i * b1r, (b1r - b1i) * (b1r + b1i)
+    qi, qr = 2 * a2i * a2r, (a2r - a2i) * (a2r + a2i)
+    kept = []
+    for run in runs:
+        for _ in range(run):
+            # C = b1 + a2 s: b2 and a0 from p, q and 2 b1 a2 = (b1 + a2)^2 - p - q
+            si, sr = b1i + a2i, b1r + a2r
+            ei, er = 2 * si * sr - pi - qi, (sr - si) * (sr + si) - pr - qr
+            c0i, c0r = (3 * (3 * ei + er) + 2 * a0i) % P, (3 * (3 * er - ei) + 2 * a0r) % P
+            c2i, c2r = (3 * (3 * qi + qr + pi) - 2 * b2i) % P, (3 * (3 * qr - qi + pr) - 2 * b2r) % P
+            # B = a0 + b2 s: b1 and a2 from a0^2, b2^2 and their cross term
+            pi, pr = 2 * a0i * a0r, (a0r - a0i) * (a0r + a0i)
+            qi, qr = 2 * b2i * b2r, (b2r - b2i) * (b2r + b2i)
+            si, sr = a0i + b2i, a0r + b2r
+            b1i, b1r = (3 * (3 * qi + qr + pi) - 2 * b1i) % P, (3 * (3 * qr - qi + pr) - 2 * b1r) % P
+            a2i = (3 * (2 * si * sr - pi - qi) + 2 * a2i) % P
+            a2r = (3 * ((sr - si) * (sr + si) - pr - qr) + 2 * a2r) % P
+            a0i, a0r, b2i, b2r = c0i, c0r, c2i, c2r
+            pi, pr = 2 * b1i * b1r, (b1r - b1i) * (b1r + b1i)
+            qi, qr = 2 * a2i * a2r, (a2r - a2i) * (a2r + a2i)
+        kept.append((a2i, a2r, a0i, a0r, b2i, b2r, b1i, b1r, pi, pr, qi, qr))
+    # 1/(4 a0) = conj(a0) / (4 N(a0)); prefix[j] is the product of the norms before j
+    norms = [4 * (k[2] * k[2] + k[3] * k[3]) % P for k in kept]
+    prefix = [1]
+    for n in norms:
+        prefix.append(prefix[-1] * n % P)
+    if not prefix[-1]:
+        return None
+    t = fp_inv(prefix[-1])
+    for j in reversed(range(len(kept))):
+        a2i, a2r, a0i, a0r, b2i, b2r, b1i, b1r, pi, pr, qi, qr = kept[j]
+        s = t * prefix[j] % P
+        t = t * norms[j] % P
+        ni, nr = (3 * (qi + pi) + qr - 2 * b2i) % P, (3 * (qr + pr) - qi - 2 * b2r) % P
+        ci, cr = -a0i * s % P, a0r * s % P
+        m, n = nr * cr, ni * ci
+        a1i, a1r = ((ni + nr) * (ci + cr) - m - n) % P, (m - n) % P
+        m, n, mb, nb = a0r * a2r, a0i * a2i, b1r * b2r, b1i * b2i
+        ei = (4 * a1i * a1r + (a0i + a0r) * (a2i + a2r) - m - n
+              - 3 * ((b1i + b1r) * (b2i + b2r) - mb - nb))
+        er = 2 * (a1r - a1i) * (a1r + a1i) + m - n - 3 * (mb - nb)
+        kept[j] = Fp12((a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r,
+                        (3 * ei + er) % P, (3 * er - ei + 1) % P))
+    return kept
 
 
 def _mul_line(f: Fp12, line: tuple[int, int, int, int, int, int], px: int, py: int) -> Fp12:
@@ -416,11 +491,11 @@ def _mul_line(f: Fp12, line: tuple[int, int, int, int, int, int], px: int, py: i
     v1r, v1i = m - n, (h1i + h1r) * (ci + cr) - m - n
     m, n = h0r * cr, h0i * ci
     v0r, v0i = m - n, (h0i + h0r) * (ci + cr) - m - n
-    return _fp12((
-        s2i - u2i - v2i, s2r - u2r - v2r,
-        s1i - u1i - v1i, s1r - u1r - v1r,
-        s0i - u0i - v0i, s0r - u0r - v0r,
-        v2i + u1i, v2r + u1r,
-        v1i + u0i, v1r + u0r,
-        v0i + 3 * u2i + u2r, v0r + 3 * u2r - u2i,
+    return Fp12((
+        (s2i - u2i - v2i) % P, (s2r - u2r - v2r) % P,
+        (s1i - u1i - v1i) % P, (s1r - u1r - v1r) % P,
+        (s0i - u0i - v0i) % P, (s0r - u0r - v0r) % P,
+        (v2i + u1i) % P, (v2r + u1r) % P,
+        (v1i + u0i) % P, (v1r + u0r) % P,
+        (v0i + 3 * u2i + u2r) % P, (v0r + 3 * u2r - u2i) % P,
     ))

@@ -42,11 +42,16 @@ Ferrara et al., CT-RSA 2009), with a fresh delta per call:
 With r0 and r1 the left side over the right side of (0) and (1), it
 holds iff r0^delta == r1.  If (0) fails, r0 generates the prime-order
 target group and one delta mod n at most passes; if only (1) fails, none
-does.  With delta uniform in [1, min(2^128, n)), a bad key or a forged X
-passes with probability at most 2^-128.  The bound needs every element
-in its prime-order group, which decoding guarantees.  The check needs no
-G2 negation.  Its two G2 multiplications split delta into four parts
-of about 64 bits, as every G2 multiplication does, whatever delta's size.
+does.  The draw r is uniform in [1, min(2^128, n)), and the suite maps
+it to delta one to one (``PairingSuite.batch_exponent``), so delta is
+uniform over 2^128 - 1 non-zero residues on BN-256, and a bad key or a
+forged X passes with probability at most 1/(2^128 - 1).  The bound needs
+every element in its prime-order group, which decoding guarantees.  The
+check needs no G2 negation.  BN-256 takes delta = sum d_j lambda^j mod n
+over r's four 32-bit limbs d_j, with lambda the eigenvalue of psi, so
+each of its two G2 multiplications is a 4-D ladder of 32 bits where a
+random delta's takes about 64; the mock suite takes delta = r, so its
+exponents stay exact.
 """
 
 from __future__ import annotations
@@ -155,9 +160,14 @@ def make_trapdoor(
     )
 
 
-def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey) -> bool:
-    """Equation (0): e(admin_pk_a, g_b) == e(g_a, admin_pk_b)."""
-    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b, suite.gen_a, admin_pub.pk_b)
+def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey,
+                    gen_b: GroupElement | None = None) -> bool:
+    """Equation (0): e(admin_pk_a, g_b) == e(g_a, admin_pk_b).  A caller
+    that checks more than once passes one ``gen_b`` element, so that g_b's
+    line table is built once."""
+    if gen_b is None:
+        gen_b = suite.gen_b
+    return suite.pairs_equal(admin_pub.pk_a, gen_b, suite.gen_a, admin_pub.pk_b)
 
 
 def verify_authenticity(
@@ -169,7 +179,7 @@ def verify_authenticity(
 ) -> bool:
     """Equations (0) and (1) batched into one product with a delta drawn
     from ``rng`` (see the module docstring)."""
-    delta = rng.randrange(1, min(2 ** 128, suite.order))
+    delta = suite.batch_exponent(rng.randrange(1, min(2 ** 128, suite.order)))
     return suite.pairs_equal(admin_pub.pk_a, suite.gen_b ** delta * user_pub.pk_b,
                              suite.gen_a, admin_pub.pk_b ** delta * x)
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Group, H2_BYTES, Scalar, bn256, curve, tower
+from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, Scalar, bn256, curve, tower
 
 P = tower.P
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
@@ -446,6 +446,31 @@ def _split_edges(basis, lam, rng):
     return [0, 1, n - 1, n] + powers + [n - x for x in powers] + [rng.randrange(n) for _ in range(3)]
 
 
+def _limbs(r):
+    """r's four 32-bit limbs, lowest first."""
+    return [r >> 32 * j & 0xFFFFFFFF for j in range(4)]
+
+
+def _reference_fp2_sqrt(a):
+    """``tower.fp2_sqrt`` before ``fp_legendre`` picked alpha: each root is
+    taken, then squared back, and a second root of alpha follows a miss."""
+    x, y = a
+    if x == 0:
+        v = tower.fp_sqrt(y)
+        if v * v % P == y:
+            return 0, v
+        return tower.fp_sqrt(-y % P), 0
+    n = (x * x + y * y) % P
+    lam = tower.fp_sqrt(n)
+    if lam * lam % P != n:
+        return None
+    alpha = (y + lam) * tower.INV_2 % P
+    v = tower.fp_sqrt(alpha)
+    if v * v % P != alpha:
+        v = tower.fp_sqrt((y - lam) * tower.INV_2 % P)
+    return x * tower.fp_inv(2 * v % P) % P, v
+
+
 # ``tower.fp_legendre`` and ``bn256._map_to_g1`` before the Jacobi symbol
 # replaced Euler's criterion, kept as their references.
 
@@ -505,12 +530,33 @@ class TestEndomorphismSplits:
             bounds = [sum(abs(row[j]) for row in basis) // 2 for j in range(len(basis))]
             assert max(bounds).bit_length() <= bits
             signs = set()
-            for k in _split_edges(basis, lam, rng) + [rng.randrange(n) for _ in range(1000)]:
+            for k in _split_edges(basis, lam, rng) + [rng.randrange(n) for _ in range(3000)]:
                 parts = curve._split(k, basis, rounding)
                 assert sum(a * pow(lam, j, n) for j, a in enumerate(parts)) % n == k % n
                 assert all(abs(a) <= bound for a, bound in zip(parts, bounds))
                 signs.update((a > 0) - (a < 0) for a in parts)
             assert signs == {-1, 0, 1}
+
+    def test_bases_span_the_whole_lattice(self):
+        """det = +-n: each basis spans the lattice itself, not a sublattice
+        (the four Galbraith-Scott rows have det -3n)."""
+        for basis, _, _, _ in SPLITS:
+            assert abs(curve._det(basis)) == curve.ORDER
+
+    def test_batch_exponent_splits_into_the_limbs_of_its_draw(self):
+        """BN-256's delta for a draw r splits back into r's four 32-bit
+        limbs: at r = 1 and 2^128 - 1, at every r whose limbs are each 0 or
+        2^32 - 1, and at random r.  The mock's delta is r itself."""
+        prod, mock = Bn256Suite(), MockSuite()
+        rng = random.Random(35)
+        edges = [sum(0xFFFFFFFF << 32 * j for j in range(4) if m >> j & 1) for m in range(16)]
+        draws = [1, 2 ** 128 - 1] + edges + [rng.randrange(1, 2 ** 128) for _ in range(300)]
+        deltas = [prod.batch_exponent(r) for r in draws]
+        for r, delta in zip(draws, deltas):
+            assert curve._split(delta, curve.G2_BASIS, curve.G2_ROUNDING) == _limbs(r)
+            assert mock.batch_exponent(r) == r
+        assert len(set(deltas)) == len(set(draws))
+        assert all(delta for r, delta in zip(draws, deltas) if r)
 
 
 class TestBilinearity:
@@ -711,6 +757,70 @@ class TestBn256Kernels:
         for t in ts:
             assert t.exp_u() == t.exp(tower.U)
 
+    def test_exp_u_matches_pow_u_chain(self):
+        """The compressed chain against ``pow_u`` with ``cyclotomic_square``,
+        the chain it replaced, on cyclotomic elements and their conjugates."""
+        for t in _cyclotomic_elements(random.Random(34), 3):
+            for x in (t, t.conjugate()):
+                assert x.exp_u() == tower.pow_u(x, tower.Fp12.cyclotomic_square,
+                                                tower.Fp12.__mul__, tower.Fp12.conjugate)
+
+    def test_exp_u_of_one_takes_the_fallback(self, monkeypatch):
+        """1 has a0 = 0, which has no decompression, so its ``exp_u`` takes
+        ``pow_u`` with ``cyclotomic_square``: 63 squarings.  A cyclotomic
+        element takes none."""
+        calls = []
+
+        def counted(f, _inner=tower.Fp12.cyclotomic_square):
+            calls.append(f)
+            return _inner(f)
+
+        monkeypatch.setattr(tower.Fp12, "cyclotomic_square", counted)
+        assert tower._compressed_powers(tower.FP12_ONE, (0,)) is None
+        assert tower.FP12_ONE.exp_u() == tower.FP12_ONE
+        assert len(calls) == 63
+        calls.clear()
+        t = _cyclotomic_elements(random.Random(35), 1)[0]
+        t.exp_u()
+        assert not calls
+
+    def test_compressed_squaring_and_decompression_match_cyclotomic_square(self):
+        """A run of 0 only compresses and decompresses x; a run of 1 is one
+        compressed squaring; the runs of ``exp_u`` keep the powers that
+        ``cyclotomic_square`` reaches."""
+        for t in _cyclotomic_elements(random.Random(36), 4):
+            assert tower._compressed_powers(t, (0,)) == [t]
+            assert tower._compressed_powers(t, (1,)) == [t.cyclotomic_square()]
+            runs = (8, 7, 3, 3)
+            powers, x = [], t
+            for run in runs:
+                for _ in range(run):
+                    x = x.cyclotomic_square()
+                powers.append(x)
+            assert tower._compressed_powers(t, runs) == powers
+            t2 = t.cyclotomic_square()
+            t8 = t2.cyclotomic_square().cyclotomic_square()
+            assert tower._compressed_powers(t, (0, 1, 0, 2)) == [t, t2, t2, t8]
+
+    def test_kernel_outputs_are_reduced_on_edge_inputs(self):
+        """Every coefficient each kernel returns lies in [0, p), also where
+        the unreduced sums are largest (every input coefficient p - 1) or
+        cancel (every one 0)."""
+        top = tower.P - 1
+        zero, full = tower.Fp12((0,) * 12), tower.Fp12((top,) * 12)
+        line_sets = [(0,) * 6, (top,) * 6]
+        outputs = []
+        for f in (zero, full):
+            for g in (zero, full):
+                outputs.append(f * g)
+            outputs += [f.square(), f.cyclotomic_square()]
+            outputs += [tower._mul_line(f, line, px, py) for line in line_sets
+                        for px in (0, top) for py in (0, top)]
+        outputs.append(full.inverse())
+        outputs += tower._compressed_powers(full, (0, 1, 2))
+        for out in outputs:
+            assert len(out.c) == 12 and all(0 <= c < tower.P for c in out.c)
+
     def test_shared_miller_loop_is_product_of_single_loops(self):
         rng = random.Random(24)
         for _ in range(3):
@@ -811,6 +921,25 @@ class TestG2Formulas:
             assert pt.add(other.neg()).is_infinity()
         assert _jacobian(inf.add(inf)) == _jacobian(_reference_add(inf, inf))
 
+    def test_add_affine_operand_matches_full_formula(self):
+        """An affine second operand (z = 1) takes ``add``'s short branch,
+        which must give the raw ints of the full formula, also at P + P
+        and P + (-P); the same sum with that operand rescaled to z != 1
+        takes the full branch and agrees in affine form."""
+        rng = random.Random(49)
+        points = self._points(rng)
+        affine = [curve.PointG2(pt.c[:4] + (0, 1)) for pt in points]
+        for a in points:
+            for b in affine:
+                total = a.add(b)
+                assert _jacobian(total) == _jacobian(_reference_add(a, b))
+                lam = Fp2(rng.randrange(1, tower.P), rng.randrange(tower.P))
+                if not b.is_infinity() and not total.is_infinity():
+                    assert a.add(_rescaled(b, lam)) == total
+        for b in affine[:5]:
+            for a in (b, b.neg(), _rescaled(b, Fp2(2, 5))):
+                assert _jacobian(a.add(b)) == _jacobian(_reference_add(a, b))
+
     def test_ladder_on_points_outside_g2_matches_reference(self):
         """The formulas on unchecked twist points, which ``in_g2``'s [u]Q and
         the frozen twist entries of ``g2.json`` run on.  On an order-13 point
@@ -882,6 +1011,23 @@ class TestHashToGroupA:
         assert e.group is Group.A
         # must survive a strict decode (on curve, right subgroup)
         assert any_suite.element_from_bytes(Group.A, e.to_bytes()) == e
+
+    def test_fp2_sqrt_matches_reference(self):
+        """On squares, non-squares and x = 0 (with y a square, a non-square
+        and 0), the root ``fp_legendre`` picks is the one the root-and-check
+        body took."""
+        rng = random.Random(52)
+        cases = [(0, 0), (0, 1), (0, tower.P - 1), (1, 0), (tower.P - 1, 0)]
+        for _ in range(40):
+            x, y = rng.randrange(tower.P), rng.randrange(tower.P)
+            cases += [(x, y), (0, y), tower.fp2_mul((x, y), (x, y))]
+        roots = [_reference_fp2_sqrt(a) for a in cases]
+        assert None in roots and any(r is not None and a[0] for a, r in zip(cases, roots))
+        assert {tower.fp_legendre(a[1]) for a in cases if a[0] == 0} == {-1, 0, 1}
+        for a, root in zip(cases, roots):
+            assert tower.fp2_sqrt(a) == root
+            if root is not None:
+                assert tower.fp2_mul(root, root) == a
 
     def test_fp_legendre_matches_euler_criterion(self):
         rng = random.Random(32)

@@ -23,7 +23,7 @@ from click.testing import CliRunner
 
 from pbcap import formats, policy
 from pbcap.cli import cli
-from pbcap.pairing import Group, bn256, curve
+from pbcap.pairing import Bn256Suite, Group, bn256, curve
 from pbcap.scheme import (
     check_admin_key,
     keygen_admin,
@@ -289,8 +289,9 @@ def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, t
     """Two submissions of one user in one ``pdp classify``: each
     authentication also checks the admin key, with two G2 multiplications
     by its delta, and pairs two new elements; neither the user key nor X
-    is paired.  Each submission decodes its own tags, whose Ys build their
-    own tables."""
+    is paired.  Each delta splits into the four 32-bit limbs of its draw.
+    Each submission decodes its own tags, whose Ys build their own
+    tables."""
     policies = [_policy("1", ["SignedBy(Form,Clerk)"], 5)]
     args = _prepare_pdp_classify(tmp_path, policies)
     result = CliRunner().invoke(cli, [str(a) for a in (
@@ -298,25 +299,56 @@ def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, t
         "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
         "--out", tmp_path / "sub2.json", "--seed", 4, "--file-id", "second.bin")])
     assert result.exit_code == 0, result.output
-    g2_muls = []
+    g2_muls, draws = [], []
 
     def counted(point, k, _inner=curve.PointG2.scalar_mul):
         g2_muls.append(k)
         return _inner(point, k)
 
+    def exponent(suite, r, _inner=Bn256Suite.batch_exponent):
+        draws.append(r)
+        return _inner(suite, r)
+
     monkeypatch.setattr(curve.PointG2, "scalar_mul", counted)
+    monkeypatch.setattr(Bn256Suite, "batch_exponent", exponent)
     counts.clear()
     tables.clear()
     result = CliRunner().invoke(cli, args[:3] + [str(tmp_path / "sub2.json")] + args[3:])
     assert result.exit_code == 0, result.output
     tags, trapdoors = 2, 1
     _expect(counts, 2 * (1 + tags * trapdoors), 2 * (1 + tags * trapdoors))
-    assert len(g2_muls) == 2 * 2 and all(0 < k < 2 ** 128 for k in g2_muls)
+    assert len(g2_muls) == 2 * 2 and len(draws) == 2 and all(0 < r < 2 ** 128 for r in draws)
+    limbs = [[r >> 32 * j & 0xFFFFFFFF for j in range(4)] for r in draws]
+    parts = [curve._split(k, curve.G2_BASIS, curve.G2_ROUNDING) for k in g2_muls]
+    assert parts == [limbs[0], limbs[0], limbs[1], limbs[1]]
     user_pk_b = json.loads((tmp_path / "usr/user.pk").read_text())["pk_b"]
     x = json.loads((tmp_path / "sub.json").read_text())["x"]
     assert tables[user_pk_b] == 0 and tables[x] == 0
     # per submission, the merged check's two elements and each tag's Y
     assert sum(tables.values()) == 2 * (2 + tags)
+
+
+def test_pdp_classify_builds_one_g_b_table(tmp_path, counts, tables):
+    """A genuine submission and three forged ones in one ``pdp classify``:
+    each forged authentication fails, so the admin key is checked alone,
+    three times, against the one g_b element the command holds, whose
+    table is built once."""
+    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    runner = CliRunner()
+    for cmd in (("user", "keygen", "--out-dir", tmp_path / "usr2", "--seed", 5),
+                ("user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
+                 "--user-sk", tmp_path / "usr2/user.sk", "--payload", tmp_path / "payload.bin",
+                 "--out", tmp_path / "forged.json", "--seed", 6)):
+        result = runner.invoke(cli, [str(a) for a in cmd])
+        assert result.exit_code == 0, result.output
+    counts.clear()
+    tables.clear()
+    result = runner.invoke(cli, args[:3] + [str(tmp_path / "forged.json")] * 3 + args[3:])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.count("authentication failure") == 3
+    # four authentications, three admin key checks, and two tag tests, the second a hit
+    _expect(counts, 4 + 3 + 2, 4 + 3 + 2)
+    assert tables[bn256.g2_to_bytes(curve.G2_GEN).hex()] == 1
 
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
