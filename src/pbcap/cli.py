@@ -186,7 +186,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
     _guard(out_path, force)
     rng = _make_rng(seed, suite_name)
     try:
-        file_id = check_file_id(file_id or payload_path.name)
+        file_id = check_file_id(file_id if file_id is not None else payload_path.name)
         graph = formats.load_graph(graph_path)
         admin_pub = formats.load_admin_public(admin_pk_path, suite)
         if not scheme.check_admin_key(suite, admin_pub):
@@ -265,8 +265,6 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         sys.exit(EXIT_DECODE_ERROR)
     codes = []
     rng = secrets.SystemRandom()
-    # one g_b element per command: an admin key check builds its table once
-    gen_b = suite.gen_b
     for sub_path in submissions:
         try:
             sub = formats.load_submission(sub_path, suite)
@@ -278,7 +276,7 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
             click.echo(f"{sub_path}: decode error: {exc}", err=True)
             codes.append(EXIT_DECODE_ERROR)
             continue
-        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub, gen_b=gen_b):
+        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
             click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
             sys.exit(EXIT_DECODE_ERROR)
         codes.append(_route(layout, sub_path, decision, sub.payload))

@@ -11,7 +11,9 @@ Two interchangeable environments implement the same surface:
   infrastructure only; never use it to protect anything.
 
 An element's value never changes, but a group-B element of the
-production suite keeps its line table once it is paired.  Randomness is
+production suite keeps its line table once it is paired.  g_b's table is
+built once, at import, and shared by every ``Bn256Suite``; nothing writes
+to it afterwards.  Randomness is
 always caller-supplied (anything with a ``randrange`` method, e.g.
 ``secrets.SystemRandom`` in production or a seeded ``random.Random`` in
 tests).
@@ -32,6 +34,8 @@ H1_DST = b"PBCAP-H1-v1"
 H2_DST = b"PBCAP-H2-v1"
 H2_BYTES = 32
 SCALAR_BYTES = 32
+
+_G2_GEN_LINES = bn256.g2_lines(curve.G2_GEN)
 
 
 class Group(Enum):
@@ -66,7 +70,8 @@ class GroupElement:
     Equality is canonical-bytes equality, and elements are unhashable; the
     payload representation is suite-specific and opaque to callers.  ``lines`` is the suite's
     pairing table for a group-B element: None until ``Bn256Suite`` first
-    pairs the element, then kept for as long as the element lives.
+    pairs the element, then kept for as long as the element lives; g_b's
+    is set when its suite is made.
     """
 
     __slots__ = ("suite", "group", "value", "lines")
@@ -187,11 +192,8 @@ class Bn256Suite(PairingSuite):
     def __init__(self):
         self.order = curve.ORDER
         self.gen_a = GroupElement(self, Group.A, curve.G1_GEN)
-
-    @property
-    def gen_b(self) -> GroupElement:
-        # new each time: a table kept on an element the suite held would live until a full collection
-        return GroupElement(self, Group.B, curve.G2_GEN)
+        self.gen_b = GroupElement(self, Group.B, curve.G2_GEN)
+        self.gen_b.lines = _G2_GEN_LINES
 
     def batch_exponent(self, r: int) -> int:
         """sum d_j lambda^j mod n over the four 32-bit limbs d_j of r, with
@@ -220,7 +222,7 @@ class Bn256Suite(PairingSuite):
         A pair with a factor at infinity pairs to 1 and is dropped.  Each b
         keeps its ``g2_lines`` table, built the first time b is paired, not
         when it is decoded: a classify that stops early builds tables only
-        for the tags it tested.
+        for the tags it tested.  ``gen_b`` comes with its table.
         """
         live = []
         for a, b in pairs:

@@ -160,14 +160,9 @@ def make_trapdoor(
     )
 
 
-def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey,
-                    gen_b: GroupElement | None = None) -> bool:
-    """Equation (0): e(admin_pk_a, g_b) == e(g_a, admin_pk_b).  A caller
-    that checks more than once passes one ``gen_b`` element, so that g_b's
-    line table is built once."""
-    if gen_b is None:
-        gen_b = suite.gen_b
-    return suite.pairs_equal(admin_pub.pk_a, gen_b, suite.gen_a, admin_pub.pk_b)
+def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey) -> bool:
+    """Equation (0): e(admin_pk_a, g_b) == e(g_a, admin_pk_b)."""
+    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b, suite.gen_a, admin_pub.pk_b)
 
 
 def verify_authenticity(

@@ -529,9 +529,9 @@ class TestClassify:
                 draws.append(args)
                 return super().randrange(*args)
 
-        def check(suite, admin_pub, _inner=scheme.check_admin_key, **kwargs):
+        def check(suite, admin_pub, _inner=scheme.check_admin_key):
             key_checks.append(admin_pub)
-            return _inner(suite, admin_pub, **kwargs)
+            return _inner(suite, admin_pub)
 
         monkeypatch.setattr(secrets, "SystemRandom", Recorded)
         monkeypatch.setattr(scheme, "check_admin_key", check)

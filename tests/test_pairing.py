@@ -7,6 +7,7 @@ import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
 from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, Scalar, bn256, curve, tower
+from pbcap.scheme import check_admin_key, keygen_admin, keygen_user, make_x, verify_authenticity
 
 P = tower.P
 BILINEARITY_DRAWS = {"mock": 100, "production": 100}
@@ -599,6 +600,22 @@ class TestBilinearity:
             copy = s.element_from_bytes(Group.B, y.to_bytes())
             assert s.pair(x, y).to_bytes() == s.pair(x, copy).to_bytes()
             assert y.lines is not None and copy.lines is not y.lines
+
+    def test_g_b_table_is_one_constant(self, prod_suite, rng):
+        """Every production suite's g_b carries the one table built at
+        import; it equals a fresh build, and pairing g_b, an admin key
+        check and an authentication leave it so."""
+        s = prod_suite
+        table = s.gen_b.lines
+        assert Bn256Suite().gen_b.lines is table
+        fresh = bn256.g2_lines(curve.G2_GEN)
+        assert table == fresh
+        admin, user = keygen_admin(s, rng), keygen_user(s, rng)
+        assert check_admin_key(s, admin.public)
+        x = s.gen_a ** rng.randrange(1, s.order)
+        assert s.pair(x, s.gen_b) == s.pair(x, s.element_from_bytes(Group.B, s.gen_b.to_bytes()))
+        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), rng)
+        assert s.gen_b.lines is table and table == fresh
 
 
 class TestPairsEqual:

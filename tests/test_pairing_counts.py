@@ -7,10 +7,11 @@ The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
-command builds one table per group-B element it pairs.  ``user tag``
-pairs ``g_b`` and the admin key in its admin key check, then the admin
-key again per tag.  ``pdp classify`` checks the admin key inside every
-authentication, whose merged check pairs two new elements,
+command builds one table per group-B element it pairs.  ``g_b``'s table
+is built once, when ``pbcap.pairing`` is imported, so no command builds
+it.  ``user tag`` pairs ``g_b`` and the admin key in its admin key check,
+then the admin key again per tag.  ``pdp classify`` checks the admin key
+inside every authentication, whose merged check pairs two new elements,
 g_b^delta * user_pk_b and admin_pk_b^delta * X, and each tested tag its Y.
 """
 
@@ -227,6 +228,7 @@ def test_log_name_storage_unit_refused_by_pdp_classify(tmp_path, counts):
     ("../evil", "payload.bin"),
     (".hidden", "payload.bin"),
     (None, ".hidden"),
+    ("", "payload.bin"),
 ])
 def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, payload_name):
     """``user tag`` checks the file id before it loads a key, so a file id
@@ -328,11 +330,10 @@ def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, t
     assert sum(tables.values()) == 2 * (2 + tags)
 
 
-def test_pdp_classify_builds_one_g_b_table(tmp_path, counts, tables):
+def test_pdp_classify_builds_no_g_b_table(tmp_path, counts, tables):
     """A genuine submission and three forged ones in one ``pdp classify``:
     each forged authentication fails, so the admin key is checked alone,
-    three times, against the one g_b element the command holds, whose
-    table is built once."""
+    three times, against g_b, whose table was built at import."""
     args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
     runner = CliRunner()
     for cmd in (("user", "keygen", "--out-dir", tmp_path / "usr2", "--seed", 5),
@@ -348,7 +349,7 @@ def test_pdp_classify_builds_one_g_b_table(tmp_path, counts, tables):
     assert result.stderr.count("authentication failure") == 3
     # four authentications, three admin key checks, and two tag tests, the second a hit
     _expect(counts, 4 + 3 + 2, 4 + 3 + 2)
-    assert tables[bn256.g2_to_bytes(curve.G2_GEN).hex()] == 1
+    assert tables[bn256.g2_to_bytes(curve.G2_GEN).hex()] == 0
 
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
@@ -374,5 +375,5 @@ def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fr
     _expect(counts, 1 + fragments, 1 + fragments)
     admin_pk_b = json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
     assert tables[admin_pk_b] == 1
-    # admin_pk_b's, shared by the admin key check and every tag, and g_b's
-    assert sum(tables.values()) == 2
+    # admin_pk_b's only, shared by the admin key check and every tag
+    assert sum(tables.values()) == 1
