@@ -9,20 +9,26 @@ points, their formulas and scalar multiplications, the endomorphism
 the encodings live in ``bn256``, the field tower in ``tower``.
 
 Both scalar multiplications split k by an endomorphism and run one
-signed Straus-Shamir ladder, ``_straus``, over the images of the point.
-In G1, phi(x, y) = (beta x, y) acts as [lambda] with lambda^2 + lambda +
-1 = 0 mod n, and k splits into two parts of at most 128 bits (GLV:
-Gallant, Lambert and Vanstone, Crypto 2001).  In G2, psi acts as [6u^2],
-and k splits into four parts of at most 65 bits (4-D GLS: Galbraith and
-Scott, Pairing 2008).  ``_split`` rounds k against a short basis of the
-lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
+Straus-Shamir ladder, ``_straus``, over the subset sums of the images of
+the point.  In G1, phi(x, y) = (beta x, y) acts as [lambda] with
+lambda^2 + lambda + 1 = 0 mod n, and k splits into two signed parts of
+at most 128 bits (GLV: Gallant, Lambert and Vanstone, Crypto 2001).  In
+G2, psi acts as [6u^2], and k splits into four parts of at most 65 bits
+(4-D GLS: Galbraith and Scott, Pairing 2008), which ``_g2_split`` makes
+non-negative, at most 66 bits.  So a G2 table depends on the point
+alone, and g_b = ``G2_GEN`` takes a constant one, affine and built at
+import (fixed-base precomputation: Brickell, Gordon, McCurley and
+Wilson, Eurocrypt 1992).  ``_split`` rounds k against a short basis of
+the lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
 rounding): ``G1_BASIS`` has the rows (2u+1, 6u^2+4u+1) and (6u^2+2u,
 -2u-1), ``G2_BASIS`` three Galbraith-Scott rows for BN curves and
-(1, -2u-1, -1, -2u).  Both bases have det +-n and so span the whole
-lattice, and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits
-back into exactly (d_j): its coordinates in the G2 basis lie within
-10^-9 of integers, which the rounding returns.  The rounding constants
-are ints, computed once from the bases by Cramer's rule.
+(1, -2u-1, -1, -2u).  Both bases have det +-n and so span the whole lattice,
+and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits back
+into exactly (d_j): its coordinates in the G2 basis lie within 10^-9 of
+integers, which the rounding returns.  So an authentication's delta,
+whose d_j are 32-bit limbs, needs no shift and keeps a 32-column ladder.
+The rounding constants are ints, computed once from the bases by
+Cramer's rule.
 ``PointG2.scalar_mul`` is defined on G2 only, since psi is
 [6u^2] nowhere else; a multiple of any other twist point, as in
 ``in_g2``, needs a plain ladder such as ``tower.pow_u``.
@@ -94,28 +100,38 @@ def _split(k: int, basis, rounding) -> list[int]:
     return parts
 
 
-def _straus(bases, parts, inf):
-    """The sum of [k]B over the (B, k) pairs: one signed Straus-Shamir ladder.
-
-    The table holds the 2^d subset sums of the bases, each base negated
-    where its part is negative; entry m sums the bases whose bits are set
-    in m.  The ladder takes one double per bit of the longest part and
-    one add per non-zero column of bits.
-    """
+def _subset_sums(bases, parts, inf):
+    """The 2^d subset sums of the bases, each base negated where its part
+    is negative: entry m sums the bases whose bits are set in m."""
     table = [inf]
     for base, k in zip(bases, parts):
         base = base if k >= 0 else base.neg()
         table += [t.add(base) for t in table]
+    return table
+
+
+def _straus(table, parts):
+    """The sum of [|k_j|]B_j over ``_subset_sums`` of the B_j: one double
+    per bit of the longest part, one add per non-zero column of bits."""
     width = max(abs(k).bit_length() for k in parts)
     # column i of the part bits, highest part first, is the table index
     rows = [bin(abs(k))[2:].zfill(width) for k in reversed(parts)]
-    r = inf
+    r = table[0]
     for column in zip(*rows):
         r = r.double()
         digit = int("".join(column), 2)
         if digit:
             r = r.add(table[digit])
     return r
+
+
+def _g2_split(k: int) -> list[int]:
+    """``_split``'s G2 parts plus the least c >= 0 times the all-positive
+    row ``G2_BASIS[2]`` that makes them non-negative: c <= 2, 66 bits."""
+    parts = _split(k, G2_BASIS, G2_ROUNDING)
+    row = G2_BASIS[2]
+    c = max(0, *(-(a // r) for a, r in zip(parts, row)))
+    return [a + c * r for a, r in zip(parts, row)]
 
 
 class PointG1:
@@ -196,8 +212,9 @@ class PointG1:
         k into two signed parts of at most 128 bits, and one ladder runs
         over P and phi(P).
         """
+        parts = _split(k, G1_BASIS, G1_ROUNDING)
         phi = PointG1(BETA * self.x % P, self.y, self.z)
-        return _straus((self, phi), _split(k, G1_BASIS, G1_ROUNDING), G1_INF)
+        return _straus(_subset_sums((self, phi), parts, G1_INF), parts)
 
 
 class PointG2:
@@ -320,16 +337,18 @@ class PointG2:
         """[k mod n]Q for Q in G2 by 4-D GLS (Galbraith and Scott, Pairing 2008).
 
         psi acts on G2 as [6u^2] (``PSI_EIGENVALUE``), since n = p - 6u^2.
-        ``G2_BASIS`` splits k into four signed parts of at most 65 bits,
-        and one ladder runs over Q, psi(Q), psi^2(Q) and psi^3(Q).  Defined
-        on G2 only: on any other twist point psi is not [6u^2], and the
-        result is not [k]Q.  Every group-B value is in G2 (a generator, a
-        product, or a decoding that passed ``in_g2``), and ``in_g2`` takes
-        its [u]Q from ``tower.pow_u``.
+        ``_g2_split`` splits k into four non-negative parts of at most 66
+        bits, and one ladder runs over Q, psi(Q), psi^2(Q) and psi^3(Q).
+        For ``G2_GEN`` the ladder takes the constant ``_G2_GEN_TABLE``;
+        any other Q builds its own table.  Defined on G2 only: on any other
+        twist point psi is not [6u^2], and the result is not [k]Q.  Every
+        group-B value is in G2 (a generator, a product, or a decoding that
+        passed ``in_g2``), and ``in_g2`` takes its [u]Q from
+        ``tower.pow_u``.
         """
-        q1 = psi(self)
-        q2 = psi(q1)
-        return _straus((self, q1, q2, psi(q2)), _split(k, G2_BASIS, G2_ROUNDING), G2_INF)
+        parts = _g2_split(k)
+        table = _G2_GEN_TABLE if self is G2_GEN else _subset_sums(_psi_images(self), parts, G2_INF)
+        return _straus(table, parts)
 
 
 G1_GEN = PointG1(1, P - 2)
@@ -359,6 +378,18 @@ def psi(q: PointG2) -> PointG2:
     mb, nb = yr * br, yi * bi
     return PointG2((((xi + xr) * (ai + ar) - m - n) % P, (m - n) % P,
                     ((yi + yr) * (bi + br) - mb - nb) % P, (mb - nb) % P, -zi % P, zr))
+
+
+def _psi_images(q: PointG2) -> tuple[PointG2, PointG2, PointG2, PointG2]:
+    """Q, psi(Q), psi^2(Q) and psi^3(Q): the bases of a G2 ladder."""
+    q1 = psi(q)
+    q2 = psi(q1)
+    return q, q1, q2, psi(q2)
+
+
+# G2_GEN's subset sums, made affine once: every ladder add on g_b is mixed
+_G2_GEN_TABLE = (G2_INF, *(PointG2((*t.affine(), 0, 1)) for t in
+                           _subset_sums(_psi_images(G2_GEN), (0,) * 4, G2_INF)[1:]))
 
 
 def in_g2(q: PointG2) -> bool:

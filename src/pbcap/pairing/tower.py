@@ -56,6 +56,8 @@ F_p inversion.  An element with a kept power it cannot decompress (a0 of
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 V = 1868033
 U = V ** 3
 
@@ -182,9 +184,9 @@ def fp2_sqrt(a):
     return x * fp_inv(2 * v % P) % P, v
 
 
-# xi^(k(p - 1)/6) for k = 1..5, with xi = i + 3 the sextic non-residue
-XI1 = [pow_bits((1, 3), k * (P - 1) // 6, (0, 1), lambda a: fp2_mul(a, a), fp2_mul)
-       for k in range(1, 6)]
+# xi^(k(p - 1)/6) for k = 1..5, with xi = i + 3 the sextic non-residue: one ladder, then products
+XI1 = list(accumulate([pow_bits((1, 3), (P - 1) // 6, (0, 1), lambda a: fp2_mul(a, a), fp2_mul)] * 5,
+                      fp2_mul))
 # XI1[k] * conj(XI1[k]) is a norm, so a plain F_p int
 XI2 = [(xi * xi + xr * xr) % P for xi, xr in XI1]
 

@@ -50,7 +50,7 @@ every element in its prime-order group, which decoding guarantees.  The
 check needs no G2 negation.  BN-256 takes delta = sum d_j lambda^j mod n
 over r's four 32-bit limbs d_j, with lambda the eigenvalue of psi, so
 each of its two G2 multiplications is a 4-D ladder of 32 bits where a
-random delta's takes about 64; the mock suite takes delta = r, so its
+random delta's takes about 65; the mock suite takes delta = r, so its
 exponents stay exact.
 """
 

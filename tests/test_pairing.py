@@ -452,6 +452,35 @@ def _limbs(r):
     return [r >> 32 * j & 0xFFFFFFFF for j in range(4)]
 
 
+# every r whose four 32-bit limbs are each 0 or 2^32 - 1
+LIMB_PATTERNS = [sum(0xFFFFFFFF << 32 * j for j in range(4) if m >> j & 1) for m in range(16)]
+
+
+def _g2_bounds():
+    """Half the sum of each column's absolute entries in ``G2_BASIS``:
+    the most a part of ``_split`` can be in size."""
+    return [sum(abs(row[j]) for row in curve.G2_BASIS) // 2 for j in range(4)]
+
+
+def _g2_negative_bound_parts():
+    """For each column j, the parts d of a k whose part j sits just inside
+    its negative bound: d = sum t_i row_i, t_i = -sign(row_i[j]) (1/2 -
+    2^-41), rounded down.  d's coordinates in the basis stay inside
+    (-1/2, 1/2), so ``_split`` returns d itself."""
+    basis = curve.G2_BASIS
+    out = []
+    for j in range(4):
+        signs = [-1 if row[j] > 0 else 1 for row in basis]
+        out.append([sum(t * row[m] for t, row in zip(signs, basis)) * (2 ** 40 - 1) // 2 ** 41
+                    for m in range(4)])
+    return out
+
+
+def _from_parts(parts):
+    """sum d_j lambda^j mod n, lambda = ``PSI_EIGENVALUE``."""
+    return sum(d * pow(curve.PSI_EIGENVALUE, j, curve.ORDER) for j, d in enumerate(parts)) % curve.ORDER
+
+
 def _reference_fp2_sqrt(a):
     """``tower.fp2_sqrt`` before ``fp_legendre`` picked alpha: each root is
     taken, then squared back, and a second root of alpha follows a miss."""
@@ -538,6 +567,33 @@ class TestEndomorphismSplits:
                 signs.update((a > 0) - (a < 0) for a in parts)
             assert signs == {-1, 0, 1}
 
+    def test_g2_split_is_non_negative_within_66_bits(self):
+        """``_g2_split`` adds c >= 0 times the all-positive row
+        ``G2_BASIS[2]`` to ``_split``'s parts: the result is non-negative,
+        reconstructs k mod n and fits 66 bits, and c takes 0, 1 and 2.  At
+        k whose part j sits at its negative bound, c is 2."""
+        n, lam, row = curve.ORDER, curve.PSI_EIGENVALUE, curve.G2_BASIS[2]
+        assert all(a > 0 for a in row)
+        bounds = _g2_bounds()
+        edge_parts = _g2_negative_bound_parts()
+        for j, d in enumerate(edge_parts):
+            assert -bounds[j] <= d[j] < -bounds[j] + 2 ** 25
+            assert curve._split(_from_parts(d), curve.G2_BASIS, curve.G2_ROUNDING) == d
+        rng = random.Random(36)
+        edges = [_from_parts(d) for d in edge_parts] + _split_edges(curve.G2_BASIS, lam, rng)
+        seen = set()
+        for k in edges + [rng.randrange(n) for _ in range(3000)]:
+            split = curve._split(k, curve.G2_BASIS, curve.G2_ROUNDING)
+            parts = curve._g2_split(k)
+            c = (parts[0] - split[0]) // row[0]
+            assert parts == [a + c * r for a, r in zip(split, row)]
+            assert all(0 <= a < 2 ** 66 for a in parts)
+            assert sum(a * pow(lam, j, n) for j, a in enumerate(parts)) % n == k % n
+            seen.add(c)
+        assert seen == {0, 1, 2}
+        for d in edge_parts:
+            assert curve._g2_split(_from_parts(d)) == [a + 2 * r for a, r in zip(d, row)]
+
     def test_bases_span_the_whole_lattice(self):
         """det = +-n: each basis spans the lattice itself, not a sublattice
         (the four Galbraith-Scott rows have det -3n)."""
@@ -550,11 +606,12 @@ class TestEndomorphismSplits:
         2^32 - 1, and at random r.  The mock's delta is r itself."""
         prod, mock = Bn256Suite(), MockSuite()
         rng = random.Random(35)
-        edges = [sum(0xFFFFFFFF << 32 * j for j in range(4) if m >> j & 1) for m in range(16)]
-        draws = [1, 2 ** 128 - 1] + edges + [rng.randrange(1, 2 ** 128) for _ in range(300)]
+        draws = [1, 2 ** 128 - 1] + LIMB_PATTERNS + [rng.randrange(1, 2 ** 128) for _ in range(300)]
         deltas = [prod.batch_exponent(r) for r in draws]
         for r, delta in zip(draws, deltas):
             assert curve._split(delta, curve.G2_BASIS, curve.G2_ROUNDING) == _limbs(r)
+            # non-negative already: no shift, and a 32-column ladder
+            assert curve._g2_split(delta) == _limbs(r)
             assert mock.batch_exponent(r) == r
         assert len(set(deltas)) == len(set(draws))
         assert all(delta for r, delta in zip(draws, deltas) if r)
@@ -855,6 +912,44 @@ class TestBn256Kernels:
         for q in points:
             for k in edges + [rng.randrange(curve.ORDER) for _ in range(7)]:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k % curve.ORDER)
+
+    def test_g2_gen_table_is_a_constant_of_affine_subset_sums(self):
+        """``_G2_GEN_TABLE`` has 16 entries; entry m sums psi^j(G2_GEN) over
+        the bits j set in m, every entry but the first (infinity) has
+        z = 1, and it equals a freshly built table."""
+        table = curve._G2_GEN_TABLE
+        assert len(table) == 16 and table[0].is_infinity()
+        images = [curve.G2_GEN]
+        for _ in range(3):
+            images.append(curve.psi(images[-1]))
+        for m, entry in enumerate(table):
+            expected = curve.G2_INF
+            for j in range(4):
+                if m >> j & 1:
+                    expected = expected.add(images[j])
+            assert entry == expected
+            assert m == 0 or entry.c[4:] == (0, 1)
+        fresh = curve._subset_sums(curve._psi_images(curve.G2_GEN), [0] * 4, curve.G2_INF)
+        assert list(table) == fresh
+
+    def test_fixed_base_scalar_mul_matches_plain_ladder(self):
+        """G2_GEN through its constant table, at the split edges, each
+        delta limb pattern, each column's negative bound and 300 random k.
+        A decoded copy of G2_GEN, which builds its own table, gives the
+        same points on the edges and the first 20 random k."""
+        rng = random.Random(37)
+        n, lam = curve.ORDER, curve.PSI_EIGENVALUE
+        prod = Bn256Suite()
+        ks = [0, 1, 2, n - 1, n] + [pow(lam, j, n) for j in range(4)]
+        ks += [prod.batch_exponent(r) for r in LIMB_PATTERNS]
+        ks += [_from_parts(d) for d in _g2_negative_bound_parts()]
+        copy = bn256.g2_from_bytes(bn256.g2_to_bytes(curve.G2_GEN))
+        assert copy is not curve.G2_GEN
+        for i, k in enumerate(ks + [rng.randrange(n) for _ in range(300)]):
+            q = curve.G2_GEN.scalar_mul(k)
+            assert q == _mul_unreduced(curve.G2_GEN, k % n)
+            if i < len(ks) + 20:
+                assert copy.scalar_mul(k) == q
 
     def test_scalar_mul_on_split_edge_cases(self):
         """k whose parts are zero or negative in each split, and powers of

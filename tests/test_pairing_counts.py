@@ -1,9 +1,10 @@
-"""Exact Miller-loop, final-exponentiation, G2 line-table and G2
-scalar-multiplication counts per operation.
+"""Exact Miller-loop, final-exponentiation, G2 line-table, Straus-table
+and G2 scalar-multiplication counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
-``bn256.final_exponentiation``, ``bn256.g2_lines`` and
-``curve.PointG2.scalar_mul``; the program itself keeps no counter.
+``bn256.final_exponentiation``, ``bn256.g2_lines``,
+``curve._subset_sums`` and ``curve.PointG2.scalar_mul``; the program
+itself keeps no counter.
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
@@ -13,6 +14,10 @@ it.  ``user tag`` pairs ``g_b`` and the admin key in its admin key check,
 then the admin key again per tag.  ``pdp classify`` checks the admin key
 inside every authentication, whose merged check pairs two new elements,
 g_b^delta * user_pk_b and admin_pk_b^delta * X, and each tested tag its Y.
+A scalar multiplication builds a Straus table of its point's subset sums,
+except by g_b, whose table is also built at import: so ``user tag``
+builds one G2 table, for X, and one G1 table per fragment, and an
+authentication one, for admin_pk_b^delta.
 """
 
 import json
@@ -61,6 +66,21 @@ def tables(monkeypatch):
         return _inner(q)
 
     monkeypatch.setattr(bn256, "g2_lines", counted)
+    return built
+
+
+@pytest.fixture
+def straus_tables(monkeypatch):
+    """Straus tables built, keyed by the hex encoding of their first G2
+    base, or "G1" for a G1 base."""
+    built = Counter()
+
+    def counted(bases, parts, inf, _inner=curve._subset_sums):
+        q = bases[0]
+        built[bn256.g2_to_bytes(q).hex() if isinstance(q, curve.PointG2) else "G1"] += 1
+        return _inner(bases, parts, inf)
+
+    monkeypatch.setattr(curve, "_subset_sums", counted)
     return built
 
 
@@ -352,28 +372,52 @@ def test_pdp_classify_builds_no_g_b_table(tmp_path, counts, tables):
     assert tables[bn256.g2_to_bytes(curve.G2_GEN).hex()] == 0
 
 
-@pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
-def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fragments):
-    """The admin key check and every tag pair with ``admin_pk_b``, which
-    builds its table once per ``user tag`` command, whatever the number of
-    fragments."""
+def test_pdp_classify_builds_no_g_b_straus_table(tmp_path, straus_tables):
+    """One submission: its authentication multiplies g_b and admin_pk_b by
+    delta, and only admin_pk_b builds a Straus table."""
+    _pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], straus_tables)
+    admin_pk_b = json.loads((tmp_path / "pap/admin.pk").read_text())["pk_b"]
+    assert straus_tables == Counter({admin_pk_b: 1})
+
+
+def _user_tag(tmp_path, graph, *counters):
+    """Seeded keygens and a ``user tag`` of graph; the counters cover only
+    the ``user tag`` run.  Returns the number of tags and admin_pk_b."""
     (tmp_path / "graph.txt").write_text(graph)
     (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
     runner = CliRunner()
     for role in ("pap", "user"):
         result = runner.invoke(cli, [role, "keygen", "--out-dir", str(tmp_path), "--seed", "1"])
         assert result.exit_code == 0, result.output
-    counts.clear()
-    tables.clear()
+    for counter in counters:
+        counter.clear()
     result = runner.invoke(cli, [str(a) for a in (
         "user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "admin.pk",
         "--user-sk", tmp_path / "user.sk", "--payload", tmp_path / "payload.bin",
         "--out", tmp_path / "sub.json", "--seed", 3)])
     assert result.exit_code == 0, result.output
-    assert len(json.loads((tmp_path / "sub.json").read_text())["tags"]) == fragments
+    tags = len(json.loads((tmp_path / "sub.json").read_text())["tags"])
+    return tags, json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
+
+
+@pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
+def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fragments):
+    """The admin key check and every tag pair with ``admin_pk_b``, which
+    builds its table once per ``user tag`` command, whatever the number of
+    fragments."""
+    tags, admin_pk_b = _user_tag(tmp_path, graph, counts, tables)
+    assert tags == fragments
     # the admin key check: one Miller loop and FE; then one of each per tag
     _expect(counts, 1 + fragments, 1 + fragments)
-    admin_pk_b = json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
     assert tables[admin_pk_b] == 1
     # admin_pk_b's only, shared by the admin key check and every tag
     assert sum(tables.values()) == 1
+
+
+@pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
+def test_user_tag_builds_straus_tables_for_x_and_each_fragment(tmp_path, straus_tables, graph, fragments):
+    """X = admin_pk_b^beta builds one G2 Straus table and each tag's
+    H1(fragment)^s one G1 table; each tag's Y = g_b^s builds none."""
+    tags, admin_pk_b = _user_tag(tmp_path, graph, straus_tables)
+    assert tags == fragments
+    assert straus_tables == Counter({admin_pk_b: 1, "G1": fragments})
