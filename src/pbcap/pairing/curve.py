@@ -22,13 +22,13 @@ Wilson, Eurocrypt 1992).  ``_split`` rounds k against a short basis of
 the lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
 rounding): ``G1_BASIS`` has the rows (2u+1, 6u^2+4u+1) and (6u^2+2u,
 -2u-1), ``G2_BASIS`` three Galbraith-Scott rows for BN curves and
-(1, -2u-1, -1, -2u).  Both bases have det +-n and so span the whole lattice,
-and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits back
-into exactly (d_j): its coordinates in the G2 basis lie within 10^-9 of
-integers, which the rounding returns.  So an authentication's delta,
-whose d_j are 32-bit limbs, needs no shift and keeps a 32-column ladder.
-The rounding constants are ints, computed once from the bases by
-Cramer's rule.
+(1, -2u-1, -1, -2u).  Both bases have det +-n and so span the whole
+lattice, and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits
+back into exactly (d_j): its coordinates in the G2 basis lie within
+10^-9 of integers, which the rounding returns.  So an authentication's
+delta, whose d_j are 32-bit limbs, needs no shift and keeps a 32-column
+ladder.  The rounding constants are ints, computed once from the bases
+by Cramer's rule.
 ``PointG2.scalar_mul`` is defined on G2 only, since psi is
 [6u^2] nowhere else; a multiple of any other twist point, as in
 ``in_g2``, needs a plain ladder such as ``tower.pow_u``.

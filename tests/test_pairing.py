@@ -456,12 +456,6 @@ def _limbs(r):
 LIMB_PATTERNS = [sum(0xFFFFFFFF << 32 * j for j in range(4) if m >> j & 1) for m in range(16)]
 
 
-def _g2_bounds():
-    """Half the sum of each column's absolute entries in ``G2_BASIS``:
-    the most a part of ``_split`` can be in size."""
-    return [sum(abs(row[j]) for row in curve.G2_BASIS) // 2 for j in range(4)]
-
-
 def _g2_negative_bound_parts():
     """For each column j, the parts d of a k whose part j sits just inside
     its negative bound: d = sum t_i row_i, t_i = -sign(row_i[j]) (1/2 -
@@ -574,7 +568,7 @@ class TestEndomorphismSplits:
         k whose part j sits at its negative bound, c is 2."""
         n, lam, row = curve.ORDER, curve.PSI_EIGENVALUE, curve.G2_BASIS[2]
         assert all(a > 0 for a in row)
-        bounds = _g2_bounds()
+        bounds = [sum(abs(r[j]) for r in curve.G2_BASIS) // 2 for j in range(4)]
         edge_parts = _g2_negative_bound_parts()
         for j, d in enumerate(edge_parts):
             assert -bounds[j] <= d[j] < -bounds[j] + 2 ** 25
