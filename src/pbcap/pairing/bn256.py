@@ -19,10 +19,10 @@ no table: ``g2_lines`` is the only function that builds one, and its caller
 decides how long it lives.  ``Bn256Suite`` keeps the table of each
 group-B element it pairs on that element.
 
-Nearly all of a pairing's time goes to four tower kernels:
-``Fp12.square`` and ``_mul_line`` in the Miller loop,
-``Fp12.cyclotomic_square`` and ``Fp12.__mul__`` in the final
-exponentiation.  Nearly all of a line table's goes to the point formulas
+Nearly all of a pairing's time goes to three tower kernels,
+``Fp12.square`` and ``_mul_line`` in the Miller loop and ``Fp12.__mul__``
+in the final exponentiation, and to the compressed squarings of
+``Fp12.exp_u``.  Nearly all of a line table's goes to the point formulas
 ``PointG2.double`` and ``add`` and to the line formulas ``_tangent`` and
 ``_chord``.  The kernels and the formulas alike work on plain ints and
 reduce each output coefficient mod P once; the formulas also reduce a
@@ -175,13 +175,13 @@ def final_exponentiation(f: Fp12) -> Fp12:
     y4 = (fu1 * fu2p).conjugate()
     y6 = (fu3 * fu3p).conjugate()
 
-    t0 = y6.cyclotomic_square() * y4 * y5
+    t0 = y6.square() * y4 * y5
     t1 = y3 * y5 * t0
     t0 = t0 * y2
-    t1 = (t1.cyclotomic_square() * t0).cyclotomic_square()
+    t1 = (t1.square() * t0).square()
     t0 = t1 * y1
     t1 = t1 * y0
-    t0 = t0.cyclotomic_square() * t1
+    t0 = t0.square() * t1
     return t0
 
 

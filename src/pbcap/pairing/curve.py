@@ -158,11 +158,6 @@ class PointG1:
         zinv2 = zinv * zinv % P
         return self.x * zinv2 % P, self.y * zinv2 % P * zinv % P
 
-    def __eq__(self, other):
-        if self.is_infinity() or other.is_infinity():
-            return self.is_infinity() and other.is_infinity()
-        return self.affine() == other.affine()
-
     def neg(self) -> "PointG1":
         return PointG1(self.x, -self.y % P, self.z)
 

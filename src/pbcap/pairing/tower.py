@@ -21,15 +21,14 @@ An F_p2 element outside the kernels is an (i, real) pair of ints; an
 The tests keep the F_p2 and F_p6 class formulas the int code replaced as
 references.  Nothing here is constant-time.
 
-Four kernels take most of a pairing's time: ``Fp12.__mul__``,
-``Fp12.square``, ``Fp12.cyclotomic_square`` and ``_mul_line``.  Each
-unpacks its operands' ``c`` tuples into named ints, keeps the algorithm
-of the class formulas it replaced (Karatsuba over w and in each F_p6 and
-F_p2 product, Granger-Scott squaring) and reduces each of its 12 output
-coefficients mod P exactly once, in the tuple it returns (lazy
-reduction, Aranha et al., Eurocrypt 2011).  Every product it takes is of
-linear combinations of reduced coefficients, so no intermediate grows
-past about 520 bits.  The F_p6 products are the
+Three kernels take most of a pairing's time: ``Fp12.__mul__``,
+``Fp12.square`` and ``_mul_line``.  Each unpacks its operands' ``c``
+tuples into named ints, keeps the algorithm of the class formulas it
+replaced (Karatsuba over w and in each F_p6 and F_p2 product) and
+reduces each of its 12 output coefficients mod P exactly once, in the
+tuple it returns (lazy reduction, Aranha et al., Eurocrypt 2011).  Every
+product it takes is of linear combinations of reduced coefficients, so
+no intermediate grows past about 520 bits.  The F_p6 products are the
 int-level helpers ``_fp6_mul`` and ``_fp6_mul_sparse``, not copies
 inlined at each call site: a call costs at most a few percent of a
 kernel, while the inlined copies made this module 40% larger (8.2k
@@ -37,21 +36,23 @@ against 5.8k syntax-tree nodes), and compiling it from source, as every
 process does when no bytecode is cached, raised the benchmark's peak RSS
 by 0.35 MB.
 
-``Fp12.cyclotomic_square`` and ``Fp12.exp_u`` are correct only inside the
-cyclotomic subgroup (elements f with f^(p^4 - p^2 + 1) = 1, as every
-f^((p^6 - 1)(p^2 + 1)) is; -1 is not), which is where the hard part of
-``bn256.final_exponentiation`` runs.  They must never touch a decoded or
-otherwise unchecked element: the Miller loop and GT exponentiation use
-the generic ``square`` and ``exp``.  ``pow_u`` raises to u = v^3 as three
-passes over the signed digits of v, which has 5 non-zero digits where u
-has 23: 63 squarings and 12 products (Naehrig, Niederhagen and Schwabe,
-LATINCRYPT 2010).  ``curve.in_g2`` takes [u]Q by that chain in G2.
-``exp_u`` runs the same three passes by v, with the same 12 products,
-but squares in compressed form (Karabina, Math. Comp. 2013): 4 of the 6
-F_p2 coefficients, 8 reductions a squaring where ``cyclotomic_square``
-takes 12.  Each pass decompresses the four powers it keeps with one
-F_p inversion.  An element with a kept power it cannot decompress (a0 of
-0, as in 1) takes ``pow_u`` with ``cyclotomic_square``.
+``Fp12.exp_u`` is correct only inside the cyclotomic subgroup (elements
+f with f^(p^4 - p^2 + 1) = 1, as every f^((p^6 - 1)(p^2 + 1)) is; -1 is
+not), which is where the hard part of ``bn256.final_exponentiation``
+runs.  It must never touch a decoded or otherwise unchecked element: the
+Miller loop and GT exponentiation use the generic ``square`` and
+``exp``.  ``pow_u`` raises to u = v^3 as three passes over the signed
+digits of v, which has 5 non-zero digits where u has 23: 63 squarings
+and 12 products (Naehrig, Niederhagen and Schwabe, LATINCRYPT 2010).
+``curve.in_g2`` takes [u]Q by that chain in G2.  ``exp_u`` runs the same
+three passes by v, with the same 12 products, but squares in compressed
+form (Karabina, Math. Comp. 2013): 4 of the 6 F_p2 coefficients, 8
+reductions a squaring where ``square`` takes 12.  Each pass decompresses
+the four powers it keeps with one F_p inversion.  An element with a kept
+power it cannot decompress (a0 of 0, as in 1) takes ``pow_u`` with
+``square``.  The hard part's four other squarings take ``square`` too:
+a cyclotomic squaring of its own saved about 0.6% of a final
+exponentiation.
 """
 
 from __future__ import annotations
@@ -332,45 +333,6 @@ class Fp12:
             (s0i - v0i - 3 * v2i - v2r) % P, (s0r - v0r - 3 * v2r + v2i) % P,
         ))
 
-    def cyclotomic_square(self) -> "Fp12":
-        """Square of an element of the cyclotomic subgroup (Granger-Scott, PKC 2010).
-
-        Over F_p4 = F_p2[s]/(s^2 - xi) with s = w^3, the element is
-        A + B*w + C*w^2 and its square is
-        (3A^2 - 2A', 3s*C^2 + 2B', 3B^2 - 2C') with ' the F_p4 conjugate.
-        (p + q*s)^2 = p^2 + xi*q^2 + ((p + q)^2 - p^2 - q^2)*s, and an Fp2
-        square is (2*i*r, (r - i)(r + i)).  Wrong for any element outside
-        that subgroup.
-        """
-        a2i, a2r, a1i, a1r, a0i, a0r, b2i, b2r, b1i, b1r, b0i, b0r = self.c
-
-        # A = b0 + a1*s, the w^0 and w^3 coefficients
-        pi, pr = 2 * b0i * b0r, (b0r - b0i) * (b0r + b0i)
-        qi, qr = 2 * a1i * a1r, (a1r - a1i) * (a1r + a1i)
-        si, sr = b0i + a1i, b0r + a1r
-        y0i, y0r = 3 * (3 * qi + qr + pi) - 2 * b0i, 3 * (3 * qr - qi + pr) - 2 * b0r
-        x1i = 3 * (2 * si * sr - pi - qi) + 2 * a1i
-        x1r = 3 * ((sr - si) * (sr + si) - pr - qr) + 2 * a1r
-
-        # B = a0 + b2*s, the w^1 and w^4 coefficients
-        pi, pr = 2 * a0i * a0r, (a0r - a0i) * (a0r + a0i)
-        qi, qr = 2 * b2i * b2r, (b2r - b2i) * (b2r + b2i)
-        si, sr = a0i + b2i, a0r + b2r
-        y1i, y1r = 3 * (3 * qi + qr + pi) - 2 * b1i, 3 * (3 * qr - qi + pr) - 2 * b1r
-        x2i = 3 * (2 * si * sr - pi - qi) + 2 * a2i
-        x2r = 3 * ((sr - si) * (sr + si) - pr - qr) + 2 * a2r
-
-        # C = b1 + a2*s, the w^2 and w^5 coefficients
-        pi, pr = 2 * b1i * b1r, (b1r - b1i) * (b1r + b1i)
-        qi, qr = 2 * a2i * a2r, (a2r - a2i) * (a2r + a2i)
-        si, sr = b1i + a2i, b1r + a2r
-        y2i, y2r = 3 * (3 * qi + qr + pi) - 2 * b2i, 3 * (3 * qr - qi + pr) - 2 * b2r
-        ei, er = 2 * si * sr - pi - qi, (sr - si) * (sr + si) - pr - qr
-        x0i, x0r = 3 * (3 * ei + er) + 2 * a0i, 3 * (3 * er - ei) + 2 * a0r
-
-        return Fp12((x2i % P, x2r % P, x1i % P, x1r % P, x0i % P, x0r % P,
-                     y2i % P, y2r % P, y1i % P, y1r % P, y0i % P, y0r % P))
-
     def exp(self, k: int) -> "Fp12":
         return pow_bits(self, k, FP12_ONE, Fp12.square, Fp12.__mul__)
 
@@ -379,12 +341,12 @@ class Fp12:
         conjugate is the inverse: three passes x -> x^v, each
         x x^(2^8) x^(2^15) x^(-2^18) x^(2^21) with the four powers from
         ``_compressed_powers``.  An element with a power it cannot
-        decompress, as 1 has, takes ``pow_u`` with ``cyclotomic_square``."""
+        decompress, as 1 has, takes ``pow_u`` with ``square``."""
         x = self
         for _ in range(3):
             g = _compressed_powers(x, (8, 7, 3, 3))
             if g is None:
-                return pow_u(self, Fp12.cyclotomic_square, Fp12.__mul__, Fp12.conjugate)
+                return pow_u(self, Fp12.square, Fp12.__mul__, Fp12.conjugate)
             x = x * g[0] * g[1] * g[2].conjugate() * g[3]
         return x
 
@@ -413,10 +375,11 @@ def _compressed_powers(x: Fp12, runs) -> "list[Fp12] | None":
 
     A squaring maps the coefficients (b1, b2, a0, a2) to
     (3(a0^2 + xi b2^2) - 2b1, 3(b1^2 + xi a2^2) - 2b2, 2a0 + 6xi b1 a2,
-    2a2 + 6 a0 b2): the B and C parts of ``cyclotomic_square``, 8
-    reductions where it takes 12.  Each kept power keeps the unreduced
-    b1^2 and a2^2 that the next squaring takes anyway, and is decompressed
-    by a1 = (xi a2^2 + 3b1^2 - 2b2)/(4a0) and
+    2a2 + 6 a0 b2): the B and C parts of Granger and Scott's cyclotomic
+    squaring (PKC 2010), 8 reductions where ``Fp12.square`` takes 12.
+    Each kept power keeps the unreduced b1^2 and a2^2 that the next
+    squaring takes anyway, and is decompressed by
+    a1 = (xi a2^2 + 3b1^2 - 2b2)/(4a0) and
     b0 = xi(2a1^2 + a0 a2 - 3b1 b2) + 1, with one inversion for them all
     (Montgomery's trick; Aranha et al., Eurocrypt 2011).  A run of 0
     keeps x itself.

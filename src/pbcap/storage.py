@@ -119,8 +119,3 @@ class StorageLayout:
         line = json.dumps(asdict(decision), sort_keys=True) + "\n"
         with self.log_path.open("a", encoding="utf-8") as fh:
             fh.write(line)
-
-    def stored_files(self) -> list[Path]:
-        return sorted(
-            p for p in self.root.glob("*/*") if p.is_file() and not p.name.startswith(".")
-        )

@@ -140,6 +140,12 @@ def _mul_unreduced(pt, k):
     return r
 
 
+def _affine(pt):
+    """A point's ``affine()``, or None at infinity: how the tests compare
+    G1 points, which define no equality."""
+    return None if pt.is_infinity() else pt.affine()
+
+
 TWIST_COFACTOR = 2 * tower.P - curve.ORDER  # the twist has n * (2p - n) points
 
 
@@ -268,30 +274,6 @@ def _reference_inverse(f):
     t1 = y * y - (x * x).mul_tau()
     t2 = t1.inverse()
     return _join(_fp6_neg(x) * t2, y * t2)
-
-
-def _fp4_square(a, b):
-    """(a + b*s)^2 in F_p2[s]/(s^2 - xi), as its two coefficients."""
-    a2 = a.square()
-    b2 = b.square()
-    return b2.mul_xi() + a2, (a + b).square() - a2 - b2
-
-
-def _reference_cyclotomic_square(f):
-    """Granger-Scott: (3a^2 - 2a', 3s*c^2 + 2b', 3b^2 - 2c') over F_p4."""
-    x, y = _halves(f)
-    a2, a3 = _fp4_square(y.z, x.y)
-    b2, b3 = _fp4_square(x.z, y.x)
-    c2, c3 = _fp4_square(y.y, x.x)
-    c3 = c3.mul_xi()
-    # coefficients of w^0 .. w^5: y.z, x.z, y.y, x.y, y.x, x.x
-    y_z = a2.double() + a2 - y.z.double()
-    x_y = a3.double() + a3 + x.y.double()
-    x_z = c3.double() + c3 + x.z.double()
-    y_x = c2.double() + c2 - y.x.double()
-    y_y = b2.double() + b2 - y.y.double()
-    x_x = b3.double() + b3 + x.x.double()
-    return _join(Fp6(x_x, x_y, x_z), Fp6(y_x, y_y, y_z))
 
 
 def _mul_linear(g, a, b):
@@ -540,7 +522,7 @@ class TestEndomorphismSplits:
         assert curve.BETA != 1 and pow(curve.BETA, 3, P) == 1
         assert (lam * lam + lam + 1) % n == 0
         g1 = curve.G1_GEN
-        assert _mul_unreduced(g1, lam) == curve.PointG1(curve.BETA * g1.x % P, g1.y)
+        assert _mul_unreduced(g1, lam).affine() == (curve.BETA * g1.x % P, g1.y)
         assert (mu ** 4 - mu ** 2 + 1) % n == 0
         assert _mul_unreduced(curve.G2_GEN, mu) == curve.psi(curve.G2_GEN)
 
@@ -707,12 +689,86 @@ class TestPairsEqual:
             s.pairs_equal(s.gen_a, s.gen_a, s.gen_a, s.gen_b)
 
 
+# GT by the pairing's definition, not by pbcap's own frozen output: the
+# plain power (p^12 - 1)/n and a textbook optimal ate on E(F_p12).
+
+FE_EXPONENT = (P ** 12 - 1) // curve.ORDER
+
+
+def _fp12_sum(*terms):
+    """The sum of k*a over the (k, a) terms, coefficient by coefficient:
+    F_p12 addition, which ``tower`` does not define."""
+    return tower.Fp12(tuple(sum(k * a.c[j] for k, a in terms) % P for j in range(12)))
+
+
+def _untwist(q):
+    """A G2 point as the point (x*w^2, y*w^3) of E(F_p12): w^2 = tau is
+    the b1 place of ``Fp12.c`` and w^3 = tau*w the a1 place."""
+    xi, xr, yi, yr = q.affine()
+    return (tower.Fp12((0,) * 8 + (xi, xr, 0, 0)),
+            tower.Fp12((0, 0, yi, yr) + (0,) * 8))
+
+
+def _textbook_ate(p, q):
+    """e(P, Q) = (f_{6u+2,Q} * l_{T,pi(Q)} * l_{T+pi(Q),-pi^2(Q)})(P)^((p^12 - 1)/n)
+    with T = [6u+2]Q (Vercauteren, "Optimal pairings", IEEE TIT 2010;
+    the BN form in eprint 2010/354): an affine Miller loop over the bits
+    of 6u+2 on Q untwisted into E(F_p12), with Frobenius as pi and the
+    vertical lines dropped, since they lie in F_p6, which the power kills."""
+    px, py = (tower.Fp12((0,) * 11 + (c,)) for c in p.affine())
+
+    def step(t, s):
+        """T + S (2T when S is T) and the line through them at P."""
+        (tx, ty), (sx, sy) = t, s
+        if s is t:
+            lam = _fp12_sum((3, tx * tx)) * _fp12_sum((2, ty)).inverse()
+        else:
+            lam = _fp12_sum((1, sy), (-1, ty)) * _fp12_sum((1, sx), (-1, tx)).inverse()
+        x3 = _fp12_sum((1, lam * lam), (-1, tx), (-1, sx))
+        y3 = _fp12_sum((1, lam * _fp12_sum((1, tx), (-1, x3))), (-1, ty))
+        return (x3, y3), _fp12_sum((1, py), (-1, ty), (-1, lam * _fp12_sum((1, px), (-1, tx))))
+
+    q = t = _untwist(q)
+    f = tower.FP12_ONE
+    for bit in bin(6 * tower.U + 2)[3:]:
+        t, line = step(t, t)
+        f = f * f * line
+        if bit == "1":
+            t, line = step(t, q)
+            f = f * line
+    qx, qy = q
+    pi_q = (qx.frobenius(), qy.frobenius())
+    neg_pi2_q = (pi_q[0].frobenius(), _fp12_sum((-1, pi_q[1].frobenius())))
+    for s in (pi_q, neg_pi2_q):
+        t, line = step(t, s)
+        f = f * line
+    return f.exp(FE_EXPONENT)
+
+
+class TestPairingDefinition:
+    """GT pinned to the definition of the optimal ate pairing.  Every fixed
+    power of the pairing is bilinear and non-degenerate too, so a final
+    exponentiation or Miller loop that computed one, such as e^2 or e^-1,
+    would pass the bilinearity tests and be frozen into the next
+    regenerated vector."""
+
+    def test_final_exponentiation_is_the_plain_power(self):
+        rng = random.Random(38)
+        for _ in range(3):
+            f = bn256.miller_loop([_prepared(_random_pair(rng))])
+            assert bn256.final_exponentiation(f) == f.exp(FE_EXPONENT)
+
+    def test_pair_is_the_textbook_optimal_ate(self, prod_suite):
+        rng = random.Random(39)
+        s = prod_suite
+        for _ in range(3):
+            x = s.gen_a ** rng.randrange(1, s.order)
+            y = s.gen_b ** rng.randrange(1, s.order)
+            assert s.pair(x, y).value == _textbook_ate(x.value, y.value)
+
+
 class TestBn256Kernels:
     """Each fast kernel against the generic arithmetic it replaces."""
-
-    def test_cyclotomic_square_matches_square(self):
-        for t in _cyclotomic_elements(random.Random(21), 20):
-            assert t.cyclotomic_square() == t.square()
 
     def test_karatsuba_mul_matches_schoolbook(self):
         rng = random.Random(22)
@@ -750,12 +806,6 @@ class TestBn256Kernels:
         for a in _edge_fp12s() + [_random_fp12(rng) for _ in range(30)]:
             assert a.square() == _reference_square(a)
             assert a.square() == a * a
-
-    def test_fused_cyclotomic_square_matches_reference(self):
-        """On post-easy-part elements, where the kernel squares, and on the
-        edge elements, where it is only a formula but must still agree."""
-        for t in _cyclotomic_elements(random.Random(30), 5) + _edge_fp12s():
-            assert t.cyclotomic_square() == _reference_cyclotomic_square(t)
 
     def test_fused_mul_line_matches_reference(self):
         """Real table entries evaluated at a real P, and edge coefficients
@@ -826,48 +876,48 @@ class TestBn256Kernels:
             assert t.exp_u() == t.exp(tower.U)
 
     def test_exp_u_matches_pow_u_chain(self):
-        """The compressed chain against ``pow_u`` with ``cyclotomic_square``,
-        the chain it replaced, on cyclotomic elements and their conjugates."""
+        """The compressed chain against ``pow_u`` with ``square``, the
+        chain it replaced, on cyclotomic elements and their conjugates."""
         for t in _cyclotomic_elements(random.Random(34), 3):
             for x in (t, t.conjugate()):
-                assert x.exp_u() == tower.pow_u(x, tower.Fp12.cyclotomic_square,
+                assert x.exp_u() == tower.pow_u(x, tower.Fp12.square,
                                                 tower.Fp12.__mul__, tower.Fp12.conjugate)
 
     def test_exp_u_of_one_takes_the_fallback(self, monkeypatch):
         """1 has a0 = 0, which has no decompression, so its ``exp_u`` takes
-        ``pow_u`` with ``cyclotomic_square``: 63 squarings.  A cyclotomic
-        element takes none."""
+        ``pow_u`` with ``square``: 63 squarings.  A cyclotomic element
+        takes none."""
+        t = _cyclotomic_elements(random.Random(35), 1)[0]
         calls = []
 
-        def counted(f, _inner=tower.Fp12.cyclotomic_square):
+        def counted(f, _inner=tower.Fp12.square):
             calls.append(f)
             return _inner(f)
 
-        monkeypatch.setattr(tower.Fp12, "cyclotomic_square", counted)
+        monkeypatch.setattr(tower.Fp12, "square", counted)
         assert tower._compressed_powers(tower.FP12_ONE, (0,)) is None
         assert tower.FP12_ONE.exp_u() == tower.FP12_ONE
         assert len(calls) == 63
         calls.clear()
-        t = _cyclotomic_elements(random.Random(35), 1)[0]
         t.exp_u()
         assert not calls
 
     def test_compressed_squaring_and_decompression_match_cyclotomic_square(self):
         """A run of 0 only compresses and decompresses x; a run of 1 is one
         compressed squaring; the runs of ``exp_u`` keep the powers that
-        ``cyclotomic_square`` reaches."""
+        repeated ``square`` of a cyclotomic element reaches."""
         for t in _cyclotomic_elements(random.Random(36), 4):
             assert tower._compressed_powers(t, (0,)) == [t]
-            assert tower._compressed_powers(t, (1,)) == [t.cyclotomic_square()]
+            assert tower._compressed_powers(t, (1,)) == [t.square()]
             runs = (8, 7, 3, 3)
             powers, x = [], t
             for run in runs:
                 for _ in range(run):
-                    x = x.cyclotomic_square()
+                    x = x.square()
                 powers.append(x)
             assert tower._compressed_powers(t, runs) == powers
-            t2 = t.cyclotomic_square()
-            t8 = t2.cyclotomic_square().cyclotomic_square()
+            t2 = t.square()
+            t8 = t2.square().square()
             assert tower._compressed_powers(t, (0, 1, 0, 2)) == [t, t2, t2, t8]
 
     def test_kernel_outputs_are_reduced_on_edge_inputs(self):
@@ -881,7 +931,7 @@ class TestBn256Kernels:
         for f in (zero, full):
             for g in (zero, full):
                 outputs.append(f * g)
-            outputs += [f.square(), f.cyclotomic_square()]
+            outputs.append(f.square())
             outputs += [tower._mul_line(f, line, px, py) for line in line_sets
                         for px in (0, top) for py in (0, top)]
         outputs.append(full.inverse())
@@ -952,7 +1002,7 @@ class TestBn256Kernels:
         for point, basis, lam in ((curve.G1_GEN, curve.G1_BASIS, curve.PHI_EIGENVALUE),
                                   (curve.G2_GEN, curve.G2_BASIS, curve.PSI_EIGENVALUE)):
             for k in _split_edges(basis, lam, rng):
-                assert point.scalar_mul(k) == _mul_unreduced(point, k % curve.ORDER)
+                assert _affine(point.scalar_mul(k)) == _affine(_mul_unreduced(point, k % curve.ORDER))
         for inf in (curve.G1_INF, curve.G2_INF):
             for k in (0, 1, curve.ORDER - 1, rng.randrange(curve.ORDER)):
                 assert inf.scalar_mul(k).is_infinity()
@@ -966,7 +1016,7 @@ class TestBn256Kernels:
         edges = [0, 1, 2, curve.ORDER - 1, curve.ORDER, curve.PHI_EIGENVALUE, tower.U]
         for pt in points:
             for k in edges + [rng.randrange(curve.ORDER) for _ in range(5)]:
-                assert pt.scalar_mul(k) == _mul_unreduced(pt, k % curve.ORDER)
+                assert _affine(pt.scalar_mul(k)) == _affine(_mul_unreduced(pt, k % curve.ORDER))
 
 
     def test_mul_u_matches_unreduced_ladder(self):

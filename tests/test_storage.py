@@ -17,6 +17,11 @@ def layout(tmp_path):
     return StorageLayout(tmp_path)
 
 
+def _stored_files(root):
+    """The payloads under a storage root: unit/file, no dot names."""
+    return sorted(p for p in root.glob("*/*") if p.is_file() and not p.name.startswith("."))
+
+
 def _decision(file_id="f.bin", unit="Hospital"):
     return Decision(file_id=file_id, matched_policy="1",
                     category="Medical Documents", storage_unit=unit,
@@ -83,7 +88,7 @@ class TestLayout:
             layout.store(_decision("b.bin", unit=storage.LOG_NAME), b"2")
         assert (tmp_path / storage.LOG_NAME).is_file()
         assert len((tmp_path / storage.LOG_NAME).read_text().splitlines()) == 1
-        assert [p.name for p in layout.stored_files()] == ["a.bin"]
+        assert [p.name for p in _stored_files(tmp_path)] == ["a.bin"]
 
     def test_storage_unit_that_is_not_a_directory_refused(self, layout, tmp_path):
         (tmp_path / "Hospital").write_bytes(b"not a unit")
@@ -92,17 +97,17 @@ class TestLayout:
         assert (tmp_path / "Hospital").read_bytes() == b"not a unit"
         assert not (tmp_path / storage.LOG_NAME).exists()
 
-    def test_stored_files_listing(self, layout):
+    def test_stored_files_listing(self, layout, tmp_path):
         layout.store(_decision("a.bin"), b"1")
         layout.store(_decision("b.bin", unit="default"), b"2")
-        units = {p.parent.name for p in layout.stored_files()}
+        units = {p.parent.name for p in _stored_files(tmp_path)}
         assert units == {"Hospital", "default"}
 
     def test_temporary_files_are_not_stored_files(self, layout, tmp_path):
         """A killed process can leave a ``.<hex>.tmp``; dot names are never payloads."""
         layout.store(_decision("a.bin"), b"1")
         (tmp_path / "Hospital/.deadbeef.tmp").write_bytes(b"partial")
-        assert layout.stored_files() == [tmp_path / "Hospital/a.bin"]
+        assert _stored_files(tmp_path) == [tmp_path / "Hospital/a.bin"]
         with pytest.raises(ValidationError, match="temporary"):
             layout.store(_decision(".deadbeef.tmp"), b"2")
         assert (tmp_path / "Hospital/.deadbeef.tmp").read_bytes() == b"partial"
