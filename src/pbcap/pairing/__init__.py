@@ -10,16 +10,3 @@ from .suite import (
     Scalar,
     get_suite,
 )
-
-__all__ = [
-    "H1_DST",
-    "H2_BYTES",
-    "H2_DST",
-    "Bn256Suite",
-    "Group",
-    "GroupElement",
-    "MockSuite",
-    "PairingSuite",
-    "Scalar",
-    "get_suite",
-]

@@ -195,16 +195,13 @@ def _map_to_g1(t: int) -> PointG1:
 
     The candidates x1 and x2 are tested by ``fp_legendre``, and one root
     is taken, of the first whose g(x) is a non-zero square; if neither
-    is, x3's g(x) is a square."""
+    is, x3's g(x) is a square.  The denominator 1 + b + t^2 is never 0:
+    that would need t^2 = -4 = -1 * 2^2, and -1 is a non-square mod p
+    because p = 3 mod 4."""
     if t == 0:
         t = 1  # the map is undefined at 0; negligible-probability input
     b = PointG1.B
-    t2 = t * t % P
-    denom = (1 + b + t2) % P
-    if denom == 0:
-        t = (t + 1) % P
-        t2 = t * t % P
-        denom = (1 + b + t2) % P
+    denom = (1 + b + t * t) % P
     chi_t = fp_legendre(t)
     w = SQRT_NEG_3 * t % P * fp_inv(denom) % P
 

@@ -100,10 +100,7 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.group is not self.group or other.suite is not self.suite:
-            raise GroupMismatchError(
-                f"cannot combine {self.group.value} and {other.group.value} elements"
-            )
+        self.suite._require(other, self.group)
         return self.suite._mul(self, other)
 
     def __eq__(self, other):

@@ -12,13 +12,13 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from exact_oracle import oracle_check_identities
 
 from pbcap.cli import cli
 from pbcap.game import (
     RandomGuessAttacker,
     RuleBreakingAttacker,
     TrapdoorEquippedAttacker,
-    oracle_check_identities,
     run_game,
 )
 from pbcap.pairing import get_suite

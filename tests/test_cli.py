@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pbcap import scheme, storage
-from pbcap.cli import cli
+from pbcap import formats, scheme, storage
+from pbcap.cli import cli, main
 from pbcap.pairing import MockSuite
 
 POLICY_DOC = {
@@ -227,6 +227,21 @@ class TestCompile:
         assert "Traceback" not in result.output
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("field", ["id", "category"])
+    def test_empty_policy_field_refused(self, tmp_path, runner, field):
+        doc = dict(POLICY_DOC, policies=[dict(POLICY_DOC["policies"][0], **{field: ""})])
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path), "--suite", "mock", "--seed", "1"])
+        result = runner.invoke(cli, [
+            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
+            "--admin-sk", str(tmp_path / "admin.sk"),
+            "--out", str(tmp_path / "out.json"), "--suite", "mock",
+        ], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"Error: {tmp_path / 'bad.json'}: policy #0: ")
+        assert ("policy id must be non-empty" if field == "id" else "needs a category") in result.stderr
+        assert not (tmp_path / "out.json").exists()
+
     def test_trapdoor_count_matches_keywords(self, pipeline):
         root, _ = pipeline
         doc = json.loads((root / "compiled.json").read_text())
@@ -347,6 +362,24 @@ class TestTag:
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith(f"Error: {root / 'bad_graph'}: ")
         assert "Traceback" not in result.output
+        assert not (root / "bad.json").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("edge RecordedBy t", "expected: edge <relation> <source> <target>"),
+        ("vertex v Agent Nurse", "unknown declaration 'vertex'"),
+    ])
+    def test_bad_graph_line_named(self, pipeline, runner, line, message):
+        root, _ = pipeline
+        (root / "bad_graph").write_text(f"node t Artifact Test\nnode n Agent Nurse\n{line}\n")
+        result = runner.invoke(cli, [
+            "user", "tag", "--graph", str(root / "bad_graph"),
+            "--admin-pk", str(root / "pap/admin.pk"),
+            "--user-sk", str(root / "usr/user.sk"),
+            "--payload", str(root / "payload.bin"),
+            "--out", str(root / "bad.json"), "--suite", "mock", "--seed", "5",
+        ], catch_exceptions=False)
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: {root / 'bad_graph'}: line 3: {message}\n"
         assert not (root / "bad.json").exists()
 
 
@@ -506,6 +539,20 @@ class TestClassify:
                                catch_exceptions=False)
         assert result.exit_code == 3, result.output
         assert result.stderr == f"decode error: {refusal}\n"
+        assert list((root / "store").iterdir()) == []
+
+    def test_identity_user_key_exits_3_before_reading_submissions(self, pipeline, runner, monkeypatch):
+        root, _ = pipeline
+        doc = json.loads((root / "usr/user.pk").read_text())
+        (root / "usr/user.pk").write_text(json.dumps(dict(doc, pk_b=bytes(8).hex())))
+
+        def unread(*args):
+            raise AssertionError("a submission was read")
+
+        monkeypatch.setattr(formats, "load_submission", unread)
+        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"decode error: {root / 'usr/user.pk'}: user public key is the identity\n"
         assert list((root / "store").iterdir()) == []
 
     def test_genuine_forged_genuine_checks_admin_key_once(self, pipeline, runner, monkeypatch):
@@ -860,6 +907,15 @@ class TestHarness:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--trials'" in result.output
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    """``main``, the function the ``pbcap`` console script calls."""
+    monkeypatch.setattr(sys, "argv", ["pbcap", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert "Policy decision + enforcement point." in capsys.readouterr().out
 
 
 def test_import_loads_neither_fractions_nor_decimal():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from exact_oracle import _FixedScalarRng, oracle_check_identities
 
 from pbcap.game import (
     ATTACKERS,
@@ -11,7 +12,6 @@ from pbcap.game import (
     RuleBreakingAttacker,
     TrapdoorEquippedAttacker,
     TrapdoorOracle,
-    oracle_check_identities,
     run_game,
 )
 from pbcap.scheme import (
@@ -45,6 +45,10 @@ class TestAttackerBounds:
     def test_cheating_attacker_on_production_suite(self, prod_suite):
         t = run_game(prod_suite, TrapdoorEquippedAttacker(), 3, random.Random(14))
         assert t.win_rate == 1.0
+
+    def test_non_positive_trials_refused(self, mock_suite):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_game(mock_suite, RandomGuessAttacker(), 0, random.Random(15))
 
 
 class TestRuleEnforcement:
@@ -173,8 +177,6 @@ class TestExactOracle:
         assert not matches_trapdoor(s, trap, mutated)
 
     def test_degenerate_unit_randomizer_still_correct(self, mock_suite):
-        from pbcap.game import _FixedScalarRng
-
         s = mock_suite
         rng = random.Random(34)
         admin = keygen_admin(s, rng)

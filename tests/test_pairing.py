@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, Scalar, bn256, curve, tower
+from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, Scalar, bn256, curve, get_suite, tower
 from pbcap.scheme import check_admin_key, keygen_admin, keygen_user, make_x, verify_authenticity
 
 P = tower.P
@@ -622,6 +622,14 @@ class TestBilinearity:
         with pytest.raises(GroupMismatchError):
             s.pair(s.gen_a, s.gen_a)
 
+    def test_target_group_product_is_the_pairing_of_the_product(self, any_suite, rng):
+        """e(a, b) * e(a, c) == e(a, b * c): the GT product by which a tag's
+        Z is built from pairings."""
+        s = any_suite
+        a = s.gen_a ** rng.randrange(1, s.order)
+        b, c = (s.gen_b ** rng.randrange(1, s.order) for _ in range(2))
+        assert s.pair(a, b) * s.pair(a, c) == s.pair(a, b * c)
+
     def test_kept_table_pairs_like_a_fresh_copy(self, prod_suite, rng):
         """A group-B element keeps its line table after its first pairing;
         later pairings through that table equal those of a freshly decoded
@@ -687,6 +695,25 @@ class TestPairsEqual:
             s.pairs_equal(s.gen_a, s.gen_b, s.gen_b, s.gen_b)
         with pytest.raises(GroupMismatchError):
             s.pairs_equal(s.gen_a, s.gen_a, s.gen_a, s.gen_b)
+
+
+class TestElementOperators:
+    def test_mismatched_product_refused(self, any_suite):
+        """An element of another suite instance, or of the other group."""
+        s, other = any_suite, type(any_suite)()
+        with pytest.raises(GroupMismatchError, match="^element does not belong to this suite$"):
+            s.gen_a * other.gen_a
+        with pytest.raises(GroupMismatchError, match="^expected a group-A element, got B$"):
+            s.gen_a * s.gen_b
+
+    def test_non_element_operands(self, any_suite):
+        with pytest.raises(TypeError):
+            any_suite.gen_a * 5
+        assert (any_suite.gen_a == 5) is False
+
+    def test_discrete_log_refuses_another_suites_element(self, mock_suite):
+        with pytest.raises(GroupMismatchError, match="does not belong to this suite"):
+            mock_suite.discrete_log(MockSuite().gen_a)
 
 
 # GT by the pairing's definition, not by pbcap's own frozen output: the
@@ -1034,6 +1061,24 @@ class TestBn256Kernels:
             assert uq == _mul_unreduced(q, tower.U)
 
 
+class TestG1Add:
+    def test_edge_cases(self, rng):
+        """P + inf and inf + P give P, P + P (also across two Jacobian forms
+        of P) gives P.double(), and P + (-P) is infinity; the generator has
+        z = 1, a multiple of it z != 1."""
+        inf = curve.G1_INF
+        multiple = curve.G1_GEN.scalar_mul(rng.randrange(2, curve.ORDER))
+        assert multiple.z != 1
+        for pt in (curve.G1_GEN, multiple):
+            lam = rng.randrange(2, P)
+            other = curve.PointG1(pt.x * lam ** 2 % P, pt.y * lam ** 3 % P, pt.z * lam % P)
+            assert pt.add(inf).affine() == pt.affine() == inf.add(pt).affine()
+            assert pt.add(pt).affine() == pt.double().affine() == pt.add(other).affine()
+            assert pt.add(pt.neg()).is_infinity() and pt.add(other.neg()).is_infinity()
+        with pytest.raises(ZeroDivisionError):
+            inf.affine()
+
+
 class TestG2Formulas:
     """The int point and line formulas against their Fp2-object references.
     ``_jacobian`` compares raw coordinates, so each case also checks that
@@ -1197,6 +1242,18 @@ class TestHashToGroupA:
             pt, ref = bn256._map_to_g1(t), _reference_map_to_g1(t)
             assert (pt.x, pt.y, pt.z) == (ref.x, ref.y, ref.z)
 
+    def test_map_to_g1_denominator_never_vanishes(self):
+        """1 + b + t^2 = 0 would need -(1 + b) = -4 to be a square mod p;
+        with p = 3 mod 4 it is not, so ``_map_to_g1`` needs no re-draw."""
+        assert P % 4 == 3
+        assert tower.fp_legendre(-(1 + curve.PointG1.B) % P) == -1
+
+    def test_expand_message_xmd_refuses_out_of_range_parameters(self):
+        with pytest.raises(ValueError, match="out of range"):
+            bn256._expand_message_xmd(b"", b"d" * 256, 32)
+        with pytest.raises(ValueError, match="out of range"):
+            bn256._expand_message_xmd(b"", b"d", 32 * 256)
+
     def test_mock_hash_exposes_discrete_log(self, mock_suite):
         e = mock_suite.hash_to_group_a(b"RecordedBy(Test,Nurse)")
         d = mock_suite.discrete_log(e)
@@ -1314,6 +1371,29 @@ class TestSerialization:
         with pytest.raises(DecodeError):
             any_suite.element_from_bytes(Group.A, b"\x01\x02\x03")
 
+    def test_malformed_encodings_rejected(self, prod_suite):
+        """A non-zero byte after the infinity prefix, a real encoding with
+        a prefix other than 0, 2 or 3, and a real G2 encoding one byte
+        short."""
+        a, b = prod_suite.gen_a.to_bytes(), prod_suite.gen_b.to_bytes()
+        zero_then_one = b"\x00\x01" + bytes(31)
+        cases = [
+            (Group.A, zero_then_one, "bad G1 infinity encoding"),
+            (Group.A, b"\x04" + a[1:], "bad G1 prefix"),
+            (Group.B, b[:64], "bad G2 encoding length"),
+            (Group.B, zero_then_one + bytes(32), "bad G2 infinity encoding"),
+            (Group.B, b"\x01" + b[1:], "bad G2 prefix"),
+        ]
+        for group, blob, message in cases:
+            with pytest.raises(DecodeError, match=f"^{message}$"):
+                prod_suite.element_from_bytes(group, blob)
+
+    def test_mock_exponent_equal_to_the_order_rejected(self, mock_suite):
+        top = mock_suite.order - 1
+        assert mock_suite.discrete_log(mock_suite.element_from_bytes(Group.A, top.to_bytes(8, "big"))) == top
+        with pytest.raises(DecodeError, match="^mock exponent out of range$"):
+            mock_suite.element_from_bytes(Group.A, mock_suite.order.to_bytes(8, "big"))
+
 
 class TestMockVsProductionAgreement:
     """Every law checked on the mock holds on the production suite too."""
@@ -1329,3 +1409,8 @@ class TestMockVsProductionAgreement:
     def test_only_mock_exposes_exponents(self, mock_suite, prod_suite):
         assert hasattr(mock_suite, "discrete_log")
         assert not hasattr(prod_suite, "discrete_log")
+
+
+def test_unknown_suite_name_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        get_suite("nope")

@@ -14,6 +14,7 @@ from pbcap.provenance import (
     extract_fragments,
     parse_fragment,
     parse_graph,
+    parse_graph_json,
     parse_graph_text,
 )
 
@@ -182,6 +183,12 @@ edge RecordedBy t n
         """Both keys are required lists of objects; each refusal names the field."""
         with pytest.raises(ValidationError, match=f"^{message}$"):
             parse_graph(json.dumps(doc))
+
+    def test_json_document_that_is_not_an_object_refused(self):
+        """``parse_graph`` sends only text opening with ``{`` here, so this is
+        a direct call."""
+        with pytest.raises(ValidationError, match="^JSON graph is not an object$"):
+            parse_graph_json('[{"nodes": [], "edges": []}]')
 
     def test_sniffing(self):
         assert parse_graph(self.LINES).edges
