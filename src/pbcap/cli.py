@@ -299,7 +299,7 @@ def harness():
 def harness_run(attacker_name: str, trials: int, seed: int | None, suite_name: str):
     """Run the distinguishing game and print a transcript report."""
     suite = get_suite(suite_name)
-    rng = random.Random(seed) if seed is not None else random.Random(secrets.randbits(128))
+    rng = _make_rng(seed, suite_name)
     attacker = game.ATTACKERS[attacker_name]()
     transcript = game.run_game(suite, attacker, trials, rng)
     click.echo(json.dumps(transcript.as_dict(), indent=2, sort_keys=True))

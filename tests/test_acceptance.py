@@ -10,11 +10,9 @@ import itertools
 import json
 import random
 
-import pytest
-from click.testing import CliRunner
 from exact_oracle import oracle_check_identities
+from pipeline import PAYLOAD, run, scenario
 
-from pbcap.cli import cli
 from pbcap.game import (
     RandomGuessAttacker,
     RuleBreakingAttacker,
@@ -171,19 +169,15 @@ def test_criterion_6_security_game():
 # ---------------------------------------------------------------------------
 # Criteria 7-10 exercise the full CLI pipeline.
 
-POLICY_DOC = {
-    "format": "pbcap/1",
-    "kind": "policy-set",
-    "policies": [
-        {
-            "id": "1",
-            "keywords": ["RecordedBy(Test,Nurse)", "DiagnosedBy(Report,Doctor)"],
-            "priority": 5,
-            "category": "Medical Documents",
-            "storage_unit": "Hospital",
-        },
-    ],
-}
+POLICIES = [
+    {
+        "id": "1",
+        "keywords": ["RecordedBy(Test,Nurse)", "DiagnosedBy(Report,Doctor)"],
+        "priority": 5,
+        "category": "Medical Documents",
+        "storage_unit": "Hospital",
+    },
+]
 
 GRAPH = """\
 node t Artifact Test
@@ -192,44 +186,16 @@ edge RecordedBy t n
 """
 
 
-def _run_pipeline(base, seed=42, policy_doc=POLICY_DOC, graph=GRAPH):
-    runner = CliRunner()
-    base.mkdir(exist_ok=True)
-    (base / "policies.json").write_text(json.dumps(policy_doc))
-    (base / "graph.txt").write_text(graph)
-    (base / "payload.bin").write_bytes(b"opaque encrypted payload")
-    (base / "store").mkdir()
-    steps = [
-        ["pap", "keygen", "--out-dir", base / "pap", "--suite", "mock", "--seed", seed],
-        ["user", "keygen", "--out-dir", base / "usr", "--suite", "mock", "--seed", seed],
-        ["pap", "compile", "--policies", base / "policies.json",
-         "--admin-sk", base / "pap/admin.sk", "--out", base / "compiled.json",
-         "--suite", "mock"],
-        ["user", "tag", "--graph", base / "graph.txt",
-         "--admin-pk", base / "pap/admin.pk", "--user-sk", base / "usr/user.sk",
-         "--payload", base / "payload.bin", "--out", base / "sub.json",
-         "--suite", "mock", "--seed", seed],
-        ["pdp", "classify", base / "sub.json",
-         "--policies", base / "compiled.json", "--admin-pk", base / "pap/admin.pk",
-         "--user-pk", base / "usr/user.pk", "--storage-root", base / "store",
-         "--suite", "mock"],
-    ]
-    for args in steps:
-        result = runner.invoke(cli, [str(a) for a in args])
-        assert result.exit_code == 0, result.output
-    return base
-
-
 def test_criterion_7_policy_reproduction(tmp_path):
     """The worked example: RecordedBy(Test,Nurse) provenance classifies
     as "Medical Documents" and routes to unit "Hospital"."""
-    base = _run_pipeline(tmp_path / "pipe")
-    stored = base / "store/Hospital/payload.bin"
+    run(*scenario(tmp_path, "mock", POLICIES, GRAPH))
+    stored = tmp_path / "store/Hospital/payload.bin"
     log = [json.loads(line) for line in
-           (base / "store/decisions.log").read_text().splitlines()]
+           (tmp_path / "store/decisions.log").read_text().splitlines()]
     ok = (
         stored.exists()
-        and stored.read_bytes() == b"opaque encrypted payload"
+        and stored.read_bytes() == PAYLOAD
         and log[-1]["category"] == "Medical Documents"
         and log[-1]["storage_unit"] == "Hospital"
     )
@@ -277,17 +243,16 @@ def test_criterion_8_priority_conflict():
 
 def test_criterion_9_confidentiality_scan(tmp_path):
     """No PDP-visible pipeline output contains a plaintext fragment."""
-    doc = json.loads(json.dumps(POLICY_DOC))
-    doc["policies"].append({
+    policies = POLICIES + [{
         "id": "2", "keywords": ["ReviewedBy(Draft,Editor)"], "priority": 2,
         "category": "Editorial", "storage_unit": "Press",
-    })
-    base = _run_pipeline(tmp_path / "pipe", policy_doc=doc)
+    }]
+    run(*scenario(tmp_path, "mock", policies, GRAPH))
     secrets = [b"RecordedBy", b"DiagnosedBy", b"ReviewedBy",
                b"Test,Nurse", b"Report,Doctor", b"Draft,Editor"]
-    visible = [base / "compiled.json", base / "sub.json",
-               base / "store/decisions.log",
-               base / "store/Hospital/payload.bin"]
+    visible = [tmp_path / "compiled.json", tmp_path / "sub.json",
+               tmp_path / "store/decisions.log",
+               tmp_path / "store/Hospital/payload.bin"]
     hits = [(path.name, tok.decode())
             for path in visible
             for tok in secrets
@@ -300,8 +265,11 @@ def test_criterion_9_confidentiality_scan(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     """The whole pipeline, seeded twice, writes byte-identical decision
     logs."""
-    log_a = (_run_pipeline(tmp_path / "a") / "store/decisions.log").read_bytes()
-    log_b = (_run_pipeline(tmp_path / "b") / "store/decisions.log").read_bytes()
+    logs = []
+    for base in (tmp_path / "a", tmp_path / "b"):
+        run(*scenario(base, "mock", POLICIES, GRAPH))
+        logs.append((base / "store/decisions.log").read_bytes())
+    log_a, log_b = logs
     ok = log_a == log_b and len(log_a) > 0
     _verdict(10, ok,
-             f"two seed-42 runs, decision logs identical={log_a == log_b}")
+             f"two seeded runs, decision logs identical={log_a == log_b}")

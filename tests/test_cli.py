@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from pipeline import classify_args, keygen, run, scenario, tag
 
 from pbcap import formats, scheme, storage
-from pbcap.cli import cli, main
+from pbcap.cli import main
 from pbcap.pairing import MockSuite
 
 POLICY_DOC = {
@@ -44,82 +44,42 @@ node r Artifact Report
 edge RecordedBy t n
 edge ProducedFrom r t
 """
+OTHER_GRAPH = "node a Artifact Draft\nnode b Agent Intern\nedge ScannedBy a b\n"
 
 KEYWORD_TOKENS = [b"RecordedBy", b"DiagnosedBy", b"Test,Nurse", b"Report,Doctor", b"ReviewedBy"]
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture
-def pipeline(tmp_path, runner):
+def pipeline(tmp_path):
     """Keys, compiled policies, one tagged submission, a storage root."""
-    (tmp_path / "policies.json").write_text(json.dumps(POLICY_DOC))
-    (tmp_path / "graph.txt").write_text(GRAPH)
-    (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
-    (tmp_path / "store").mkdir()
-
-    def run(*args, ok=True):
-        result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
-        if ok:
-            assert result.exit_code == 0, result.output
-        return result
-
-    run("pap", "keygen", "--out-dir", tmp_path / "pap", "--suite", "mock", "--seed", 1)
-    run("user", "keygen", "--out-dir", tmp_path / "usr", "--suite", "mock", "--seed", 2)
-    run("pap", "compile", "--policies", tmp_path / "policies.json",
-        "--admin-sk", tmp_path / "pap/admin.sk",
-        "--out", tmp_path / "compiled.json", "--suite", "mock")
-    run("user", "tag", "--graph", tmp_path / "graph.txt",
-        "--admin-pk", tmp_path / "pap/admin.pk",
-        "--user-sk", tmp_path / "usr/user.sk",
-        "--payload", tmp_path / "payload.bin",
-        "--out", tmp_path / "sub.json", "--suite", "mock", "--seed", 3)
-    return tmp_path, run
+    scenario(tmp_path, "mock", POLICY_DOC["policies"], GRAPH)
+    return tmp_path
 
 
-def _mix_admin_key(root, run):
+def _mix_admin_key(root):
     """Give ``pap/admin.pk`` the pk_b of another admin key pair; returns the refusal."""
-    run("pap", "keygen", "--out-dir", root / "pap2", "--suite", "mock", "--seed", 9)
+    keygen(root / "pap2", "pap", "mock", 9)
     doc = json.loads((root / "pap/admin.pk").read_text())
     doc["pk_b"] = json.loads((root / "pap2/admin.pk").read_text())["pk_b"]
     (root / "pap/admin.pk").write_text(json.dumps(doc))
     return f"{root / 'pap/admin.pk'}: pk_a and pk_b do not share an exponent"
 
 
-def _forge(root, run):
+def _forge(root):
     """Write ``forged.json``, tagged with the key of a user the PDP does not know."""
-    run("user", "keygen", "--out-dir", root / "usr2", "--suite", "mock", "--seed", 77)
-    run("user", "tag", "--graph", root / "graph.txt",
-        "--admin-pk", root / "pap/admin.pk",
-        "--user-sk", root / "usr2/user.sk",
-        "--payload", root / "payload.bin",
-        "--out", root / "forged.json", "--suite", "mock", "--seed", 7)
-
-
-def _classify_args(root, sub="sub.json"):
-    return [str(a) for a in (
-        "pdp", "classify", root / sub,
-        "--policies", root / "compiled.json",
-        "--admin-pk", root / "pap/admin.pk",
-        "--user-pk", root / "usr/user.pk",
-        "--storage-root", root / "store",
-        "--suite", "mock",
-    )]
+    keygen(root / "usr2", "user", "mock", 77)
+    tag(root, "mock", GRAPH, 7, out="forged.json", user="usr2")
 
 
 class TestKeygen:
-    def test_overwrite_guard(self, tmp_path, runner):
-        args = ["pap", "keygen", "--out-dir", str(tmp_path), "--suite", "mock", "--seed", "1"]
-        assert runner.invoke(cli, args).exit_code == 0
-        second = runner.invoke(cli, args)
-        assert second.exit_code != 0
+    def test_overwrite_guard(self, tmp_path):
+        args = ["pap", "keygen", "--out-dir", tmp_path, "--suite", "mock", "--seed", "1"]
+        run(*args)
+        second = run(*args, code=1)
         assert "exists" in second.output
-        assert runner.invoke(cli, args + ["--force"]).exit_code == 0
+        run(*args, "--force")
 
-    def test_secret_key_permissions(self, tmp_path, runner, monkeypatch):
+    def test_secret_key_permissions(self, tmp_path, monkeypatch):
         """Secret keys are created 0600, with no chmod after the write, also
         when --force replaces a 0644 file."""
         old = tmp_path / "old"
@@ -133,27 +93,23 @@ class TestKeygen:
         try:
             for role, name in (("pap", "admin.sk"), ("user", "user.sk")):
                 for out_dir, extra in ((tmp_path / "new", []), (old, ["--force"])):
-                    result = runner.invoke(cli, [role, "keygen", "--out-dir", str(out_dir),
-                                                 "--suite", "mock", "--seed", "1", *extra])
-                    assert result.exit_code == 0, result.output
+                    run(role, "keygen", "--out-dir", out_dir, "--suite", "mock", "--seed", "1", *extra)
                     assert (out_dir / name).stat().st_mode & 0o777 == 0o600
         finally:
             os.umask(umask)
 
-    def test_public_key_round_trip_and_dual_representation(self, tmp_path, runner):
+    def test_public_key_round_trip_and_dual_representation(self, tmp_path):
         from pbcap.formats import load_admin_public
         from pbcap.pairing import get_suite
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
+        keygen(tmp_path, "pap", "mock", 1)
         suite = get_suite("mock")
         pub = load_admin_public(tmp_path / "admin.pk", suite)
         assert suite.pair(pub.pk_a, suite.gen_b) == suite.pair(suite.gen_a, pub.pk_b)
 
-    def test_user_pk_matches_secret_in_mock(self, tmp_path, runner):
+    def test_user_pk_matches_secret_in_mock(self, tmp_path):
         from pbcap.formats import load_user_public, load_user_secret
         from pbcap.pairing import get_suite
-        runner.invoke(cli, ["user", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
+        keygen(tmp_path, "user", "mock", 1)
         suite = get_suite("mock")
         sk = load_user_secret(tmp_path / "user.sk", suite)
         pub = load_user_public(tmp_path / "user.pk", suite)
@@ -162,153 +118,129 @@ class TestKeygen:
 
 class TestCompile:
     def test_compiled_file_is_keyword_clean(self, pipeline):
-        root, _ = pipeline
-        blob = (root / "compiled.json").read_bytes()
+        blob = (pipeline / "compiled.json").read_bytes()
         for tok in KEYWORD_TOKENS:
             assert tok not in blob
 
-    def test_malformed_keyword_reports_location(self, tmp_path, runner):
+    def test_malformed_keyword_reports_location(self, tmp_path):
         doc = dict(POLICY_DOC)
         doc["policies"] = [dict(doc["policies"][0], keywords=["RecordedBy(Test"])]
         (tmp_path / "bad.json").write_text(json.dumps(doc))
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
-        result = runner.invoke(cli, [
-            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
-            "--admin-sk", str(tmp_path / "admin.sk"),
-            "--out", str(tmp_path / "out.json"), "--suite", "mock",
-        ])
-        assert result.exit_code != 0
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
         assert "policy #0" in result.output
         assert "malformed fragment" in result.output
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("\u00e9" * 128, id="utf8-256")])
-    def test_unstorable_storage_unit_refused(self, tmp_path, runner, unit):
+    def test_unstorable_storage_unit_refused(self, tmp_path, unit):
         doc = dict(POLICY_DOC)
         doc["policies"] = [doc["policies"][0], dict(doc["policies"][1], storage_unit=unit)]
         (tmp_path / "bad.json").write_text(json.dumps(doc))
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
-        result = runner.invoke(cli, [
-            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
-            "--admin-sk", str(tmp_path / "admin.sk"),
-            "--out", str(tmp_path / "out.json"), "--suite", "mock",
-        ])
-        assert result.exit_code == 1
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
         assert f"storage unit {unit!r}" in result.output
         assert not (tmp_path / "out.json").exists()
 
-    def test_duplicate_policy_id_refused_naming_the_file(self, tmp_path, runner):
+    def test_duplicate_policy_id_refused_naming_the_file(self, tmp_path):
         doc = dict(POLICY_DOC, policies=[dict(p, id="p") for p in POLICY_DOC["policies"]])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path), "--suite", "mock", "--seed", "1"])
-        result = runner.invoke(cli, [
-            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
-            "--admin-sk", str(tmp_path / "admin.sk"),
-            "--out", str(tmp_path / "out.json"), "--suite", "mock",
-        ], catch_exceptions=False)
-        assert result.exit_code == 1
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
         assert result.stderr == f"Error: {tmp_path / 'bad.json'}: duplicate policy id 'p'\n"
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("policies", [5, None, True, 3.9])
-    def test_non_list_policies_refused(self, tmp_path, runner, policies):
+    def test_non_list_policies_refused(self, tmp_path, policies):
         """A decode error with exit 1, not a TypeError traceback."""
         (tmp_path / "bad.json").write_text(json.dumps(dict(POLICY_DOC, policies=policies)))
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path),
-                            "--suite", "mock", "--seed", "1"])
-        result = runner.invoke(cli, [
-            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
-            "--admin-sk", str(tmp_path / "admin.sk"),
-            "--out", str(tmp_path / "out.json"), "--suite", "mock",
-        ], catch_exceptions=False)
-        assert result.exit_code == 1
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
         assert "field 'policies' is not a list" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("field", ["id", "category"])
-    def test_empty_policy_field_refused(self, tmp_path, runner, field):
+    def test_empty_policy_field_refused(self, tmp_path, field):
         doc = dict(POLICY_DOC, policies=[dict(POLICY_DOC["policies"][0], **{field: ""})])
         (tmp_path / "bad.json").write_text(json.dumps(doc))
-        runner.invoke(cli, ["pap", "keygen", "--out-dir", str(tmp_path), "--suite", "mock", "--seed", "1"])
-        result = runner.invoke(cli, [
-            "pap", "compile", "--policies", str(tmp_path / "bad.json"),
-            "--admin-sk", str(tmp_path / "admin.sk"),
-            "--out", str(tmp_path / "out.json"), "--suite", "mock",
-        ], catch_exceptions=False)
-        assert result.exit_code == 1
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
         assert result.stderr.startswith(f"Error: {tmp_path / 'bad.json'}: policy #0: ")
         assert ("policy id must be non-empty" if field == "id" else "needs a category") in result.stderr
         assert not (tmp_path / "out.json").exists()
 
     def test_trapdoor_count_matches_keywords(self, pipeline):
-        root, _ = pipeline
-        doc = json.loads((root / "compiled.json").read_text())
+        doc = json.loads((pipeline / "compiled.json").read_text())
         assert [len(p["trapdoors"]) for p in doc["policies"]] == [2, 1]
 
 
 class TestTag:
     def test_one_tag_per_distinct_edge(self, pipeline):
-        root, _ = pipeline
-        doc = json.loads((root / "sub.json").read_text())
+        doc = json.loads((pipeline / "sub.json").read_text())
         assert len(doc["tags"]) == 2  # two distinct typed edges
 
     def test_submission_is_fragment_clean(self, pipeline):
-        root, _ = pipeline
-        blob = (root / "sub.json").read_bytes()
+        blob = (pipeline / "sub.json").read_bytes()
         for tok in [b"RecordedBy", b"ProducedFrom", b"Test", b"Nurse"]:
             assert tok not in blob
 
-    def test_retag_differs_in_y_and_z(self, pipeline, runner):
-        root, run = pipeline
-        run("user", "tag", "--graph", root / "graph.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "sub2.json", "--suite", "mock", "--seed", 4)
-        a = json.loads((root / "sub.json").read_text())
-        b = json.loads((root / "sub2.json").read_text())
+    def test_retag_differs_in_y_and_z(self, pipeline):
+        tag(pipeline, "mock", GRAPH, 4, out="sub2.json")
+        a = json.loads((pipeline / "sub.json").read_text())
+        b = json.loads((pipeline / "sub2.json").read_text())
         assert a["x"] == b["x"]
         for t1, t2 in zip(a["tags"], b["tags"]):
             assert t1["y"] != t2["y"] and t1["z"] != t2["z"]
 
-    def test_cyclic_graph_rejected(self, pipeline, runner):
-        root, _ = pipeline
+    def test_json_graph_mirror_tags_byte_identically(self, pipeline):
+        """The JSON mirror of GRAPH, tagged with the same keys and seed,
+        gives the line-format graph's submission byte for byte."""
+        mirror = {
+            "nodes": [{"id": "t", "kind": "Artifact", "label": "Test"},
+                      {"id": "n", "kind": "Agent", "label": "Nurse"},
+                      {"id": "r", "kind": "Artifact", "label": "Report"}],
+            "edges": [{"relation": "RecordedBy", "source": "t", "target": "n"},
+                      {"relation": "ProducedFrom", "source": "r", "target": "t"}],
+        }
+        tag(pipeline, "mock", json.dumps(mirror), 3, out="mirror.json")
+        assert (pipeline / "mirror.json").read_bytes() == (pipeline / "sub.json").read_bytes()
+
+    def test_cyclic_graph_rejected(self, pipeline):
+        root = pipeline
         (root / "cyclic.txt").write_text(
             "node a Artifact A\nnode b Agent B\nedge R a b\nedge S b a\n"
         )
-        result = runner.invoke(cli, [
-            "user", "tag", "--graph", str(root / "cyclic.txt"),
-            "--admin-pk", str(root / "pap/admin.pk"),
-            "--user-sk", str(root / "usr/user.sk"),
-            "--payload", str(root / "payload.bin"),
-            "--out", str(root / "bad.json"), "--suite", "mock", "--seed", 5,
-        ])
-        assert result.exit_code != 0
+        result = run("user", "tag", "--graph", root / "cyclic.txt",
+                     "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk",
+                     "--payload", root / "payload.bin",
+                     "--out", root / "bad.json", "--suite", "mock", "--seed", 5, code=1)
         assert "cycle" in result.output
 
-    def test_mixed_exponent_admin_key_refused(self, pipeline, runner):
+    def test_mixed_exponent_admin_key_refused(self, pipeline):
         """Checked when the key is loaded: exit 1, no submission written."""
-        root, run = pipeline
-        refusal = _mix_admin_key(root, run)
-        result = runner.invoke(cli, [str(a) for a in (
-            "user", "tag", "--graph", root / "graph.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "bad.json", "--suite", "mock", "--seed", 5)], catch_exceptions=False)
-        assert result.exit_code == 1
+        root = pipeline
+        refusal = _mix_admin_key(root)
+        result = run("user", "tag", "--graph", root / "sub.graph",
+                     "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk",
+                     "--payload", root / "payload.bin",
+                     "--out", root / "bad.json", "--suite", "mock", "--seed", 5, code=1)
         assert result.stderr == f"Error: {refusal}\n"
         assert not (root / "bad.json").exists()
 
     @pytest.mark.parametrize("file_id, code", [("a" * 255, 0), ("a" * 256, 1),
                                                ("\u00e9" * 127 + "a", 0), ("\u00e9" * 128, 1)],
                              ids=["ascii-255", "ascii-256", "utf8-255", "utf8-256"])
-    def test_file_id_longer_than_name_max_refused(self, pipeline, runner, monkeypatch, file_id, code):
+    def test_file_id_longer_than_name_max_refused(self, pipeline, monkeypatch, file_id, code):
         """A file id over 255 bytes in UTF-8 is refused with exit 1 before
         any pairing; one of 255 bytes is tagged."""
-        root, _ = pipeline
+        root = pipeline
         key_checks = []
 
         def check(*args, _inner=scheme.check_admin_key):
@@ -316,14 +248,12 @@ class TestTag:
             return _inner(*args)
 
         monkeypatch.setattr(scheme, "check_admin_key", check)
-        result = runner.invoke(cli, [str(a) for a in (
-            "user", "tag", "--graph", root / "graph.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "long.json", "--suite", "mock", "--seed", 5, "--file-id", file_id)],
-            catch_exceptions=False)
-        assert result.exit_code == code, result.output
+        result = run("user", "tag", "--graph", root / "sub.graph",
+                     "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk",
+                     "--payload", root / "payload.bin",
+                     "--out", root / "long.json", "--suite", "mock", "--seed", 5, "--file-id", file_id,
+                     code=code)
         assert (root / "long.json").exists() is (code == 0)
         # the admin key check is the first pairing ``user tag`` runs
         assert len(key_checks) == (0 if code else 1)
@@ -346,19 +276,16 @@ class TestTag:
         b"node t Artifact Te\xffst\n",
     ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target", "no-edges", "string-node",
             "not-utf8"])
-    def test_malformed_graph_rejected(self, pipeline, runner, graph):
+    def test_malformed_graph_rejected(self, pipeline, graph):
         """Refused while the graph is read: exit 1 with one line naming the
         file, no traceback."""
-        root, _ = pipeline
+        root = pipeline
         (root / "bad_graph").write_bytes(graph if isinstance(graph, bytes) else graph.encode())
-        result = runner.invoke(cli, [
-            "user", "tag", "--graph", str(root / "bad_graph"),
-            "--admin-pk", str(root / "pap/admin.pk"),
-            "--user-sk", str(root / "usr/user.sk"),
-            "--payload", str(root / "payload.bin"),
-            "--out", str(root / "bad.json"), "--suite", "mock", "--seed", "5",
-        ], catch_exceptions=False)
-        assert result.exit_code == 1
+        result = run("user", "tag", "--graph", root / "bad_graph",
+                     "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk",
+                     "--payload", root / "payload.bin",
+                     "--out", root / "bad.json", "--suite", "mock", "--seed", "5", code=1)
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith(f"Error: {root / 'bad_graph'}: ")
         assert "Traceback" not in result.output
@@ -368,17 +295,14 @@ class TestTag:
         ("edge RecordedBy t", "expected: edge <relation> <source> <target>"),
         ("vertex v Agent Nurse", "unknown declaration 'vertex'"),
     ])
-    def test_bad_graph_line_named(self, pipeline, runner, line, message):
-        root, _ = pipeline
+    def test_bad_graph_line_named(self, pipeline, line, message):
+        root = pipeline
         (root / "bad_graph").write_text(f"node t Artifact Test\nnode n Agent Nurse\n{line}\n")
-        result = runner.invoke(cli, [
-            "user", "tag", "--graph", str(root / "bad_graph"),
-            "--admin-pk", str(root / "pap/admin.pk"),
-            "--user-sk", str(root / "usr/user.sk"),
-            "--payload", str(root / "payload.bin"),
-            "--out", str(root / "bad.json"), "--suite", "mock", "--seed", "5",
-        ], catch_exceptions=False)
-        assert result.exit_code == 1
+        result = run("user", "tag", "--graph", root / "bad_graph",
+                     "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk",
+                     "--payload", root / "payload.bin",
+                     "--out", root / "bad.json", "--suite", "mock", "--seed", "5", code=1)
         assert result.stderr == f"Error: {root / 'bad_graph'}: line 3: {message}\n"
         assert not (root / "bad.json").exists()
 
@@ -402,36 +326,31 @@ class TestOutputPaths:
         ("user keygen", "--out-dir", "afile", 2, "Invalid value for '--out-dir'"),
     ], ids=["tag-missing-parent", "compile-missing-parent", "tag-out-is-dir", "compile-out-is-dir",
             "pap-keygen-out-dir-is-file", "user-keygen-out-dir-is-file"])
-    def test_unwritable_output_path_refused(self, pipeline, runner, command, option, target, code, message):
-        root, _ = pipeline
+    def test_unwritable_output_path_refused(self, pipeline, command, option, target, code, message):
+        root = pipeline
         (root / "d").mkdir()
         (root / "afile").write_bytes(b"a file")
         inputs = {
-            "user tag": ["--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
+            "user tag": ["--graph", root / "sub.graph", "--admin-pk", root / "pap/admin.pk",
                          "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin"],
             "pap compile": ["--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk"],
             "pap keygen": [],
             "user keygen": [],
         }[command]
         before = _tree(root)
-        result = runner.invoke(cli, [str(a) for a in (*command.split(), *inputs, option, root / target,
-                                                      "--suite", "mock", "--force")],
-                               catch_exceptions=False)
-        assert result.exit_code == code, result.output
+        result = run(*command.split(), *inputs, option, root / target, "--suite", "mock", "--force", code=code)
         assert message in result.stderr
         assert "Traceback" not in result.output
         assert _tree(root) == before
 
 
     @pytest.mark.parametrize("command", ["pap keygen", "user keygen"])
-    def test_out_dir_below_a_file_refused(self, tmp_path, runner, command):
+    def test_out_dir_below_a_file_refused(self, tmp_path, command):
         """``--out-dir afile/sub`` with ``afile`` a file: exit 1, the path named."""
         (tmp_path / "afile").write_bytes(b"a file")
         out_dir = tmp_path / "afile/sub"
         before = _tree(tmp_path)
-        result = runner.invoke(cli, [*command.split(), "--out-dir", str(out_dir), "--suite", "mock"],
-                               catch_exceptions=False)
-        assert result.exit_code == 1, result.output
+        result = run(*command.split(), "--out-dir", out_dir, "--suite", "mock", code=1)
         assert f"Error: cannot create {out_dir}" in result.stderr
         assert "Traceback" not in result.output
         assert _tree(tmp_path) == before
@@ -441,18 +360,17 @@ class TestOutputPaths:
         ("pap keygen", "admin.sk"), ("pap keygen", "admin.pk"),
         ("user keygen", "user.sk"), ("user keygen", "user.pk"),
     ])
-    def test_key_path_that_is_a_directory_refused(self, tmp_path, runner, command, key, force):
+    def test_key_path_that_is_a_directory_refused(self, tmp_path, command, key, force):
         """A key path that is a directory: exit 1, the path named, before any
         key is generated.  With --force, the other key file of an existing
         pair is not replaced."""
-        keygen = [*command.split(), "--out-dir", str(tmp_path), "--suite", "mock"]
+        args = [*command.split(), "--out-dir", tmp_path, "--suite", "mock"]
         if force:
-            assert runner.invoke(cli, keygen, catch_exceptions=False).exit_code == 0
+            run(*args)
             (tmp_path / key).unlink()
         (tmp_path / key).mkdir()
         before = _tree(tmp_path)
-        result = runner.invoke(cli, keygen + ["--force"] * force, catch_exceptions=False)
-        assert result.exit_code == 1, result.output
+        result = run(*args, *["--force"] * force, code=1)
         assert result.stderr == f"Error: {tmp_path / key} is a directory\n"
         assert _tree(tmp_path) == before
 
@@ -468,81 +386,66 @@ class TestInputPaths:
         ("pdp classify", "SUBMISSIONS"), ("pdp classify", "--policies"),
         ("pdp classify", "--admin-pk"), ("pdp classify", "--user-pk"),
     ])
-    def test_directory_refused(self, pipeline, runner, monkeypatch, command, option):
-        root, _ = pipeline
+    def test_directory_refused(self, pipeline, monkeypatch, command, option):
+        root = pipeline
         (root / "d").mkdir()
-        args = [str(a) for a in {
+        args = {
             "pap compile": ["pap", "compile", "--policies", root / "policies.json",
-                            "--admin-sk", root / "pap/admin.sk", "--out", root / "c.json"],
-            "user tag": ["user", "tag", "--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
+                            "--admin-sk", root / "pap/admin.sk", "--out", root / "c.json", "--suite", "mock"],
+            "user tag": ["user", "tag", "--graph", root / "sub.graph", "--admin-pk", root / "pap/admin.pk",
                          "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin",
-                         "--out", root / "out.json"],
-            "pdp classify": _classify_args(root)[:-2],
-        }[command]]
-        args[2 if option == "SUBMISSIONS" else args.index(option) + 1] = str(root / "d")
+                         "--out", root / "out.json", "--suite", "mock"],
+            "pdp classify": classify_args(root, "mock", "sub.json"),
+        }[command]
+        args[2 if option == "SUBMISSIONS" else args.index(option) + 1] = root / "d"
 
         def body_ran(name):
             raise AssertionError("the command body ran")
         monkeypatch.setattr("pbcap.cli.get_suite", body_ran)
         before = _tree(root)
-        result = runner.invoke(cli, args + ["--suite", "mock"], catch_exceptions=False)
-        assert result.exit_code == 2, result.output
+        result = run(*args, code=2)
         assert "Invalid value for" in result.stderr and "is a directory" in result.stderr
         assert "Traceback" not in result.output
         assert _tree(root) == before
 
 
 class TestClassify:
-    def test_medical_payload_lands_in_hospital(self, pipeline, runner):
-        root, _ = pipeline
-        result = runner.invoke(cli, _classify_args(root))
-        assert result.exit_code == 0, result.output
+    def test_medical_payload_lands_in_hospital(self, pipeline):
+        root = pipeline
+        run(*classify_args(root, "mock", "sub.json"))
         stored = root / "store/Hospital/payload.bin"
         assert stored.read_bytes() == b"opaque ciphertext"
         log = (root / "store/decisions.log").read_text().splitlines()
         assert len(log) == 1
         assert json.loads(log[0])["category"] == "Medical Documents"
 
-    def test_no_match_goes_to_default_unit(self, pipeline, runner):
-        root, run = pipeline
-        (root / "other.txt").write_text(
-            "node a Artifact Draft\nnode b Agent Intern\nedge ScannedBy a b\n"
-        )
-        run("user", "tag", "--graph", root / "other.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "sub3.json", "--suite", "mock", "--seed", 6,
-            "--file-id", "other.bin")
-        result = runner.invoke(cli, _classify_args(root, "sub3.json"))
-        assert result.exit_code == 0
+    def test_no_match_goes_to_default_unit(self, pipeline):
+        root = pipeline
+        tag(root, "mock", OTHER_GRAPH, 6, out="sub3.json", file_id="other.bin")
+        run(*classify_args(root, "mock", "sub3.json"))
         assert (root / "store/default/other.bin").exists()
         log = (root / "store/decisions.log").read_text().splitlines()
         assert json.loads(log[-1])["category"] == "unclassified"
 
-    def test_unregistered_user_exits_2_and_stores_nothing(self, pipeline, runner):
-        root, run = pipeline
-        _forge(root, run)
-        result = runner.invoke(cli, _classify_args(root, "forged.json"))
-        assert result.exit_code == 2
+    def test_unregistered_user_exits_2_and_stores_nothing(self, pipeline):
+        root = pipeline
+        _forge(root)
+        run(*classify_args(root, "mock", "forged.json"), code=2)
         assert not list((root / "store").glob("*/*"))
 
     @pytest.mark.parametrize("first", ["sub.json", "forged.json"])
-    def test_mixed_exponent_admin_key_exits_3(self, pipeline, runner, first):
+    def test_mixed_exponent_admin_key_exits_3(self, pipeline, first):
         """Found by the first authentication, genuine or forged: exit 3 at
         once, the rest of the batch unread, nothing stored and nothing logged."""
-        root, run = pipeline
-        _forge(root, run)
-        refusal = _mix_admin_key(root, run)
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(root / first), str(root / "sub.json")] + base[3:],
-                               catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        root = pipeline
+        _forge(root)
+        refusal = _mix_admin_key(root)
+        result = run(*classify_args(root, "mock", first, "sub.json"), code=3)
         assert result.stderr == f"decode error: {refusal}\n"
         assert list((root / "store").iterdir()) == []
 
-    def test_identity_user_key_exits_3_before_reading_submissions(self, pipeline, runner, monkeypatch):
-        root, _ = pipeline
+    def test_identity_user_key_exits_3_before_reading_submissions(self, pipeline, monkeypatch):
+        root = pipeline
         doc = json.loads((root / "usr/user.pk").read_text())
         (root / "usr/user.pk").write_text(json.dumps(dict(doc, pk_b=bytes(8).hex())))
 
@@ -550,21 +453,18 @@ class TestClassify:
             raise AssertionError("a submission was read")
 
         monkeypatch.setattr(formats, "load_submission", unread)
-        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json"), code=3)
         assert result.stderr == f"decode error: {root / 'usr/user.pk'}: user public key is the identity\n"
         assert list((root / "store").iterdir()) == []
 
-    def test_genuine_forged_genuine_checks_admin_key_once(self, pipeline, runner, monkeypatch):
+    def test_genuine_forged_genuine_checks_admin_key_once(self, pipeline, monkeypatch):
         """Each authentication draws one delta from one system rng.  The
         forged submission fails, so the admin key is checked alone and
         passes: that submission exits 2 and is logged, and the genuine ones
         around it are stored."""
-        root, run = pipeline
-        _forge(root, run)
-        run("user", "tag", "--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin",
-            "--out", root / "sub2.json", "--suite", "mock", "--seed", 4, "--file-id", "second.bin")
+        root = pipeline
+        _forge(root)
+        tag(root, "mock", GRAPH, 4, out="sub2.json", file_id="second.bin")
         rngs, draws, key_checks = [], [], []
 
         class Recorded(secrets.SystemRandom):
@@ -582,10 +482,7 @@ class TestClassify:
 
         monkeypatch.setattr(secrets, "SystemRandom", Recorded)
         monkeypatch.setattr(scheme, "check_admin_key", check)
-        base = _classify_args(root)
-        batch = [str(root / name) for name in ("sub.json", "forged.json", "sub2.json")]
-        result = runner.invoke(cli, base[:2] + batch + base[3:], catch_exceptions=False)
-        assert result.exit_code == 2, result.output
+        result = run(*classify_args(root, "mock", "sub.json", "forged.json", "sub2.json"), code=2)
         assert result.stderr == f"{root / 'forged.json'}: authentication failure; payload not stored\n"
         stored = [json.loads(line) for line in result.stdout.splitlines()]
         assert [(d["file_id"], d["storage_unit"]) for d in stored] == [
@@ -596,35 +493,24 @@ class TestClassify:
         assert draws == [(1, min(2 ** 128, MockSuite().order))] * 3
         assert len(key_checks) == 1
 
-    def test_corrupt_submission_exits_3(self, pipeline, runner):
-        root, _ = pipeline
+    def test_corrupt_submission_exits_3(self, pipeline):
+        root = pipeline
         (root / "junk.json").write_text('{"format": "pbcap/1", "kind": "submission"}')
-        result = runner.invoke(cli, _classify_args(root, "junk.json"))
-        assert result.exit_code == 3
+        run(*classify_args(root, "mock", "junk.json"), code=3)
         assert not list((root / "store").glob("*/*"))
 
-    def test_parallel_flag_conserves_files_and_log_lines(self, pipeline, runner):
+    def test_batch_of_four_stores_four_files_and_logs_four_lines(self, pipeline):
         """One call with four submissions stores four files and logs four lines."""
-        root, run = pipeline
-        subs = []
-        for i in range(4):
-            out = root / f"par{i}.json"
-            run("user", "tag", "--graph", root / "graph.txt",
-                "--admin-pk", root / "pap/admin.pk",
-                "--user-sk", root / "usr/user.sk",
-                "--payload", root / "payload.bin",
-                "--out", out, "--suite", "mock", "--seed", 100 + i,
-                "--file-id", f"file{i}.bin")
-            subs.append(out)
-        base = _classify_args(root)
-        args = base[:2] + subs + base[3:]
-        result = runner.invoke(cli, [str(a) for a in args])
-        assert result.exit_code == 0, result.output
+        root = pipeline
+        subs = [f"par{i}.json" for i in range(4)]
+        for i, sub in enumerate(subs):
+            tag(root, "mock", GRAPH, 100 + i, out=sub, file_id=f"file{i}.bin")
+        run(*classify_args(root, "mock", *subs))
         stored = list((root / "store").glob("*/*"))
         assert len(stored) == 4
         assert len((root / "store/decisions.log").read_text().splitlines()) == 4
 
-    def test_unstorable_file_ids_skipped_with_exit_3(self, pipeline, runner):
+    def test_unstorable_file_ids_skipped_with_exit_3(self, pipeline):
         """An unsafe and a repeated file id are reported; the batch goes on.
 
         ``user tag`` refuses ``../evil``, so that submission is a good one
@@ -634,25 +520,16 @@ class TestClassify:
         ``None``) or longer than 255 bytes in UTF-8 (``os.link`` would
         fail only after the payload is written); a repeated id is refused
         only by the store."""
-        root, run = pipeline
-        subs = []
+        root = pipeline
         names = ["good.bin", "evil", "good.bin", "good2.bin", "null", "five", "ascii", "utf8", "utf8-255"]
+        subs = [f"batch{i}.json" for i in range(len(names))]
         for i, file_id in enumerate(names):
-            out = root / f"batch{i}.json"
-            run("user", "tag", "--graph", root / "graph.txt",
-                "--admin-pk", root / "pap/admin.pk",
-                "--user-sk", root / "usr/user.sk",
-                "--payload", root / "payload.bin",
-                "--out", out, "--suite", "mock", "--seed", 200 + i,
-                "--file-id", file_id)
-            subs.append(out)
+            tag(root, "mock", GRAPH, 200 + i, out=subs[i], file_id=file_id)
         longest = "\u00e9" * 127 + "a"
         for i, file_id in ((1, "../evil"), (4, None), (5, 5), (6, "a" * 256), (7, "\u00e9" * 128), (8, longest)):
-            doc = json.loads(subs[i].read_text())
-            subs[i].write_text(json.dumps(dict(doc, file_id=file_id)))
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(s) for s in subs] + base[3:], catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+            doc = json.loads((root / subs[i]).read_text())
+            (root / subs[i]).write_text(json.dumps(dict(doc, file_id=file_id)))
+        result = run(*classify_args(root, "mock", *subs), code=3)
         assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin", longest]
         assert len((root / "store/decisions.log").read_text().splitlines()) == 3
         for i in (6, 7):
@@ -665,22 +542,13 @@ class TestClassify:
             assert f"batch{i}.json: decode error: " in result.stderr
         assert result.stderr.count("field 'file_id' is not a string") == 2
 
-    def test_storage_unit_that_is_not_a_directory_skipped_with_exit_3(self, pipeline, runner):
+    def test_storage_unit_that_is_not_a_directory_skipped_with_exit_3(self, pipeline):
         """A file where the Hospital unit's directory belongs: that payload is
         reported and neither stored nor logged, and the batch goes on."""
-        root, run = pipeline
-        (root / "other.txt").write_text("node a Artifact Draft\nnode b Agent Intern\nedge ScannedBy a b\n")
-        run("user", "tag", "--graph", root / "other.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "other.json", "--suite", "mock", "--seed", 6,
-            "--file-id", "other.bin")
+        root = pipeline
+        tag(root, "mock", OTHER_GRAPH, 6, out="other.json", file_id="other.bin")
         (root / "store/Hospital").write_bytes(b"not a unit")
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(root / "sub.json"), str(root / "other.json")] + base[3:],
-                               catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json", "other.json"), code=3)
         assert result.stderr == (f"{root / 'sub.json'}: payload not stored: "
                                  "storage unit 'Hospital' is not a directory\n")
         assert (root / "store/Hospital").read_bytes() == b"not a unit"
@@ -689,17 +557,13 @@ class TestClassify:
         assert [entry["file_id"] for entry in log] == ["other.bin"]
 
     @pytest.mark.parametrize("point", ["mkdir", "open", "write", "link", "log"])
-    def test_store_os_error_skipped_with_exit_3(self, pipeline, runner, monkeypatch, point):
+    def test_store_os_error_skipped_with_exit_3(self, pipeline, monkeypatch, point):
         """An OSError at any step of storing a payload is one stderr line
         naming the unit and the file id, with exit 3 and no traceback: that
         payload is neither stored nor logged, no temporary file is left,
         and a genuine submission later in the batch is still routed."""
-        root, run = pipeline
-        run("user", "tag", "--graph", root / "graph.txt",
-            "--admin-pk", root / "pap/admin.pk",
-            "--user-sk", root / "usr/user.sk",
-            "--payload", root / "payload.bin",
-            "--out", root / "second.json", "--suite", "mock", "--seed", 6, "--file-id", "second.bin")
+        root = pipeline
+        tag(root, "mock", GRAPH, 6, out="second.json", file_id="second.bin")
 
         class BrokenFile:
             """An open file whose write fails."""
@@ -733,9 +597,7 @@ class TestClassify:
             return (failing if len(calls) == 1 else real)(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, first_fails, raising=False)
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:3] + [str(root / "second.json")] + base[3:], catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json", "second.json"), code=3)
         assert result.stderr.startswith(f"{root / 'sub.json'}: payload not stored: cannot store file id "
                                         "'payload.bin' in storage unit 'Hospital': ")
         assert len(result.stderr.splitlines()) == 1
@@ -743,12 +605,12 @@ class TestClassify:
         log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
         assert [entry["file_id"] for entry in log] == ["second.bin"]
 
-    def test_unlogged_authentication_failure_skipped_with_exit_3(self, pipeline, runner, monkeypatch):
+    def test_unlogged_authentication_failure_skipped_with_exit_3(self, pipeline, monkeypatch):
         """An OSError while the decision on a forged submission is logged
         is one stderr line naming that submission, with exit 3 and no
         traceback; the genuine submission after it is still routed."""
-        root, run = pipeline
-        _forge(root, run)
+        root = pipeline
+        _forge(root)
         calls = []
 
         def first_fails(layout, decision, _real=storage.StorageLayout.log):
@@ -758,10 +620,7 @@ class TestClassify:
             return _real(layout, decision)
 
         monkeypatch.setattr(storage.StorageLayout, "log", first_fails)
-        base = _classify_args(root)
-        batch = [str(root / "forged.json"), str(root / "sub.json")]
-        result = runner.invoke(cli, base[:2] + batch + base[3:], catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "forged.json", "sub.json"), code=3)
         assert result.stderr == (f"{root / 'forged.json'}: authentication failure; payload not stored; "
                                  "decision not logged: No space left on device\n")
         assert [json.loads(line)["file_id"] for line in result.stdout.splitlines()] == ["payload.bin"]
@@ -772,65 +631,59 @@ class TestClassify:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("a" * 256, id="ascii-256")])
-    def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, runner, unit):
+    def test_unstorable_compiled_storage_unit_exits_3(self, pipeline, unit):
         """A hand-built compiled set that routes to a unit no store accepts
         is refused when it is read: nothing is stored and nothing logged."""
-        root, _ = pipeline
+        root = pipeline
         doc = json.loads((root / "compiled.json").read_text())
         doc["policies"][1]["storage_unit"] = unit
         (root / "compiled.json").write_text(json.dumps(doc))
-        result = runner.invoke(cli, _classify_args(root))
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json"), code=3)
         assert f"policy #1: storage unit {unit!r}" in result.stderr
         assert list((root / "store").iterdir()) == []
 
     @pytest.mark.parametrize("policies", [5, None, True, 3.9])
-    def test_non_list_compiled_policies_exits_3(self, pipeline, runner, policies):
+    def test_non_list_compiled_policies_exits_3(self, pipeline, policies):
         """Refused when the compiled set is read, before any pairing:
         no traceback, nothing stored and nothing logged."""
-        root, _ = pipeline
+        root = pipeline
         doc = json.loads((root / "compiled.json").read_text())
         (root / "compiled.json").write_text(json.dumps(dict(doc, policies=policies)))
-        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json"), code=3)
         assert "field 'policies' is not a list" in result.stderr
         assert "Traceback" not in result.output
         assert list((root / "store").iterdir()) == []
 
-    def test_duplicate_compiled_policy_id_exits_3(self, pipeline, runner):
+    def test_duplicate_compiled_policy_id_exits_3(self, pipeline):
         """A hand-built compiled set with two policies of one id is refused
         when it is read, before any submission: nothing stored or logged."""
-        root, _ = pipeline
+        root = pipeline
         doc = json.loads((root / "compiled.json").read_text())
         for entry in doc["policies"]:
             entry["id"] = "p"
         (root / "compiled.json").write_text(json.dumps(doc))
         (root / "junk.json").write_text("not a submission")
-        base = _classify_args(root)
-        result = runner.invoke(cli, base[:2] + [str(root / "junk.json")] + base[2:], catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "junk.json", "sub.json"), code=3)
         assert result.stderr == f"decode error: {root / 'compiled.json'}: duplicate policy id 'p'\n"
         assert list((root / "store").iterdir()) == []
 
-    def test_decision_log_that_is_not_a_file_exits_3(self, pipeline, runner):
+    def test_decision_log_that_is_not_a_file_exits_3(self, pipeline):
         """Refused with the storage root, before any submission is read:
         nothing is stored."""
-        root, _ = pipeline
+        root = pipeline
         (root / "store/decisions.log").mkdir()
-        result = runner.invoke(cli, _classify_args(root), catch_exceptions=False)
-        assert result.exit_code == 3, result.output
+        result = run(*classify_args(root, "mock", "sub.json"), code=3)
         assert result.stderr == (f"decode error: decision log {root / 'store/decisions.log'} "
                                  "is not a regular file\n")
         assert list((root / "store").rglob("*")) == [root / "store/decisions.log"]
 
-    def test_storage_root_env_var(self, pipeline, runner, monkeypatch):
-        root, _ = pipeline
+    def test_storage_root_env_var(self, pipeline, monkeypatch):
+        root = pipeline
         monkeypatch.setenv("PBCAP_STORAGE_ROOT", str(root / "store"))
-        args = [a for a in _classify_args(root)]
+        args = classify_args(root, "mock", "sub.json")
         i = args.index("--storage-root")
         del args[i:i + 2]
-        result = runner.invoke(cli, args)
-        assert result.exit_code == 0, result.output
+        run(*args)
 
 
 class TestNestedJson:
@@ -838,34 +691,28 @@ class TestNestedJson:
     refused as malformed, with no traceback."""
 
     @pytest.mark.parametrize("target", ["submission", "pap/admin.pk", "usr/user.pk", "compiled.json", "graph"])
-    def test_deep_json_refused(self, pipeline, runner, target):
-        root, _ = pipeline
+    def test_deep_json_refused(self, pipeline, target):
+        root = pipeline
         deep = "[" * 200000
-        base = _classify_args(root)
         if target == "submission":
             # exit 3 for that submission; the genuine one after it is still routed
             (root / "deep.json").write_text(deep)
-            result = runner.invoke(cli, base[:2] + [str(root / "deep.json"), str(root / "sub.json")] + base[3:],
-                                   catch_exceptions=False)
-            assert result.exit_code == 3, result.output
+            result = run(*classify_args(root, "mock", "deep.json", "sub.json"), code=3)
             assert result.stderr.startswith(f"{root / 'deep.json'}: decode error: {root / 'deep.json'}: ")
             assert (root / "store/Hospital/payload.bin").exists()
         elif target == "graph":
             (root / "deep_graph").write_text('{"nodes": ' + deep)
-            result = runner.invoke(cli, [str(a) for a in (
-                "user", "tag", "--graph", root / "deep_graph",
-                "--admin-pk", root / "pap/admin.pk",
-                "--user-sk", root / "usr/user.sk",
-                "--payload", root / "payload.bin",
-                "--out", root / "bad.json", "--suite", "mock", "--seed", 5)], catch_exceptions=False)
-            assert result.exit_code == 1
+            result = run("user", "tag", "--graph", root / "deep_graph",
+                         "--admin-pk", root / "pap/admin.pk",
+                         "--user-sk", root / "usr/user.sk",
+                         "--payload", root / "payload.bin",
+                         "--out", root / "bad.json", "--suite", "mock", "--seed", 5, code=1)
             assert result.stderr.startswith(f"Error: {root / 'deep_graph'}: invalid JSON graph: ")
             assert not (root / "bad.json").exists()
         else:
             # exit 3 before any submission is read: nothing stored or logged
             (root / target).write_text(deep)
-            result = runner.invoke(cli, base, catch_exceptions=False)
-            assert result.exit_code == 3, result.output
+            result = run(*classify_args(root, "mock", "sub.json"), code=3)
             assert result.stderr.startswith(f"decode error: {root / target}: ")
             assert list((root / "store").iterdir()) == []
         assert len(result.stderr.splitlines()) == 1
@@ -873,40 +720,29 @@ class TestNestedJson:
 
 
 class TestDeterminism:
-    def test_seeded_pipeline_produces_identical_decision_logs(self, tmp_path, runner):
+    def test_seeded_pipeline_produces_identical_decision_logs(self, tmp_path):
         logs = []
         for run_dir in ("a", "b"):
-            base = tmp_path / run_dir
-            base.mkdir()
-            (base / "policies.json").write_text(json.dumps(POLICY_DOC))
-            (base / "graph.txt").write_text(GRAPH)
-            (base / "payload.bin").write_bytes(b"same bytes")
-            (base / "store").mkdir()
-            for args in [
-                ["pap", "keygen", "--out-dir", base / "pap", "--suite", "mock", "--seed", 42],
-                ["user", "keygen", "--out-dir", base / "usr", "--suite", "mock", "--seed", 42],
-                ["pap", "compile", "--policies", base / "policies.json",
-                 "--admin-sk", base / "pap/admin.sk", "--out", base / "compiled.json",
-                 "--suite", "mock"],
-                ["user", "tag", "--graph", base / "graph.txt",
-                 "--admin-pk", base / "pap/admin.pk", "--user-sk", base / "usr/user.sk",
-                 "--payload", base / "payload.bin", "--out", base / "sub.json",
-                 "--suite", "mock", "--seed", 42],
-                _classify_args(base),
-            ]:
-                result = runner.invoke(cli, [str(a) for a in args])
-                assert result.exit_code == 0, result.output
-            logs.append((base / "store/decisions.log").read_bytes())
+            run(*scenario(tmp_path / run_dir, "mock", POLICY_DOC["policies"], GRAPH))
+            logs.append((tmp_path / run_dir / "store/decisions.log").read_bytes())
         assert logs[0] == logs[1]
 
 
 class TestHarness:
     @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_non_positive_trials_is_usage_error(self, runner, trials):
-        result = runner.invoke(cli, ["harness", "run", "--suite", "mock", "--seed", "1", "--trials", trials])
-        assert result.exit_code == 2
+    def test_non_positive_trials_is_usage_error(self, trials):
+        result = run("harness", "run", "--suite", "mock", "--seed", "1", "--trials", trials, code=2)
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--trials'" in result.output
+
+    @pytest.mark.parametrize("suite, warnings", [("production", 1), ("mock", 0)], ids=["production", "mock"])
+    def test_seed_warns_only_on_the_production_suite(self, suite, warnings):
+        """``--seed`` takes the keygens' seed policy: one stderr warning on
+        the production suite, none on the mock suite, and the transcript on
+        stdout either way."""
+        result = run("harness", "run", "--suite", suite, "--trials", 1, "--seed", 1)
+        assert result.stderr == "warning: --seed with the production suite is for tests only\n" * warnings
+        assert json.loads(result.stdout)["trials"] == 1
 
 
 def test_console_script_entry_point(monkeypatch, capsys):

@@ -13,10 +13,9 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
+from pipeline import classify_args, run
 
 from pbcap import formats
-from pbcap.cli import cli
 from pbcap.errors import DecodeError, ValidationError
 from pbcap.pairing import get_suite
 from pbcap.policy import compile_policies
@@ -152,26 +151,24 @@ def test_loader_refuses_every_field_not_as_written(files, tmp_path, name):
 def test_cli_refuses_every_field_not_as_written(files, tmp_path, name):
     """Exit 3 from ``pdp classify`` (1 from ``pap compile``), one line on stderr,
     no traceback, nothing stored or logged and no compiled file written."""
-    for other in ("admin.sk", "admin.pk", "user.pk", "compiled.json", "sub.json"):
-        (tmp_path / other).write_bytes((files / other).read_bytes())
+    for other in ("pap/admin.sk", "pap/admin.pk", "usr/user.pk", "compiled.json", "sub.json"):
+        target = tmp_path / other
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes((files / target.name).read_bytes())
     store = tmp_path / "store"
     store.mkdir()
     if name == "policies.json":
-        args, expected = ["pap", "compile", "--policies", tmp_path / name, "--admin-sk", tmp_path / "admin.sk",
+        args, expected = ["pap", "compile", "--policies", tmp_path / name, "--admin-sk", tmp_path / "pap/admin.sk",
                           "--out", tmp_path / "out.json", "--suite", "mock"], 1
     else:
-        args, expected = ["pdp", "classify", tmp_path / "sub.json", "--policies", tmp_path / "compiled.json",
-                          "--admin-pk", tmp_path / "admin.pk", "--user-pk", tmp_path / "user.pk",
-                          "--storage-root", store, "--suite", "mock"], 3
+        args, expected = classify_args(tmp_path, "mock", "sub.json"), 3
     doc = json.loads((files / name).read_text())
-    runner = CliRunner()
     for path, value, mutated in _cases(doc):
         if (name, path, repr(value)) in ACCEPTED:
             continue
         (tmp_path / name).write_text(json.dumps(mutated))
-        result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
+        result = run(*args, code=expected)
         case = f"{name} {path} = {value!r}"
-        assert result.exit_code == expected, case
         assert "Traceback" not in result.output, case
         assert len(result.stderr.splitlines()) == 1, case
         assert str(tmp_path / name) in result.stderr, case

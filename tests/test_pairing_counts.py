@@ -18,6 +18,10 @@ A scalar multiplication builds a Straus table of its point's subset sums,
 except by g_b, whose table is also built at import: so ``user tag``
 builds one G2 table, for X, and one G1 table per fragment, and an
 authentication one, for admin_pk_b^delta.
+
+The command-line scenarios come from ``tests/pipeline.py``: ``scenario``,
+``prepare``, ``keygen`` and ``tag`` run the seeded production-suite steps,
+``classify_args`` builds a ``pdp classify`` and ``run`` invokes it.
 """
 
 import json
@@ -25,10 +29,9 @@ import random
 from collections import Counter
 
 import pytest
-from click.testing import CliRunner
+from pipeline import classify_args, keygen, prepare, run, scenario, tag
 
 from pbcap import formats, policy
-from pbcap.cli import cli
 from pbcap.pairing import Bn256Suite, Group, bn256, curve
 from pbcap.scheme import (
     check_admin_key,
@@ -144,45 +147,14 @@ GRAPH = "node t Artifact Test\nnode n Agent Nurse\nnode r Artifact Report\n" \
 GRAPH3 = GRAPH + "edge SignedBy r n\n"
 
 
-def _prepare_pdp_classify(tmp_path, policies):
-    """Seeded keygen, compile and a 2-tag ``user tag`` of GRAPH; returns
-    the ``pdp classify`` arguments.
-
-    The tags are sorted by canonical form: ProducedFrom(Report,Test),
-    then RecordedBy(Test,Nurse).
-    """
-    doc = {"format": "pbcap/1", "kind": "policy-set", "policies": policies}
-    (tmp_path / "policies.json").write_text(json.dumps(doc))
-    (tmp_path / "graph.txt").write_text(GRAPH)
-    (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
-    (tmp_path / "store").mkdir()
-    runner = CliRunner()
-
-    def run(*args):
-        result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-
-    run("pap", "keygen", "--out-dir", tmp_path / "pap", "--seed", 1)
-    run("user", "keygen", "--out-dir", tmp_path / "usr", "--seed", 2)
-    run("pap", "compile", "--policies", tmp_path / "policies.json",
-        "--admin-sk", tmp_path / "pap/admin.sk", "--out", tmp_path / "compiled.json")
-    run("user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
-        "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
-        "--out", tmp_path / "sub.json", "--seed", 3)
-    return [str(a) for a in (
-        "pdp", "classify", tmp_path / "sub.json", "--policies", tmp_path / "compiled.json",
-        "--admin-pk", tmp_path / "pap/admin.pk", "--user-pk", tmp_path / "usr/user.pk",
-        "--storage-root", tmp_path / "store")]
-
-
 def _pdp_classify(tmp_path, policies, *counters):
-    """The counters cover only the ``pdp classify`` run, whose decision is returned."""
-    args = _prepare_pdp_classify(tmp_path, policies)
+    """Seeded ``scenario`` of GRAPH, whose two tags sort as
+    ProducedFrom(Report,Test), then RecordedBy(Test,Nurse).  The counters
+    cover only its ``pdp classify`` run, whose decision is returned."""
+    args = scenario(tmp_path, "production", policies, GRAPH)
     for counter in counters:
         counter.clear()
-    result = CliRunner().invoke(cli, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return json.loads(run(*args).output)
 
 
 def _policy(pid, keywords, priority):
@@ -228,17 +200,31 @@ def test_top_policy_hit_stops_pdp_classify(tmp_path, counts, monkeypatch):
     _expect(counts, 2, 2)
 
 
+def test_edgeless_graph_tagged_and_routed_unclassified(tmp_path, counts):
+    """A graph with nodes and no edges has no fragment: ``user tag`` writes
+    a submission of no tags, and ``pdp classify`` authenticates it, tests
+    no trapdoor and routes it to ``default/``."""
+    prepare(tmp_path, "production", [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    assert "(0 tags)" in tag(tmp_path, "production", "node t Artifact Test\nnode n Agent Nurse\n", 3).output
+    counts.clear()
+    decision = json.loads(run(*classify_args(tmp_path, "production", "sub.json")).output)
+    assert (decision["category"], decision["storage_unit"]) == ("unclassified", "default")
+    assert (tmp_path / "store/default/payload.bin").exists()
+    assert len((tmp_path / "store/decisions.log").read_text().splitlines()) == 1
+    # the authentication alone: one Miller loop and one FE
+    _expect(counts, 1, 1)
+
+
 def test_log_name_storage_unit_refused_by_pdp_classify(tmp_path, counts):
     """``pdp classify`` checks each storage unit when it reads the compiled
     set, so a hand-built set that routes to the decision log costs no
     pairing and stores nothing."""
-    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    args = scenario(tmp_path, "production", [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], GRAPH)
     doc = json.loads((tmp_path / "compiled.json").read_text())
     doc["policies"][0]["storage_unit"] = "decisions.log"
     (tmp_path / "compiled.json").write_text(json.dumps(doc))
     counts.clear()
-    result = CliRunner().invoke(cli, args)
-    assert result.exit_code == 3, result.output
+    result = run(*args, code=3)
     assert "policy #0: storage unit 'decisions.log'" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
     assert not counts
@@ -253,20 +239,16 @@ def test_log_name_storage_unit_refused_by_pdp_classify(tmp_path, counts):
 def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, payload_name):
     """``user tag`` checks the file id before it loads a key, so a file id
     no store accepts costs no pairing and writes no submission."""
+    prepare(tmp_path, "production")
     (tmp_path / "graph.txt").write_text(GRAPH)
     (tmp_path / payload_name).write_bytes(b"opaque ciphertext")
-    runner = CliRunner()
-    for role in ("pap", "user"):
-        result = runner.invoke(cli, [role, "keygen", "--out-dir", str(tmp_path), "--seed", "1"])
-        assert result.exit_code == 0, result.output
-    args = ["user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "admin.pk",
-            "--user-sk", tmp_path / "user.sk", "--payload", tmp_path / payload_name,
-            "--out", tmp_path / "sub.json", "--seed", 3]
+    args = ["user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
+            "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / payload_name,
+            "--out", tmp_path / "sub.json", "--suite", "production", "--seed", 3]
     if file_id is not None:
         args += ["--file-id", file_id]
     counts.clear()
-    result = runner.invoke(cli, [str(a) for a in args])
-    assert result.exit_code != 0
+    result = run(*args, code=1)
     assert "file id" in result.output
     assert not (tmp_path / "sub.json").exists()
     assert not counts
@@ -275,13 +257,12 @@ def test_unstorable_file_id_refused_by_user_tag(tmp_path, counts, file_id, paylo
 def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
     """A hand-built submission whose file id no store accepts is refused
     when it is read: no pairing runs, and no table is built."""
-    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
+    args = scenario(tmp_path, "production", [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], GRAPH)
     doc = json.loads((tmp_path / "sub.json").read_text())
     (tmp_path / "sub.json").write_text(json.dumps(dict(doc, file_id="../evil")))
     counts.clear()
     tables.clear()
-    result = CliRunner().invoke(cli, args)
-    assert result.exit_code == 3, result.output
+    result = run(*args, code=3)
     assert "file id '../evil' is not a safe file name" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
     assert not counts
@@ -293,14 +274,13 @@ def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, ta
     H2(1) as z would match every trapdoor, e(token, 1) being 1, and go to
     the top policy's unit.  It is refused when it is read: exit 3, nothing
     stored, no pairing and no table."""
-    args = _prepare_pdp_classify(tmp_path, [_policy("top", ["ApprovedBy(Plan,Board)"], 9)])
+    args = scenario(tmp_path, "production", [_policy("top", ["ApprovedBy(Plan,Board)"], 9)], GRAPH)
     wildcard = {"y": "00" * 65, "z": prod_suite.hash_to_bits(prod_suite.identity(Group.T)).hex()}
     doc = json.loads((tmp_path / "sub.json").read_text())
     (tmp_path / "sub.json").write_text(json.dumps(dict(doc, tags=[wildcard])))
     counts.clear()
     tables.clear()
-    result = CliRunner().invoke(cli, args)
-    assert result.exit_code == 3, result.output
+    result = run(*args, code=3)
     assert "sub.json: tag y is the identity" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
     assert not counts
@@ -314,13 +294,8 @@ def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, t
     is paired.  Each delta splits into the four 32-bit limbs of its draw.
     Each submission decodes its own tags, whose Ys build their own
     tables."""
-    policies = [_policy("1", ["SignedBy(Form,Clerk)"], 5)]
-    args = _prepare_pdp_classify(tmp_path, policies)
-    result = CliRunner().invoke(cli, [str(a) for a in (
-        "user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
-        "--user-sk", tmp_path / "usr/user.sk", "--payload", tmp_path / "payload.bin",
-        "--out", tmp_path / "sub2.json", "--seed", 4, "--file-id", "second.bin")])
-    assert result.exit_code == 0, result.output
+    scenario(tmp_path, "production", [_policy("1", ["SignedBy(Form,Clerk)"], 5)], GRAPH)
+    tag(tmp_path, "production", GRAPH, 4, out="sub2.json", file_id="second.bin")
     g2_muls, draws = [], []
 
     def counted(point, k, _inner=curve.PointG2.scalar_mul):
@@ -335,8 +310,7 @@ def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, t
     monkeypatch.setattr(Bn256Suite, "batch_exponent", exponent)
     counts.clear()
     tables.clear()
-    result = CliRunner().invoke(cli, args[:3] + [str(tmp_path / "sub2.json")] + args[3:])
-    assert result.exit_code == 0, result.output
+    run(*classify_args(tmp_path, "production", "sub.json", "sub2.json"))
     tags, trapdoors = 2, 1
     _expect(counts, 2 * (1 + tags * trapdoors), 2 * (1 + tags * trapdoors))
     assert len(g2_muls) == 2 * 2 and len(draws) == 2 and all(0 < r < 2 ** 128 for r in draws)
@@ -354,18 +328,12 @@ def test_pdp_classify_builds_no_g_b_table(tmp_path, counts, tables):
     """A genuine submission and three forged ones in one ``pdp classify``:
     each forged authentication fails, so the admin key is checked alone,
     three times, against g_b, whose table was built at import."""
-    args = _prepare_pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)])
-    runner = CliRunner()
-    for cmd in (("user", "keygen", "--out-dir", tmp_path / "usr2", "--seed", 5),
-                ("user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "pap/admin.pk",
-                 "--user-sk", tmp_path / "usr2/user.sk", "--payload", tmp_path / "payload.bin",
-                 "--out", tmp_path / "forged.json", "--seed", 6)):
-        result = runner.invoke(cli, [str(a) for a in cmd])
-        assert result.exit_code == 0, result.output
+    scenario(tmp_path, "production", [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], GRAPH)
+    keygen(tmp_path / "usr2", "user", "production", 5)
+    tag(tmp_path, "production", GRAPH, 6, out="forged.json", user="usr2")
     counts.clear()
     tables.clear()
-    result = runner.invoke(cli, args[:3] + [str(tmp_path / "forged.json")] * 3 + args[3:])
-    assert result.exit_code == 2, result.output
+    result = run(*classify_args(tmp_path, "production", "sub.json", *["forged.json"] * 3), code=2)
     assert result.stderr.count("authentication failure") == 3
     # four authentications, three admin key checks, and two tag tests, the second a hit
     _expect(counts, 4 + 3 + 2, 4 + 3 + 2)
@@ -381,23 +349,14 @@ def test_pdp_classify_builds_no_g_b_straus_table(tmp_path, straus_tables):
 
 
 def _user_tag(tmp_path, graph, *counters):
-    """Seeded keygens and a ``user tag`` of graph; the counters cover only
-    the ``user tag`` run.  Returns the number of tags and admin_pk_b."""
-    (tmp_path / "graph.txt").write_text(graph)
-    (tmp_path / "payload.bin").write_bytes(b"opaque ciphertext")
-    runner = CliRunner()
-    for role in ("pap", "user"):
-        result = runner.invoke(cli, [role, "keygen", "--out-dir", str(tmp_path), "--seed", "1"])
-        assert result.exit_code == 0, result.output
+    """``prepare`` and a seeded ``user tag`` of graph; the counters cover
+    only the ``user tag`` run.  Returns the number of tags and admin_pk_b."""
+    prepare(tmp_path, "production")
     for counter in counters:
         counter.clear()
-    result = runner.invoke(cli, [str(a) for a in (
-        "user", "tag", "--graph", tmp_path / "graph.txt", "--admin-pk", tmp_path / "admin.pk",
-        "--user-sk", tmp_path / "user.sk", "--payload", tmp_path / "payload.bin",
-        "--out", tmp_path / "sub.json", "--seed", 3)])
-    assert result.exit_code == 0, result.output
+    tag(tmp_path, "production", graph, 3)
     tags = len(json.loads((tmp_path / "sub.json").read_text())["tags"])
-    return tags, json.loads((tmp_path / "admin.pk").read_text())["pk_b"]
+    return tags, json.loads((tmp_path / "pap/admin.pk").read_text())["pk_b"]
 
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])

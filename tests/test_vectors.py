@@ -29,9 +29,8 @@ import random
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from pipeline import classify_args, keygen, prepare, run, scenario, tag
 
-from pbcap.cli import cli
 from pbcap.pairing import H1_DST, bn256, curve, tower
 
 VECTORS = Path(__file__).parent / "vectors"
@@ -56,21 +55,18 @@ node r Artifact Report
 edge RecordedBy t n
 edge ProducedFrom r t
 """
-TAG_PAYLOAD = b"opaque ciphertext"
 
 HARNESS_ATTACKERS = ["random-guess", "cheating", "rule-breaker"]
-KEY_FILES = ["admin.sk", "admin.pk", "user.sk", "user.pk", "compiled.json"]
+# each key and compiled file's name, and its path under a ``prepare``d root
+KEY_FILES = {"admin.sk": "pap/admin.sk", "admin.pk": "pap/admin.pk", "user.sk": "usr/user.sk",
+             "user.pk": "usr/user.pk", "compiled.json": "compiled.json"}
 
-CLASSIFY_POLICIES = {
-    "format": "pbcap/1",
-    "kind": "policy-set",
-    "policies": [
-        {"id": "med", "keywords": ["RecordedBy(Test,Nurse)", "DiagnosedBy(Report,Doctor)"],
-         "priority": 5, "category": "Medical Documents", "storage_unit": "Hospital"},
-        {"id": "edit", "keywords": ["ReviewedBy(Draft,Editor)"],
-         "priority": 9, "category": "Editorial", "storage_unit": "Press"},
-    ],
-}
+CLASSIFY_POLICIES = [
+    {"id": "med", "keywords": ["RecordedBy(Test,Nurse)", "DiagnosedBy(Report,Doctor)"],
+     "priority": 5, "category": "Medical Documents", "storage_unit": "Hospital"},
+    {"id": "edit", "keywords": ["ReviewedBy(Draft,Editor)"],
+     "priority": 9, "category": "Editorial", "storage_unit": "Press"},
+]
 # file id -> (graph, tagged by the registered user); the imposter's submission fails authentication
 CLASSIFY_SUBMISSIONS = {
     "both.bin": (TAG_GRAPH + "node d Artifact Draft\nnode e Agent Editor\nedge ReviewedBy d e\n", True),
@@ -276,41 +272,19 @@ def compute_miller_loop_pairs() -> dict:
 
 def compute_user_tag_submission(root: Path) -> bytes:
     """Seeded production ``pap keygen``, ``user keygen`` and ``user tag``."""
-    runner = CliRunner()
-    (root / "graph.txt").write_text(TAG_GRAPH)
-    (root / "payload.bin").write_bytes(TAG_PAYLOAD)
-    for args in (
-        ["pap", "keygen", "--out-dir", root / "pap", "--seed", 1],
-        ["user", "keygen", "--out-dir", root / "usr", "--seed", 2],
-        ["user", "tag", "--graph", root / "graph.txt", "--admin-pk", root / "pap/admin.pk",
-         "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin",
-         "--out", root / "sub.json", "--seed", 3],
-    ):
-        result = runner.invoke(cli, [str(a) for a in args], catch_exceptions=False)
-        assert result.exit_code == 0, result.output
+    scenario(root, "production", [], TAG_GRAPH)
     return (root / "sub.json").read_bytes()
 
 
 def compute_key_files(root: Path, suite: str) -> dict[str, bytes]:
     """Seeded ``pap keygen``, ``user keygen`` and ``pap compile`` of CLASSIFY_POLICIES."""
-    runner = CliRunner()
-    (root / "policies.json").write_text(json.dumps(CLASSIFY_POLICIES))
-    for args in (
-        ["pap", "keygen", "--out-dir", root, "--seed", 1],
-        ["user", "keygen", "--out-dir", root, "--seed", 2],
-        ["pap", "compile", "--policies", root / "policies.json", "--admin-sk", root / "admin.sk",
-         "--out", root / "compiled.json"],
-    ):
-        result = runner.invoke(cli, [str(a) for a in args] + ["--suite", suite], catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-    return {name: (root / name).read_bytes() for name in KEY_FILES}
+    prepare(root, suite, CLASSIFY_POLICIES)
+    return {name: (root / path).read_bytes() for name, path in KEY_FILES.items()}
 
 
 def compute_harness_transcript(attacker: str) -> bytes:
     """Seeded mock ``harness run`` with 200 trials: the printed JSON."""
-    args = ["harness", "run", "--suite", "mock", "--seed", "7", "--trials", "200", "--attacker", attacker]
-    result = CliRunner().invoke(cli, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
+    result = run("harness", "run", "--suite", "mock", "--seed", "7", "--trials", "200", "--attacker", attacker)
     return result.stdout.encode()
 
 
@@ -318,31 +292,13 @@ def compute_mock_classify(root: Path) -> tuple[bytes, bytes]:
     """One seeded mock ``pdp classify`` over four submissions: a top-policy
     hit, a lower-policy hit, no match and an imposter.  Returns its stdout
     and the decision log."""
-    runner = CliRunner()
-
-    def run(args, exit_code=0):
-        result = runner.invoke(cli, [str(a) for a in args] + ["--suite", "mock"], catch_exceptions=False)
-        assert result.exit_code == exit_code, result.output
-        return result
-
-    (root / "policies.json").write_text(json.dumps(CLASSIFY_POLICIES))
-    (root / "payload.bin").write_bytes(TAG_PAYLOAD)
-    (root / "store").mkdir()
-    run(["pap", "keygen", "--out-dir", root / "pap", "--seed", 1])
-    run(["user", "keygen", "--out-dir", root / "usr", "--seed", 2])
-    run(["user", "keygen", "--out-dir", root / "imp", "--seed", 3])
-    run(["pap", "compile", "--policies", root / "policies.json",
-         "--admin-sk", root / "pap/admin.sk", "--out", root / "compiled.json"])
+    prepare(root, "mock", CLASSIFY_POLICIES)
+    keygen(root / "imp", "user", "mock", 3)
     subs = []
     for seed, (file_id, (graph, registered)) in enumerate(CLASSIFY_SUBMISSIONS.items(), start=10):
-        (root / f"{file_id}.graph").write_text(graph)
-        subs.append(root / f"{file_id}.json")
-        run(["user", "tag", "--graph", root / f"{file_id}.graph", "--admin-pk", root / "pap/admin.pk",
-             "--user-sk", root / ("usr" if registered else "imp") / "user.sk",
-             "--payload", root / "payload.bin", "--out", subs[-1], "--file-id", file_id, "--seed", seed])
-    result = run(["pdp", "classify", *subs, "--policies", root / "compiled.json",
-                  "--admin-pk", root / "pap/admin.pk", "--user-pk", root / "usr/user.pk",
-                  "--storage-root", root / "store"], exit_code=2)
+        subs.append(f"{file_id}.json")
+        tag(root, "mock", graph, seed, out=subs[-1], file_id=file_id, user="usr" if registered else "imp")
+    result = run(*classify_args(root, "mock", *subs), code=2)
     return result.stdout.encode(), (root / "store/decisions.log").read_bytes()
 
 
