@@ -20,14 +20,7 @@ from .errors import DecodeError, PbcapError
 from .pairing import Group, GroupElement, PairingSuite, Scalar
 from .policy import CompiledPolicy, Policy, check_unique_ids
 from .provenance import ProvenanceGraph, parse_fragment, parse_graph
-from .scheme import (
-    AdminKeyPair,
-    AdminPublicKey,
-    ClassificationTag,
-    TrapdoorEntry,
-    UserKeyPair,
-    UserPublicKey,
-)
+from .scheme import AdminPublicKey, ClassificationTag, TrapdoorEntry
 from .storage import check_file_id, check_storage_unit
 
 FORMAT_VERSION = "pbcap/1"
@@ -126,9 +119,10 @@ def load_graph(path: Path) -> ProvenanceGraph:
 
 # --- keys -----------------------------------------------------------------
 
-def save_admin_keypair(pair: AdminKeyPair, suite: PairingSuite, sk_path: Path, pk_path: Path) -> None:
-    _dump(sk_path, "admin-secret-key", suite, sk=pair.sk.to_bytes().hex())
-    _dump(pk_path, "admin-public-key", suite, pk_a=pair.pk_a.hex(), pk_b=pair.pk_b.hex())
+def save_admin_keypair(sk: Scalar, public: AdminPublicKey, suite: PairingSuite, sk_path: Path,
+                       pk_path: Path) -> None:
+    _dump(sk_path, "admin-secret-key", suite, sk=sk.to_bytes().hex())
+    _dump(pk_path, "admin-public-key", suite, pk_a=public.pk_a.hex(), pk_b=public.pk_b.hex())
 
 
 def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
@@ -145,9 +139,10 @@ def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
     return AdminPublicKey(pk_a=pk_a, pk_b=pk_b)
 
 
-def save_user_keypair(pair: UserKeyPair, suite: PairingSuite, sk_path: Path, pk_path: Path) -> None:
-    _dump(sk_path, "user-secret-key", suite, sk=pair.sk.to_bytes().hex())
-    _dump(pk_path, "user-public-key", suite, pk_b=pair.pk_b.hex())
+def save_user_keypair(sk: Scalar, public: GroupElement, suite: PairingSuite, sk_path: Path,
+                      pk_path: Path) -> None:
+    _dump(sk_path, "user-secret-key", suite, sk=sk.to_bytes().hex())
+    _dump(pk_path, "user-public-key", suite, pk_b=public.hex())
 
 
 def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
@@ -155,12 +150,12 @@ def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
         return _scalar(suite, doc, "sk")
 
 
-def load_user_public(path: Path, suite: PairingSuite) -> UserPublicKey:
+def load_user_public(path: Path, suite: PairingSuite) -> GroupElement:
     with _load(path, "user-public-key", suite) as doc:
         pk_b = _element(suite, Group.B, doc, "pk_b")
         if pk_b.is_identity():
             raise DecodeError("user public key is the identity")
-    return UserPublicKey(pk_b=pk_b)
+    return pk_b
 
 
 # --- policies ---------------------------------------------------------------

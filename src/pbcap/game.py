@@ -26,7 +26,6 @@ from .scheme import (
     AdminPublicKey,
     ClassificationTag,
     TrapdoorEntry,
-    UserPublicKey,
     keygen_admin,
     keygen_user,
     make_tag,
@@ -62,7 +61,7 @@ class ChallengeContext:
 
     suite: PairingSuite
     admin_pub: AdminPublicKey
-    user_pub: UserPublicKey
+    user_pk: GroupElement
     oracle: TrapdoorOracle
     pair: tuple[bytes, bytes]
     x: GroupElement
@@ -178,9 +177,9 @@ def run_game(
     transcript = GameTranscript(attacker_id=attacker.name)
     for _ in range(trials):
         trial_rng = random.Random(rng.getrandbits(128))
-        admin = keygen_admin(suite, trial_rng)
-        user = keygen_user(suite, trial_rng)
-        oracle = TrapdoorOracle(suite, admin.sk)
+        admin_sk, admin_pub = keygen_admin(suite, trial_rng)
+        user_sk, user_pk = keygen_user(suite, trial_rng)
+        oracle = TrapdoorOracle(suite, admin_sk)
 
         try:
             p0, p1 = attacker.select_pair(trial_rng, oracle)
@@ -189,16 +188,14 @@ def run_game(
                 continue
             oracle.forbidden = {p0, p1}
             b = trial_rng.getrandbits(1)
-            challenge = make_tag(
-                suite, admin.public, user.sk, (p0, p1)[b], trial_rng
-            )
+            challenge = make_tag(suite, admin_pub, user_sk, (p0, p1)[b], trial_rng)
             ctx = ChallengeContext(
                 suite=suite,
-                admin_pub=admin.public,
-                user_pub=user.public,
+                admin_pub=admin_pub,
+                user_pk=user_pk,
                 oracle=oracle,
                 pair=(p0, p1),
-                x=make_x(admin.public, user.sk),
+                x=make_x(admin_pub, user_sk),
                 challenge=challenge,
                 rng=trial_rng,
             )

@@ -20,7 +20,6 @@ from .scheme import (
     AdminPublicKey,
     ClassificationTag,
     TrapdoorEntry,
-    UserPublicKey,
     make_trapdoor,
     matches_trapdoor,
     verify_authenticity,
@@ -117,7 +116,7 @@ def compile_policies(
 
 def classify(
     tags: list[ClassificationTag],
-    user_pub: UserPublicKey,
+    user_pk: GroupElement,
     admin_pub: AdminPublicKey,
     compiled: list[CompiledPolicy],
     suite: PairingSuite,
@@ -136,7 +135,7 @@ def classify(
     tested, and no lower-priority match is learned.  ``rng`` draws the
     authentication's delta (``verify_authenticity``).
     """
-    if not verify_authenticity(suite, admin_pub, user_pub, x, rng):
+    if not verify_authenticity(suite, admin_pub, user_pk, x, rng):
         return Decision.unclassified(file_id, authenticated=False)
 
     for policy in sorted(compiled, key=lambda p: (-p.priority, p.id)):

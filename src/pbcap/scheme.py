@@ -70,32 +70,6 @@ class AdminPublicKey:
 
 
 @dataclass(frozen=True)
-class AdminKeyPair:
-    sk: Scalar
-    pk_a: GroupElement
-    pk_b: GroupElement
-
-    @property
-    def public(self) -> AdminPublicKey:
-        return AdminPublicKey(self.pk_a, self.pk_b)
-
-
-@dataclass(frozen=True)
-class UserPublicKey:
-    pk_b: GroupElement
-
-
-@dataclass(frozen=True)
-class UserKeyPair:
-    sk: Scalar
-    pk_b: GroupElement
-
-    @property
-    def public(self) -> UserPublicKey:
-        return UserPublicKey(self.pk_b)
-
-
-@dataclass(frozen=True)
 class ClassificationTag:
     """The (Y, Z) pair attached to a submission, one per fragment."""
 
@@ -118,14 +92,14 @@ class TrapdoorEntry:
     keyword_slot: str
 
 
-def keygen_admin(suite: PairingSuite, rng) -> AdminKeyPair:
+def keygen_admin(suite: PairingSuite, rng) -> tuple[Scalar, AdminPublicKey]:
     alpha = suite.random_scalar(rng)
-    return AdminKeyPair(sk=alpha, pk_a=suite.gen_a ** alpha, pk_b=suite.gen_b ** alpha)
+    return alpha, AdminPublicKey(pk_a=suite.gen_a ** alpha, pk_b=suite.gen_b ** alpha)
 
 
-def keygen_user(suite: PairingSuite, rng) -> UserKeyPair:
+def keygen_user(suite: PairingSuite, rng) -> tuple[Scalar, GroupElement]:
     beta = suite.random_scalar(rng)
-    return UserKeyPair(sk=beta, pk_b=suite.gen_b ** beta)
+    return beta, suite.gen_b ** beta
 
 
 def make_x(admin_pub: AdminPublicKey, user_sk: Scalar) -> GroupElement:
@@ -168,14 +142,14 @@ def check_admin_key(suite: PairingSuite, admin_pub: AdminPublicKey) -> bool:
 def verify_authenticity(
     suite: PairingSuite,
     admin_pub: AdminPublicKey,
-    user_pub: UserPublicKey,
+    user_pk: GroupElement,
     x: GroupElement,
     rng,
 ) -> bool:
     """Equations (0) and (1) batched into one product with a delta drawn
     from ``rng`` (see the module docstring)."""
     delta = suite.batch_exponent(rng.randrange(1, min(2 ** 128, suite.order)))
-    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b ** delta * user_pub.pk_b,
+    return suite.pairs_equal(admin_pub.pk_a, suite.gen_b ** delta * user_pk,
                              suite.gen_a, admin_pub.pk_b ** delta * x)
 
 

@@ -48,23 +48,23 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
     for i in range(draws):
         alpha = suite.random_scalar(rng)
         beta = suite.random_scalar(rng)
-        admin = keygen_admin(suite, _FixedScalarRng(alpha.value))
-        user = keygen_user(suite, _FixedScalarRng(beta.value))
+        admin_sk, admin_pub = keygen_admin(suite, _FixedScalarRng(alpha.value))
+        user_sk, user_pk = keygen_user(suite, _FixedScalarRng(beta.value))
         frag = _random_fragment(rng, "Oracle")
         other = _random_fragment(rng, "Other")
 
         r_value = rng.randrange(1, q)
-        tag = make_tag(suite, admin.public, user.sk, frag, _FixedScalarRng(r_value))
+        tag = make_tag(suite, admin_pub, user_sk, frag, _FixedScalarRng(r_value))
 
         # equation (1): dlog(X) must equal alpha*beta
-        if suite.discrete_log(make_x(admin.public, user.sk)) != alpha.value * beta.value % q:
+        if suite.discrete_log(make_x(admin_pub, user_sk)) != alpha.value * beta.value % q:
             report.failures.append(f"draw {i}: X exponent != alpha*beta")
 
         d = suite.discrete_log(suite.hash_to_group_a(frag))
         d_other = suite.discrete_log(suite.hash_to_group_a(other))
 
         # equation (2) acceptance vs exponent identity, matching fragment
-        trap = make_trapdoor(suite, admin.sk, frag)
+        trap = make_trapdoor(suite, admin_sk, frag)
         lhs = suite.discrete_log(trap.token) * suite.discrete_log(tag.y) % q
         rhs = alpha.value * beta.value % q * r_value % q * d % q
         if (lhs == rhs) != matches_trapdoor(suite, trap, tag):
@@ -73,7 +73,7 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
             report.failures.append(f"draw {i}: matching-fragment exponents differ")
 
         # equation (2) must reject a different fragment unless H1 collides
-        trap_other = make_trapdoor(suite, admin.sk, other)
+        trap_other = make_trapdoor(suite, admin_sk, other)
         if matches_trapdoor(suite, trap_other, tag) != (d == d_other):
             report.failures.append(f"draw {i}: eq(2) accepted a mismatched fragment")
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 
+import pytest
 from exact_oracle import oracle_check_identities
 from pipeline import PAYLOAD, run, scenario
 
@@ -51,14 +52,14 @@ def test_criterion_1_completeness():
     rng, deltas = random.Random(101), random.Random(201)
     failures = 0
     for batch in range(10):
-        admin = keygen_admin(SUITE, rng)
-        user = keygen_user(SUITE, rng)
-        x = make_x(admin.public, user.sk)
+        admin_sk, admin_pub = keygen_admin(SUITE, rng)
+        user_sk, user_pk = keygen_user(SUITE, rng)
+        x = make_x(admin_pub, user_sk)
         for i in range(100):
             frag = _fragment(rng, i)
-            tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
-            trap = make_trapdoor(SUITE, admin.sk, frag)
-            if (verify_authenticity(SUITE, admin.public, user.public, x, deltas)
+            tag = make_tag(SUITE, admin_pub, user_sk, frag, rng)
+            trap = make_trapdoor(SUITE, admin_sk, frag)
+            if (verify_authenticity(SUITE, admin_pub, user_pk, x, deltas)
                 and matches_trapdoor(SUITE, trap, tag)) is not True:
                 failures += 1
     _verdict(1, failures == 0,
@@ -68,16 +69,16 @@ def test_criterion_1_completeness():
 def test_criterion_2_soundness():
     """10^4 mismatched fragment pairs: never accepted."""
     rng, deltas = random.Random(102), random.Random(202)
-    admin = keygen_admin(SUITE, rng)
-    user = keygen_user(SUITE, rng)
-    x = make_x(admin.public, user.sk)
+    admin_sk, admin_pub = keygen_admin(SUITE, rng)
+    user_sk, user_pk = keygen_user(SUITE, rng)
+    x = make_x(admin_pub, user_sk)
     accepted = 0
     for i in range(10_000):
         frag = _fragment(rng, i)
         other = _fragment(rng, i) + b"'"
-        tag = make_tag(SUITE, admin.public, user.sk, frag, rng)
-        trap = make_trapdoor(SUITE, admin.sk, other)
-        if (verify_authenticity(SUITE, admin.public, user.public, x, deltas)
+        tag = make_tag(SUITE, admin_pub, user_sk, frag, rng)
+        trap = make_trapdoor(SUITE, admin_sk, other)
+        if (verify_authenticity(SUITE, admin_pub, user_pk, x, deltas)
             and matches_trapdoor(SUITE, trap, tag)):
             accepted += 1
     _verdict(2, accepted == 0,
@@ -88,21 +89,21 @@ def test_criterion_3_authenticity_gate():
     """1000 submissions keyed with an unregistered exponent: the
     key-binding equation fails and classify never routes them."""
     rng, deltas = random.Random(103), random.Random(203)
-    admin = keygen_admin(SUITE, rng)
-    registered = keygen_user(SUITE, rng)
+    admin_sk, admin_pub = keygen_admin(SUITE, rng)
+    registered_sk, registered_pk = keygen_user(SUITE, rng)
     policy = Policy(id="p", keywords=(parse_fragment("K(a,b)"),),
                     priority=1, category="c", storage_unit="u")
-    compiled = compile_policies([policy], admin.sk, SUITE)
+    compiled = compile_policies([policy], admin_sk, SUITE)
     leaks = 0
     for _ in range(1000):
-        imposter = keygen_user(SUITE, rng)
-        if imposter.sk.value == registered.sk.value:
+        imposter_sk, imposter_pk = keygen_user(SUITE, rng)
+        if imposter_sk.value == registered_sk.value:
             continue
-        tag = make_tag(SUITE, admin.public, imposter.sk, b"K(a,b)", rng)
-        x = make_x(admin.public, imposter.sk)
-        if verify_authenticity(SUITE, admin.public, registered.public, x, deltas):
+        tag = make_tag(SUITE, admin_pub, imposter_sk, b"K(a,b)", rng)
+        x = make_x(admin_pub, imposter_sk)
+        if verify_authenticity(SUITE, admin_pub, registered_pk, x, deltas):
             leaks += 1
-        decision = classify([tag], registered.public, admin.public, compiled, SUITE, x=x, rng=deltas)
+        decision = classify([tag], registered_pk, admin_pub, compiled, SUITE, x=x, rng=deltas)
         if decision.authenticated or decision.matched_policy is not None:
             leaks += 1
     _verdict(3, leaks == 0,
@@ -115,12 +116,12 @@ def test_criterion_4_mock_oracle_equivalence():
     report = oracle_check_identities(SUITE, 100, random.Random(104))
 
     rng = random.Random(1040)
-    admin = keygen_admin(SUITE, rng)
-    user = keygen_user(SUITE, rng)
+    admin_sk, admin_pub = keygen_admin(SUITE, rng)
+    user_sk, user_pk = keygen_user(SUITE, rng)
     frag = b"RecordedBy(Test,Nurse)"
-    trap = make_trapdoor(SUITE, admin.sk, frag)
-    good = make_tag(SUITE, admin.public, user.sk, frag, rng)
-    mutated = type(good)(y=admin.pk_b ** rng.randrange(1, SUITE.order), z=good.z)
+    trap = make_trapdoor(SUITE, admin_sk, frag)
+    good = make_tag(SUITE, admin_pub, user_sk, frag, rng)
+    mutated = type(good)(y=admin_pub.pk_b ** rng.randrange(1, SUITE.order), z=good.z)
     mutation_caught = matches_trapdoor(SUITE, trap, good) and not matches_trapdoor(
         SUITE, trap, mutated
     )
@@ -134,13 +135,13 @@ def test_criterion_5_randomization():
     """1000 tag pairs for the same fragment, fresh-seeded rng: every
     pair differs in (Y, Z)."""
     rng = random.Random(105)
-    admin = keygen_admin(SUITE, rng)
-    user = keygen_user(SUITE, rng)
+    admin_sk, admin_pub = keygen_admin(SUITE, rng)
+    user_sk, user_pk = keygen_user(SUITE, rng)
     frag = b"RecordedBy(Test,Nurse)"
     collisions = 0
     for _ in range(1000):
-        t1 = make_tag(SUITE, admin.public, user.sk, frag, rng)
-        t2 = make_tag(SUITE, admin.public, user.sk, frag, rng)
+        t1 = make_tag(SUITE, admin_pub, user_sk, frag, rng)
+        t2 = make_tag(SUITE, admin_pub, user_sk, frag, rng)
         if t1.y == t2.y or t1.z == t2.z:
             collisions += 1
     _verdict(5, collisions == 0,
@@ -207,30 +208,30 @@ def test_criterion_8_priority_conflict():
     """Priorities {5, 9}: the 9 wins; brute force over every match
     subset of a 3-policy set confirms the argmax and tie-break rule."""
     rng, deltas = random.Random(108), random.Random(208)
-    admin = keygen_admin(SUITE, rng)
-    user = keygen_user(SUITE, rng)
-    x = make_x(admin.public, user.sk)
+    admin_sk, admin_pub = keygen_admin(SUITE, rng)
+    user_sk, user_pk = keygen_user(SUITE, rng)
+    x = make_x(admin_pub, user_sk)
 
     def p(pid, kw, prio):
         return Policy(id=pid, keywords=(parse_fragment(kw),), priority=prio,
                       category=f"cat-{pid}", storage_unit=f"unit-{pid}")
 
     five_nine = compile_policies([p("low", "A(x,y)", 5), p("high", "B(x,y)", 9)],
-                                 admin.sk, SUITE)
-    tags = [make_tag(SUITE, admin.public, user.sk, f, rng)
+                                 admin_sk, SUITE)
+    tags = [make_tag(SUITE, admin_pub, user_sk, f, rng)
             for f in (b"A(x,y)", b"B(x,y)")]
-    nine_wins = classify(tags, user.public, admin.public, five_nine,
+    nine_wins = classify(tags, user_pk, admin_pub, five_nine,
                          SUITE, x=x, rng=deltas).matched_policy == "high"
 
     trio = [p("p1", "K1(a,b)", 3), p("p2", "K2(a,b)", 9), p("p3", "K3(a,b)", 9)]
-    compiled = compile_policies(trio, admin.sk, SUITE)
+    compiled = compile_policies(trio, admin_sk, SUITE)
     keyword_of = {"p1": b"K1(a,b)", "p2": b"K2(a,b)", "p3": b"K3(a,b)"}
     mismatches = 0
     for size in range(4):
         for subset in itertools.combinations(trio, size):
-            tags = [make_tag(SUITE, admin.public, user.sk, keyword_of[q.id], rng)
+            tags = [make_tag(SUITE, admin_pub, user_sk, keyword_of[q.id], rng)
                     for q in subset]
-            got = classify(tags, user.public, admin.public, compiled,
+            got = classify(tags, user_pk, admin_pub, compiled,
                            SUITE, x=x, rng=deltas).matched_policy
             want = (min(subset, key=lambda q: (-q.priority, q.id)).id
                     if subset else None)
@@ -262,14 +263,30 @@ def test_criterion_9_confidentiality_scan(tmp_path):
              f"fragment substrings, leaks={hits or 0}")
 
 
-def test_criterion_10_determinism(tmp_path):
+CLI_POLICIES = POLICIES + [{
+    "id": "2", "keywords": ["ReviewedBy(Draft,Editor)"], "priority": 9,
+    "category": "Editorial", "storage_unit": "Press",
+}]
+CLI_GRAPH = """\
+node t Artifact Test
+node n Agent Nurse
+node r Artifact Report
+edge RecordedBy t n
+edge ProducedFrom r t
+"""
+
+
+@pytest.mark.parametrize("policies, graph", [(POLICIES, GRAPH), (CLI_POLICIES, CLI_GRAPH)],
+                         ids=["worked-example", "two-policies"])
+def test_criterion_10_determinism(tmp_path, policies, graph):
     """The whole pipeline, seeded twice, writes byte-identical decision
-    logs."""
+    logs: on the worked example, and on the two-policy set and
+    two-fragment graph of the CLI tests."""
     logs = []
     for base in (tmp_path / "a", tmp_path / "b"):
-        run(*scenario(base, "mock", POLICIES, GRAPH))
+        run(*scenario(base, "mock", policies, graph))
         logs.append((base / "store/decisions.log").read_bytes())
     log_a, log_b = logs
     ok = log_a == log_b and len(log_a) > 0
     _verdict(10, ok,
-             f"two seeded runs, decision logs identical={log_a == log_b}")
+             f"two seeded runs, {len(policies)}-policy set, decision logs identical={log_a == log_b}")

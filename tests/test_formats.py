@@ -69,14 +69,14 @@ def files(tmp_path_factory):
     """Seeded keys, a policy set, its compiled set and a one-tag submission, as written."""
     root = tmp_path_factory.mktemp("files")
     rng = random.Random(12)
-    admin, user = keygen_admin(SUITE, rng), keygen_user(SUITE, rng)
-    formats.save_admin_keypair(admin, SUITE, root / "admin.sk", root / "admin.pk")
-    formats.save_user_keypair(user, SUITE, root / "user.sk", root / "user.pk")
+    (admin_sk, admin_pub), (user_sk, user_pk) = keygen_admin(SUITE, rng), keygen_user(SUITE, rng)
+    formats.save_admin_keypair(admin_sk, admin_pub, SUITE, root / "admin.sk", root / "admin.pk")
+    formats.save_user_keypair(user_sk, user_pk, SUITE, root / "user.sk", root / "user.pk")
     (root / "policies.json").write_text(json.dumps(POLICY_DOC))
-    compiled = compile_policies(formats.load_policies(root / "policies.json"), admin.sk, SUITE)
+    compiled = compile_policies(formats.load_policies(root / "policies.json"), admin_sk, SUITE)
     formats.save_compiled_policies(compiled, SUITE, root / "compiled.json")
-    tag = make_tag(SUITE, admin.public, user.sk, b"RecordedBy(Test,Nurse)", rng)
-    sub = formats.Submission(file_id="f.bin", payload=b"opaque", x=make_x(admin.public, user.sk), tags=(tag,))
+    tag = make_tag(SUITE, admin_pub, user_sk, b"RecordedBy(Test,Nurse)", rng)
+    sub = formats.Submission(file_id="f.bin", payload=b"opaque", x=make_x(admin_pub, user_sk), tags=(tag,))
     formats.save_submission(sub, SUITE, root / "sub.json")
     return root
 

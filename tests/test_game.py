@@ -53,8 +53,8 @@ class TestAttackerBounds:
 
 class TestRuleEnforcement:
     def test_oracle_refuses_forbidden_fragments(self, mock_suite, rng):
-        admin = keygen_admin(mock_suite, rng)
-        oracle = TrapdoorOracle(mock_suite, admin.sk)
+        admin_sk, admin_pub = keygen_admin(mock_suite, rng)
+        oracle = TrapdoorOracle(mock_suite, admin_sk)
         oracle.forbidden = {b"P0(a,b)", b"P1(a,b)"}
         with pytest.raises(ChallengeQueryError):
             oracle.query(b"P0(a,b)")
@@ -118,7 +118,7 @@ class TestChallengeConstruction:
                 for frag in ctx.pair
             ]
             assert sorted(hits) == [False, True]
-            assert verify_authenticity(ctx.suite, ctx.admin_pub, ctx.user_pub, ctx.x, random.Random(22))
+            assert verify_authenticity(ctx.suite, ctx.admin_pub, ctx.user_pk, ctx.x, random.Random(22))
 
     def test_fresh_keys_each_trial(self, mock_suite):
         admins = []
@@ -162,26 +162,26 @@ class TestExactOracle:
         the implementation must agree on that."""
         s = mock_suite
         rng = random.Random(33)
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
         frag = b"RecordedBy(Test,Nurse)"
-        good = make_tag(s, admin.public, user.sk, frag, rng)
-        trap = make_trapdoor(s, admin.sk, frag)
+        good = make_tag(s, admin_pub, user_sk, frag, rng)
+        trap = make_trapdoor(s, admin_sk, frag)
         assert matches_trapdoor(s, trap, good)
 
         r = rng.randrange(1, s.order)
-        bad_y = admin.pk_b ** r  # should have been user_pk_b ** r
+        bad_y = admin_pub.pk_b ** r  # should have been user_pk_b ** r
         mutated = type(good)(y=bad_y, z=good.z)
         # exponent arithmetic predicts rejection whenever alpha != beta
-        assert admin.sk.value != user.sk.value
+        assert admin_sk.value != user_sk.value
         assert not matches_trapdoor(s, trap, mutated)
 
     def test_degenerate_unit_randomizer_still_correct(self, mock_suite):
         s = mock_suite
         rng = random.Random(34)
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
         frag = b"EditedBy(Doc,Agent)"
-        tag = make_tag(s, admin.public, user.sk, frag, _FixedScalarRng(1))
-        trap = make_trapdoor(s, admin.sk, frag)
+        tag = make_tag(s, admin_pub, user_sk, frag, _FixedScalarRng(1))
+        trap = make_trapdoor(s, admin_sk, frag)
         assert matches_trapdoor(s, trap, tag)

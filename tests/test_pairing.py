@@ -651,11 +651,11 @@ class TestBilinearity:
         assert Bn256Suite().gen_b.lines is table
         fresh = bn256.g2_lines(curve.G2_GEN)
         assert table == fresh
-        admin, user = keygen_admin(s, rng), keygen_user(s, rng)
-        assert check_admin_key(s, admin.public)
+        (admin_sk, admin_pub), (user_sk, user_pk) = keygen_admin(s, rng), keygen_user(s, rng)
+        assert check_admin_key(s, admin_pub)
         x = s.gen_a ** rng.randrange(1, s.order)
         assert s.pair(x, s.gen_b) == s.pair(x, s.element_from_bytes(Group.B, s.gen_b.to_bytes()))
-        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), rng)
+        assert verify_authenticity(s, admin_pub, user_pk, make_x(admin_pub, user_sk), rng)
         assert s.gen_b.lines is table and table == fresh
 
 

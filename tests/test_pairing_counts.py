@@ -99,8 +99,8 @@ def keys(prod_suite):
 
 def test_check_admin_key(prod_suite, keys, tmp_path, counts):
     """Loading the admin public key pairs nothing; checking it is one 2-pair product."""
-    admin, _, _ = keys
-    formats.save_admin_keypair(admin, prod_suite, tmp_path / "a.sk", tmp_path / "a.pk")
+    (admin_sk, admin_pub), _, _ = keys
+    formats.save_admin_keypair(admin_sk, admin_pub, prod_suite, tmp_path / "a.sk", tmp_path / "a.pk")
     admin_pub = formats.load_admin_public(tmp_path / "a.pk", prod_suite)
     assert not counts
     assert check_admin_key(prod_suite, admin_pub)
@@ -108,16 +108,16 @@ def test_check_admin_key(prod_suite, keys, tmp_path, counts):
 
 
 def test_verify_authenticity(prod_suite, keys, counts):
-    admin, user, rng = keys
-    x = make_x(admin.public, user.sk)
-    assert verify_authenticity(prod_suite, admin.public, user.public, x, rng)
+    (admin_sk, admin_pub), (user_sk, user_pk), rng = keys
+    x = make_x(admin_pub, user_sk)
+    assert verify_authenticity(prod_suite, admin_pub, user_pk, x, rng)
     _expect(counts, 1, 1)
 
 
 def test_matches_trapdoor(prod_suite, keys, counts):
-    admin, user, rng = keys
-    tag = make_tag(prod_suite, admin.public, user.sk, b"RecordedBy(Test,Nurse)", rng)
-    trapdoor = make_trapdoor(prod_suite, admin.sk, b"RecordedBy(Test,Nurse)")
+    (admin_sk, admin_pub), (user_sk, user_pk), rng = keys
+    tag = make_tag(prod_suite, admin_pub, user_sk, b"RecordedBy(Test,Nurse)", rng)
+    trapdoor = make_trapdoor(prod_suite, admin_sk, b"RecordedBy(Test,Nurse)")
     counts.clear()
     assert matches_trapdoor(prod_suite, trapdoor, tag)
     _expect(counts, 1, 1)
@@ -127,7 +127,7 @@ def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
     """Y = g_b^s and Z = H2(e(H1(P)^s, admin_pk_b)) with s = beta*r: one
     G2 and one G1 multiplication per tag.  X is made once per submission
     by ``make_x``."""
-    admin, user, rng = keys
+    (admin_sk, admin_pub), (user_sk, user_pk), rng = keys
     seen = Counter()
     for cls in (curve.PointG1, curve.PointG2):
         def counted(point, k, _inner=cls.scalar_mul, _name=cls.__name__):
@@ -137,7 +137,7 @@ def test_make_tag_g2_scalar_multiplications(prod_suite, keys, monkeypatch):
         monkeypatch.setattr(cls, "scalar_mul", counted)
     for fragment in (b"RecordedBy(Test,Nurse)", b"ProducedFrom(Report,Test)"):
         seen.clear()
-        make_tag(prod_suite, admin.public, user.sk, fragment, rng)
+        make_tag(prod_suite, admin_pub, user_sk, fragment, rng)
         assert seen == Counter(PointG1=1, PointG2=1)
 
 

@@ -26,98 +26,98 @@ OTHER = b"DiagnosedBy(Report,Doctor)"
 class TestKeygen:
     def test_admin_dual_representation(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        assert s.pair(admin.pk_a, s.gen_b) == s.pair(s.gen_a, admin.pk_b)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        assert s.pair(admin_pub.pk_a, s.gen_b) == s.pair(s.gen_a, admin_pub.pk_b)
 
     def test_admin_keys_distinct_across_runs(self, mock_suite, rng):
-        keys = {keygen_admin(mock_suite, rng).sk.value for _ in range(100)}
+        keys = {keygen_admin(mock_suite, rng)[0].value for _ in range(100)}
         assert len(keys) == 100
 
     def test_mock_recovers_admin_exponent(self, mock_suite, rng):
-        admin = keygen_admin(mock_suite, rng)
-        assert mock_suite.discrete_log(admin.pk_a) == admin.sk.value
-        assert mock_suite.discrete_log(admin.pk_b) == admin.sk.value
+        admin_sk, admin_pub = keygen_admin(mock_suite, rng)
+        assert mock_suite.discrete_log(admin_pub.pk_a) == admin_sk.value
+        assert mock_suite.discrete_log(admin_pub.pk_b) == admin_sk.value
 
     def test_user_pk_matches_secret(self, mock_suite, rng):
-        user = keygen_user(mock_suite, rng)
-        assert mock_suite.discrete_log(user.pk_b) == user.sk.value
-        assert mock_suite.gen_b ** user.sk == user.pk_b
+        user_sk, user_pk = keygen_user(mock_suite, rng)
+        assert mock_suite.discrete_log(user_pk) == user_sk.value
+        assert mock_suite.gen_b ** user_sk == user_pk
 
     def test_tampered_public_key_rejected(self, mock_suite):
         """An admin public key whose pk_b comes from another key pair."""
-        a = keygen_admin(mock_suite, random.Random(1))
-        b = keygen_admin(mock_suite, random.Random(2))
-        assert check_admin_key(mock_suite, a.public)
+        _, a = keygen_admin(mock_suite, random.Random(1))
+        _, b = keygen_admin(mock_suite, random.Random(2))
+        assert check_admin_key(mock_suite, a)
         assert not check_admin_key(mock_suite, AdminPublicKey(pk_a=a.pk_a, pk_b=b.pk_b))
 
     def test_user_pk_not_identity(self, any_suite, rng):
-        assert not keygen_user(any_suite, rng).pk_b.is_identity()
+        assert not keygen_user(any_suite, rng)[1].is_identity()
 
     def test_user_pk_serialization_round_trip(self, any_suite, rng):
-        user = keygen_user(any_suite, rng)
-        raw = user.pk_b.to_bytes()
-        assert any_suite.element_from_bytes(Group.B, raw) == user.pk_b
+        user_sk, user_pk = keygen_user(any_suite, rng)
+        raw = user_pk.to_bytes()
+        assert any_suite.element_from_bytes(Group.B, raw) == user_pk
 
 
 class TestTagAndTrapdoor:
     def test_matching_fragment_accepts(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
-        tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
-        trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        x = make_x(admin.public, user.sk)
-        assert (verify_authenticity(s, admin.public, user.public, x, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
+        tag = make_tag(s, admin_pub, user_sk, FRAGMENT, rng)
+        trap = make_trapdoor(s, admin_sk, FRAGMENT)
+        x = make_x(admin_pub, user_sk)
+        assert (verify_authenticity(s, admin_pub, user_pk, x, rng)
                 and matches_trapdoor(s, trap, tag)) is True
 
     def test_mismatched_fragment_rejects(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
-        tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
-        trap = make_trapdoor(s, admin.sk, OTHER)
-        x = make_x(admin.public, user.sk)
-        assert (verify_authenticity(s, admin.public, user.public, x, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
+        tag = make_tag(s, admin_pub, user_sk, FRAGMENT, rng)
+        trap = make_trapdoor(s, admin_sk, OTHER)
+        x = make_x(admin_pub, user_sk)
+        assert (verify_authenticity(s, admin_pub, user_pk, x, rng)
                 and matches_trapdoor(s, trap, tag)) is False
 
     def test_wrong_user_key_fails_authenticity(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        registered = keygen_user(s, rng)
-        imposter = keygen_user(s, rng)
-        tag = make_tag(s, admin.public, imposter.sk, FRAGMENT, rng)
-        x = make_x(admin.public, imposter.sk)
-        assert not verify_authenticity(s, admin.public, registered.public, x, rng)
-        trap = make_trapdoor(s, admin.sk, FRAGMENT)
-        assert (verify_authenticity(s, admin.public, registered.public, x, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        registered_sk, registered_pk = keygen_user(s, rng)
+        imposter_sk, imposter_pk = keygen_user(s, rng)
+        tag = make_tag(s, admin_pub, imposter_sk, FRAGMENT, rng)
+        x = make_x(admin_pub, imposter_sk)
+        assert not verify_authenticity(s, admin_pub, registered_pk, x, rng)
+        trap = make_trapdoor(s, admin_sk, FRAGMENT)
+        assert (verify_authenticity(s, admin_pub, registered_pk, x, rng)
                 and matches_trapdoor(s, trap, tag)) is False
 
     def test_trapdoor_deterministic(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        t1 = make_trapdoor(s, admin.sk, FRAGMENT)
-        t2 = make_trapdoor(s, admin.sk, FRAGMENT)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        t1 = make_trapdoor(s, admin_sk, FRAGMENT)
+        t2 = make_trapdoor(s, admin_sk, FRAGMENT)
         assert t1.token == t2.token
 
     def test_trapdoors_distinct_for_distinct_fragments(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        assert make_trapdoor(s, admin.sk, FRAGMENT).token != make_trapdoor(s, admin.sk, OTHER).token
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        assert make_trapdoor(s, admin_sk, FRAGMENT).token != make_trapdoor(s, admin_sk, OTHER).token
 
     def test_same_fragment_tags_differ_in_y_and_z(self, mock_suite):
         s = mock_suite
         rng = random.Random(99)
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
         for _ in range(1000):
-            t1 = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
-            t2 = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
+            t1 = make_tag(s, admin_pub, user_sk, FRAGMENT, rng)
+            t2 = make_tag(s, admin_pub, user_sk, FRAGMENT, rng)
             assert t1.y != t2.y and t1.z != t2.z
 
     def test_tag_digest_length_enforced(self, mock_suite, rng):
-        admin = keygen_admin(mock_suite, rng)
-        user = keygen_user(mock_suite, rng)
-        tag = make_tag(mock_suite, admin.public, user.sk, FRAGMENT, rng)
+        admin_sk, admin_pub = keygen_admin(mock_suite, rng)
+        user_sk, user_pk = keygen_user(mock_suite, rng)
+        tag = make_tag(mock_suite, admin_pub, user_sk, FRAGMENT, rng)
         with pytest.raises(ValueError):
             ClassificationTag(y=tag.y, z=b"short")
 
@@ -131,8 +131,8 @@ class TestTagAndTrapdoor:
     def test_mock_tag_target_exponent(self, mock_suite, rng):
         """Y carries beta*r and t carries alpha*beta*r*dlog(H1(P)) exactly."""
         s = mock_suite
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
 
         class _OneShot:
             def __init__(self, v):
@@ -142,33 +142,33 @@ class TestTagAndTrapdoor:
                 return self.v
 
         r = 123456789
-        tag = make_tag(s, admin.public, user.sk, FRAGMENT, _OneShot(r))
+        tag = make_tag(s, admin_pub, user_sk, FRAGMENT, _OneShot(r))
         d = s.discrete_log(s.hash_to_group_a(FRAGMENT))
-        expected = admin.sk.value * user.sk.value * r * d % s.order
-        t = s.pair(s.hash_to_group_a(FRAGMENT) ** user.sk, admin.pk_b ** r)
+        expected = admin_sk.value * user_sk.value * r * d % s.order
+        t = s.pair(s.hash_to_group_a(FRAGMENT) ** user_sk, admin_pub.pk_b ** r)
         assert s.discrete_log(t) == expected
         assert tag.z == s.hash_to_bits(t)
-        assert s.discrete_log(tag.y) == user.sk.value * r % s.order
+        assert s.discrete_log(tag.y) == user_sk.value * r % s.order
 
     def test_mock_trapdoor_exponent(self, mock_suite, rng):
         s = mock_suite
-        admin = keygen_admin(s, rng)
-        trap = make_trapdoor(s, admin.sk, FRAGMENT)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        trap = make_trapdoor(s, admin_sk, FRAGMENT)
         d = s.discrete_log(s.hash_to_group_a(FRAGMENT))
-        assert s.discrete_log(trap.token) == admin.sk.value * d % s.order
+        assert s.discrete_log(trap.token) == admin_sk.value * d % s.order
 
     def test_trapdoor_carries_no_keyword_text(self, any_suite, rng):
-        admin = keygen_admin(any_suite, rng)
-        trap = make_trapdoor(any_suite, admin.sk, FRAGMENT, keyword_slot="p/k0")
+        admin_sk, admin_pub = keygen_admin(any_suite, rng)
+        trap = make_trapdoor(any_suite, admin_sk, FRAGMENT, keyword_slot="p/k0")
         assert FRAGMENT not in trap.token.to_bytes()
         assert trap.keyword_slot == "p/k0"
 
     def test_group_mismatch_is_error_not_false(self, any_suite, rng):
         s = any_suite
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
-        tag = make_tag(s, admin.public, user.sk, FRAGMENT, rng)
-        bad_trap = make_trapdoor(s, admin.sk, FRAGMENT)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
+        tag = make_tag(s, admin_pub, user_sk, FRAGMENT, rng)
+        bad_trap = make_trapdoor(s, admin_sk, FRAGMENT)
         bad_trap = type(bad_trap)(token=tag.y, keyword_slot="")  # B element where A belongs
         with pytest.raises(GroupMismatchError):
             matches_trapdoor(s, bad_trap, tag)
@@ -177,36 +177,36 @@ class TestTagAndTrapdoor:
 class TestBulkProperties:
     def test_completeness_production_sample(self, prod_suite):
         rng = random.Random(5)
-        admin = keygen_admin(prod_suite, rng)
-        user = keygen_user(prod_suite, rng)
-        x = make_x(admin.public, user.sk)
+        admin_sk, admin_pub = keygen_admin(prod_suite, rng)
+        user_sk, user_pk = keygen_user(prod_suite, rng)
+        x = make_x(admin_pub, user_sk)
         for i in range(10):
             frag = f"EditedBy(Doc{i},Agent{i})".encode()
-            tag = make_tag(prod_suite, admin.public, user.sk, frag, rng)
-            trap = make_trapdoor(prod_suite, admin.sk, frag)
-            assert (verify_authenticity(prod_suite, admin.public, user.public, x, rng)
+            tag = make_tag(prod_suite, admin_pub, user_sk, frag, rng)
+            trap = make_trapdoor(prod_suite, admin_sk, frag)
+            assert (verify_authenticity(prod_suite, admin_pub, user_pk, x, rng)
                     and matches_trapdoor(prod_suite, trap, tag))
 
     def test_soundness_production_sample(self, prod_suite):
         rng = random.Random(6)
-        admin = keygen_admin(prod_suite, rng)
-        user = keygen_user(prod_suite, rng)
-        tag = make_tag(prod_suite, admin.public, user.sk, FRAGMENT, rng)
+        admin_sk, admin_pub = keygen_admin(prod_suite, rng)
+        user_sk, user_pk = keygen_user(prod_suite, rng)
+        tag = make_tag(prod_suite, admin_pub, user_sk, FRAGMENT, rng)
         for i in range(10):
-            trap = make_trapdoor(prod_suite, admin.sk, f"Reviewed(D{i},A{i})".encode())
+            trap = make_trapdoor(prod_suite, admin_sk, f"Reviewed(D{i},A{i})".encode())
             assert not matches_trapdoor(prod_suite, trap, tag)
 
     def test_authenticity_replacing_x_fails(self, mock_suite):
         rng = random.Random(8)
         s = mock_suite
-        admin = keygen_admin(s, rng)
-        user = keygen_user(s, rng)
+        admin_sk, admin_pub = keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
         for _ in range(1000):
             beta_prime = s.random_scalar(rng)
-            if beta_prime.value == user.sk.value:
+            if beta_prime.value == user_sk.value:
                 continue
-            forged_x = admin.pk_b ** beta_prime
-            assert not verify_authenticity(s, admin.public, user.public, forged_x, rng)
+            forged_x = admin_pub.pk_b ** beta_prime
+            assert not verify_authenticity(s, admin_pub, user_pk, forged_x, rng)
 
 
 class FixedRng:
@@ -240,9 +240,9 @@ class TestMergedAuthenticity:
     @pytest.fixture
     def keys(self, mock_suite):
         rng = random.Random(15)
-        admin, other = keygen_admin(mock_suite, rng), keygen_admin(mock_suite, rng)
-        user = keygen_user(mock_suite, rng)
-        return admin, AdminPublicKey(pk_a=admin.pk_a, pk_b=other.pk_b), user, rng
+        (_, admin_pub), (_, other_pub) = keygen_admin(mock_suite, rng), keygen_admin(mock_suite, rng)
+        user_sk, user_pk = keygen_user(mock_suite, rng)
+        return admin_pub, AdminPublicKey(pk_a=admin_pub.pk_a, pk_b=other_pub.pk_b), user_sk, user_pk, rng
 
     @staticmethod
     def _deltas(suite, rng):
@@ -252,11 +252,11 @@ class TestMergedAuthenticity:
         """Each check draws one delta, uniform in [1, min(2^128, n))."""
         s = any_suite
         rng = random.Random(17)
-        admin, user = keygen_admin(s, rng), keygen_user(s, rng)
-        x = make_x(admin.public, user.sk)
+        (admin_sk, admin_pub), (user_sk, user_pk) = keygen_admin(s, rng), keygen_user(s, rng)
+        x = make_x(admin_pub, user_sk)
         recording = RecordingRng(rng)
-        assert verify_authenticity(s, admin.public, user.public, x, recording)
-        assert not verify_authenticity(s, admin.public, user.public, make_x(admin.public, admin.sk), recording)
+        assert verify_authenticity(s, admin_pub, user_pk, x, recording)
+        assert not verify_authenticity(s, admin_pub, user_pk, make_x(admin_pub, admin_sk), recording)
         assert recording.calls == [(1, min(2 ** 128, s.order))] * 2
 
     def test_bad_key_passes_at_one_delta(self, mock_suite, keys):
@@ -265,41 +265,42 @@ class TestMergedAuthenticity:
         equation (1) alone, which is why the key needs checking, and fails
         every delta."""
         s = mock_suite
-        _, bad, user, rng = keys
-        beta = user.sk.value
-        x = make_x(bad, user.sk)
-        assert s.pair(s.gen_a, x) != s.pair(bad.pk_a, user.public.pk_b)
-        assert verify_authenticity(s, bad, user.public, x, FixedRng(s.order - beta))
+        _, bad, user_sk, user_pk, rng = keys
+        beta = user_sk.value
+        x = make_x(bad, user_sk)
+        assert s.pair(s.gen_a, x) != s.pair(bad.pk_a, user_pk)
+        assert verify_authenticity(s, bad, user_pk, x, FixedRng(s.order - beta))
         for delta in [s.order - beta - 1, s.order - beta + 1] + self._deltas(s, rng):
-            assert not verify_authenticity(s, bad, user.public, x, FixedRng(delta)), delta
-        x_alpha = user.public.pk_b ** s.discrete_log(bad.pk_a)
-        assert s.pair(s.gen_a, x_alpha) == s.pair(bad.pk_a, user.public.pk_b)
+            assert not verify_authenticity(s, bad, user_pk, x, FixedRng(delta)), delta
+        x_alpha = user_pk ** s.discrete_log(bad.pk_a)
+        assert s.pair(s.gen_a, x_alpha) == s.pair(bad.pk_a, user_pk)
         for delta in self._deltas(s, rng):
-            assert not verify_authenticity(s, bad, user.public, x_alpha, FixedRng(delta)), delta
+            assert not verify_authenticity(s, bad, user_pk, x_alpha, FixedRng(delta)), delta
 
     def test_forged_x_fails_every_delta(self, mock_suite, keys):
         s = mock_suite
-        admin, _, user, rng = keys
-        forged = make_x(admin.public, Scalar(user.sk.value + 1))
+        admin_pub, _, user_sk, user_pk, rng = keys
+        forged = make_x(admin_pub, Scalar(user_sk.value + 1))
         for delta in self._deltas(s, rng):
-            assert not verify_authenticity(s, admin.public, user.public, forged, FixedRng(delta)), delta
+            assert not verify_authenticity(s, admin_pub, user_pk, forged, FixedRng(delta)), delta
 
     def test_genuine_passes_every_delta(self, mock_suite, keys):
         s = mock_suite
-        admin, _, user, rng = keys
-        x = make_x(admin.public, user.sk)
+        admin_pub, _, user_sk, user_pk, rng = keys
+        x = make_x(admin_pub, user_sk)
         for delta in self._deltas(s, rng):
-            assert verify_authenticity(s, admin.public, user.public, x, FixedRng(delta)), delta
+            assert verify_authenticity(s, admin_pub, user_pk, x, FixedRng(delta)), delta
 
     def test_production_random_delta(self, prod_suite):
         """A 128-bit delta on BN-256: the genuine pair passes, a mixed-exponent
         key and a forged X fail."""
         s = prod_suite
         rng = random.Random(16)
-        admin, other, user = keygen_admin(s, rng), keygen_admin(s, rng), keygen_user(s, rng)
-        bad = AdminPublicKey(pk_a=admin.pk_a, pk_b=other.pk_b)
+        (_, admin_pub), (_, other_pub) = keygen_admin(s, rng), keygen_admin(s, rng)
+        user_sk, user_pk = keygen_user(s, rng)
+        bad = AdminPublicKey(pk_a=admin_pub.pk_a, pk_b=other_pub.pk_b)
         delta = FixedRng(rng.randrange(1, 2 ** 128))
-        assert verify_authenticity(s, admin.public, user.public, make_x(admin.public, user.sk), delta)
-        assert not verify_authenticity(s, bad, user.public, make_x(bad, user.sk), delta)
-        forged = make_x(admin.public, Scalar(user.sk.value + 1))
-        assert not verify_authenticity(s, admin.public, user.public, forged, delta)
+        assert verify_authenticity(s, admin_pub, user_pk, make_x(admin_pub, user_sk), delta)
+        assert not verify_authenticity(s, bad, user_pk, make_x(bad, user_sk), delta)
+        forged = make_x(admin_pub, Scalar(user_sk.value + 1))
+        assert not verify_authenticity(s, admin_pub, user_pk, forged, delta)

@@ -166,8 +166,7 @@ class TestDecodePath:
         import random
 
         mock = get_suite("mock")
-        pair = keygen_admin(mock, random.Random(1))
-        save_admin_keypair(pair, mock, tmp_path / "a.sk", tmp_path / "a.pk")
+        save_admin_keypair(*keygen_admin(mock, random.Random(1)), mock, tmp_path / "a.sk", tmp_path / "a.pk")
         with pytest.raises(DecodeError, match="suite"):
             load_admin_public(tmp_path / "a.pk", get_suite("production"))
 
@@ -179,7 +178,7 @@ class TestDecodePath:
         from pbcap.scheme import keygen_admin
         import random
 
-        save_admin_keypair(keygen_admin(any_suite, random.Random(1)), any_suite,
+        save_admin_keypair(*keygen_admin(any_suite, random.Random(1)), any_suite,
                            tmp_path / "a.sk", tmp_path / "a.pk")
         doc = json.loads((tmp_path / "a.pk").read_text())
         for key in identity:
@@ -197,7 +196,7 @@ class TestDecodePath:
         keygen = keygen_admin if role == "admin" else keygen_user
         save = getattr(formats, f"save_{role}_keypair")
         load = getattr(formats, f"load_{role}_secret")
-        save(keygen(any_suite, random.Random(1)), any_suite, tmp_path / "k.sk", tmp_path / "k.pk")
+        save(*keygen(any_suite, random.Random(1)), any_suite, tmp_path / "k.sk", tmp_path / "k.pk")
         doc = json.loads((tmp_path / "k.sk").read_text())
         for value, ok in ((any_suite.order - 1, True), (any_suite.order, False),
                           (any_suite.order + 1, False), (2 ** 256 - 1, False)):
