@@ -101,7 +101,10 @@ def _keygen(out_dir: Path, role: str, keygen, save, suite_name: str, seed: int |
     _guard(sk_path, force)
     _guard(pk_path, force)
     sk, public = keygen(suite, _make_rng(seed, suite_name))
-    save(sk, public, suite, sk_path, pk_path)
+    try:
+        save(sk, public, suite, sk_path, pk_path)
+    except PbcapError as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"wrote {sk_path} and {pk_path}")
 
 
@@ -145,9 +148,9 @@ def pap_compile(policy_path: Path, sk_path: Path, out_path: Path, suite_name: st
         policies = formats.load_policies(policy_path)
         admin_sk = formats.load_admin_secret(sk_path, suite)
         compiled = policy.compile_policies(policies, admin_sk, suite)
+        formats.save_compiled_policies(compiled, suite, out_path)
     except PbcapError as exc:
         raise click.ClickException(str(exc))
-    formats.save_compiled_policies(compiled, suite, out_path)
     n_trapdoors = sum(len(p.trapdoors) for p in compiled)
     click.echo(f"compiled {len(compiled)} policies ({n_trapdoors} trapdoors) -> {out_path}")
 
@@ -206,7 +209,10 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
         x=scheme.make_x(admin_pub, user_sk),
         tags=tags,
     )
-    formats.save_submission(sub, suite, out_path)
+    try:
+        formats.save_submission(sub, suite, out_path)
+    except PbcapError as exc:
+        raise click.ClickException(str(exc))
     click.echo(f"wrote {out_path} ({len(tags)} tags)")
 
 

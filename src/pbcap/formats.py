@@ -17,13 +17,14 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import DecodeError, PbcapError
-from .pairing import Group, GroupElement, PairingSuite, Scalar
+from .pairing import Group, GroupElement, PairingSuite
 from .policy import CompiledPolicy, Policy, check_unique_ids
 from .provenance import ProvenanceGraph, parse_fragment, parse_graph
 from .scheme import AdminPublicKey, ClassificationTag, TrapdoorEntry
 from .storage import check_file_id, check_storage_unit
 
 FORMAT_VERSION = "pbcap/1"
+SCALAR_BYTES = 32
 _JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
@@ -41,13 +42,22 @@ def _dump(path: Path, kind: str, suite: PairingSuite, **fields) -> None:
     """Write the envelope and ``fields`` to a new file at ``path``.
 
     Any old file is unlinked first, so a ``*-secret-key`` file has mode
-    0600 from its first byte, also when it replaces a wider one.
+    0600 from its first byte, also when it replaces a wider one.  A file
+    not written in full is unlinked too, and the refusal names ``path``.
     """
     doc = {"format": FORMAT_VERSION, "kind": kind, "suite": suite.name, **fields}
-    path.unlink(missing_ok=True)
     mode = 0o600 if kind.endswith("-secret-key") else 0o666
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        path.unlink(missing_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError:
+            path.unlink()
+            raise
+    except OSError as exc:
+        raise PbcapError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -104,9 +114,15 @@ def _element(suite: PairingSuite, group: Group, doc: dict, key: str) -> GroupEle
     return _field(doc, key, str, decode=lambda text: suite.element_from_bytes(group, _hex(text)))
 
 
-def _scalar(suite: PairingSuite, doc: dict, key: str) -> Scalar:
-    scalar = _field(doc, key, str, decode=lambda text: Scalar.from_bytes(_hex(text)))
-    if scalar.value >= suite.order:
+def _scalar(suite: PairingSuite, doc: dict, key: str) -> int:
+    """The secret exponent ``doc[key]``: exactly SCALAR_BYTES bytes, at least 1, below n."""
+    data = _field(doc, key, str, decode=_hex)
+    if len(data) != SCALAR_BYTES:
+        raise DecodeError(f"field {key!r}: scalar must be exactly {SCALAR_BYTES} bytes")
+    scalar = int.from_bytes(data, "big")
+    if scalar < 1:
+        raise DecodeError(f"field {key!r}: scalar must be positive")
+    if scalar >= suite.order:
         raise DecodeError(f"field {key!r} is not below the group order")
     return scalar
 
@@ -119,13 +135,13 @@ def load_graph(path: Path) -> ProvenanceGraph:
 
 # --- keys -----------------------------------------------------------------
 
-def save_admin_keypair(sk: Scalar, public: AdminPublicKey, suite: PairingSuite, sk_path: Path,
+def save_admin_keypair(sk: int, public: AdminPublicKey, suite: PairingSuite, sk_path: Path,
                        pk_path: Path) -> None:
-    _dump(sk_path, "admin-secret-key", suite, sk=sk.to_bytes().hex())
+    _dump(sk_path, "admin-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex())
     _dump(pk_path, "admin-public-key", suite, pk_a=public.pk_a.hex(), pk_b=public.pk_b.hex())
 
 
-def load_admin_secret(path: Path, suite: PairingSuite) -> Scalar:
+def load_admin_secret(path: Path, suite: PairingSuite) -> int:
     with _load(path, "admin-secret-key", suite) as doc:
         return _scalar(suite, doc, "sk")
 
@@ -139,13 +155,13 @@ def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
     return AdminPublicKey(pk_a=pk_a, pk_b=pk_b)
 
 
-def save_user_keypair(sk: Scalar, public: GroupElement, suite: PairingSuite, sk_path: Path,
+def save_user_keypair(sk: int, public: GroupElement, suite: PairingSuite, sk_path: Path,
                       pk_path: Path) -> None:
-    _dump(sk_path, "user-secret-key", suite, sk=sk.to_bytes().hex())
+    _dump(sk_path, "user-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex())
     _dump(pk_path, "user-public-key", suite, pk_b=public.hex())
 
 
-def load_user_secret(path: Path, suite: PairingSuite) -> Scalar:
+def load_user_secret(path: Path, suite: PairingSuite) -> int:
     with _load(path, "user-secret-key", suite) as doc:
         return _scalar(suite, doc, "sk")
 

@@ -7,6 +7,5 @@ from .suite import (
     GroupElement,
     MockSuite,
     PairingSuite,
-    Scalar,
     get_suite,
 )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -34,7 +33,6 @@ from . import bn256, curve
 H1_DST = b"PBCAP-H1-v1"
 H2_DST = b"PBCAP-H2-v1"
 H2_BYTES = 32
-SCALAR_BYTES = 32
 
 _G2_GEN_LINES = bn256.g2_lines(curve.G2_GEN)
 
@@ -43,26 +41,6 @@ class Group(Enum):
     A = "A"
     B = "B"
     T = "T"
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """An exponent in Z_p^*; secret keys and blinding factors."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError("scalar must be positive")
-
-    def to_bytes(self) -> bytes:
-        return self.value.to_bytes(SCALAR_BYTES, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Scalar":
-        if len(data) != SCALAR_BYTES:
-            raise ValueError(f"scalar must be exactly {SCALAR_BYTES} bytes")
-        return cls(int.from_bytes(data, "big"))
 
 
 class GroupElement:
@@ -92,9 +70,7 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.suite._is_identity(self)
 
-    def __pow__(self, k: "Scalar | int") -> "GroupElement":
-        if isinstance(k, Scalar):
-            k = k.value
+    def __pow__(self, k: int) -> "GroupElement":
         return self.suite._pow(self, k)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
@@ -164,9 +140,9 @@ class PairingSuite(ABC):
         self._require(t, Group.T)
         return hashlib.sha256(H2_DST + b"|T|" + t.to_bytes()).digest()
 
-    def random_scalar(self, rng) -> Scalar:
+    def random_scalar(self, rng) -> int:
         """Uniform draw from Z_p^* (zero excluded by the range itself)."""
-        return Scalar(rng.randrange(1, self.order))
+        return rng.randrange(1, self.order)
 
     def batch_exponent(self, r: int) -> int:
         """The exponent delta of ``scheme.verify_authenticity``'s batch

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .pairing import GroupElement, PairingSuite, Scalar
+from .pairing import GroupElement, PairingSuite
 from .provenance import ProvenanceFragment
 from .scheme import (
     AdminPublicKey,
@@ -95,7 +95,7 @@ class Decision:
 
 def compile_policies(
     policies: list[Policy],
-    admin_sk: Scalar,
+    admin_sk: int,
     suite: PairingSuite,
 ) -> list[CompiledPolicy]:
     """Replace every keyword with its trapdoor; order is preserved."""

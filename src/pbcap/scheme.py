@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pairing import GroupElement, H2_BYTES, PairingSuite, Scalar
+from .pairing import GroupElement, H2_BYTES, PairingSuite
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,17 @@ class TrapdoorEntry:
     keyword_slot: str
 
 
-def keygen_admin(suite: PairingSuite, rng) -> tuple[Scalar, AdminPublicKey]:
+def keygen_admin(suite: PairingSuite, rng) -> tuple[int, AdminPublicKey]:
     alpha = suite.random_scalar(rng)
     return alpha, AdminPublicKey(pk_a=suite.gen_a ** alpha, pk_b=suite.gen_b ** alpha)
 
 
-def keygen_user(suite: PairingSuite, rng) -> tuple[Scalar, GroupElement]:
+def keygen_user(suite: PairingSuite, rng) -> tuple[int, GroupElement]:
     beta = suite.random_scalar(rng)
     return beta, suite.gen_b ** beta
 
 
-def make_x(admin_pub: AdminPublicKey, user_sk: Scalar) -> GroupElement:
+def make_x(admin_pub: AdminPublicKey, user_sk: int) -> GroupElement:
     """The authenticity component X = admin_pk_b ^ beta, one per submission."""
     return admin_pub.pk_b ** user_sk
 
@@ -110,20 +110,20 @@ def make_x(admin_pub: AdminPublicKey, user_sk: Scalar) -> GroupElement:
 def make_tag(
     suite: PairingSuite,
     admin_pub: AdminPublicKey,
-    user_sk: Scalar,
+    user_sk: int,
     fragment: bytes,
     rng,
 ) -> ClassificationTag:
     """Build a tag for one canonical fragment.  The blinding r never leaves."""
     r = suite.random_scalar(rng)
-    s = user_sk.value * r.value % suite.order
+    s = user_sk * r % suite.order
     t = suite.pair(suite.hash_to_group_a(fragment) ** s, admin_pub.pk_b)
     return ClassificationTag(y=suite.gen_b ** s, z=suite.hash_to_bits(t))
 
 
 def make_trapdoor(
     suite: PairingSuite,
-    admin_sk: Scalar,
+    admin_sk: int,
     fragment: bytes,
     keyword_slot: str = "",
 ) -> TrapdoorEntry:

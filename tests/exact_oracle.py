@@ -48,8 +48,8 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
     for i in range(draws):
         alpha = suite.random_scalar(rng)
         beta = suite.random_scalar(rng)
-        admin_sk, admin_pub = keygen_admin(suite, _FixedScalarRng(alpha.value))
-        user_sk, user_pk = keygen_user(suite, _FixedScalarRng(beta.value))
+        admin_sk, admin_pub = keygen_admin(suite, _FixedScalarRng(alpha))
+        user_sk, user_pk = keygen_user(suite, _FixedScalarRng(beta))
         frag = _random_fragment(rng, "Oracle")
         other = _random_fragment(rng, "Other")
 
@@ -57,7 +57,7 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
         tag = make_tag(suite, admin_pub, user_sk, frag, _FixedScalarRng(r_value))
 
         # equation (1): dlog(X) must equal alpha*beta
-        if suite.discrete_log(make_x(admin_pub, user_sk)) != alpha.value * beta.value % q:
+        if suite.discrete_log(make_x(admin_pub, user_sk)) != alpha * beta % q:
             report.failures.append(f"draw {i}: X exponent != alpha*beta")
 
         d = suite.discrete_log(suite.hash_to_group_a(frag))
@@ -66,7 +66,7 @@ def oracle_check_identities(suite: MockSuite, draws: int, rng: random.Random) ->
         # equation (2) acceptance vs exponent identity, matching fragment
         trap = make_trapdoor(suite, admin_sk, frag)
         lhs = suite.discrete_log(trap.token) * suite.discrete_log(tag.y) % q
-        rhs = alpha.value * beta.value % q * r_value % q * d % q
+        rhs = alpha * beta % q * r_value % q * d % q
         if (lhs == rhs) != matches_trapdoor(suite, trap, tag):
             report.failures.append(f"draw {i}: eq(2) acceptance != exponent identity")
         if lhs != rhs:

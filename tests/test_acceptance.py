@@ -97,7 +97,7 @@ def test_criterion_3_authenticity_gate():
     leaks = 0
     for _ in range(1000):
         imposter_sk, imposter_pk = keygen_user(SUITE, rng)
-        if imposter_sk.value == registered_sk.value:
+        if imposter_sk == registered_sk:
             continue
         tag = make_tag(SUITE, admin_pub, imposter_sk, b"K(a,b)", rng)
         x = make_x(admin_pub, imposter_sk)

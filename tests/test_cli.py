@@ -71,6 +71,22 @@ def _forge(root):
     tag(root, "mock", GRAPH, 7, out="forged.json", user="usr2")
 
 
+class BrokenFile:
+    """An open file whose write fails."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = builtins.open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestKeygen:
     def test_overwrite_guard(self, tmp_path):
         args = ["pap", "keygen", "--out-dir", tmp_path, "--suite", "mock", "--seed", "1"]
@@ -312,6 +328,17 @@ def _tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
+def _inputs(root, command):
+    """The input options of a writing ``command`` in the ``pipeline`` scenario."""
+    return {
+        "user tag": ["--graph", root / "sub.graph", "--admin-pk", root / "pap/admin.pk",
+                     "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin"],
+        "pap compile": ["--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk"],
+        "pap keygen": [],
+        "user keygen": [],
+    }[command]
+
+
 class TestOutputPaths:
     """An output path that cannot be written is refused before any key is
     read: a missing parent directory exits 1, a directory given as ``--out``
@@ -330,17 +357,41 @@ class TestOutputPaths:
         root = pipeline
         (root / "d").mkdir()
         (root / "afile").write_bytes(b"a file")
-        inputs = {
-            "user tag": ["--graph", root / "sub.graph", "--admin-pk", root / "pap/admin.pk",
-                         "--user-sk", root / "usr/user.sk", "--payload", root / "payload.bin"],
-            "pap compile": ["--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk"],
-            "pap keygen": [],
-            "user keygen": [],
-        }[command]
         before = _tree(root)
-        result = run(*command.split(), *inputs, option, root / target, "--suite", "mock", "--force", code=code)
+        result = run(*command.split(), *_inputs(root, command), option, root / target, "--suite", "mock",
+                     "--force", code=code)
         assert message in result.stderr
         assert "Traceback" not in result.output
+        assert _tree(root) == before
+
+    @pytest.mark.parametrize("point", ["open", "write"])
+    @pytest.mark.parametrize("command, option, target", [
+        ("pap keygen", "--out-dir", "out/admin.sk"), ("user keygen", "--out-dir", "out/user.sk"),
+        ("pap compile", "--out", "out/c.json"), ("user tag", "--out", "out/sub.json"),
+    ], ids=["pap-keygen", "user-keygen", "compile", "tag"])
+    def test_failed_write_exits_1_and_leaves_no_file(self, pipeline, monkeypatch, command, option, target,
+                                                     point):
+        """An output file that cannot be created, or is created and then cannot
+        be written (a full disk): exit 1 with one stderr line naming it, and no
+        file left behind."""
+        root = pipeline
+        (root / "out").mkdir()
+        target = root / target
+
+        def refuse_target(path, *args, _real=os.open):
+            if Path(path) == target:
+                raise OSError(errno.EACCES, "Permission denied", str(path))
+            return _real(path, *args)
+
+        if point == "open":
+            monkeypatch.setattr(formats.os, "open", refuse_target)
+        else:
+            monkeypatch.setattr(formats, "open", BrokenFile, raising=False)
+        before = _tree(root)
+        out = root / "out" if option == "--out-dir" else target
+        result = run(*command.split(), *_inputs(root, command), option, out, "--suite", "mock", code=1)
+        reason = "Permission denied" if point == "open" else "No space left on device"
+        assert result.stderr == f"Error: cannot write {target}: {reason}\n"
         assert _tree(root) == before
 
 
@@ -564,21 +615,6 @@ class TestClassify:
         and a genuine submission later in the batch is still routed."""
         root = pipeline
         tag(root, "mock", GRAPH, 6, out="second.json", file_id="second.bin")
-
-        class BrokenFile:
-            """An open file whose write fails."""
-
-            def __init__(self, path, mode):
-                self._fh = builtins.open(path, mode)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self._fh.close()
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
 
         def refuse(*args, **kwargs):
             raise OSError(errno.EIO, "Input/output error")

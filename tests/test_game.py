@@ -173,7 +173,7 @@ class TestExactOracle:
         bad_y = admin_pub.pk_b ** r  # should have been user_pk_b ** r
         mutated = type(good)(y=bad_y, z=good.z)
         # exponent arithmetic predicts rejection whenever alpha != beta
-        assert admin_sk.value != user_sk.value
+        assert admin_sk != user_sk
         assert not matches_trapdoor(s, trap, mutated)
 
     def test_degenerate_unit_randomizer_still_correct(self, mock_suite):

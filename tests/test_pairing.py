@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pbcap.errors import DecodeError, GroupMismatchError
-from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, Scalar, bn256, curve, get_suite, tower
+from pbcap.pairing import Bn256Suite, Group, H2_BYTES, MockSuite, bn256, curve, get_suite, tower
 from pbcap.scheme import check_admin_key, keygen_admin, keygen_user, make_x, verify_authenticity
 
 P = tower.P
@@ -1286,30 +1286,26 @@ class TestHashToBits:
 class TestRandomScalar:
     def test_never_zero(self, mock_suite):
         rng = random.Random(1)
-        assert all(mock_suite.random_scalar(rng).value != 0 for _ in range(100_000))
+        assert all(mock_suite.random_scalar(rng) != 0 for _ in range(100_000))
 
     def test_in_range(self, any_suite, rng):
         for _ in range(1000):
             s = any_suite.random_scalar(rng)
-            assert 1 <= s.value <= any_suite.order - 1
+            assert 1 <= s <= any_suite.order - 1
 
     def test_no_repeats_over_1000_draws(self, any_suite, rng):
-        values = {any_suite.random_scalar(rng).value for _ in range(1000)}
+        values = {any_suite.random_scalar(rng) for _ in range(1000)}
         assert len(values) == 1000
 
     def test_seeded_sequence_reproducible(self, any_suite):
-        seq1 = [any_suite.random_scalar(random.Random(42)).value for _ in range(1)]
-        seq2 = [any_suite.random_scalar(random.Random(42)).value for _ in range(1)]
+        seq1 = [any_suite.random_scalar(random.Random(42)) for _ in range(1)]
+        seq2 = [any_suite.random_scalar(random.Random(42)) for _ in range(1)]
         a = random.Random(7)
         b = random.Random(7)
-        assert [any_suite.random_scalar(a).value for _ in range(50)] == [
-            any_suite.random_scalar(b).value for _ in range(50)
+        assert [any_suite.random_scalar(a) for _ in range(50)] == [
+            any_suite.random_scalar(b) for _ in range(50)
         ]
         assert seq1 == seq2
-
-    def test_scalar_rejects_zero(self):
-        with pytest.raises(ValueError):
-            Scalar(0)
 
 
 class TestSerialization:

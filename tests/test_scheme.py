@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pbcap.errors import GroupMismatchError
-from pbcap.pairing import Group, Scalar
+from pbcap.pairing import Group
 from pbcap.scheme import (
     AdminPublicKey,
     ClassificationTag,
@@ -30,17 +30,17 @@ class TestKeygen:
         assert s.pair(admin_pub.pk_a, s.gen_b) == s.pair(s.gen_a, admin_pub.pk_b)
 
     def test_admin_keys_distinct_across_runs(self, mock_suite, rng):
-        keys = {keygen_admin(mock_suite, rng)[0].value for _ in range(100)}
+        keys = {keygen_admin(mock_suite, rng)[0] for _ in range(100)}
         assert len(keys) == 100
 
     def test_mock_recovers_admin_exponent(self, mock_suite, rng):
         admin_sk, admin_pub = keygen_admin(mock_suite, rng)
-        assert mock_suite.discrete_log(admin_pub.pk_a) == admin_sk.value
-        assert mock_suite.discrete_log(admin_pub.pk_b) == admin_sk.value
+        assert mock_suite.discrete_log(admin_pub.pk_a) == admin_sk
+        assert mock_suite.discrete_log(admin_pub.pk_b) == admin_sk
 
     def test_user_pk_matches_secret(self, mock_suite, rng):
         user_sk, user_pk = keygen_user(mock_suite, rng)
-        assert mock_suite.discrete_log(user_pk) == user_sk.value
+        assert mock_suite.discrete_log(user_pk) == user_sk
         assert mock_suite.gen_b ** user_sk == user_pk
 
     def test_tampered_public_key_rejected(self, mock_suite):
@@ -144,18 +144,18 @@ class TestTagAndTrapdoor:
         r = 123456789
         tag = make_tag(s, admin_pub, user_sk, FRAGMENT, _OneShot(r))
         d = s.discrete_log(s.hash_to_group_a(FRAGMENT))
-        expected = admin_sk.value * user_sk.value * r * d % s.order
+        expected = admin_sk * user_sk * r * d % s.order
         t = s.pair(s.hash_to_group_a(FRAGMENT) ** user_sk, admin_pub.pk_b ** r)
         assert s.discrete_log(t) == expected
         assert tag.z == s.hash_to_bits(t)
-        assert s.discrete_log(tag.y) == user_sk.value * r % s.order
+        assert s.discrete_log(tag.y) == user_sk * r % s.order
 
     def test_mock_trapdoor_exponent(self, mock_suite, rng):
         s = mock_suite
         admin_sk, admin_pub = keygen_admin(s, rng)
         trap = make_trapdoor(s, admin_sk, FRAGMENT)
         d = s.discrete_log(s.hash_to_group_a(FRAGMENT))
-        assert s.discrete_log(trap.token) == admin_sk.value * d % s.order
+        assert s.discrete_log(trap.token) == admin_sk * d % s.order
 
     def test_trapdoor_carries_no_keyword_text(self, any_suite, rng):
         admin_sk, admin_pub = keygen_admin(any_suite, rng)
@@ -203,7 +203,7 @@ class TestBulkProperties:
         user_sk, user_pk = keygen_user(s, rng)
         for _ in range(1000):
             beta_prime = s.random_scalar(rng)
-            if beta_prime.value == user_sk.value:
+            if beta_prime == user_sk:
                 continue
             forged_x = admin_pub.pk_b ** beta_prime
             assert not verify_authenticity(s, admin_pub, user_pk, forged_x, rng)
@@ -266,7 +266,7 @@ class TestMergedAuthenticity:
         every delta."""
         s = mock_suite
         _, bad, user_sk, user_pk, rng = keys
-        beta = user_sk.value
+        beta = user_sk
         x = make_x(bad, user_sk)
         assert s.pair(s.gen_a, x) != s.pair(bad.pk_a, user_pk)
         assert verify_authenticity(s, bad, user_pk, x, FixedRng(s.order - beta))
@@ -280,7 +280,7 @@ class TestMergedAuthenticity:
     def test_forged_x_fails_every_delta(self, mock_suite, keys):
         s = mock_suite
         admin_pub, _, user_sk, user_pk, rng = keys
-        forged = make_x(admin_pub, Scalar(user_sk.value + 1))
+        forged = make_x(admin_pub, user_sk + 1)
         for delta in self._deltas(s, rng):
             assert not verify_authenticity(s, admin_pub, user_pk, forged, FixedRng(delta)), delta
 
@@ -302,5 +302,5 @@ class TestMergedAuthenticity:
         delta = FixedRng(rng.randrange(1, 2 ** 128))
         assert verify_authenticity(s, admin_pub, user_pk, make_x(admin_pub, user_sk), delta)
         assert not verify_authenticity(s, bad, user_pk, make_x(bad, user_sk), delta)
-        forged = make_x(admin_pub, Scalar(user_sk.value + 1))
+        forged = make_x(admin_pub, user_sk + 1)
         assert not verify_authenticity(s, admin_pub, user_pk, forged, delta)

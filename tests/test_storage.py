@@ -2,6 +2,7 @@
 
 import errno
 import json
+import re
 
 import pytest
 
@@ -189,6 +190,7 @@ class TestDecodePath:
 
     @pytest.mark.parametrize("role", ["admin", "user"])
     def test_secret_key_must_be_below_group_order(self, tmp_path, any_suite, role):
+        """A stored secret key loads only in [1, n): zero and anything >= n are refused."""
         from pbcap import formats
         from pbcap.scheme import keygen_admin, keygen_user
         import random
@@ -198,14 +200,16 @@ class TestDecodePath:
         load = getattr(formats, f"load_{role}_secret")
         save(*keygen(any_suite, random.Random(1)), any_suite, tmp_path / "k.sk", tmp_path / "k.pk")
         doc = json.loads((tmp_path / "k.sk").read_text())
-        for value, ok in ((any_suite.order - 1, True), (any_suite.order, False),
-                          (any_suite.order + 1, False), (2 ** 256 - 1, False)):
+        for value, refusal in ((any_suite.order - 1, None), (1, None),
+                               (0, "field 'sk': scalar must be positive"),
+                               (any_suite.order, "field 'sk' is not below the group order"),
+                               (any_suite.order + 1, "order"), (2 ** 256 - 1, "order")):
             doc["sk"] = value.to_bytes(32, "big").hex()
             (tmp_path / "k.sk").write_text(json.dumps(doc))
-            if ok:
-                assert load(tmp_path / "k.sk", any_suite).value == value
+            if refusal is None:
+                assert load(tmp_path / "k.sk", any_suite) == value
             else:
-                with pytest.raises(DecodeError, match="order"):
+                with pytest.raises(DecodeError, match=re.escape(refusal)):
                     load(tmp_path / "k.sk", any_suite)
 
     def test_truncated_json_is_decode_error(self, tmp_path):
