@@ -8,15 +8,17 @@ points, their formulas and scalar multiplications, the endomorphism
 ``psi`` and the G2 subgroup test ``in_g2``; the pairing, hash-to-G1 and
 the encodings live in ``bn256``, the field tower in ``tower``.
 
-Both scalar multiplications split k by an endomorphism and run one
-Straus-Shamir ladder, ``_straus``, over the subset sums of the images of
-the point.  In G1, phi(x, y) = (beta x, y) acts as [lambda] with
-lambda^2 + lambda + 1 = 0 mod n, and k splits into two signed parts of
-at most 128 bits (GLV: Gallant, Lambert and Vanstone, Crypto 2001).  In
-G2, psi acts as [6u^2], and k splits into four parts of at most 65 bits
-(4-D GLS: Galbraith and Scott, Pairing 2008), which ``_g2_split`` makes
-non-negative, at most 66 bits.  So a G2 table depends on the point
-alone, and g_b = ``G2_GEN`` takes a constant one, affine and built at
+Both scalar multiplications split k by an endomorphism into signed
+parts and run one interleaved width-W NAF ladder, ``_ladder``, W = 5,
+over a table of odd multiples per image of the point (Moeller, SAC
+2001): one double per digit position and one add per non-zero digit,
+about one per W + 1 bits of each part.  In G1, phi(x, y) = (beta x, y)
+acts as [lambda] with lambda^2 + lambda + 1 = 0 mod n, and k splits into
+two parts of at most 128 bits (GLV: Gallant, Lambert and Vanstone,
+Crypto 2001); phi's table costs one modmul per entry.  In G2, psi acts
+as [6u^2], and k splits into four parts of at most 65 bits (4-D GLS:
+Galbraith and Scott, Pairing 2008).  A G2 table depends on the point
+alone, and g_b = ``G2_GEN`` takes constant ones, affine and built at
 import (fixed-base precomputation: Brickell, Gordon, McCurley and
 Wilson, Eurocrypt 1992).  ``_split`` rounds k against a short basis of
 the lattice of vectors (a_j) with sum a_j lambda^j = 0 mod n (Babai
@@ -26,9 +28,9 @@ rounding): ``G1_BASIS`` has the rows (2u+1, 6u^2+4u+1) and (6u^2+2u,
 lattice, and a k = sum d_j lambda^j mod n with every |d_j| < 2^32 splits
 back into exactly (d_j): its coordinates in the G2 basis lie within
 10^-9 of integers, which the rounding returns.  So an authentication's
-delta, whose d_j are 32-bit limbs, needs no shift and keeps a 32-column
-ladder.  The rounding constants are ints, computed once from the bases
-by Cramer's rule.
+delta, whose d_j are 32-bit limbs, keeps a ladder of at most 33 digit
+positions.  The rounding constants are ints, computed once from the
+bases by Cramer's rule.
 ``PointG2.scalar_mul`` is defined on G2 only, since psi is
 [6u^2] nowhere else; a multiple of any other twist point, as in
 ``in_g2``, needs a plain ladder such as ``tower.pow_u``.
@@ -100,38 +102,53 @@ def _split(k: int, basis, rounding) -> list[int]:
     return parts
 
 
-def _subset_sums(bases, parts, inf):
-    """The 2^d subset sums of the bases, each base negated where its part
-    is negative: entry m sums the bases whose bits are set in m."""
-    table = [inf]
-    for base, k in zip(bases, parts):
-        base = base if k >= 0 else base.neg()
-        table += [t.add(base) for t in table]
+W = 5  # the wNAF width: digits are odd and below 2^(W-1) in absolute value
+
+
+def _wnaf(k: int) -> list[int]:
+    """The width-W NAF of k, lowest digit first: sum d_i 2^i = k, every
+    d_i is 0 or odd with |d_i| < 2^(W-1), and any W consecutive digits
+    hold at most one non-zero one.  k may be negative."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (2 ** W - 1)
+            if d >= 2 ** (W - 1):
+                d -= 2 ** W
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _odd_multiples(p):
+    """{d: [d]P} for every odd d with |d| < 2^(W-1): a ladder table."""
+    p2 = p.double()
+    table, m = {}, p
+    for d in range(1, 2 ** (W - 1), 2):
+        table[d], table[-d] = m, m.neg()
+        m = m.add(p2)
     return table
 
 
-def _straus(table, parts):
-    """The sum of [|k_j|]B_j over ``_subset_sums`` of the B_j: one double
-    per bit of the longest part, one add per non-zero column of bits."""
-    width = max(abs(k).bit_length() for k in parts)
-    # column i of the part bits, highest part first, is the table index
-    rows = [bin(abs(k))[2:].zfill(width) for k in reversed(parts)]
-    r = table[0]
-    for column in zip(*rows):
+def _ladder(tables, parts, inf):
+    """The sum of [k_j]B_j, with table j the ``_odd_multiples`` of B_j
+    and k_j signed: interleaved wNAF (Moeller, SAC 2001), one double per
+    digit position of the longest part, one add per non-zero digit."""
+    columns = []
+    for table, k in zip(tables, parts):
+        digits = _wnaf(k)
+        columns += [[] for _ in range(len(digits) - len(columns))]
+        for column, d in zip(columns, digits):
+            if d:
+                column.append(table[d])
+    r = inf
+    for column in reversed(columns):
         r = r.double()
-        digit = int("".join(column), 2)
-        if digit:
-            r = r.add(table[digit])
+        for q in column:
+            r = r.add(q)
     return r
-
-
-def _g2_split(k: int) -> list[int]:
-    """``_split``'s G2 parts plus the least c >= 0 times the all-positive
-    row ``G2_BASIS[2]`` that makes them non-negative: c <= 2, 66 bits."""
-    parts = _split(k, G2_BASIS, G2_ROUNDING)
-    row = G2_BASIS[2]
-    c = max(0, *(-(a // r) for a, r in zip(parts, row)))
-    return [a + c * r for a, r in zip(parts, row)]
 
 
 class PointG1:
@@ -204,12 +221,13 @@ class PointG1:
 
         E(F_p) has prime order n, so phi(x, y) = (beta x, y) acts on every
         point as [lambda], lambda = ``PHI_EIGENVALUE``.  ``G1_BASIS`` splits
-        k into two signed parts of at most 128 bits, and one ladder runs
-        over P and phi(P).
+        k into two signed parts of at most 128 bits, and one wNAF ladder
+        runs over the odd multiples of P and their phi images, one modmul
+        each.
         """
-        parts = _split(k, G1_BASIS, G1_ROUNDING)
-        phi = PointG1(BETA * self.x % P, self.y, self.z)
-        return _straus(_subset_sums((self, phi), parts, G1_INF), parts)
+        table = _odd_multiples(self)
+        phi = {d: PointG1(BETA * t.x % P, t.y, t.z) for d, t in table.items()}
+        return _ladder((table, phi), _split(k, G1_BASIS, G1_ROUNDING), G1_INF)
 
 
 class PointG2:
@@ -332,18 +350,17 @@ class PointG2:
         """[k mod n]Q for Q in G2 by 4-D GLS (Galbraith and Scott, Pairing 2008).
 
         psi acts on G2 as [6u^2] (``PSI_EIGENVALUE``), since n = p - 6u^2.
-        ``_g2_split`` splits k into four non-negative parts of at most 66
-        bits, and one ladder runs over Q, psi(Q), psi^2(Q) and psi^3(Q).
-        For ``G2_GEN`` the ladder takes the constant ``_G2_GEN_TABLE``;
-        any other Q builds its own table.  Defined on G2 only: on any other
-        twist point psi is not [6u^2], and the result is not [k]Q.  Every
-        group-B value is in G2 (a generator, a product, or a decoding that
-        passed ``in_g2``), and ``in_g2`` takes its [u]Q from
-        ``tower.pow_u``.
+        ``_split`` splits k into four signed parts of at most 65 bits, and
+        one wNAF ladder runs over the odd multiples of Q and their psi,
+        psi^2 and psi^3 images.  For ``G2_GEN`` the ladder takes the
+        constant ``_G2_GEN_TABLES``; any other Q builds its own tables.
+        Defined on G2 only: on any other twist point psi is not [6u^2], and
+        the result is not [k]Q.  Every group-B value is in G2 (a generator,
+        a product, or a decoding that passed ``in_g2``), and ``in_g2`` takes
+        its [u]Q from ``tower.pow_u``.
         """
-        parts = _g2_split(k)
-        table = _G2_GEN_TABLE if self is G2_GEN else _subset_sums(_psi_images(self), parts, G2_INF)
-        return _straus(table, parts)
+        tables = _G2_GEN_TABLES if self is G2_GEN else _psi_tables(_odd_multiples(self))
+        return _ladder(tables, _split(k, G2_BASIS, G2_ROUNDING), G2_INF)
 
 
 G1_GEN = PointG1(1, P - 2)
@@ -375,16 +392,20 @@ def psi(q: PointG2) -> PointG2:
                     ((yi + yr) * (bi + br) - mb - nb) % P, (mb - nb) % P, -zi % P, zr))
 
 
-def _psi_images(q: PointG2) -> tuple[PointG2, PointG2, PointG2, PointG2]:
-    """Q, psi(Q), psi^2(Q) and psi^3(Q): the bases of a G2 ladder."""
-    q1 = psi(q)
-    q2 = psi(q1)
-    return q, q1, q2, psi(q2)
+def _psi_tables(table):
+    """A table of ``_odd_multiples`` and its psi, psi^2 and psi^3 images:
+    the tables of a G2 ladder.  psi(-T) is -psi(T), int for int, and a
+    ``neg`` costs far less than a ``psi``."""
+    tables = [table]
+    for _ in range(3):
+        image = {d: psi(t) for d, t in tables[-1].items() if d > 0}
+        tables.append({**image, **{-d: t.neg() for d, t in image.items()}})
+    return tables
 
 
-# G2_GEN's subset sums, made affine once: every ladder add on g_b is mixed
-_G2_GEN_TABLE = (G2_INF, *(PointG2((*t.affine(), 0, 1)) for t in
-                           _subset_sums(_psi_images(G2_GEN), (0,) * 4, G2_INF)[1:]))
+# G2_GEN's odd multiples, made affine once, and their psi images, which
+# keep z = 1: every ladder add on g_b is mixed
+_G2_GEN_TABLES = _psi_tables({d: PointG2((*t.affine(), 0, 1)) for d, t in _odd_multiples(G2_GEN).items()})
 
 
 def in_g2(q: PointG2) -> bool:

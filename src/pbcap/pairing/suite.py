@@ -11,11 +11,11 @@ Two interchangeable environments implement the same surface:
   infrastructure only; never use it to protect anything.
 
 An element's value never changes, but a group-B element of the
-production suite keeps its line table once it is paired.  Both of g_b's
+production suite keeps its line table once it is paired.  All of g_b's
 tables are built once, at import: its line table here, shared by every
-``Bn256Suite``, and the Straus table its scalar multiplications take in
-``curve``; nothing writes to either afterwards.  Randomness is always
-caller-supplied (anything with a ``randrange`` method, e.g.
+``Bn256Suite``, and the four tables of odd multiples its scalar
+multiplications take in ``curve``; nothing writes to any afterwards.
+Randomness is always caller-supplied (anything with a ``randrange`` method, e.g.
 ``secrets.SystemRandom`` in production or a seeded ``random.Random`` in
 tests).
 """

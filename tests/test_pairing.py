@@ -438,23 +438,22 @@ def _limbs(r):
 LIMB_PATTERNS = [sum(0xFFFFFFFF << 32 * j for j in range(4) if m >> j & 1) for m in range(16)]
 
 
-def _g2_negative_bound_parts():
+def _negative_bound_parts(basis):
     """For each column j, the parts d of a k whose part j sits just inside
     its negative bound: d = sum t_i row_i, t_i = -sign(row_i[j]) (1/2 -
     2^-41), rounded down.  d's coordinates in the basis stay inside
     (-1/2, 1/2), so ``_split`` returns d itself."""
-    basis = curve.G2_BASIS
     out = []
-    for j in range(4):
+    for j in range(len(basis)):
         signs = [-1 if row[j] > 0 else 1 for row in basis]
         out.append([sum(t * row[m] for t, row in zip(signs, basis)) * (2 ** 40 - 1) // 2 ** 41
-                    for m in range(4)])
+                    for m in range(len(basis))])
     return out
 
 
-def _from_parts(parts):
-    """sum d_j lambda^j mod n, lambda = ``PSI_EIGENVALUE``."""
-    return sum(d * pow(curve.PSI_EIGENVALUE, j, curve.ORDER) for j, d in enumerate(parts)) % curve.ORDER
+def _from_parts(parts, lam):
+    """sum d_j lambda^j mod n."""
+    return sum(d * pow(lam, j, curve.ORDER) for j, d in enumerate(parts)) % curve.ORDER
 
 
 def _reference_fp2_sqrt(a):
@@ -543,32 +542,25 @@ class TestEndomorphismSplits:
                 signs.update((a > 0) - (a < 0) for a in parts)
             assert signs == {-1, 0, 1}
 
-    def test_g2_split_is_non_negative_within_66_bits(self):
-        """``_g2_split`` adds c >= 0 times the all-positive row
-        ``G2_BASIS[2]`` to ``_split``'s parts: the result is non-negative,
-        reconstructs k mod n and fits 66 bits, and c takes 0, 1 and 2.  At
-        k whose part j sits at its negative bound, c is 2."""
-        n, lam, row = curve.ORDER, curve.PSI_EIGENVALUE, curve.G2_BASIS[2]
-        assert all(a > 0 for a in row)
-        bounds = [sum(abs(r[j]) for r in curve.G2_BASIS) // 2 for j in range(4)]
-        edge_parts = _g2_negative_bound_parts()
-        for j, d in enumerate(edge_parts):
-            assert -bounds[j] <= d[j] < -bounds[j] + 2 ** 25
-            assert curve._split(_from_parts(d), curve.G2_BASIS, curve.G2_ROUNDING) == d
-        rng = random.Random(36)
-        edges = [_from_parts(d) for d in edge_parts] + _split_edges(curve.G2_BASIS, lam, rng)
-        seen = set()
-        for k in edges + [rng.randrange(n) for _ in range(3000)]:
-            split = curve._split(k, curve.G2_BASIS, curve.G2_ROUNDING)
-            parts = curve._g2_split(k)
-            c = (parts[0] - split[0]) // row[0]
-            assert parts == [a + c * r for a, r in zip(split, row)]
-            assert all(0 <= a < 2 ** 66 for a in parts)
-            assert sum(a * pow(lam, j, n) for j, a in enumerate(parts)) % n == k % n
-            seen.add(c)
-        assert seen == {0, 1, 2}
-        for d in edge_parts:
-            assert curve._g2_split(_from_parts(d)) == [a + 2 * r for a, r in zip(d, row)]
+    def test_wnaf_digits(self):
+        """``_wnaf``'s digits, lowest first, sum back to k; each is 0 or odd
+        with |d| < 2^(W-1), any W consecutive places hold at most one
+        non-zero digit, and the highest digit is non-zero."""
+        w = curve.W
+        ks = [0, curve.ORDER - 1] + [s * k for k in (1, 15, 16, 17, 2 ** 65 - 1) for s in (1, -1)]
+        rng = random.Random(38)
+        for k in ks + [rng.randrange(-2 ** 128, 2 ** 128) for _ in range(200)]:
+            digits = curve._wnaf(k)
+            assert sum(d << i for i, d in enumerate(digits)) == k
+            assert all(d == 0 or d % 2 and abs(d) < 2 ** (w - 1) for d in digits)
+            places = [i for i, d in enumerate(digits) if d]
+            assert all(b - a >= w for a, b in zip(places, places[1:]))
+            assert not digits or digits[-1]
+        assert curve._wnaf(0) == []
+        assert curve._wnaf(15) == [15] and curve._wnaf(-1) == [-1]
+        assert curve._wnaf(16) == [0, 0, 0, 0, 1]
+        assert curve._wnaf(17) == [-15, 0, 0, 0, 0, 1]
+        assert curve._wnaf(2 ** 65 - 1) == [-1] + [0] * 64 + [1]
 
     def test_bases_span_the_whole_lattice(self):
         """det = +-n: each basis spans the lattice itself, not a sublattice
@@ -586,8 +578,6 @@ class TestEndomorphismSplits:
         deltas = [prod.batch_exponent(r) for r in draws]
         for r, delta in zip(draws, deltas):
             assert curve._split(delta, curve.G2_BASIS, curve.G2_ROUNDING) == _limbs(r)
-            # non-negative already: no shift, and a 32-column ladder
-            assert curve._g2_split(delta) == _limbs(r)
             assert mock.batch_exponent(r) == r
         assert len(set(deltas)) == len(set(draws))
         assert all(delta for r, delta in zip(draws, deltas) if r)
@@ -984,24 +974,22 @@ class TestBn256Kernels:
             for k in edges + [rng.randrange(curve.ORDER) for _ in range(7)]:
                 assert q.scalar_mul(k) == _mul_unreduced(q, k % curve.ORDER)
 
-    def test_g2_gen_table_is_a_constant_of_affine_subset_sums(self):
-        """``_G2_GEN_TABLE`` has 16 entries; entry m sums psi^j(G2_GEN) over
-        the bits j set in m, every entry but the first (infinity) has
-        z = 1, and it equals a freshly built table."""
-        table = curve._G2_GEN_TABLE
-        assert len(table) == 16 and table[0].is_infinity()
-        images = [curve.G2_GEN]
-        for _ in range(3):
-            images.append(curve.psi(images[-1]))
-        for m, entry in enumerate(table):
-            expected = curve.G2_INF
-            for j in range(4):
-                if m >> j & 1:
-                    expected = expected.add(images[j])
-            assert entry == expected
-            assert m == 0 or entry.c[4:] == (0, 1)
-        fresh = curve._subset_sums(curve._psi_images(curve.G2_GEN), [0] * 4, curve.G2_INF)
-        assert list(table) == fresh
+    def test_g2_gen_tables_are_constant_affine_odd_multiples(self):
+        """``_G2_GEN_TABLES`` holds four tables keyed by the odd d with
+        |d| < 2^(W-1): entry d of table j is psi^j([d]G2_GEN), every entry
+        has z = 1, and the tables equal freshly built ones."""
+        tables = curve._G2_GEN_TABLES
+        odd = {s * d for d in range(1, 2 ** (curve.W - 1), 2) for s in (1, -1)}
+        assert len(tables) == 4
+        base = curve.G2_GEN
+        for table in tables:
+            assert set(table) == odd
+            for d, entry in table.items():
+                multiple = _mul_unreduced(base, abs(d))
+                assert entry == (multiple if d > 0 else multiple.neg())
+                assert entry.c[4:] == (0, 1)
+            base = curve.psi(base)
+        assert curve._psi_tables(curve._odd_multiples(curve.G2_GEN)) == tables
 
     def test_fixed_base_scalar_mul_matches_plain_ladder(self):
         """G2_GEN through its constant table, at the split edges, each
@@ -1013,7 +1001,7 @@ class TestBn256Kernels:
         prod = Bn256Suite()
         ks = [0, 1, 2, n - 1, n] + [pow(lam, j, n) for j in range(4)]
         ks += [prod.batch_exponent(r) for r in LIMB_PATTERNS]
-        ks += [_from_parts(d) for d in _g2_negative_bound_parts()]
+        ks += [_from_parts(d, lam) for d in _negative_bound_parts(curve.G2_BASIS)]
         copy = bn256.g2_from_bytes(bn256.g2_to_bytes(curve.G2_GEN))
         assert copy is not curve.G2_GEN
         for i, k in enumerate(ks + [rng.randrange(n) for _ in range(300)]):
@@ -1023,15 +1011,32 @@ class TestBn256Kernels:
                 assert copy.scalar_mul(k) == q
 
     def test_scalar_mul_on_split_edge_cases(self):
-        """k whose parts are zero or negative in each split, and powers of
-        each eigenvalue; and the point at infinity, which stays there."""
+        """Against the plain ladder, in both groups: k whose parts are zero
+        or negative in each split, powers of each eigenvalue, k whose parts
+        sit at each column's negative bound, k with every pattern of zero
+        parts, and each delta limb pattern; the point at infinity stays
+        there.  Each k built from parts splits back into exactly those
+        parts, so the wNAF ladder runs on them.  G2 takes g_b, through its
+        constant tables, and a point that builds its own."""
         rng = random.Random(27)
-        for point, basis, lam in ((curve.G1_GEN, curve.G1_BASIS, curve.PHI_EIGENVALUE),
-                                  (curve.G2_GEN, curve.G2_BASIS, curve.PSI_EIGENVALUE)):
-            for k in _split_edges(basis, lam, rng):
-                assert _affine(point.scalar_mul(k)) == _affine(_mul_unreduced(point, k % curve.ORDER))
-        for inf in (curve.G1_INF, curve.G2_INF):
-            for k in (0, 1, curve.ORDER - 1, rng.randrange(curve.ORDER)):
+        n = curve.ORDER
+        deltas = [Bn256Suite().batch_exponent(r) for r in LIMB_PATTERNS]
+        g2 = curve.G2_GEN.scalar_mul(rng.randrange(1, n))
+        for points, inf, basis, rounding, lam in (
+                ((curve.G1_GEN,), curve.G1_INF, curve.G1_BASIS, curve.G1_ROUNDING, curve.PHI_EIGENVALUE),
+                ((curve.G2_GEN, g2), curve.G2_INF, curve.G2_BASIS, curve.G2_ROUNDING, curve.PSI_EIGENVALUE)):
+            dim = len(basis)
+            bounds = [sum(abs(row[j]) for row in basis) // 2 for j in range(dim)]
+            edge_parts = _negative_bound_parts(basis)
+            for j, d in enumerate(edge_parts):
+                assert -bounds[j] <= d[j] < -bounds[j] + (bounds[j] >> 39)
+            built = edge_parts + [[rng.randrange(-2 ** 32, 2 ** 32) if m >> j & 1 else 0 for j in range(dim)]
+                                  for m in range(2 ** dim)]
+            ks = [_from_parts(parts, lam) for parts in built]
+            assert [curve._split(k, basis, rounding) for k in ks] == built
+            for k in _split_edges(basis, lam, rng) + ks + deltas:
+                for point in points:
+                    assert _affine(point.scalar_mul(k)) == _affine(_mul_unreduced(point, k % n))
                 assert inf.scalar_mul(k).is_infinity()
 
     def test_g1_scalar_mul_matches_plain_ladder(self):

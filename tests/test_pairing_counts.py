@@ -1,10 +1,11 @@
-"""Exact Miller-loop, final-exponentiation, G2 line-table, Straus-table
-and G2 scalar-multiplication counts per operation.
+"""Exact Miller-loop, final-exponentiation, G2 line-table, ladder-table,
+G2 scalar-multiplication and point-operation counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
 ``bn256.final_exponentiation``, ``bn256.g2_lines``,
-``curve._subset_sums`` and ``curve.PointG2.scalar_mul``; the program
-itself keeps no counter.
+``curve._odd_multiples``, ``curve.PointG2.scalar_mul`` and the ``add``
+and ``double`` of both point classes; the program itself keeps no
+counter.
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
@@ -14,10 +15,13 @@ it.  ``user tag`` pairs ``g_b`` and the admin key in its admin key check,
 then the admin key again per tag.  ``pdp classify`` checks the admin key
 inside every authentication, whose merged check pairs two new elements,
 g_b^delta * user_pk_b and admin_pk_b^delta * X, and each tested tag its Y.
-A scalar multiplication builds a Straus table of its point's subset sums,
-except by g_b, whose table is also built at import: so ``user tag``
-builds one G2 table, for X, and one G1 table per fragment, and an
-authentication one, for admin_pk_b^delta.
+A scalar multiplication builds a ladder table of its point's odd
+multiples, except by g_b, whose tables are also built at import: so
+``user tag`` builds one G2 table, for X, and one G1 table per fragment,
+and an authentication one, for admin_pk_b^delta.  Each multiplication's
+interleaved width-5 NAF ladder runs one double per digit position and
+one add per non-zero digit, and its point-operation counts are pinned
+for four seeded scalars.
 
 The command-line scenarios come from ``tests/pipeline.py``: ``scenario``,
 ``prepare``, ``keygen`` and ``tag`` run the seeded production-suite steps,
@@ -74,17 +78,53 @@ def tables(monkeypatch):
 
 @pytest.fixture
 def straus_tables(monkeypatch):
-    """Straus tables built, keyed by the hex encoding of their first G2
-    base, or "G1" for a G1 base."""
+    """Ladder tables of odd multiples built, keyed by the hex encoding of
+    their G2 point, or "G1" for a G1 point."""
     built = Counter()
 
-    def counted(bases, parts, inf, _inner=curve._subset_sums):
-        q = bases[0]
-        built[bn256.g2_to_bytes(q).hex() if isinstance(q, curve.PointG2) else "G1"] += 1
-        return _inner(bases, parts, inf)
+    def counted(p, _inner=curve._odd_multiples):
+        built[bn256.g2_to_bytes(p).hex() if isinstance(p, curve.PointG2) else "G1"] += 1
+        return _inner(p)
 
-    monkeypatch.setattr(curve, "_subset_sums", counted)
+    monkeypatch.setattr(curve, "_odd_multiples", counted)
     return built
+
+
+@pytest.fixture
+def point_ops(monkeypatch):
+    """``add`` and ``double`` calls of both point classes, keyed as
+    "PointG1.add"; an add of P + P also counts its double."""
+    seen = Counter()
+    for cls in (curve.PointG1, curve.PointG2):
+        for name in ("add", "double"):
+            def counted(self, *args, _inner=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+                seen[_key] += 1
+                return _inner(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+    return seen
+
+
+def test_scalar_mul_point_operations(point_ops):
+    """Exact adds and doubles of one seeded scalar multiplication each: a
+    G1 point, a G2 point other than g_b, g_b through its constant tables,
+    and an authentication's delta, four 32-bit limbs, on the G2 point.  A
+    variable point's count includes its table: one double and seven adds."""
+    rng = random.Random(41)
+    n = curve.ORDER
+    q = bn256.g2_from_bytes(bn256.g2_to_bytes(curve.G2_GEN))
+    assert q is not curve.G2_GEN
+    cases = [(curve.G1_GEN, rng.randrange(n)), (q, rng.randrange(n)), (curve.G2_GEN, rng.randrange(n)),
+             (q, Bn256Suite().batch_exponent(rng.randrange(1, 2 ** 128)))]
+    seen = []
+    for point, k in cases:
+        point_ops.clear()
+        point.scalar_mul(k)
+        seen.append(dict(point_ops))
+    assert seen == [{"PointG1.add": 50, "PointG1.double": 126},
+                    {"PointG2.add": 49, "PointG2.double": 63},
+                    {"PointG2.add": 46, "PointG2.double": 62},
+                    {"PointG2.add": 27, "PointG2.double": 33}]
 
 
 def _expect(counts, miller_loops, final_exponentiations):
@@ -342,7 +382,7 @@ def test_pdp_classify_builds_no_g_b_table(tmp_path, counts, tables):
 
 def test_pdp_classify_builds_no_g_b_straus_table(tmp_path, straus_tables):
     """One submission: its authentication multiplies g_b and admin_pk_b by
-    delta, and only admin_pk_b builds a Straus table."""
+    delta, and only admin_pk_b builds a ladder table."""
     _pdp_classify(tmp_path, [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], straus_tables)
     admin_pk_b = json.loads((tmp_path / "pap/admin.pk").read_text())["pk_b"]
     assert straus_tables == Counter({admin_pk_b: 1})
@@ -375,7 +415,7 @@ def test_user_tag_builds_one_admin_key_table(tmp_path, counts, tables, graph, fr
 
 @pytest.mark.parametrize("graph, fragments", [(GRAPH, 2), (GRAPH3, 3)])
 def test_user_tag_builds_straus_tables_for_x_and_each_fragment(tmp_path, straus_tables, graph, fragments):
-    """X = admin_pk_b^beta builds one G2 Straus table and each tag's
+    """X = admin_pk_b^beta builds one G2 ladder table and each tag's
     H1(fragment)^s one G1 table; each tag's Y = g_b^s builds none."""
     tags, admin_pk_b = _user_tag(tmp_path, graph, straus_tables)
     assert tags == fragments
