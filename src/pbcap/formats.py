@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from .pairing import Group, GroupElement, PairingSuite
 from .policy import CompiledPolicy, Policy, check_unique_ids
 from .provenance import ProvenanceGraph, parse_fragment, parse_graph
 from .scheme import AdminPublicKey, ClassificationTag, TrapdoorEntry
-from .storage import check_file_id, check_storage_unit
+from .storage import check_file_id, check_storage_unit, write_new
 
 FORMAT_VERSION = "pbcap/1"
 SCALAR_BYTES = 32
@@ -38,26 +37,21 @@ class Submission:
     tags: tuple[ClassificationTag, ...]
 
 
-def _dump(path: Path, kind: str, suite: PairingSuite, **fields) -> None:
-    """Write the envelope and ``fields`` to a new file at ``path``.
-
-    Any old file is unlinked first, so a ``*-secret-key`` file has mode
-    0600 from its first byte, also when it replaces a wider one.  A file
-    not written in full is unlinked too, and the refusal names ``path``.
-    """
+def _file(path: Path, kind: str, suite: PairingSuite, **fields) -> tuple[Path, bytes, int]:
+    """The ``(path, data, mode)`` of the envelope and ``fields``: a
+    ``*-secret-key`` file is created with mode 0600."""
     doc = {"format": FORMAT_VERSION, "kind": kind, "suite": suite.name, **fields}
-    mode = 0o600 if kind.endswith("-secret-key") else 0o666
+    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return path, data, 0o600 if kind.endswith("-secret-key") else 0o666
+
+
+def _dump(*files: tuple[Path, bytes, int]) -> None:
+    """Write ``files`` (each from ``_file``) over any old ones, all or none;
+    the refusal names the path that could not be written."""
     try:
-        path.unlink(missing_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
-        try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            path.unlink()
-            raise
+        write_new(files, replace=True)
     except OSError as exc:
-        raise PbcapError(f"cannot write {path}: {exc.strerror}") from exc
+        raise PbcapError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -137,8 +131,8 @@ def load_graph(path: Path) -> ProvenanceGraph:
 
 def save_admin_keypair(sk: int, public: AdminPublicKey, suite: PairingSuite, sk_path: Path,
                        pk_path: Path) -> None:
-    _dump(sk_path, "admin-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex())
-    _dump(pk_path, "admin-public-key", suite, pk_a=public.pk_a.hex(), pk_b=public.pk_b.hex())
+    _dump(_file(sk_path, "admin-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex()),
+          _file(pk_path, "admin-public-key", suite, pk_a=public.pk_a.hex(), pk_b=public.pk_b.hex()))
 
 
 def load_admin_secret(path: Path, suite: PairingSuite) -> int:
@@ -157,8 +151,8 @@ def load_admin_public(path: Path, suite: PairingSuite) -> AdminPublicKey:
 
 def save_user_keypair(sk: int, public: GroupElement, suite: PairingSuite, sk_path: Path,
                       pk_path: Path) -> None:
-    _dump(sk_path, "user-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex())
-    _dump(pk_path, "user-public-key", suite, pk_b=public.hex())
+    _dump(_file(sk_path, "user-secret-key", suite, sk=sk.to_bytes(SCALAR_BYTES, "big").hex()),
+          _file(pk_path, "user-public-key", suite, pk_b=public.hex()))
 
 
 def load_user_secret(path: Path, suite: PairingSuite) -> int:
@@ -198,7 +192,7 @@ def load_policies(path: Path) -> list[Policy]:
 
 
 def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, path: Path) -> None:
-    _dump(path, "compiled-policy-set", suite, policies=[
+    _dump(_file(path, "compiled-policy-set", suite, policies=[
         {
             "id": p.id,
             "priority": p.priority,
@@ -210,7 +204,7 @@ def save_compiled_policies(compiled: list[CompiledPolicy], suite: PairingSuite, 
             ],
         }
         for p in compiled
-    ])
+    ]))
 
 
 def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPolicy]:
@@ -228,13 +222,13 @@ def load_compiled_policies(path: Path, suite: PairingSuite) -> list[CompiledPoli
 # --- submissions --------------------------------------------------------------
 
 def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
-    _dump(
+    _dump(_file(
         path, "submission", suite,
         file_id=sub.file_id,
         x=sub.x.hex(),
         tags=[{"y": t.y.hex(), "z": t.z.hex()} for t in sub.tags],
         payload=base64.b64encode(sub.payload).decode("ascii"),
-    )
+    ))
 
 
 def load_submission(path: Path, suite: PairingSuite) -> Submission:

@@ -51,7 +51,7 @@ Nothing here is constant-time.
 
 from __future__ import annotations
 
-from .tower import P, U, XI1, fp2_inv, fp2_mul, fp_inv, pow_u
+from .tower import P, U, XI1, fp2_inv, fp2_mul, fp_inv, pow_u, wnaf
 
 ORDER = P - 6 * U * U
 PSI_EIGENVALUE = 6 * U * U  # p mod n: psi's action on G2
@@ -105,23 +105,6 @@ def _split(k: int, basis, rounding) -> list[int]:
 W = 5  # the wNAF width: digits are odd and below 2^(W-1) in absolute value
 
 
-def _wnaf(k: int) -> list[int]:
-    """The width-W NAF of k, lowest digit first: sum d_i 2^i = k, every
-    d_i is 0 or odd with |d_i| < 2^(W-1), and any W consecutive digits
-    hold at most one non-zero one.  k may be negative."""
-    digits = []
-    while k:
-        d = 0
-        if k & 1:
-            d = k & (2 ** W - 1)
-            if d >= 2 ** (W - 1):
-                d -= 2 ** W
-            k -= d
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
 def _odd_multiples(p):
     """{d: [d]P} for every odd d with |d| < 2^(W-1): a ladder table."""
     p2 = p.double()
@@ -138,7 +121,7 @@ def _ladder(tables, parts, inf):
     digit position of the longest part, one add per non-zero digit."""
     columns = []
     for table, k in zip(tables, parts):
-        digits = _wnaf(k)
+        digits = wnaf(k, W)
         columns += [[] for _ in range(len(digits) - len(columns))]
         for column, d in zip(columns, digits):
             if d:

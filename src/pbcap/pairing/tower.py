@@ -101,22 +101,27 @@ def fp_legendre(a: int) -> int:
     return t if n == 1 else 0
 
 
-def _naf(x: int) -> list[int]:
-    z = []
-    while x > 0:
-        if x % 2 == 0:
-            z.append(0)
-        else:
-            zi = 2 - (x % 4)
-            x -= zi
-            z.append(zi)
-        x //= 2
-    return z
+def wnaf(k: int, w: int) -> list[int]:
+    """The width-w NAF of k, lowest digit first: sum d_i 2^i = k, every
+    d_i is 0 or odd with |d_i| < 2^(w-1), and any w consecutive digits
+    hold at most one non-zero one.  k may be negative.  Width 2 gives the
+    NAF, whose digits are 0 and +-1."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (2 ** w - 1)
+            if d >= 2 ** (w - 1):
+                d -= 2 ** w
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 # 6u+2 and v in NAF, most significant digit first, leading digit dropped
-NAF_6UP2 = list(reversed(_naf(6 * U + 2)))[1:]
-NAF_V = list(reversed(_naf(V)))[1:]
+NAF_6UP2 = list(reversed(wnaf(6 * U + 2, 2)))[1:]
+NAF_V = list(reversed(wnaf(V, 2)))[1:]
 
 
 def pow_u(x, square, mul, inverse):

@@ -1,10 +1,13 @@
-"""Storage-unit directory layout and the append-only decision log."""
+"""Storage-unit directory layout, the append-only decision log, and
+the one staged writer that every file pbcap creates goes through."""
 
 from __future__ import annotations
 
 import json
 import os
 import uuid
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -52,13 +55,68 @@ def check_storage_unit(unit: str) -> str:
     return unit
 
 
+def _dot_name(path: Path) -> Path:
+    # not named after path, whose name may already be as long as a name can be
+    return path.parent / f".{uuid.uuid4().hex}.tmp"
+
+
+def write_new(files: Sequence[tuple[Path, bytes, int]], replace: bool) -> None:
+    """Write every ``(path, data, mode)`` of ``files``, or none of them.
+
+    Stage: each ``data`` is written in full to a new dot file next to its
+    ``path``, created with ``O_EXCL`` and ``mode``, so a 0600 file is
+    never wider.  Commit: each staged file is moved onto its path, by
+    ``os.replace`` if ``replace``, else by ``os.link``, which refuses a
+    path that exists.  A replaced file is kept under a dot name until
+    every path is committed.  If a step fails, each path committed so far
+    gets its old file back or is removed, no dot file is left, and the
+    OSError is raised again naming the path whose step failed.
+    """
+    staged, kept, committed = [], [], []
+    try:
+        for path, data, mode in files:
+            staged.append(_dot_name(path))
+            fd = os.open(staged[-1], os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+            try:
+                fh = open(fd, "wb")
+            except BaseException:
+                os.close(fd)
+                raise
+            with fh:
+                fh.write(data)
+        for (path, _, _), tmp in zip(files, staged):
+            old = _dot_name(path) if replace else None
+            if old:
+                try:
+                    os.link(path, old)
+                    kept.append(old)
+                except FileNotFoundError:
+                    old = None
+                os.replace(tmp, path)
+            else:
+                os.link(tmp, path)
+            committed.append((path, old))
+    except OSError as exc:
+        for done, old in reversed(committed):
+            with suppress(OSError):
+                if old:
+                    os.replace(old, done)
+                else:
+                    done.unlink()
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+    finally:
+        for dot in staged + kept:
+            with suppress(OSError):
+                dot.unlink(missing_ok=True)
+
+
 class StorageLayout:
     """Root directory with one subdirectory per storage unit.
 
-    ``store`` is the only mutating entry point.  A payload is written to
-    a temporary file ``.<hex>.tmp`` in its unit directory and hard-linked
-    to its target name, which fails if that name exists.  So a failed
-    write leaves neither a partial payload nor a log line, and a repeated
+    ``store`` is the only mutating entry point.  A payload is written by
+    ``write_new``, staged as a ``.<hex>.tmp`` in its unit directory and
+    linked to its target name, which fails if that name exists.  So a
+    failed write leaves neither a partial payload nor a log line, and a repeated
     ``file_id`` is refused while the earlier payload stays.  If its log
     line cannot be written, the linked payload is removed again, so stored
     payloads and log lines stay one to one.  Dot names in a unit directory
@@ -88,22 +146,15 @@ class StorageLayout:
         file_name = check_file_id(decision.file_id)
         unit_dir = self.root / unit
         target = unit_dir / file_name
-        # not named after file_id, which may already be as long as a name can be
-        tmp = unit_dir / f".{uuid.uuid4().hex}.tmp"
         try:
             try:
                 unit_dir.mkdir(exist_ok=True)
             except FileExistsError:
                 raise ValidationError(f"storage unit {unit!r} is not a directory") from None
             try:
-                with open(tmp, "xb") as fh:
-                    fh.write(payload)
-                try:
-                    os.link(tmp, target)
-                except FileExistsError:
-                    raise ValidationError(f"file id {file_name!r} is already stored in {unit!r}") from None
-            finally:
-                tmp.unlink(missing_ok=True)
+                write_new([(target, payload, 0o666)], replace=False)
+            except FileExistsError:
+                raise ValidationError(f"file id {file_name!r} is already stored in {unit!r}") from None
             try:
                 self.log(decision)
             except OSError:
@@ -116,6 +167,14 @@ class StorageLayout:
         return target
 
     def log(self, decision: Decision) -> None:
-        line = json.dumps(asdict(decision), sort_keys=True) + "\n"
-        with self.log_path.open("a", encoding="utf-8") as fh:
-            fh.write(line)
+        """Append the decision's JSON line.  An append that fails part-way
+        is cut off again, so the log holds only whole lines."""
+        line = (json.dumps(asdict(decision), sort_keys=True) + "\n").encode("utf-8")
+        with self.log_path.open("ab", buffering=0) as fh:
+            size = fh.tell()
+            try:
+                while line:  # an unbuffered write may be short on a full disk
+                    line = line[fh.write(line):]
+            except OSError:
+                fh.truncate(size)
+                raise

@@ -373,26 +373,86 @@ class TestOutputPaths:
                                                      point):
         """An output file that cannot be created, or is created and then cannot
         be written (a full disk): exit 1 with one stderr line naming it, and no
-        file left behind."""
+        file left behind.  ``target`` is the first file the command stages in
+        ``out``, so the first ``os.open`` or ``open`` there is its own."""
         root = pipeline
         (root / "out").mkdir()
         target = root / target
 
         def refuse_target(path, *args, _real=os.open):
-            if Path(path) == target:
+            if Path(path).parent == target.parent:
                 raise OSError(errno.EACCES, "Permission denied", str(path))
             return _real(path, *args)
 
         if point == "open":
-            monkeypatch.setattr(formats.os, "open", refuse_target)
+            monkeypatch.setattr(storage.os, "open", refuse_target)
         else:
-            monkeypatch.setattr(formats, "open", BrokenFile, raising=False)
+            monkeypatch.setattr(storage, "open", BrokenFile, raising=False)
         before = _tree(root)
         out = root / "out" if option == "--out-dir" else target
         result = run(*command.split(), *_inputs(root, command), option, out, "--suite", "mock", code=1)
         reason = "Permission denied" if point == "open" else "No space left on device"
         assert result.stderr == f"Error: cannot write {target}: {reason}\n"
         assert _tree(root) == before
+
+    @pytest.mark.parametrize("command, option, outputs, nth, point", [
+        pytest.param(command, option, outputs, nth, point,
+                     id=f"{command.replace(' ', '-')}-{outputs[nth]}-{point}")
+        for command, option, outputs in [
+            ("pap keygen", "--out-dir", ("out/admin.sk", "out/admin.pk")),
+            ("pap keygen", "--out-dir", ("pap/admin.sk", "pap/admin.pk")),
+            ("user keygen", "--out-dir", ("out/user.sk", "out/user.pk")),
+            ("user keygen", "--out-dir", ("usr/user.sk", "usr/user.pk")),
+            ("pap compile", "--out", ("out/c.json",)),
+            ("pap compile", "--out", ("compiled.json",)),
+            ("user tag", "--out", ("out/sub.json",)),
+            ("user tag", "--out", ("sub.json",)),
+        ]
+        for nth in range(len(outputs))
+        for point in ("open", "write", "keep", "commit")
+    ])
+    def test_fault_at_any_write_step_keeps_every_output_old(self, pipeline, monkeypatch, command, option,
+                                                             outputs, nth, point):
+        """One fault while the ``nth`` output file is staged (its temporary
+        file opened or written) or committed (its old file kept, or the new
+        one moved into place): exit 1 with one stderr line naming that file,
+        and every output path keeps its old bytes and mode or stays absent,
+        so a key pair is old or new as a whole, and no dot file is left.
+        An output under ``out`` is new; any other is overwritten (--force)."""
+        root = pipeline
+        (root / "out").mkdir()
+        outputs = [root / name for name in outputs]
+        failing = outputs[nth]
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # the files are staged in order, and each commit names its path
+        owner, name, broken, hits, skip = {
+            "open": (storage.os, "open", refuse, lambda path, *args: Path(path).parent == failing.parent, nth),
+            "write": (storage, "open", BrokenFile, lambda *args: True, nth),
+            "keep": (storage.os, "link", refuse, lambda src, dst: Path(src) == failing, 0),
+            "commit": (storage.os, "replace", refuse, lambda src, dst: Path(dst) == failing, 0),
+        }[point]
+        real, calls = getattr(owner, name, builtins.open), []
+
+        def faulty(*args, **kwargs):
+            if hits(*args):
+                calls.append(args)
+                if len(calls) == skip + 1:
+                    return broken(*args, **kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, faulty, raising=False)
+        before = _tree(root)
+        modes = {path: path.stat().st_mode for path in outputs if path.exists()}
+        out = failing.parent if option == "--out-dir" else failing
+        force = ["--force"] if failing.parent != root / "out" else []
+        result = run(*command.split(), *_inputs(root, command), option, out, "--suite", "mock", *force, code=1)
+        assert len(calls) > skip
+        assert result.stderr == f"Error: cannot write {failing}: No space left on device\n"
+        assert _tree(root) == before
+        assert {path: path.stat().st_mode for path in outputs if path.exists()} == modes
 
 
     @pytest.mark.parametrize("command", ["pap keygen", "user keygen"])

@@ -543,24 +543,26 @@ class TestEndomorphismSplits:
             assert signs == {-1, 0, 1}
 
     def test_wnaf_digits(self):
-        """``_wnaf``'s digits, lowest first, sum back to k; each is 0 or odd
-        with |d| < 2^(W-1), any W consecutive places hold at most one
-        non-zero digit, and the highest digit is non-zero."""
+        """``wnaf``'s digits, lowest first, sum back to k; each is 0 or odd
+        with |d| < 2^(w-1), any w consecutive places hold at most one
+        non-zero digit, and the highest digit is non-zero: at the ladder's
+        width W and at width 2, the NAF of the Miller loop and of v."""
         w = curve.W
         ks = [0, curve.ORDER - 1] + [s * k for k in (1, 15, 16, 17, 2 ** 65 - 1) for s in (1, -1)]
         rng = random.Random(38)
-        for k in ks + [rng.randrange(-2 ** 128, 2 ** 128) for _ in range(200)]:
-            digits = curve._wnaf(k)
-            assert sum(d << i for i, d in enumerate(digits)) == k
-            assert all(d == 0 or d % 2 and abs(d) < 2 ** (w - 1) for d in digits)
-            places = [i for i, d in enumerate(digits) if d]
-            assert all(b - a >= w for a, b in zip(places, places[1:]))
-            assert not digits or digits[-1]
-        assert curve._wnaf(0) == []
-        assert curve._wnaf(15) == [15] and curve._wnaf(-1) == [-1]
-        assert curve._wnaf(16) == [0, 0, 0, 0, 1]
-        assert curve._wnaf(17) == [-15, 0, 0, 0, 0, 1]
-        assert curve._wnaf(2 ** 65 - 1) == [-1] + [0] * 64 + [1]
+        for width in (w, 2):
+            for k in ks + [rng.randrange(-2 ** 128, 2 ** 128) for _ in range(200)]:
+                digits = tower.wnaf(k, width)
+                assert sum(d << i for i, d in enumerate(digits)) == k
+                assert all(d == 0 or d % 2 and abs(d) < 2 ** (width - 1) for d in digits)
+                places = [i for i, d in enumerate(digits) if d]
+                assert all(b - a >= width for a, b in zip(places, places[1:]))
+                assert not digits or digits[-1]
+        assert tower.wnaf(0, w) == []
+        assert tower.wnaf(15, w) == [15] and tower.wnaf(-1, w) == [-1]
+        assert tower.wnaf(16, w) == [0, 0, 0, 0, 1]
+        assert tower.wnaf(17, w) == [-15, 0, 0, 0, 0, 1]
+        assert tower.wnaf(2 ** 65 - 1, w) == [-1] + [0] * 64 + [1]
 
     def test_bases_span_the_whole_lattice(self):
         """det = +-n: each basis spans the lattice itself, not a sublattice

@@ -3,6 +3,7 @@
 import errno
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,53 @@ class TestLayout:
             layout.store(_decision(), b"payload")
         assert list((tmp_path / "Hospital").iterdir()) == []
         assert not (tmp_path / "decisions.log").exists()
+
+    @pytest.mark.parametrize("authenticated", [True, False], ids=["store", "log"])
+    def test_failed_log_append_leaves_no_partial_line(self, layout, tmp_path, monkeypatch, authenticated):
+        """A log append that writes half its line and then runs out of space:
+        the half line is cut off again, for a stored payload's line (the
+        payload is refused) and for an authentication failure's, so the next
+        line starts on a line of its own and the log stays JSON Lines."""
+        layout.store(_decision("a.bin"), b"1")
+        before = layout.log_path.read_bytes()
+
+        class HalfWrite:
+            """The log file, but a write writes half its data and then fails."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                self._fh.write(data[:len(data) // 2])
+                self._fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def half_write_on_log(path, *args, _real=Path.open, **kwargs):
+            fh = _real(path, *args, **kwargs)
+            return HalfWrite(fh) if path == layout.log_path else fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", half_write_on_log)
+            if authenticated:
+                with pytest.raises(ValidationError, match="No space left on device"):
+                    layout.store(_decision("b.bin"), b"2")
+            else:
+                with pytest.raises(OSError, match="No space left on device"):
+                    layout.log(Decision.unclassified("b.bin", authenticated=False))
+        assert layout.log_path.read_bytes() == before
+        assert _stored_files(tmp_path) == [tmp_path / "Hospital/a.bin"]
+        layout.store(_decision("c.bin"), b"3")
+        lines = layout.log_path.read_text().splitlines()
+        assert [json.loads(line)["file_id"] for line in lines] == ["a.bin", "c.bin"]
 
     def test_log_only_for_unauthenticated(self, layout, tmp_path):
         d = Decision(file_id="bad.bin", matched_policy=None,
