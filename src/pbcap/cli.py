@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import random
-import secrets
 import sys
 from pathlib import Path
 
@@ -66,7 +65,7 @@ input_file = click.Path(path_type=Path, exists=True, dir_okay=False)
 
 def _make_rng(seed: int | None, suite_name: str):
     if seed is None:
-        return secrets.SystemRandom()
+        return random.SystemRandom()
     if suite_name == "production":
         click.echo("warning: --seed with the production suite is for tests only", err=True)
     return random.Random(seed)
@@ -270,7 +269,7 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         click.echo(f"decode error: {exc}", err=True)
         sys.exit(EXIT_DECODE_ERROR)
     codes = []
-    rng = secrets.SystemRandom()
+    rng = random.SystemRandom()
     for sub_path in submissions:
         try:
             sub = formats.load_submission(sub_path, suite)

@@ -36,11 +36,25 @@ with ``Fp12.exp_u``, which ``tower``'s docstring restricts to the
 cyclotomic subgroup.  GT elements are encoded (``gt_to_bytes``, the H2
 input) but never decoded; ``gt_to_bytes`` joins the raw coefficients of
 ``Fp12.c``, so they must be fully reduced.
+
+``sha256`` here is pbcap's one hash (H1's ``expand_message_xmd``, H2 and
+the mock suite's H1).  It comes from the interpreter's own module, not
+from the standard library's OpenSSL-backed one, whose import maps
+libcrypto into the process and raised every command's peak RSS by
+3.7 MB; that module is only the fallback of an interpreter without the
+builtin.  The digests are the same; the builtin code is slower, about
+2.6-2.8 against 1.0 us per 420-byte input, which no command notices.
 """
 
 from __future__ import annotations
 
-import hashlib
+try:  # the interpreter's own SHA-256, looked up as ``random`` looks up its sha512
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .curve import G2_INF, TWIST_B, PointG1, PointG2, in_g2, psi
 from .tower import (
@@ -221,7 +235,7 @@ def _map_to_g1(t: int) -> PointG1:
 
 def _expand_message_xmd(msg: bytes, dst: bytes, out_len: int) -> bytes:
     """expand_message_xmd with SHA-256 (RFC 9380, section 5.3.1)."""
-    h = hashlib.sha256
+    h = sha256
     b_in_bytes = 32
     ell = (out_len + b_in_bytes - 1) // b_in_bytes
     if ell > 255 or len(dst) > 255:

@@ -16,13 +16,12 @@ tables are built once, at import: its line table here, shared by every
 ``Bn256Suite``, and the four tables of odd multiples its scalar
 multiplications take in ``curve``; nothing writes to any afterwards.
 Randomness is always caller-supplied (anything with a ``randrange`` method, e.g.
-``secrets.SystemRandom`` in production or a seeded ``random.Random`` in
+``random.SystemRandom`` in production or a seeded ``random.Random`` in
 tests).
 """
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Any
@@ -138,7 +137,7 @@ class PairingSuite(ABC):
     def hash_to_bits(self, t: GroupElement) -> bytes:
         """H2: digest a target-group element to a fixed 32 bytes."""
         self._require(t, Group.T)
-        return hashlib.sha256(H2_DST + b"|T|" + t.to_bytes()).digest()
+        return bn256.sha256(H2_DST + b"|T|" + t.to_bytes()).digest()
 
     def random_scalar(self, rng) -> int:
         """Uniform draw from Z_p^* (zero excluded by the range itself)."""
@@ -287,7 +286,7 @@ class MockSuite(PairingSuite):
         return GroupElement(self, Group.T, x.value * y.value % self.order)
 
     def hash_to_group_a(self, message: bytes) -> GroupElement:
-        digest = hashlib.sha256(H1_DST + b"|" + message).digest()
+        digest = bn256.sha256(H1_DST + b"|" + message).digest()
         return GroupElement(self, Group.A, int.from_bytes(digest, "big") % self.order)
 
     def element_from_bytes(self, group: Group, data: bytes) -> GroupElement:

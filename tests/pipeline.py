@@ -44,19 +44,32 @@ def prepare(root, suite, policies=()):
         {"format": "pbcap/1", "kind": "policy-set", "policies": list(policies)}))
     keygen(root / "pap", "pap", suite, 1)
     keygen(root / "usr", "user", suite, 2)
-    run("pap", "compile", "--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk",
-        "--out", root / "compiled.json", "--suite", suite)
+    run(*compile_args(root, suite, "compiled.json"))
+
+
+def compile_args(root, suite, out):
+    """The ``pap compile`` arguments of ``root/policies.json`` with the
+    scenario's admin key into ``root/<out>``."""
+    return ["pap", "compile", "--policies", root / "policies.json", "--admin-sk", root / "pap/admin.sk",
+            "--out", root / out, "--suite", suite]
+
+
+def tag_args(root, suite, graph_path, seed, out="sub.json", file_id=None, user="usr"):
+    """The ``user tag`` arguments of ``graph_path`` with
+    ``root/<user>/user.sk`` into ``root/<out>``, seeded unless ``seed`` is None."""
+    return ["user", "tag", "--graph", graph_path, "--admin-pk", root / "pap/admin.pk",
+            "--user-sk", root / user / "user.sk", "--payload", root / "payload.bin",
+            "--out", root / out, *(() if file_id is None else ("--file-id", file_id)),
+            "--suite", suite, *(() if seed is None else ("--seed", seed))]
 
 
 def tag(root, suite, graph, seed, out="sub.json", file_id=None, user="usr"):
     """Seeded ``user tag`` of the graph text with ``root/<user>/user.sk``
-    into ``root/<out>``; returns the click result."""
+    into ``root/<out>``, the graph written next to it with suffix
+    ``.graph``; returns the click result."""
     graph_path = (root / out).with_suffix(".graph")
     graph_path.write_text(graph)
-    return run("user", "tag", "--graph", graph_path, "--admin-pk", root / "pap/admin.pk",
-               "--user-sk", root / user / "user.sk", "--payload", root / "payload.bin",
-               "--out", root / out, *(() if file_id is None else ("--file-id", file_id)),
-               "--suite", suite, "--seed", seed)
+    return run(*tag_args(root, suite, graph_path, seed, out, file_id, user))
 
 
 def classify_args(root, suite, *subs):

@@ -4,13 +4,13 @@ import builtins
 import errno
 import json
 import os
-import secrets
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from pipeline import classify_args, keygen, run, scenario, tag
+from pipeline import classify_args, keygen, run, scenario, tag, tag_args
 
 from pbcap import formats, scheme, storage
 from pbcap.cli import main
@@ -578,7 +578,7 @@ class TestClassify:
         tag(root, "mock", GRAPH, 4, out="sub2.json", file_id="second.bin")
         rngs, draws, key_checks = [], [], []
 
-        class Recorded(secrets.SystemRandom):
+        class Recorded(random.SystemRandom):
             def __init__(self):
                 super().__init__()
                 rngs.append(self)
@@ -591,7 +591,7 @@ class TestClassify:
             key_checks.append(admin_pub)
             return _inner(suite, admin_pub)
 
-        monkeypatch.setattr(secrets, "SystemRandom", Recorded)
+        monkeypatch.setattr(random, "SystemRandom", Recorded)
         monkeypatch.setattr(scheme, "check_admin_key", check)
         result = run(*classify_args(root, "mock", "sub.json", "forged.json", "sub2.json"), code=2)
         assert result.stderr == f"{root / 'forged.json'}: authentication failure; payload not stored\n"
@@ -782,6 +782,40 @@ class TestClassify:
         run(*args)
 
 
+@pytest.mark.parametrize("command", ["pap keygen", "user keygen", "user tag", "pdp classify"])
+def test_unseeded_command_draws_only_from_one_system_rng(pipeline, monkeypatch, command):
+    """Without ``--seed`` a command builds one ``random.SystemRandom`` and
+    takes every secret exponent, randomizer or delta from it."""
+    root = pipeline
+    rngs, draws = [], []
+
+    class Recorded(random.SystemRandom):
+        def __init__(self):
+            super().__init__()
+            rngs.append(self)
+
+        def randrange(self, *args):
+            value = super().randrange(*args)
+            draws.append((args, value))
+            return value
+
+    monkeypatch.setattr(random, "SystemRandom", Recorded)
+    order = MockSuite().order
+    if command.endswith("keygen"):
+        role = command.split()[0]
+        run(role, "keygen", "--out-dir", root / "new", "--suite", "mock")
+        (sk_path,) = (root / "new").glob("*.sk")
+        assert draws == [((1, order), int(json.loads(sk_path.read_text())["sk"], 16))]
+    elif command == "user tag":
+        run(*tag_args(root, "mock", root / "sub.graph", None, out="new.json"))
+        n_tags = len(json.loads((root / "new.json").read_text())["tags"])
+        assert [args for args, _ in draws] == [(1, order)] * n_tags
+    else:
+        run(*classify_args(root, "mock", "sub.json"))
+        assert [args for args, _ in draws] == [(1, min(2 ** 128, order))]
+    assert len(rngs) == 1
+
+
 class TestNestedJson:
     """A JSON file nested deeper than the parser's recursion limit is
     refused as malformed, with no traceback."""
@@ -859,9 +893,23 @@ def test_module_entry_point():
     assert result.stderr == ""
 
 
-def test_import_loads_neither_fractions_nor_decimal():
-    """A fresh ``import pbcap.cli`` loads neither module: importing
-    ``fractions``, which loads ``_decimal``, for the integer constants of
-    the curve raised the benchmark's peak RSS by 0.4 MB."""
-    code = "import sys, pbcap.cli; print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal'} & set(sys.modules)))"
-    assert _fresh_python("-c", code).stdout == "[]\n"
+def test_round_trip_loads_no_openssl_fractions_or_decimal(tmp_path):
+    """A fresh interpreter that imports ``pbcap.cli`` and runs a seeded mock
+    round trip loads none of these modules.  ``fractions`` loads
+    ``_decimal``: importing it for the curve's integer constants raised the
+    benchmark's peak RSS by 0.4 MB.  ``hashlib``, ``hmac`` and ``secrets``
+    load OpenSSL's ``_hashlib``, 3.7 MB; pbcap takes SHA-256 from the
+    interpreter's own module and the system rng from ``random``."""
+    code = (
+        "import sys, pbcap.cli\n"
+        "from pathlib import Path\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from pipeline import run, scenario\n"
+        "root = Path(sys.argv[1])\n"
+        f"run(*scenario(root, 'mock', {POLICY_DOC['policies']!r}, {GRAPH!r}))\n"
+        "assert [p.name for p in root.glob('store/*/*')] == ['payload.bin']\n"
+        "print(sorted({'fractions', 'decimal', '_decimal', '_pydecimal',\n"
+        "              'hashlib', '_hashlib', 'hmac', 'secrets', '_ssl'} & set(sys.modules)))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    assert _fresh_python("-c", code, tmp_path, tests).stdout == "[]\n"

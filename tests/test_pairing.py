@@ -1,6 +1,8 @@
 """Algebraic laws and serialization of the two bilinear suites."""
 
+import hashlib
 import os
+import platform
 import random
 
 import pytest
@@ -1260,6 +1262,17 @@ class TestHashToGroupA:
             bn256._expand_message_xmd(b"", b"d" * 256, 32)
         with pytest.raises(ValueError, match="out of range"):
             bn256._expand_message_xmd(b"", b"d", 32 * 256)
+
+    @pytest.mark.parametrize("size", [0, 55, 56, 63, 64, 65, 420])
+    def test_sha256_matches_hashlib(self, size):
+        """Around the one- and two-block padding edges and at a 420-byte input."""
+        data = bytes(range(256)) * 2
+        assert bn256.sha256(data[:size]).digest() == hashlib.sha256(data[:size]).digest()
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython", reason="CPython modules")
+    def test_sha256_is_the_interpreters_not_hashlibs(self):
+        """``_sha2`` on 3.12+, ``_sha256`` on 3.10 and 3.11; ``hashlib`` is only the fallback."""
+        assert bn256.sha256.__module__ in ("_sha2", "_sha256")
 
     def test_mock_hash_exposes_discrete_log(self, mock_suite):
         e = mock_suite.hash_to_group_a(b"RecordedBy(Test,Nurse)")
