@@ -46,9 +46,6 @@ from .storage import StorageLayout, check_file_id
 
 import click  # after pbcap's modules: peak RSS after `import pbcap.cli` measured 0.4 MB lower
 
-EXIT_AUTH_FAILURE = 2
-EXIT_DECODE_ERROR = 3
-
 suite_option = click.option(
     "--suite", "suite_name", type=click.Choice(["production", "mock"]),
     default="production", show_default=True, help="Bilinear suite to use.",
@@ -222,29 +219,8 @@ def pdp():
     """Policy decision + enforcement point."""
 
 
-def _route(layout, sub_path: Path, decision, payload: bytes) -> int:
-    """Store and log one classified submission; returns its exit code."""
-    if not decision.authenticated:
-        try:
-            layout.log(decision)
-        except OSError as exc:
-            click.echo(f"{sub_path}: authentication failure; payload not stored; "
-                       f"decision not logged: {exc.strerror or exc}", err=True)
-            return EXIT_DECODE_ERROR
-        click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
-        return EXIT_AUTH_FAILURE
-    try:
-        layout.store(decision, payload)
-    except ValidationError as exc:
-        click.echo(f"{sub_path}: payload not stored: {exc}", err=True)
-        return EXIT_DECODE_ERROR
-    click.echo(json.dumps({
-        "file_id": decision.file_id,
-        "matched_policy": decision.matched_policy,
-        "category": decision.category,
-        "storage_unit": decision.storage_unit,
-    }, sort_keys=True))
-    return 0
+# the exit code of each outcome of one submission; a batch exits with the highest
+EXIT_CODES = {"matched": 0, "unclassified": 0, "auth_failed": 2, "decode_error": 3, "not_stored": 3}
 
 
 @pdp.command("classify")
@@ -267,10 +243,11 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         layout = StorageLayout(storage_root)
     except PbcapError as exc:
         click.echo(f"decode error: {exc}", err=True)
-        sys.exit(EXIT_DECODE_ERROR)
-    codes = []
+        sys.exit(EXIT_CODES["decode_error"])
     rng = random.SystemRandom()
-    for sub_path in submissions:
+
+    def _classify_one(sub_path: Path) -> str:
+        """Read, decide, store or log, and report one submission; returns its outcome."""
         try:
             sub = formats.load_submission(sub_path, suite)
             decision = policy.classify(
@@ -279,13 +256,33 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
             )
         except PbcapError as exc:
             click.echo(f"{sub_path}: decode error: {exc}", err=True)
-            codes.append(EXIT_DECODE_ERROR)
-            continue
-        if not decision.authenticated and not scheme.check_admin_key(suite, admin_pub):
-            click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
-            sys.exit(EXIT_DECODE_ERROR)
-        codes.append(_route(layout, sub_path, decision, sub.payload))
-    sys.exit(max(codes))
+            return "decode_error"
+        if not decision.authenticated:
+            if not scheme.check_admin_key(suite, admin_pub):
+                click.echo(f"decode error: {_bad_admin_key(admin_pk_path)}", err=True)
+                sys.exit(EXIT_CODES["decode_error"])
+            try:
+                layout.log(decision)
+            except OSError as exc:
+                click.echo(f"{sub_path}: authentication failure; payload not stored; "
+                           f"decision not logged: {exc.strerror or exc}", err=True)
+                return "not_stored"
+            click.echo(f"{sub_path}: authentication failure; payload not stored", err=True)
+            return "auth_failed"
+        try:
+            layout.store(decision, sub.payload)
+        except ValidationError as exc:
+            click.echo(f"{sub_path}: payload not stored: {exc}", err=True)
+            return "not_stored"
+        click.echo(json.dumps({
+            "file_id": decision.file_id,
+            "matched_policy": decision.matched_policy,
+            "category": decision.category,
+            "storage_unit": decision.storage_unit,
+        }, sort_keys=True))
+        return "unclassified" if decision.matched_policy is None else "matched"
+
+    sys.exit(max(EXIT_CODES[_classify_one(sub_path)] for sub_path in submissions))
 
 
 # --- harness ---------------------------------------------------------------

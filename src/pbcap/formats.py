@@ -13,7 +13,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DecodeError, PbcapError
 from .pairing import Group, GroupElement, PairingSuite
@@ -34,7 +34,7 @@ class Submission:
     file_id: str
     payload: bytes
     x: GroupElement
-    tags: tuple[ClassificationTag, ...]
+    tags: Iterable[ClassificationTag]
 
 
 def _file(path: Path, kind: str, suite: PairingSuite, **fields) -> tuple[Path, bytes, int]:
@@ -232,15 +232,19 @@ def save_submission(sub: Submission, suite: PairingSuite, path: Path) -> None:
 
 
 def load_submission(path: Path, suite: PairingSuite) -> Submission:
-    """Read a submission; a file id no store accepts is refused before any element is decoded."""
+    """Read a submission; a file id no store accepts is refused before any element is decoded,
+    and each tag is decoded only when ``tags`` reaches it."""
     with _load(path, "submission", suite) as doc:
         return Submission(
             file_id=check_file_id(_field(doc, "file_id", str)),
             x=_element(suite, Group.B, doc, "x"),
-            tags=tuple(
-                ClassificationTag(y=_element(suite, Group.B, t, "y"),
-                                  z=_field(t, "z", str, decode=_hex))
-                for t in _field(doc, "tags", list, of=dict)
-            ),
+            tags=_tags(path, suite, _field(doc, "tags", list, of=dict)),
             payload=_field(doc, "payload", str, decode=lambda text: base64.b64decode(text, validate=True)),
         )
+
+
+def _tags(path: Path, suite: PairingSuite, entries: list[dict]) -> Iterator[ClassificationTag]:
+    """Decode each tag entry, Y subgroup-checked, as it is reached; a refusal names ``path``."""
+    with _naming(path):
+        for t in entries:
+            yield ClassificationTag(y=_element(suite, Group.B, t, "y"), z=_field(t, "z", str, decode=_hex))

@@ -12,6 +12,7 @@ matches nothing is routed to the "default" unit with category
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ValidationError
 from .pairing import GroupElement, PairingSuite
@@ -115,7 +116,7 @@ def compile_policies(
 
 
 def classify(
-    tags: list[ClassificationTag],
+    tags: Iterable[ClassificationTag],
     user_pk: GroupElement,
     admin_pub: AdminPublicKey,
     compiled: list[CompiledPolicy],
@@ -127,8 +128,9 @@ def classify(
 ) -> Decision:
     """Route one submission.
 
-    Authenticity is checked once on the submission's X component; a
-    submission whose X fails is never keyword-tested.  Policies are then
+    Authenticity is checked once on the submission's X component, and
+    ``tags`` is not iterated until X passes: a submission whose X fails has
+    no tag keyword-tested, nor decoded by a lazy ``tags``.  Policies are then
     tried from the highest priority down (ties by smallest id), and
     testing stops at the first policy for which any tag passes against
     any of its trapdoors: the winner is the same as when every policy is
@@ -137,7 +139,7 @@ def classify(
     """
     if not verify_authenticity(suite, admin_pub, user_pk, x, rng):
         return Decision.unclassified(file_id, authenticated=False)
-
+    tags = tuple(tags)
     for policy in sorted(compiled, key=lambda p: (-p.priority, p.id)):
         if any(
             matches_trapdoor(suite, trapdoor, tag)
