@@ -251,7 +251,7 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
         try:
             sub = formats.load_submission(sub_path, suite)
             decision = policy.classify(
-                list(sub.tags), user_pk, admin_pub, compiled, suite,
+                sub.tags, user_pk, admin_pub, compiled, suite,
                 file_id=sub.file_id, x=sub.x, rng=rng,
             )
         except PbcapError as exc:

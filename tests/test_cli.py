@@ -544,6 +544,28 @@ class TestClassify:
         run(*classify_args(root, "mock", "forged.json"), code=2)
         assert not list((root / "store").glob("*/*"))
 
+    @pytest.mark.parametrize("name, code", [("forged.json", 2), ("sub.json", 3)])
+    def test_malformed_tag_is_decoded_only_after_authentication(self, pipeline, name, code):
+        """A tag whose y does not decode: a forged submission fails
+        authentication before its tags are decoded, so it exits 2 and is
+        logged; a genuine one is authenticated, then refused with exit 3,
+        neither stored nor logged."""
+        root = pipeline
+        _forge(root)
+        doc = json.loads((root / name).read_text())
+        doc["tags"][0]["y"] = "00"
+        (root / name).write_text(json.dumps(doc))
+        result = run(*classify_args(root, "mock", name), code=code)
+        assert len(result.stderr.splitlines()) == 1
+        assert not list((root / "store").glob("*/*"))
+        log = root / "store/decisions.log"
+        if code == 2:
+            assert "authentication failure" in result.stderr
+            assert [json.loads(line)["authenticated"] for line in log.read_text().splitlines()] == [False]
+        else:
+            assert "field 'y'" in result.stderr
+            assert not log.exists()
+
     @pytest.mark.parametrize("first", ["sub.json", "forged.json"])
     def test_mixed_exponent_admin_key_exits_3(self, pipeline, first):
         """Found by the first authentication, genuine or forged: exit 3 at

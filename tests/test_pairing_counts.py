@@ -2,10 +2,11 @@
 G2 scalar-multiplication and point-operation counts per operation.
 
 The counts come from wrappers monkeypatched over ``bn256.miller_loop``,
-``bn256.final_exponentiation``, ``bn256.g2_lines``,
+``bn256.final_exponentiation``, ``bn256.g2_lines``, ``bn256.g2_from_bytes``,
 ``curve._odd_multiples``, ``curve.PointG2.scalar_mul`` and the ``add``
 and ``double`` of both point classes; the program itself keeps no
-counter.
+counter.  ``pdp classify`` decodes a submission's tags only once its X
+is authenticated, so a forged submission's tags cost nothing.
 ``make_tag`` pays one G2 scalar multiplication per tag, because Y and Z
 depend on beta and r only through s = beta*r.  A group-B element keeps
 its line table once it is paired, by ``pair`` or ``pairs_equal``, so a
@@ -74,6 +75,19 @@ def tables(monkeypatch):
 
     monkeypatch.setattr(bn256, "g2_lines", counted)
     return built
+
+
+@pytest.fixture
+def g2_decodes(monkeypatch):
+    """G2 points decoded from bytes, keyed by their hex encoding."""
+    decoded = Counter()
+
+    def counted(data, _inner=bn256.g2_from_bytes):
+        decoded[data.hex()] += 1
+        return _inner(data)
+
+    monkeypatch.setattr(bn256, "g2_from_bytes", counted)
+    return decoded
 
 
 @pytest.fixture
@@ -312,8 +326,9 @@ def test_unsafe_file_id_refused_by_pdp_classify(tmp_path, counts, tables):
 def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, tables):
     """A hand-built submission whose one tag has the identity as y and
     H2(1) as z would match every trapdoor, e(token, 1) being 1, and go to
-    the top policy's unit.  It is refused when it is read: exit 3, nothing
-    stored, no pairing and no table."""
+    the top policy's unit.  Its X is genuine, so it is authenticated, with
+    the merged check's two tables, and then refused when its tag is
+    decoded: exit 3, nothing stored or logged, and no tag tested."""
     args = scenario(tmp_path, "production", [_policy("top", ["ApprovedBy(Plan,Board)"], 9)], GRAPH)
     wildcard = {"y": "00" * 65, "z": prod_suite.hash_to_bits(prod_suite.identity(Group.T)).hex()}
     doc = json.loads((tmp_path / "sub.json").read_text())
@@ -323,8 +338,29 @@ def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, ta
     result = run(*args, code=3)
     assert "sub.json: tag y is the identity" in result.stderr
     assert list((tmp_path / "store").iterdir()) == []
-    assert not counts
-    assert not tables
+    _expect(counts, 1, 1)
+    assert sum(tables.values()) == 2
+
+
+def test_forged_submission_refused_before_its_tags_are_decoded(tmp_path, counts, g2_decodes):
+    """A forged submission carrying 50 copies of one tag: ``pdp classify``
+    decodes the admin ``pk_b``, the user key and X, fails the
+    authentication, checks the admin key alone and exits 2.  No tag's Y is
+    decoded, so the tags cost nothing."""
+    args = scenario(tmp_path, "production", [_policy("1", ["RecordedBy(Test,Nurse)"], 5)], GRAPH)
+    keygen(tmp_path / "usr2", "user", "production", 5)
+    tag(tmp_path, "production", GRAPH, 6, out="forged.json", user="usr2")
+    doc = json.loads((tmp_path / "forged.json").read_text())
+    (tmp_path / "sub.json").write_text(json.dumps(dict(doc, tags=doc["tags"][:1] * 50)))
+    counts.clear()
+    g2_decodes.clear()
+    result = run(*args, code=2)
+    assert result.stderr == f"{tmp_path / 'sub.json'}: authentication failure; payload not stored\n"
+    assert list((tmp_path / "store").iterdir()) == [tmp_path / "store/decisions.log"]
+    keys = [json.loads((tmp_path / name).read_text())["pk_b"] for name in ("pap/admin.pk", "usr/user.pk")]
+    assert g2_decodes == Counter({h: 1 for h in keys + [doc["x"]]})
+    # the authentication, then the admin key checked alone
+    _expect(counts, 2, 2)
 
 
 def test_pdp_classify_batch_pays_each_authentication_in_full(tmp_path, counts, tables, monkeypatch):
