@@ -255,7 +255,7 @@ def pdp_classify(submissions, compiled_path, admin_pk_path, user_pk_path,
                 file_id=sub.file_id, x=sub.x, rng=rng,
             )
         except PbcapError as exc:
-            click.echo(f"{sub_path}: decode error: {exc}", err=True)
+            click.echo(f"decode error: {exc}", err=True)
             return "decode_error"
         if not decision.authenticated:
             if not scheme.check_admin_key(suite, admin_pub):

@@ -74,10 +74,10 @@ def _load(path: Path, expected_kind: str, suite: PairingSuite | None = None) -> 
         doc = json.loads(path.read_text(encoding="utf-8"))
         if type(doc) is not dict or doc.get("format") != FORMAT_VERSION:
             raise DecodeError(f"not a {FORMAT_VERSION} file")
-        if doc.get("kind") != expected_kind:
-            raise DecodeError(f"expected kind {expected_kind!r}, got {doc.get('kind')!r}")
-        if suite is not None and doc.get("suite") != suite.name:
-            raise DecodeError(f"file is for suite {doc.get('suite')!r}, not {suite.name!r}")
+        if (kind := _field(doc, "kind", str)) != expected_kind:
+            raise DecodeError(f"expected kind {expected_kind!r}, got {kind!r}")
+        if suite is not None and (name := _field(doc, "suite", str)) != suite.name:
+            raise DecodeError(f"file is for suite {name!r}, not {suite.name!r}")
         yield doc
 
 

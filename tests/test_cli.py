@@ -629,7 +629,8 @@ class TestClassify:
     def test_corrupt_submission_exits_3(self, pipeline):
         root = pipeline
         (root / "junk.json").write_text('{"format": "pbcap/1", "kind": "submission"}')
-        run(*classify_args(root, "mock", "junk.json"), code=3)
+        result = run(*classify_args(root, "mock", "junk.json"), code=3)
+        assert result.stderr == f"decode error: {root / 'junk.json'}: missing field 'suite'\n"
         assert not list((root / "store").glob("*/*"))
 
     def test_batch_of_four_stores_four_files_and_logs_four_lines(self, pipeline):
@@ -666,13 +667,13 @@ class TestClassify:
         assert sorted(p.name for p in (root / "store").glob("*/*")) == ["good.bin", "good2.bin", longest]
         assert len((root / "store/decisions.log").read_text().splitlines()) == 3
         for i in (6, 7):
-            assert f"batch{i}.json: decode error: " in result.stderr
+            assert f"decode error: {root / subs[i]}: " in result.stderr
         assert result.stderr.count("bytes long; a file name takes at most 255") == 2
-        assert "batch1.json: decode error:" in result.stderr
+        assert f"decode error: {root / 'batch1.json'}: " in result.stderr
         assert "file id '../evil' is not a safe file name" in result.stderr
         assert "batch2.json: payload not stored" in result.stderr
         for i in (4, 5):
-            assert f"batch{i}.json: decode error: " in result.stderr
+            assert f"decode error: {root / subs[i]}: " in result.stderr
         assert result.stderr.count("field 'file_id' is not a string") == 2
 
     def test_storage_unit_that_is_not_a_directory_skipped_with_exit_3(self, pipeline):
@@ -850,7 +851,7 @@ class TestNestedJson:
             # exit 3 for that submission; the genuine one after it is still routed
             (root / "deep.json").write_text(deep)
             result = run(*classify_args(root, "mock", "deep.json", "sub.json"), code=3)
-            assert result.stderr.startswith(f"{root / 'deep.json'}: decode error: {root / 'deep.json'}: ")
+            assert result.stderr.startswith(f"decode error: {root / 'deep.json'}: ")
             assert (root / "store/Hospital/payload.bin").exists()
         elif target == "graph":
             (root / "deep_graph").write_text('{"nodes": ' + deep)

@@ -336,7 +336,7 @@ def test_identity_tag_y_refused_by_pdp_classify(tmp_path, prod_suite, counts, ta
     counts.clear()
     tables.clear()
     result = run(*args, code=3)
-    assert "sub.json: tag y is the identity" in result.stderr
+    assert result.stderr == f"decode error: {tmp_path / 'sub.json'}: tag y is the identity\n"
     assert list((tmp_path / "store").iterdir()) == []
     _expect(counts, 1, 1)
     assert sum(tables.values()) == 2
