@@ -633,6 +633,30 @@ class TestClassify:
         assert result.stderr == f"decode error: {root / 'junk.json'}: missing field 'suite'\n"
         assert not list((root / "store").glob("*/*"))
 
+    def test_batch_with_every_outcome(self, pipeline):
+        """Matched, forged, corrupt, unclassified and a repeated file id in
+        one call: the batch exits 3, the highest code; each stored
+        submission prints one stdout line and each refusal one stderr line,
+        in batch order; only the stored and the forged ones are logged."""
+        root = pipeline
+        _forge(root)
+        (root / "junk.json").write_text('{"format": "pbcap/1", "kind": "submission"}')
+        tag(root, "mock", OTHER_GRAPH, 6, out="other.json", file_id="other.bin")
+        tag(root, "mock", GRAPH, 8, out="repeat.json")
+        subs = ["sub.json", "forged.json", "junk.json", "other.json", "repeat.json"]
+        result = run(*classify_args(root, "mock", *subs), code=3)
+        stored = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [(d["file_id"], d["storage_unit"]) for d in stored] == [
+            ("payload.bin", "Hospital"), ("other.bin", "default")]
+        assert result.stderr.splitlines() == [
+            f"{root / 'forged.json'}: authentication failure; payload not stored",
+            f"decode error: {root / 'junk.json'}: missing field 'suite'",
+            f"{root / 'repeat.json'}: payload not stored: file id 'payload.bin' is already stored in 'Hospital'",
+        ]
+        log = [json.loads(line) for line in (root / "store/decisions.log").read_text().splitlines()]
+        assert [(entry["file_id"], entry["authenticated"]) for entry in log] == [
+            ("payload.bin", True), ("payload.bin", False), ("other.bin", True)]
+
     def test_batch_of_four_stores_four_files_and_logs_four_lines(self, pipeline):
         """One call with four submissions stores four files and logs four lines."""
         root = pipeline
