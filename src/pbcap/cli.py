@@ -7,21 +7,31 @@
   against compiled policies and route payloads into storage units.
 * ``pbcap harness run``        -- the distinguishing-game simulator.
 
-Exit codes for ``pdp classify``: 0 any successful routing (including
-unclassified), 2 authentication failure (payload not stored), 3 decode
-error (a JSON file nested too deep to parse is one), a file id that
-cannot be stored (unsafe, longer than 255 bytes in UTF-8, or already
-stored in its unit), a storage unit whose path is not a directory, any
-other ``OSError`` while a payload is stored or logged (that payload is
-then neither stored nor logged), or an ``OSError`` while the decision on
-a submission that failed authentication is logged (one stderr line names
-that submission).  A compiled set, key or storage root that cannot be
-read -- including a compiled set that names an unsafe or overlong
-storage unit, and a storage root whose ``decisions.log`` is not a
-regular file -- exits 3 before any submission is read; an input path
+Each submission of ``pdp classify`` has one outcome, which fixes its
+exit code (``EXIT_CODES``); a batch exits with the highest of its
+submissions':
+
+    outcome        exit code  stored  logged
+    matched        0          yes     yes
+    unclassified   0          yes     yes (routed to ``default``)
+    auth_failed    2          no      yes
+    decode_error   3          no      no
+    not_stored     3          no      no
+
+A submission's X is authenticated before any of its tags is decoded, so
+a forged one is ``auth_failed`` whatever its tags hold.
+``decode_error`` is a file that does not decode: a JSON file nested too
+deep to parse, a file id that is unsafe or longer than 255 bytes in
+UTF-8, or an authenticated submission whose tag does not decode.
+``not_stored`` is a payload the store refuses (a file id already stored
+in its unit, a storage unit whose path is not a directory, any other
+``OSError`` while it is stored or logged), or an ``OSError`` while a
+failed authentication is logged.  A compiled set, key or storage root
+that cannot be read -- including a compiled set that names an unsafe or
+overlong storage unit, and a storage root whose ``decisions.log`` is not
+a regular file -- exits 3 before any submission is read; an input path
 that is missing or a directory is a usage error (exit 2) before
-anything is read.  Otherwise each submission of a batch is handled on
-its own; the exit code is the highest of theirs.
+anything is read.
 
 An admin public key whose two halves do not share an exponent is refused
 by ``user tag`` when it is loaded (exit 1).  ``pdp classify`` folds that
