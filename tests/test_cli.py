@@ -544,28 +544,6 @@ class TestClassify:
         run(*classify_args(root, "mock", "forged.json"), code=2)
         assert not list((root / "store").glob("*/*"))
 
-    @pytest.mark.parametrize("name, code", [("forged.json", 2), ("sub.json", 3)])
-    def test_malformed_tag_is_decoded_only_after_authentication(self, pipeline, name, code):
-        """A tag whose y does not decode: a forged submission fails
-        authentication before its tags are decoded, so it exits 2 and is
-        logged; a genuine one is authenticated, then refused with exit 3,
-        neither stored nor logged."""
-        root = pipeline
-        _forge(root)
-        doc = json.loads((root / name).read_text())
-        doc["tags"][0]["y"] = "00"
-        (root / name).write_text(json.dumps(doc))
-        result = run(*classify_args(root, "mock", name), code=code)
-        assert len(result.stderr.splitlines()) == 1
-        assert not list((root / "store").glob("*/*"))
-        log = root / "store/decisions.log"
-        if code == 2:
-            assert "authentication failure" in result.stderr
-            assert [json.loads(line)["authenticated"] for line in log.read_text().splitlines()] == [False]
-        else:
-            assert "field 'y'" in result.stderr
-            assert not log.exists()
-
     @pytest.mark.parametrize("first", ["sub.json", "forged.json"])
     def test_mixed_exponent_admin_key_exits_3(self, pipeline, first):
         """Found by the first authentication, genuine or forged: exit 3 at
@@ -637,9 +615,14 @@ class TestClassify:
         """Matched, forged, corrupt, unclassified and a repeated file id in
         one call: the batch exits 3, the highest code; each stored
         submission prints one stdout line and each refusal one stderr line,
-        in batch order; only the stored and the forged ones are logged."""
+        in batch order; only the stored and the forged ones are logged.
+        The forged one's tag does not decode, but it is refused by its
+        authentication before its tags are decoded."""
         root = pipeline
         _forge(root)
+        doc = json.loads((root / "forged.json").read_text())
+        doc["tags"][0]["y"] = "00"
+        (root / "forged.json").write_text(json.dumps(doc))
         (root / "junk.json").write_text('{"format": "pbcap/1", "kind": "submission"}')
         tag(root, "mock", OTHER_GRAPH, 6, out="other.json", file_id="other.bin")
         tag(root, "mock", GRAPH, 8, out="repeat.json")
