@@ -206,7 +206,7 @@ def user_tag(graph_path, admin_pk_path, user_sk_path, payload_path, out_path,
     fragments = extract_fragments(graph)
     payload = payload_path.read_bytes()
     tags = tuple(
-        scheme.make_tag(suite, admin_pub, user_sk, frag.canonical_bytes(), rng)
+        scheme.make_tag(suite, admin_pub, user_sk, frag, rng)
         for frag in fragments
     )
     sub = formats.Submission(

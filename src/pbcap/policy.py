@@ -16,7 +16,6 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .pairing import GroupElement, PairingSuite
-from .provenance import ProvenanceFragment
 from .scheme import (
     AdminPublicKey,
     ClassificationTag,
@@ -54,7 +53,7 @@ def check_unique_ids(policies: list) -> list:
 @dataclass(frozen=True)
 class Policy:
     id: str
-    keywords: tuple[ProvenanceFragment, ...]
+    keywords: tuple[bytes, ...]
     priority: int
     category: str
     storage_unit: str
@@ -107,7 +106,7 @@ def compile_policies(
             category=policy.category,
             storage_unit=policy.storage_unit,
             trapdoors=tuple(
-                make_trapdoor(suite, admin_sk, keyword.canonical_bytes(), keyword_slot=f"{policy.id}/k{i}")
+                make_trapdoor(suite, admin_sk, keyword, keyword_slot=f"{policy.id}/k{i}")
                 for i, keyword in enumerate(policy.keywords)
             ),
         )

@@ -2,12 +2,11 @@
 
 A provenance graph is a DAG of Artifact / Agent / Process nodes with
 typed edges.  Each typed edge yields one fragment of the form
-``Relation(SourceLabel,TargetLabel)``; the canonical byte form of that
-string is exactly what the keyword hash consumes, on both the tagging
-side and the trapdoor side.  The grammar is deliberately rigid: tokens
-are opaque, case-sensitive, stripped of surrounding whitespace, and may
-not contain commas or parentheses, so there is no escaping and no
-ambiguity.
+``Relation(SourceLabel,TargetLabel)``, held as its canonical UTF-8
+bytes: exactly what the keyword hash consumes, on both the tagging side
+and the trapdoor side.  The grammar is deliberately rigid: tokens are
+opaque, case-sensitive, stripped of surrounding whitespace, and may not
+contain commas or parentheses, so there is no escaping and no ambiguity.
 """
 
 from __future__ import annotations
@@ -15,132 +14,103 @@ from __future__ import annotations
 import graphlib
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
 NODE_KINDS = ("Artifact", "Agent", "Process")
+_NODE_FIELDS = ("id", "kind", "label")
+_EDGE_FIELDS = ("relation", "source", "target")
 
 _FORBIDDEN = re.compile(r"[(),]")
 
 
-def _clean_token(token: str, what: str) -> str:
+def _clean_token(token: str, what: str) -> bytes:
+    """``token`` stripped, in UTF-8; refused if empty or if it holds ( ) or ,"""
     token = token.strip()
     if not token:
         raise ValidationError(f"{what} must be non-empty")
     if _FORBIDDEN.search(token):
         raise ValidationError(f"{what} {token!r} contains a forbidden character ( ) or ,")
-    return token
+    return token.encode("utf-8")
 
 
-@dataclass(frozen=True, order=True)
-class ProvenanceFragment:
-    """A single typed relation, e.g. RecordedBy(Test,Nurse)."""
-
-    relation: str
-    args: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "relation", _clean_token(self.relation, "relation"))
-        if not self.args:
-            raise ValidationError("fragment needs at least one argument")
-        object.__setattr__(
-            self, "args", tuple(_clean_token(a, "argument") for a in self.args)
-        )
-
-    def canonical(self) -> str:
-        return f"{self.relation}({','.join(self.args)})"
-
-    def canonical_bytes(self) -> bytes:
-        return self.canonical().encode("utf-8")
+def fragment(relation: str, args) -> bytes:
+    """The canonical bytes of one typed relation, e.g. b"RecordedBy(Test,Nurse)"."""
+    relation = _clean_token(relation, "relation")
+    if not args:
+        raise ValidationError("fragment needs at least one argument")
+    return b"%s(%s)" % (relation, b",".join(_clean_token(a, "argument") for a in args))
 
 
 _FRAGMENT_RE = re.compile(r"^\s*([^(),]+)\(([^()]*)\)\s*$")
 
 
-def parse_fragment(text: str) -> ProvenanceFragment:
-    """Parse ``Relation(arg1, arg2, ...)`` back into a fragment."""
+def parse_fragment(text: str) -> bytes:
+    """Parse ``Relation(arg1, arg2, ...)`` into its canonical bytes."""
     m = _FRAGMENT_RE.match(text)
     if not m:
         raise ValidationError(f"malformed fragment {text!r}")
-    relation, arg_text = m.group(1), m.group(2)
-    args = arg_text.split(",")
-    return ProvenanceFragment(relation, tuple(args))
+    return fragment(m.group(1), m.group(2).split(","))
 
 
-def _require_strings(declaration, what: str) -> None:
-    for f in fields(declaration):
-        if not isinstance(getattr(declaration, f.name), str):
-            raise ValidationError(f"{what} field {f.name!r} is not a string")
+def _strings(what: str, names: tuple[str, ...], values: tuple) -> tuple:
+    """``values``, once each one, named by ``names``, is a string."""
+    for name, value in zip(names, values):
+        if not isinstance(value, str):
+            raise ValidationError(f"{what} field {name!r} is not a string")
+    return values
 
 
-@dataclass(frozen=True)
-class ProvenanceNode:
-    """A node; its label is checked as a fragment argument, since edges use it as one."""
-
-    id: str
-    kind: str
-    label: str
-
-    def __post_init__(self):
-        _require_strings(self, "node")
-        if self.kind not in NODE_KINDS:
-            raise ValidationError(
-                f"node kind {self.kind!r} not one of {', '.join(NODE_KINDS)}"
-            )
-        _clean_token(self.label, "node label")
+def _node(*declaration) -> tuple[str, str, str]:
+    """An (id, kind, label) node; its label is checked as a fragment
+    argument, since edges use it as one."""
+    _, kind, label = _strings("node", _NODE_FIELDS, declaration)
+    if kind not in NODE_KINDS:
+        raise ValidationError(f"node kind {kind!r} not one of {', '.join(NODE_KINDS)}")
+    _clean_token(label, "node label")
+    return declaration
 
 
-@dataclass(frozen=True)
-class ProvenanceEdge:
-    relation: str
-    source: str
-    target: str
-
-    def __post_init__(self):
-        _require_strings(self, "edge")
-        _clean_token(self.relation, "relation")
+def _edge(*declaration) -> tuple[str, str, str]:
+    """A (relation, source id, target id) edge."""
+    relation, _, _ = _strings("edge", _EDGE_FIELDS, declaration)
+    _clean_token(relation, "relation")
+    return declaration
 
 
 @dataclass(frozen=True)
 class ProvenanceGraph:
     """Validated DAG; construction rejects cycles and dangling edges."""
 
-    nodes: tuple[ProvenanceNode, ...]
-    edges: tuple[ProvenanceEdge, ...] = field(default=())
+    nodes: tuple[tuple[str, str, str], ...]
+    edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
-        by_id = {}
-        for node in self.nodes:
-            if node.id in by_id:
-                raise ValidationError(f"duplicate node id {node.id!r}")
-            by_id[node.id] = node
-        adjacency: dict[str, set[str]] = {n.id: set() for n in self.nodes}
-        for edge in self.edges:
-            for endpoint in (edge.source, edge.target):
-                if endpoint not in by_id:
+        adjacency: dict[str, set[str]] = {}
+        for node_id, _, _ in self.nodes:
+            if node_id in adjacency:
+                raise ValidationError(f"duplicate node id {node_id!r}")
+            adjacency[node_id] = set()
+        for _, source, target in self.edges:
+            for endpoint in (source, target):
+                if endpoint not in adjacency:
                     raise ValidationError(f"edge references unknown node {endpoint!r}")
-            adjacency[edge.target].add(edge.source)
+            adjacency[target].add(source)
         try:
             tuple(graphlib.TopologicalSorter(adjacency).static_order())
         except graphlib.CycleError as exc:
             raise ValidationError(f"provenance graph contains a cycle: {exc.args[1]}") from exc
-        object.__setattr__(self, "_by_id", by_id)
-
-    def node(self, node_id: str) -> ProvenanceNode:
-        return self._by_id[node_id]
 
 
-def extract_fragments(graph: ProvenanceGraph) -> list[ProvenanceFragment]:
-    """One fragment per typed edge, deduplicated, sorted by canonical form."""
-    seen = {
-        ProvenanceFragment(
-            edge.relation,
-            (graph.node(edge.source).label, graph.node(edge.target).label),
-        )
-        for edge in graph.edges
-    }
-    return sorted(seen, key=lambda f: f.canonical())
+def extract_fragments(graph: ProvenanceGraph) -> list[bytes]:
+    """One fragment per typed edge, deduplicated and sorted; UTF-8 keeps
+    code-point order, so byte order is the order of the text."""
+    labels = {node_id: label for node_id, _, label in graph.nodes}
+    return sorted({
+        fragment(relation, (labels[source], labels[target]))
+        for relation, source, target in graph.edges
+    })
 
 
 # --- graph file formats --------------------------------------------------
@@ -153,8 +123,8 @@ def extract_fragments(graph: ProvenanceGraph) -> list[ProvenanceFragment]:
 
 
 def parse_graph_text(text: str) -> ProvenanceGraph:
-    nodes: list[ProvenanceNode] = []
-    edges: list[ProvenanceEdge] = []
+    nodes: list[tuple[str, str, str]] = []
+    edges: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,11 +134,11 @@ def parse_graph_text(text: str) -> ProvenanceGraph:
             if parts[0] == "node":
                 if len(parts) != 4:
                     raise ValidationError("expected: node <id> <kind> <label>")
-                nodes.append(ProvenanceNode(id=parts[1], kind=parts[2], label=parts[3]))
+                nodes.append(_node(*parts[1:]))
             elif parts[0] == "edge":
                 if len(parts) != 4:
                     raise ValidationError("expected: edge <relation> <source> <target>")
-                edges.append(ProvenanceEdge(relation=parts[1], source=parts[2], target=parts[3]))
+                edges.append(_edge(*parts[1:]))
             else:
                 raise ValidationError(f"unknown declaration {parts[0]!r}")
         except ValidationError as exc:
@@ -176,9 +146,9 @@ def parse_graph_text(text: str) -> ProvenanceGraph:
     return ProvenanceGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def _json_entries(doc: dict, key: str, names: tuple[str, ...]) -> list[dict]:
-    """The fields ``names`` of each entry of ``doc[key]``, which must be a
-    list of objects; any other shape is refused with a message naming it."""
+def _json_entries(doc: dict, key: str, names: tuple[str, ...]) -> list[tuple]:
+    """The fields ``names``, in that order, of each entry of ``doc[key]``, which
+    must be a list of objects; any other shape is refused with a message naming it."""
     if key not in doc:
         raise ValidationError(f"JSON graph has no {key!r} field")
     if type(doc[key]) is not list:
@@ -190,7 +160,7 @@ def _json_entries(doc: dict, key: str, names: tuple[str, ...]) -> list[dict]:
         for name in names:
             if name not in entry:
                 raise ValidationError(f"JSON graph {key}[{i}] has no {name!r} field")
-        entries.append({name: entry[name] for name in names})
+        entries.append(tuple(entry[name] for name in names))
     return entries
 
 
@@ -203,8 +173,8 @@ def parse_graph_json(text: str) -> ProvenanceGraph:
         raise ValidationError(f"invalid JSON graph: {exc}") from exc
     if type(doc) is not dict:
         raise ValidationError("JSON graph is not an object")
-    nodes = tuple(ProvenanceNode(**n) for n in _json_entries(doc, "nodes", ("id", "kind", "label")))
-    edges = tuple(ProvenanceEdge(**e) for e in _json_entries(doc, "edges", ("relation", "source", "target")))
+    nodes = tuple(_node(*n) for n in _json_entries(doc, "nodes", _NODE_FIELDS))
+    edges = tuple(_edge(*e) for e in _json_entries(doc, "edges", _EDGE_FIELDS))
     return ProvenanceGraph(nodes=nodes, edges=edges)
 
 

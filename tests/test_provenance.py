@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 
 from pbcap.errors import ValidationError
 from pbcap.provenance import (
-    ProvenanceEdge,
-    ProvenanceFragment,
-    ProvenanceGraph,
-    ProvenanceNode,
     extract_fragments,
+    fragment,
     parse_fragment,
     parse_graph,
     parse_graph_json,
@@ -23,47 +20,55 @@ token = st.text(
     min_size=1,
     max_size=12,
 )
-fragments = st.builds(
-    ProvenanceFragment,
-    relation=token,
-    args=st.lists(token, min_size=1, max_size=4).map(tuple),
-)
+space = st.text(alphabet=" \t", max_size=2)
+# two letters, so that equal fragments are drawn often
+narrow_token = st.text(alphabet="ab", min_size=1, max_size=2)
+
+
+def _padded(tokens):
+    """``tokens`` with whitespace drawn around each one."""
+    return st.tuples(space, tokens, space).map("".join)
+
+
+def _fragments(tokens, max_args):
+    """(relation, args) pairs, as ``fragment`` takes them, of padded ``tokens``."""
+    return st.tuples(_padded(tokens), st.lists(_padded(tokens), min_size=1, max_size=max_args).map(tuple))
+
+
+def _stripped(frag):
+    relation, args = frag
+    return relation.strip(), tuple(a.strip() for a in args)
 
 
 class TestCanonicalize:
     def test_worked_example_keyword_shape(self):
-        frag = ProvenanceFragment("RecordedBy", ("Test", "Nurse"))
-        assert frag.canonical_bytes() == b"RecordedBy(Test,Nurse)"
+        assert fragment("RecordedBy", ("Test", "Nurse")) == b"RecordedBy(Test,Nurse)"
 
     def test_whitespace_stripped(self):
-        frag = ProvenanceFragment("DiagnosedBy", (" Report ", "Doctor"))
-        assert frag.canonical_bytes() == b"DiagnosedBy(Report,Doctor)"
+        assert fragment("DiagnosedBy", (" Report ", "Doctor")) == b"DiagnosedBy(Report,Doctor)"
 
     def test_case_sensitive(self):
-        a = ProvenanceFragment("RecordedBy", ("Test", "Nurse"))
-        b = ProvenanceFragment("recordedby", ("Test", "Nurse"))
-        assert a.canonical_bytes() != b.canonical_bytes()
+        assert fragment("RecordedBy", ("Test", "Nurse")) != fragment("recordedby", ("Test", "Nurse"))
 
-    @given(fragments)
+    @given(_fragments(token, 4))
     def test_parse_render_round_trip(self, frag):
-        assert parse_fragment(frag.canonical()).canonical_bytes() == frag.canonical_bytes()
+        assert parse_fragment(fragment(*frag).decode("utf-8")) == fragment(*frag)
 
-    @given(fragments, fragments)
+    @given(_fragments(narrow_token, 2), _fragments(narrow_token, 2))
     def test_injective_up_to_normalization(self, a, b):
-        if a.canonical_bytes() == b.canonical_bytes():
-            assert a == b
-        else:
-            assert a != b
+        """Two fragments have the same bytes exactly when their stripped
+        tokens are equal."""
+        assert (fragment(*a) == fragment(*b)) == (_stripped(a) == _stripped(b))
 
     def test_empty_relation_rejected(self):
         with pytest.raises(ValidationError):
-            ProvenanceFragment("", ("x",))
+            fragment("", ("x",))
         with pytest.raises(ValidationError):
-            ProvenanceFragment("   ", ("x",))
+            fragment("   ", ("x",))
 
     def test_empty_args_rejected(self):
         with pytest.raises(ValidationError):
-            ProvenanceFragment("Rel", ())
+            fragment("Rel", ())
 
     @pytest.mark.parametrize("bad", ["Rel(a", "Rel a,b)", "", "(a,b)", "Rel(a))"])
     def test_malformed_text_rejected(self, bad):
@@ -73,33 +78,28 @@ class TestCanonicalize:
     @pytest.mark.parametrize("char", ["(", ")", ","])
     def test_forbidden_characters_in_tokens(self, char):
         with pytest.raises(ValidationError):
-            ProvenanceFragment(f"Re{char}l", ("x",))
+            fragment(f"Re{char}l", ("x",))
         with pytest.raises(ValidationError):
-            ProvenanceFragment("Rel", (f"a{char}b",))
+            fragment("Rel", (f"a{char}b",))
 
 
 def _graph(edges, extra_nodes=()):
     ids = {e[1] for e in edges} | {e[2] for e in edges} | set(extra_nodes)
-    nodes = tuple(ProvenanceNode(id=i, kind="Artifact", label=i.capitalize()) for i in sorted(ids))
-    return ProvenanceGraph(
-        nodes=nodes,
-        edges=tuple(ProvenanceEdge(relation=r, source=s, target=t) for r, s, t in edges),
-    )
+    nodes = "".join(f"node {i} Artifact {i.capitalize()}\n" for i in sorted(ids))
+    return parse_graph_text(nodes + "".join(f"edge {r} {s} {t}\n" for r, s, t in edges))
 
 
 class TestGraph:
     def test_empty_graph_yields_no_fragments(self):
-        assert extract_fragments(ProvenanceGraph(nodes=(), edges=())) == []
+        assert extract_fragments(parse_graph_text("")) == []
 
     def test_single_edge_fragment(self):
-        g = ProvenanceGraph(
-            nodes=(
-                ProvenanceNode("t", "Artifact", "Test"),
-                ProvenanceNode("n", "Agent", "Nurse"),
-            ),
-            edges=(ProvenanceEdge("RecordedBy", "t", "n"),),
-        )
-        assert [f.canonical() for f in extract_fragments(g)] == ["RecordedBy(Test,Nurse)"]
+        g = parse_graph_text("node t Artifact Test\nnode n Agent Nurse\nedge RecordedBy t n\n")
+        assert extract_fragments(g) == [b"RecordedBy(Test,Nurse)"]
+
+    def test_fragments_sorted_by_canonical_bytes(self):
+        g = _graph([("S", "a", "b"), ("R", "b", "c"), ("R", "a", "c")])
+        assert extract_fragments(g) == [b"R(A,C)", b"R(B,C)", b"S(A,B)"]
 
     def test_duplicate_edges_deduplicated(self):
         g = _graph([("R", "a", "b"), ("R", "a", "b")])
@@ -121,23 +121,15 @@ class TestGraph:
 
     def test_dangling_edge_rejected(self):
         with pytest.raises(ValidationError, match="unknown node"):
-            ProvenanceGraph(
-                nodes=(ProvenanceNode("a", "Agent", "A"),),
-                edges=(ProvenanceEdge("R", "a", "ghost"),),
-            )
+            parse_graph_text("node a Agent A\nedge R a ghost\n")
 
     def test_duplicate_node_id_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            ProvenanceGraph(
-                nodes=(
-                    ProvenanceNode("a", "Agent", "A"),
-                    ProvenanceNode("a", "Artifact", "B"),
-                ),
-            )
+            parse_graph_text("node a Agent A\nnode a Artifact B\n")
 
     def test_bad_node_kind_rejected(self):
         with pytest.raises(ValidationError, match="kind"):
-            ProvenanceNode("a", "Widget", "A")
+            parse_graph_text("node a Widget A\n")
 
 
 class TestGraphFormats:
