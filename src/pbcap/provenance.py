@@ -5,8 +5,9 @@ typed edges.  Each typed edge yields one fragment of the form
 ``Relation(SourceLabel,TargetLabel)``, held as its canonical UTF-8
 bytes: exactly what the keyword hash consumes, on both the tagging side
 and the trapdoor side.  The grammar is deliberately rigid: tokens are
-opaque, case-sensitive, stripped of surrounding whitespace, and may not
-contain commas or parentheses, so there is no escaping and no ambiguity.
+opaque, case-sensitive, stripped of surrounding whitespace, encodable in
+UTF-8, and may not contain commas or parentheses, so there is no
+escaping and no ambiguity.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ _FORBIDDEN = re.compile(r"[(),]")
 
 
 def _clean_token(token: str, what: str) -> bytes:
-    """``token`` stripped, in UTF-8; refused if empty or if it holds ( ) or ,"""
+    """``token`` stripped, in UTF-8; refused if empty, if it holds ( ) or ,
+    or if UTF-8 cannot encode it (a lone surrogate)."""
     token = token.strip()
     if not token:
         raise ValidationError(f"{what} must be non-empty")
     if _FORBIDDEN.search(token):
         raise ValidationError(f"{what} {token!r} contains a forbidden character ( ) or ,")
-    return token.encode("utf-8")
+    try:
+        return token.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {token!r} is not encodable in UTF-8") from None
 
 
 def fragment(relation: str, args) -> bytes:

@@ -148,6 +148,19 @@ class TestCompile:
         assert "policy #0" in result.output
         assert "malformed fragment" in result.output
 
+    def test_keyword_utf8_cannot_encode_refused(self, tmp_path):
+        """A keyword holding a lone surrogate (a JSON \\ud800 escape) is refused
+        while the policy file is read: one line naming the file, no traceback."""
+        doc = dict(POLICY_DOC)
+        doc["policies"] = [dict(doc["policies"][0], keywords=["R(Te\ud800st,Nurse)"])]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        keygen(tmp_path, "pap", "mock", 1)
+        result = run("pap", "compile", "--policies", tmp_path / "bad.json", "--admin-sk", tmp_path / "admin.sk",
+                     "--out", tmp_path / "out.json", "--suite", "mock", code=1)
+        assert result.stderr == (f"Error: {tmp_path / 'bad.json'}: policy #0: "
+                                 "argument 'Te\\ud800st' is not encodable in UTF-8\n")
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("unit", ["decisions.log", "../up", pytest.param("\u00e9" * 128, id="utf8-256")])
     def test_unstorable_storage_unit_refused(self, tmp_path, unit):
         doc = dict(POLICY_DOC)
@@ -290,8 +303,11 @@ class TestTag:
         json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Test"}]}),
         json.dumps({"nodes": ["t"], "edges": []}),
         b"node t Artifact Te\xffst\n",
+        json.dumps({"nodes": [{"id": "t", "kind": "Artifact", "label": "Te\ud800st"},
+                              {"id": "n", "kind": "Agent", "label": "Nurse"}],
+                    "edges": [{"relation": "RecordedBy", "source": "t", "target": "n"}]}),
     ], ids=["comma-in-label", "int-label", "paren-in-relation", "int-edge-target", "no-edges", "string-node",
-            "not-utf8"])
+            "not-utf8", "surrogate-label"])
     def test_malformed_graph_rejected(self, pipeline, graph):
         """Refused while the graph is read: exit 1 with one line naming the
         file, no traceback."""

@@ -82,6 +82,13 @@ class TestCanonicalize:
         with pytest.raises(ValidationError):
             fragment("Rel", (f"a{char}b",))
 
+    def test_token_utf8_cannot_encode_rejected(self):
+        """A lone surrogate, which a JSON \\ud800 escape decodes to, is refused by name."""
+        with pytest.raises(ValidationError, match=r"^argument 'Te\\ud800st' is not encodable in UTF-8$"):
+            parse_fragment("RecordedBy(Te\ud800st,Nurse)")
+        with pytest.raises(ValidationError, match=r"^relation 'R\\udfffel' is not encodable in UTF-8$"):
+            fragment("R\udfffel", ("x",))
+
 
 def _graph(edges, extra_nodes=()):
     ids = {e[1] for e in edges} | {e[2] for e in edges} | set(extra_nodes)
