@@ -23,6 +23,12 @@ token = st.text(
 space = st.text(alphabet=" \t", max_size=2)
 # two letters, so that equal fragments are drawn often
 narrow_token = st.text(alphabet="ab", min_size=1, max_size=2)
+# any token a graph line can hold: no whitespace, no "#", nothing UTF-8 cannot encode
+graph_token = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cc", "Z"), exclude_characters="(),#"),
+    min_size=1,
+    max_size=12,
+)
 
 
 def _padded(tokens):
@@ -137,6 +143,25 @@ class TestGraph:
     def test_bad_node_kind_rejected(self):
         with pytest.raises(ValidationError, match="kind"):
             parse_graph_text("node a Widget A\n")
+
+    @given(st.lists(graph_token, min_size=3, max_size=3), st.data())
+    def test_both_sides_hash_the_same_bytes(self, tokens, data):
+        """A one-edge graph, as lines and as JSON, yields exactly the bytes
+        its keyword text parses to, whatever whitespace surrounds the tokens."""
+        def pad(text):
+            return data.draw(space) + text + data.draw(space)
+
+        relation, source, target = tokens
+        lines = f"node s Artifact {pad(source)}\nnode t Agent {pad(target)}\nedge {relation} s t\n"
+        doc = json.dumps({
+            "nodes": [{"id": "s", "kind": "Artifact", "label": pad(source)},
+                      {"id": "t", "kind": "Agent", "label": pad(target)}],
+            "edges": [{"relation": pad(relation), "source": "s", "target": "t"}],
+        })
+        keyword = parse_fragment(f"{pad(relation)}({pad(source)},{pad(target)})")
+        assert keyword == f"{relation}({source},{target})".encode("utf-8")
+        assert extract_fragments(parse_graph_text(lines)) == [keyword]
+        assert extract_fragments(parse_graph(doc)) == [keyword]
 
 
 class TestGraphFormats:
