@@ -60,7 +60,7 @@ def parse_fragment(text: str) -> bytes:
 
 
 def _strings(what: str, names: tuple[str, ...], values: tuple) -> tuple:
-    """``values``, once each one, named by ``names``, is a string."""
+    """``values`` once each of them, named in turn by ``names``, is a string."""
     for name, value in zip(names, values):
         if not isinstance(value, str):
             raise ValidationError(f"{what} field {name!r} is not a string")
